@@ -80,6 +80,5 @@ from .weights import (
     Radial,
     Weight,
     curvature_lower_bound,
-    euler_residual,
     make_weight,
 )

@@ -88,6 +88,11 @@ class Cone:
         """
         return None
 
+    def constrained_axes(self) -> frozenset[int]:
+        """Half-line axes of an axis-aligned cone; empty for any other cone."""
+        sig = self.axis_signature() or ()
+        return frozenset(i for i, k in enumerate(sig) if k != "full")
+
     def cache_key(self) -> tuple:
         raise NotImplementedError
 

@@ -29,16 +29,6 @@ from .weights import Weight
 _NEG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    """A named scalar with its measure descriptor and error estimate."""
-
-    name: str
-    value: float
-    measure: dict
-    error: float = 0.0
-
-
 def lq_norm(measure: Measure, f: ScalarField, q: float) -> float:
     """(int |f|^q dmu)^(1/q)."""
     if q < 1:

@@ -1,7 +1,8 @@
 """Bakry-Emery Gamma-calculus for the diffusion generator
 
-    L_w f = Lap f - x . grad f + grad(log w) . grad f,
+    L_w f = Lap f - x . grad f + grad(log w) . grad f
 
+(`generator` also covers mu_{w,lambda}, whose drift is x . grad f / lambda^2),
 its carre du champ Gamma(f,g) = grad f . grad g, the iterated form
 
     Gamma_2(f) = ||hess f||_F^2 + |grad f|^2 - hess(log w)(grad f, grad f),
@@ -34,14 +35,26 @@ def _pts(x, dim: int) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
+def generator(weight: Weight, pts: np.ndarray, grad: np.ndarray,
+              lap: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    """L_w at the points from precomputed derivatives: the generator of
+    mu_{w,lambda},
+
+        lap - (x . grad) / lambda^2 + grad(log w) . grad.
+
+    grad is (N, n) for one function, with lap (N,), or (N, n, m) for m
+    functions at once, with lap (N, m).  The only implementation of L_w.
+    """
+    drift = np.einsum("Ni,Ni...->N...", pts, grad)
+    tilt = np.einsum("Ni,Ni...->N...", weight.grad_log(pts), grad)
+    return lap - drift / (lam * lam) + tilt
+
+
 def apply_generator(weight: Weight, f: ScalarField, x) -> float | np.ndarray:
     """L_w f at x (singularity errors from grad(log w) propagate)."""
     pts, single = _pts(x, weight.dim)
     lap = np.trace(f.hess(pts), axis1=1, axis2=2)
-    grad = f.grad(pts)
-    drift = np.sum(pts * grad, axis=1)
-    tilt = np.sum(weight.grad_log(pts) * grad, axis=1)
-    out = lap - drift + tilt
+    out = generator(weight, pts, f.grad(pts), lap)
     return float(out[0]) if single else out
 
 
@@ -104,9 +117,8 @@ def bochner_residual(weight: Weight, f: ScalarField, x,
         dn = gamma_ff((x - step)[None, :])[0]
         lap += (up - 2.0 * center + dn) / h ** 2
         grad[ax] = (up - dn) / (2.0 * h)
-    drift = float(x @ grad)
-    tilt = float(weight.grad_log(x) @ grad)
-    l_gamma = lap - drift + tilt
+    l_gamma = float(generator(weight, x[None, :], grad[None, :],
+                              np.array([lap]))[0])
 
     # Gamma(f, L_w f) via centered differences of L_w f
     grad_lf = np.zeros(dim)
@@ -130,11 +142,9 @@ def neumann_residual(f: ScalarField, cone: Cone,
     """
     if not cone.has_boundary:
         raise NoBoundaryError("cone has no boundary")
-    sig = cone.axis_signature()
-    if sig is not None:
-        constrained = {i for i, k in enumerate(sig) if k != "full"}
-        if constrained and constrained <= f.even_axes:
-            return 0.0
+    constrained = cone.constrained_axes()
+    if constrained and constrained <= f.even_axes:
+        return 0.0
     if boundary_sample is None:
         rng = np.random.default_rng(seed)
         boundary_sample = cone.boundary_sample(rng, count)
@@ -166,15 +176,12 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
 
     weight = measure.weight
     lam = measure.scale if measure.scale is not None else 1.0
-    rate = f.decay.rate + g.decay.rate + 0.5 / (lam * lam)
     damp = 0.5 / (lam * lam)
+    rate = f.decay.rate + g.decay.rate + damp
 
     def lhs_integrand(pts):
-        # generator of mu_{w,lambda}: Lap - x.grad/lambda^2 + grad(log w).grad
         lap = np.trace(f.hess(pts), axis1=1, axis2=2)
-        grad = f.grad(pts)
-        lf = (lap - 2.0 * damp * np.sum(pts * grad, axis=1)
-              + np.sum(weight.grad_log(pts) * grad, axis=1))
+        lf = generator(weight, pts, f.grad(pts), lap, lam)
         return lf * g.value(pts) * np.exp(-damp * np.sum(pts ** 2, axis=1))
 
     def rhs_integrand(pts):

@@ -398,10 +398,3 @@ def nu_integral(weight: Weight, integrand: Callable[[np.ndarray], np.ndarray],
     if not np.all(np.isfinite(folded)):
         raise EvaluationError("folded integrand is not finite at a node")
     return float(np.sum(rule.weights * folded))
-
-
-def nu_field_integral(weight: Weight, f: ScalarField,
-                      order: int = DEFAULT_ORDER) -> float:
-    if not f.decay.is_gaussian:
-        raise DecayContractError(f"field {f.name} has no Gaussian decay envelope")
-    return nu_integral(weight, f.value, f.decay.rate, order=order)

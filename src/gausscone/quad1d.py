@@ -107,13 +107,3 @@ def fullline_rule(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-@lru_cache(maxsize=256)
-def orthonormal_recurrence(kind: str, a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence coefficients reused by callers that build orthonormal polys."""
-    if kind == "half":
-        return halfline_recurrence(a, order)
-    if kind == "full":
-        return fullline_recurrence(a, order)
-    raise ValueError(f"unknown axis kind {kind!r}")

@@ -7,7 +7,7 @@ accumulation) over quadrature-orthonormalized monomials with a parity filter:
 on cone-constrained axes only even powers enter, which is exactly the
 polynomial subspace with Neumann boundary behavior.  Analytic Hermite and
 Laguerre families are deliberately not used as the code path; they reappear
-in the tests as oracles.
+in the tests as oracles.  The generator itself comes from `gamma.generator`.
 """
 
 from __future__ import annotations
@@ -27,10 +27,13 @@ from .errors import (
     ParameterError,
 )
 from .fields import ScalarField
+from .gamma import generator
 from .measures import Measure, build_rule, partition_function
 from .polys import exponent_table, monomial_axis_derivative, monomial_values
 
 GRAM_TOL = 1e-10
+# spectral_gap checks convergence against the system of this much lower degree
+CONVERGENCE_STEP = 2
 
 
 def default_degree(dim: int) -> int:
@@ -76,17 +79,14 @@ class GalerkinSystem:
     def generator_values(self) -> np.ndarray:
         """(N, m) matrix of L_w p_k at the nodes."""
         pts = self.nodes
-        weight = self.measure.weight
-        out = np.zeros((len(pts), self.size))
-        glog = weight.grad_log(pts)
-        lam2 = self.measure.scale ** 2
-        for ax in range(weight.dim):
-            d1 = self.grad_values(pts, ax)
-            d2 = (monomial_axis_derivative(pts, self.expo, ax, order=2)
-                  @ self.coeffs.T)
-            # generator of mu_{w,lambda}: Lap - x.grad/lambda^2 + grad(log w).grad
-            out += d2 - (pts[:, ax] / lam2)[:, None] * d1 + glog[:, ax][:, None] * d1
-        return out
+        axes = range(self.measure.dim)
+        grad = np.empty((len(pts), len(axes), self.size))
+        for ax in axes:
+            grad[:, ax] = self.grad_values(pts, ax)
+        lap = sum(monomial_axis_derivative(pts, self.expo, ax, order=2)
+                  for ax in axes) @ self.coeffs.T
+        return generator(self.measure.weight, pts, grad, lap,
+                         self.measure.scale)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
@@ -95,18 +95,11 @@ class GalerkinSystem:
             self._eig = (vals, vecs)
         return self._eig
 
-    def stiffness_to_csv(self, path: str):
-        """Audit dump of the stiffness matrix."""
-        np.savetxt(path, self.stiffness, delimiter=",", fmt="%.17g")
 
-
-def build_galerkin(measure: Measure, max_degree: int | None = None,
-                   parity: str = "neumann") -> GalerkinSystem:
-    """Orthonormal polynomial Galerkin system for the Dirichlet form of mu_w.
-
-    parity="neumann" keeps only even powers on cone-constrained axes;
-    parity="all" uses the full monomial set (full-space cones only).
-    """
+def build_galerkin(measure: Measure,
+                   max_degree: int | None = None) -> GalerkinSystem:
+    """Orthonormal polynomial Galerkin system for the Dirichlet form of mu_w,
+    with only even powers on cone-constrained axes."""
     weight = measure.weight
     if not measure.is_normalized:
         raise ContractError("Galerkin systems need a normalized measure")
@@ -115,13 +108,7 @@ def build_galerkin(measure: Measure, max_degree: int | None = None,
     if max_degree is None:
         max_degree = default_degree(weight.dim)
 
-    sig = weight.cone.axis_signature() or tuple(["full"] * weight.dim)
-    if parity == "neumann":
-        parity_axes = frozenset(i for i, k in enumerate(sig) if k != "full")
-    elif parity == "all":
-        parity_axes = frozenset()
-    else:
-        raise ParameterError(f"unknown parity filter {parity!r}")
+    parity_axes = weight.cone.constrained_axes()
 
     # the rule must integrate products of two basis gradients exactly
     order = max(measure.order, max_degree + 8)
@@ -188,16 +175,17 @@ class SpectralResult:
     max_degree: int
 
 
-def spectral_gap(system: GalerkinSystem,
-                 convergence_step: int = 2) -> SpectralResult:
+def spectral_gap(system: GalerkinSystem) -> SpectralResult:
     """Ascending spectrum of -L_w on the parity-filtered span; gap = second
-    eigenvalue.  Convergence compares against the degree-(d-2) system."""
+    eigenvalue.  Convergence compares against the degree-(d-2) system, which
+    is the leading block of the stiffness: the exponent table is sorted by
+    degree and Gram-Schmidt builds basis function k from the first k
+    monomials only."""
     vals, vecs = system.eigensystem()
     gap = float(vals[1])
-    lower = build_galerkin(system.measure,
-                           max_degree=system.max_degree - convergence_step,
-                           parity="neumann" if system.parity_axes else "all")
-    gap_lower = float(lower.eigensystem()[0][1])
+    degrees = system.expo.sum(axis=1)
+    m = int(np.count_nonzero(degrees <= system.max_degree - CONVERGENCE_STEP))
+    gap_lower = max(float(eigh(system.stiffness[:m, :m])[0][1]), 0.0)
     delta = abs(gap - gap_lower)
     return SpectralResult(
         eigenvalues=vals, gap=gap, eigenvectors=vecs,
@@ -353,7 +341,7 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
     phis = []
     clamps = []
     for t in t_grid:
-        vt = system.eval_coeffs(semigroup_apply(system, coeffs, float(t)), pts)
+        vt = system.basis_values @ semigroup_apply(system, coeffs, float(t))
         clamped = int(np.count_nonzero(vt < 0))
         vt = np.maximum(vt, 0.0)
         phis.append(float(np.sum(w * vt ** (q / p))) ** (2.0 / q))
@@ -373,7 +361,11 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
         rows.append(DecayRow(t=float(t_grid[i]), phi=phis[i], quotient=quot,
                              bound=bound, clamped_nodes=clamps[i]))
 
-    phi_limit = float(np.sum(w * fp)) ** (2.0 / p)  # eigenvalue-0 projection
+    # t -> inf: projection onto the kernel of -L_w (the constants), the
+    # eigenvector of the smallest stiffness eigenvalue
+    kernel = system.eigensystem()[1][:, 0]
+    v_inf = np.maximum(system.basis_values @ (kernel * (kernel @ coeffs)), 0.0)
+    phi_limit = float(np.sum(w * v_inf ** (q / p))) ** (2.0 / q)
     return DecayCheck(rows=tuple(rows), decreasing=decreasing,
                       quotient_bounded=quotient_ok, phi0=phis[0],
                       phi0_expected=phi0_expected, phi_limit=phi_limit,
@@ -411,7 +403,7 @@ def semigroup_gradient_bound(system: GalerkinSystem, f: ScalarField, p: float,
     grad_fp = grad_fp[:, None] * f.grad(pts)
     mod = np.linalg.norm(grad_fp, axis=1)
     mod_coeffs = system.basis_values.T @ (w * mod)
-    mod_t = system.eval_coeffs(semigroup_apply(system, mod_coeffs, t), pts)
+    mod_t = system.basis_values @ semigroup_apply(system, mod_coeffs, t)
     rhs = math.exp(-2.0 * (1.0 + kw) * t) * mod_t ** 2
     # extreme tail nodes carry ~e^{-50} of the measure and see only the
     # polynomial projection's oscillation; the bound is checked where the

@@ -147,29 +147,10 @@ def brute_force_lambda_scan(weight: Weight, f: ScalarField,
                             family: str = FAMILY_GAUSSIAN,
                             num: int = 2001,
                             bracket: tuple[float, float] = LOG_LAMBDA_BRACKET) -> DistanceResult:
-    """Optimizer oracle: dense log-lambda grid scan refined inside the
-    bracketing cell.  Same search space, independent search path."""
-    affine = family == FAMILY_AFFINE_GAUSSIAN
-    norm_sq = nu_norm_sq(weight, f)
-
-    def objective(loglam: float) -> float:
-        return _objective(weight, f, math.exp(loglam), affine, norm_sq)[0]
-
-    grid = np.linspace(bracket[0], bracket[1], num)
-    vals = np.array([objective(g) for g in grid])
-    spread = float(np.max(vals) - np.min(vals))
-    if spread <= 1e-12 * (1.0 + norm_sq):
-        return DistanceResult(math.sqrt(norm_sq), family, 0.0, None, None,
-                              True, norm_sq, float(np.min(vals)), 0)
-    best = int(np.argmin(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    loglam, obj, iters = _golden(objective, lo, hi)
-    lam = math.exp(loglam)
-    obj, coef = _objective(weight, f, lam, affine, norm_sq)
-    return DistanceResult(math.sqrt(max(obj, 0.0)), family, float(coef[0]),
-                          tuple(float(v) for v in coef[1:]) if affine else None,
-                          lam, False, obj, float(vals[best]), iters)
+    """Optimizer oracle: the same search behind a dense num-point pre-scan,
+    which checks that the coarse pre-scan brackets the global minimum."""
+    return distance_to_family(weight, f, family, prescan_points=num,
+                              bracket=bracket)
 
 
 @dataclass(frozen=True)

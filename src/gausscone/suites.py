@@ -76,19 +76,35 @@ class RunContext:
     def dim(self) -> int:
         return self.weight.dim
 
+    @property
+    def constrained(self) -> frozenset[int]:
+        """Cone-constrained axes, where library fields are even."""
+        return self.weight.cone.constrained_axes()
+
+    @property
+    def free_axis(self) -> int:
+        return _free_axis(self.weight)
+
+    @property
+    def free_unit(self) -> np.ndarray:
+        """Unit vector along free_axis."""
+        return np.eye(self.dim)[self.free_axis]
+
+
+def _free_axis(weight: Weight) -> int:
+    """First free axis of the weight, or the last axis if none is free."""
+    free = weight.free_axes()
+    return free[0] if free else weight.dim - 1
+
 
 def default_library(weight: Weight, seed: int = 0) -> list[ScalarField]:
     """Canonical field library adapted to the weight's cone."""
     dim = weight.dim
-    sig = weight.cone.axis_signature() or tuple(["full"] * dim)
-    constrained = frozenset(i for i, k in enumerate(sig) if k != "full")
-    free = weight.free_axes()
-    axis = free[0] if free else dim - 1
-    a_vec = [0.0] * dim
-    a_vec[axis] = 1.0
+    constrained = weight.cone.constrained_axes()
+    axis = _free_axis(weight)
     lib = [
         constant(2.0, dim),
-        affine(a_vec, 0.3),
+        affine(np.eye(dim)[axis], 0.3),
         exp_axis(0.5, axis, dim),
         hermite_witness(axis, dim),
         gaussian(1.3, 1.2, dim),
@@ -144,11 +160,8 @@ def suite_beckner(ctx: RunContext) -> list[dict]:
         for (p, q) in ((1.0, 2.0), (1.5, 2.0)):
             out.append(record_of(check_beckner(ctx.measure, f, p, q), f.name,
                                  ctx.tolerance))
-    free = ctx.weight.free_axes()
-    if free:
-        a = [0.0] * ctx.dim
-        a[free[0]] = 1.0
-        u = affine(a, 0.0)
+    if ctx.weight.free_axes():
+        u = affine(ctx.free_unit, 0.0)
         sweep = sharpness_sweep(
             lambda g: check_beckner(ctx.measure, g, 1.0, 2.0),
             "perturbation", u=u, eps_list=[0.1, 0.05, 0.025])
@@ -178,11 +191,8 @@ def suite_poincare(ctx: RunContext) -> list[dict]:
         out.append(record_of(
             check_poincare(ctx.measure, f, 2.0, "l2_stability"), f.name,
             ctx.tolerance))
-    free = ctx.weight.free_axes()
-    if free:
-        a = [0.0] * ctx.dim
-        a[free[0]] = 3.0
-        members = [affine(a, 1.0)]
+    if ctx.weight.free_axes():
+        members = [affine(3.0 * ctx.free_unit, 1.0)]
         sweep = sharpness_sweep(
             lambda g: check_poincare(ctx.measure, g, 2.0, "basic"),
             "extremal", members=members)
@@ -225,9 +235,8 @@ def suite_lsi(ctx: RunContext) -> list[dict]:
             continue
         out.append(record_of(check_lsi(ctx.measure, f, 2.0), f.name,
                              ctx.tolerance))
-    free = ctx.weight.free_axes()
-    if free:
-        members = [exp_axis(b, free[0], ctx.dim) for b in (0.25, 0.5, 1.0)]
+    if ctx.weight.free_axes():
+        members = [exp_axis(b, ctx.free_axis, ctx.dim) for b in (0.25, 0.5, 1.0)]
         sweep = sharpness_sweep(
             lambda g: check_lsi(ctx.measure, g, 2.0), "extremal", members=members)
         worst = max(abs(r.deficit) / (1.0 + abs(r.rhs)) for r in sweep.rows)
@@ -266,12 +275,9 @@ def suite_lsi_equivalence(ctx: RunContext) -> list[dict]:
         return [_info("lsi_equivalence",
                       "skipped: requires a log-concave homogeneous weight")]
     candidates = [constant(1.0, ctx.dim)]
-    free = w.free_axes()
-    if free:
-        candidates.append(exp_axis(0.25, free[0], ctx.dim))
-    sig = w.cone.axis_signature() or tuple(["full"] * ctx.dim)
-    constrained = frozenset(i for i, k in enumerate(sig) if k != "full")
-    candidates.append(poly_gauss(ctx.seed + 7, ctx.dim, even_axes=constrained))
+    if w.free_axes():
+        candidates.append(exp_axis(0.25, ctx.free_axis, ctx.dim))
+    candidates.append(poly_gauss(ctx.seed + 7, ctx.dim, even_axes=ctx.constrained))
     out = []
     for big_f in candidates:
         res = check_lsi_equivalence(w, big_f, order=ctx.order)
@@ -292,11 +298,9 @@ def suite_hup(ctx: RunContext) -> list[dict]:
             continue
         out.append(record_of(check_hup(w, f), f.name, ctx.tolerance))
     # UNP identity on seeded fields
-    sig = w.cone.axis_signature() or tuple(["full"] * ctx.dim)
-    constrained = frozenset(i for i, k in enumerate(sig) if k != "full")
     worst = 0.0
     for k in range(ctx.identity_seeds):
-        g = poly_gauss(ctx.seed + 100 + k, ctx.dim, even_axes=constrained)
+        g = poly_gauss(ctx.seed + 100 + k, ctx.dim, even_axes=ctx.constrained)
         chk = check_hup(w, g)
         rel = chk.diagnostics["identity_residual"] / (
             1.0 + abs(chk.diagnostics["delta"]))
@@ -315,9 +319,8 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
     if not w.is_homogeneous:
         return [_info("hup_stability", "skipped: weight is not homogeneous")]
     out = []
-    free = w.free_axes()
-    if free:
-        wit = hermite_witness(free[0], ctx.dim)
+    if w.free_axes():
+        wit = hermite_witness(ctx.free_axis, ctx.dim)
         rep = check_hup_stability(w, wit, improved=True)
         eq_gap = abs(rep.delta - (1.0 + rep.kw) * rep.distance_sq)
         out.append({
@@ -328,13 +331,11 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
             "improved_distance_sq": rep.improved_distance_sq,
             "equality_gap": eq_gap, "argmin": rep.argmin,
             "diagnostics": rep.diagnostics})
-    sig = w.cone.axis_signature() or tuple(["full"] * ctx.dim)
-    constrained = frozenset(i for i, k in enumerate(sig) if k != "full")
     fails = 0
     worst_basic = math.inf
     worst_improved = math.inf
     for k in range(ctx.stability_seeds):
-        g = poly_gauss(ctx.seed + 300 + k, ctx.dim, even_axes=constrained)
+        g = poly_gauss(ctx.seed + 300 + k, ctx.dim, even_axes=ctx.constrained)
         rep = check_hup_stability(w, g, improved=True, tolerance=1e-7 * (1.0 + 1.0))
         worst_basic = min(worst_basic, rep.basic_deficit)
         worst_improved = min(worst_improved, rep.improved_deficit)
@@ -346,7 +347,7 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
                 "min_basic_deficit": worst_basic,
                 "min_improved_deficit": worst_improved})
     # optimizer oracle on one seeded field
-    g = poly_gauss(ctx.seed + 301, ctx.dim, even_axes=constrained)
+    g = poly_gauss(ctx.seed + 301, ctx.dim, even_axes=ctx.constrained)
     fast = distance_to_family(w, g)
     oracle = brute_force_lambda_scan(w, g, num=2001)
     if fast.degenerate or oracle.degenerate:
@@ -381,11 +382,8 @@ def suite_spectral(ctx: RunContext) -> list[dict]:
         "gram_residual": system.gram_residual,
         "eigenvalues": [float(v) for v in res.eigenvalues[:8]],
         "lower_bound": 1.0 + kw, "max_degree": system.max_degree})
-    free = ctx.weight.free_axes()
-    if free:
-        a = [0.0] * ctx.dim
-        a[free[0]] = 1.0
-        coeffs = system.project(affine(a, 0.0))
+    if ctx.weight.free_axes():
+        coeffs = system.project(affine(ctx.free_unit, 0.0))
         s_c = system.stiffness @ coeffs
         rayleigh = float(coeffs @ s_c) / float(coeffs @ coeffs)
         resid = float(np.linalg.norm(s_c - rayleigh * coeffs))
@@ -393,9 +391,7 @@ def suite_spectral(ctx: RunContext) -> list[dict]:
                     "pass": bool(abs(rayleigh - 1.0) <= 1e-8 and resid <= 1e-8),
                     "informational": False, "rayleigh": rayleigh,
                     "residual": resid})
-    sig = ctx.weight.cone.axis_signature() or tuple(["full"] * ctx.dim)
-    constrained = frozenset(i for i, k in enumerate(sig) if k != "full")
-    g = poly_gauss(ctx.seed + 11, ctx.dim, even_axes=constrained)
+    g = poly_gauss(ctx.seed + 11, ctx.dim, even_axes=ctx.constrained)
     sol = poisson_solve(system, _mean_zero_projection(system, g))
     out.append({"theorem": "poisson_solve", "pass": bool(sol.residual <= 1e-6),
                 "informational": False, "residual": sol.residual,
@@ -405,8 +401,7 @@ def suite_spectral(ctx: RunContext) -> list[dict]:
                 "informational": False, **{k: v for k, v in dual.items()
                                            if k != "chain_holds"}})
     grid = np.arange(0.0, 3.25, 0.25)
-    decay_fields = _nonneg_decay_fields(ctx, constrained)
-    for f in decay_fields:
+    for f in _nonneg_decay_fields(ctx):
         for (p, q) in ((1.0, 2.0), (1.5, 2.0)):
             dc = semigroup_decay_check(system, f, p, q, grid)
             out.append({
@@ -426,15 +421,13 @@ def _mean_zero_projection(system, f: ScalarField) -> ScalarField:
     return shifted(f, -mean)
 
 
-def _nonneg_decay_fields(ctx: RunContext, constrained) -> list[ScalarField]:
+def _nonneg_decay_fields(ctx: RunContext) -> list[ScalarField]:
     """Small non-constant, nonnegative-leaning set for the decay grid."""
     from .fields import scaled, shifted, squared
     dim = ctx.dim
-    free = ctx.weight.free_axes()
-    axis = free[0] if free else dim - 1
-    quad_axes = [0.0] * dim
-    quad_axes[axis] = 1.0
-    quad = shifted(scaled(squared(affine(quad_axes, 0.0)), 0.2), 1.0)
+    axis = ctx.free_axis
+    constrained = ctx.constrained
+    quad = shifted(scaled(squared(affine(ctx.free_unit, 0.0)), 0.2), 1.0)
     fields = [
         quad.with_name("1+0.2x_k^2"),
         exp_axis(0.5, axis, dim) if axis not in constrained
@@ -469,10 +462,8 @@ def suite_gamma_calculus(ctx: RunContext) -> list[dict]:
     gaps = w.cone.facet_gaps(pts)
     if gaps.shape[1]:
         pts = pts[np.min(gaps, axis=1) > 0.3]
-    sig = w.cone.axis_signature() or tuple(["full"] * ctx.dim)
-    constrained = frozenset(i for i, k in enumerate(sig) if k != "full")
     for k in range(10):
-        g = poly_gauss(ctx.seed + 500 + k, ctx.dim, even_axes=constrained)
+        g = poly_gauss(ctx.seed + 500 + k, ctx.dim, even_axes=ctx.constrained)
         x = pts[k % len(pts)]
         r1 = bochner_residual(w, g, x, h=2e-2)
         r2 = bochner_residual(w, g, x, h=1e-2)

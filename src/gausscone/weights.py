@@ -653,7 +653,3 @@ def curvature_lower_bound(weight: Weight,
         raise InadmissibleWeightError(
             f"sampled curvature {cert.min_eigenvalue_found:.6g} <= -1")
     return cert.min_eigenvalue_found, cert
-
-
-def euler_residual(weight: Weight, x) -> float | np.ndarray:
-    return weight.euler_residual(x)

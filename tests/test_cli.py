@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ BASE_CONFIG = {
     "suites": ["poincare"],
     "seed": 0,
 }
+
+
+REPLICATION_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "paper_replication.json"
 
 
 def _cli(args, tmp_path=None):
@@ -164,3 +168,14 @@ class TestCliExitCodes:
         r1 = _cli(["report", "--config", str(path), "--seed", "7"])
         r2 = _cli(["report", "--config", str(path), "--seed", "7"])
         assert r1.stdout == r2.stdout
+
+
+def test_replication_byte_identical_across_processes(tmp_path):
+    # fresh interpreters start with cold rule caches, unlike reruns in one
+    # process
+    outs = [tmp_path / f"run{k}.json" for k in range(2)]
+    for out in outs:
+        proc = _cli(["verify", "--config", str(REPLICATION_CONFIG),
+                     "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -22,6 +22,7 @@ from gausscone.fields import (
 )
 from gausscone.gamma import (
     apply_generator,
+    generator,
     bochner_residual,
     carre_du_champ,
     cd_margin,
@@ -30,6 +31,7 @@ from gausscone.gamma import (
     is_neumann_admissible,
     neumann_residual,
 )
+from gausscone.measures import make_measure
 from gausscone.weights import GaussianTilt, Monomial, make_weight
 
 
@@ -81,6 +83,27 @@ class TestGenerator:
             div += (up - dn) / h
         assert div / rho(x) == pytest.approx(
             apply_generator(w_partial, f, x), rel=1e-5, abs=1e-6)
+
+    def test_scale_divides_drift(self, w_one_2d):
+        # generator of mu_{1,lambda}: L x_1 = -x_1 / lambda^2
+        pts = np.array([[0.7, -0.3], [1.5, 2.0]])
+        grad = np.tile([1.0, 0.0], (2, 1))
+        out = generator(w_one_2d, pts, grad, np.zeros(2), lam=2.0)
+        np.testing.assert_allclose(out, -pts[:, 0] / 4.0, rtol=1e-15)
+
+    def test_batch_matches_single_fields(self, w_partial):
+        # the (N, n, m) batch form used by the Galerkin basis agrees column
+        # by column with the single-field form
+        fields = [poly_gauss(k, 2, even_axes=frozenset({0})) for k in range(3)]
+        rng = np.random.default_rng(7)
+        pts = w_partial.cone.sample_interior(rng, 50, radius=3.0)
+        grad = np.stack([f.grad(pts) for f in fields], axis=2)
+        lap = np.stack([np.trace(f.hess(pts), axis1=1, axis2=2)
+                        for f in fields], axis=1)
+        batch = generator(w_partial, pts, grad, lap, lam=1.3)
+        for k in range(len(fields)):
+            single = generator(w_partial, pts, grad[:, :, k], lap[:, k], lam=1.3)
+            np.testing.assert_allclose(batch[:, k], single, rtol=1e-14)
 
 
 class TestCarreDuChamp:
@@ -189,14 +212,16 @@ class TestNeumann:
 
 
 class TestIntegrationByParts:
-    def test_symmetry_on_library_pairs(self, mu_partial):
+    def test_symmetry_on_library_pairs(self, mu_partial, w_partial):
         fields = [constant(2.0, 2), affine([0.0, 1.0], 0.3),
                   exp_axis(0.5, 1, 2), gaussian(1.0, 1.2, 2),
                   poly_gauss(0, 2, even_axes=frozenset({0})),
                   squared(hermite_witness(1, 2))]
-        for i, f in enumerate(fields):
-            for g in fields[i:]:
-                assert integration_by_parts_residual(mu_partial, f, g) < 1e-7
+        # lambda = 1.7 runs the generator of mu_{w,lambda} off lambda = 1
+        for mu in (mu_partial, make_measure(w_partial, 1.7)):
+            for i, f in enumerate(fields):
+                for g in fields[i:]:
+                    assert integration_by_parts_residual(mu, f, g) < 1e-7
 
     def test_mean_of_generator_vanishes(self, mu_partial):
         # g = 1 case: int L_w f dmu = 0 for Neumann-compatible f

@@ -12,6 +12,8 @@ Spectral oracles (all derived by independent computation):
     eigenvalue 2 for every a; nothing lies below it in the even sector.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,22 @@ class TestGap:
         res = spectral_gap(system)
         assert res.gap == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("fixture,degree", [
+        ("mu_one_1d", 14), ("mu_partial", 10), ("mu_partial", 12)])
+    def test_lower_degree_block_matches_rebuilt_system(self, request,
+                                                       fixture, degree):
+        # oracle: the degree-(d-2) system assembled from scratch; its
+        # stiffness is the leading block of the degree-d one
+        mu = request.getfixturevalue(fixture)
+        system = build_galerkin(mu, degree)
+        lower = build_galerkin(mu, degree - 2)
+        m = lower.size
+        np.testing.assert_allclose(system.stiffness[:m, :m], lower.stiffness,
+                                   rtol=0, atol=1e-12)
+        res = spectral_gap(system)
+        oracle = float(lower.eigensystem()[0][1])
+        assert res.gap_at_lower_degree == pytest.approx(oracle, rel=1e-12)
+
     @pytest.mark.parametrize("exps", [(1.0, 2.0), (0.5, 0.5), (3.0, 1.5)])
     def test_quadrant_even_sector_gap_two(self, exps):
         # with every axis constrained the Neumann sector is even in each
@@ -222,6 +240,18 @@ class TestSemigroup:
             assert res.phi0 == pytest.approx(res.phi0_expected, rel=1e-6)
             assert res.phi_limit == pytest.approx(res.phi_limit_expected,
                                                   rel=1e-9)
+
+    def test_decay_limit_comes_from_the_kernel_eigenpair(self, sys_1d):
+        # phi_limit is read off the eigenvector of the smallest eigenvalue;
+        # swapping in the degree-one eigenvector must move it away from the
+        # direct-quadrature ||f||_p^2
+        f = shifted(scaled(squared(affine([1.0], 0.0)), 0.2), 1.0)
+        vals, vecs = sys_1d.eigensystem()
+        swapped = vecs.copy()
+        swapped[:, [0, 1]] = vecs[:, [1, 0]]
+        corrupt = dataclasses.replace(sys_1d, _eig=(vals, swapped))
+        res = semigroup_decay_check(corrupt, f, 1.0, 2.0, [0.0, 1.0])
+        assert abs(res.phi_limit - res.phi_limit_expected) > 1e-3 * res.phi_limit_expected
 
     def test_decay_check_tilted_weight(self):
         # negative tilt halves the curvature constant in the quotient bound
