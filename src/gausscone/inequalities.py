@@ -270,8 +270,7 @@ def check_euclidean_lsi(weight: Weight, f: ScalarField,
                                "mass": b, "energy": a})
 
 
-def check_lsi_equivalence(weight: Weight, big_f: ScalarField,
-                          order: int = 32) -> dict:
+def check_lsi_equivalence(weight: Weight, big_f: ScalarField) -> dict:
     """Term-by-term bookkeeping tying the Euclidean LSI to the Gaussian one.
 
     forward: with h = sqrt(C_w) e^{-|x|^2/4} and f = F h,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,13 +65,9 @@ class QuadratureRule:
     weights: np.ndarray        # (N,), positive
     kind: str                  # "tensor_generalized_hermite" | "monte_carlo"
     scale: float               # lambda of the Gaussian factor
+    mass: float                # exact for tensor rules, sum of weights for MC
     order: Optional[tuple[int, ...]] = None  # per-axis order for tensor rules
     mc: Optional[McInfo] = None
-
-    @property
-    def mass(self) -> float:
-        """Quadrature estimate of the full density mass (exact for tensor rules)."""
-        return float(np.sum(self.weights))
 
     def to_csv(self, path: str):
         """Two-column audit dump: node coordinates (joined), weight."""
@@ -113,6 +109,7 @@ def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | Non
         raise ResourceError(
             f"tensor rule would need {order ** weight.dim} nodes; use Monte Carlo")
     axes_nodes, axes_weights = [], []
+    mass = 1.0
     for a, kind, lam_eff in zip(exps, sig, scales):
         if kind == "full":
             t, q = fullline_rule(float(a), order)
@@ -120,8 +117,11 @@ def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | Non
             t, q = halfline_rule(float(a), order)
             if kind == "half-":
                 t = -t
+        s = lam_eff ** (a + 1.0)
         axes_nodes.append(lam_eff * t)
-        axes_weights.append(lam_eff ** (a + 1.0) * q)
+        axes_weights.append(s * q)
+        m0 = gamma_moment(float(a), 0) * s
+        mass *= 2.0 * m0 if kind == "full" else m0
     grids = np.meshgrid(*axes_nodes, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
     wgrids = np.meshgrid(*axes_weights, indexing="ij")
@@ -129,7 +129,7 @@ def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | Non
     for g in wgrids:
         weights = weights * g.ravel()
     return QuadratureRule(nodes, weights, "tensor_generalized_hermite",
-                          lam, order=tuple([order] * weight.dim))
+                          lam, mass, order=tuple([order] * weight.dim))
 
 
 def _polar_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
@@ -146,8 +146,9 @@ def _polar_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None
     nodes = np.stack([np.outer(r, np.cos(theta)).ravel(),
                       np.outer(r, np.sin(theta)).ravel()], axis=1)
     weights = np.outer(qr, qt).ravel()
+    mass = 2.0 * np.pi * lam ** (alpha + 2.0) * gamma_moment(alpha + 1.0, 0)
     return QuadratureRule(nodes, weights, "tensor_generalized_hermite",
-                          lam, order=(order, m_theta))
+                          lam, mass, order=(order, m_theta))
 
 
 def _fold_to_cone(cone: Cone, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -192,47 +193,58 @@ def _mc_rule(weight: Weight, lam: float, samples: int, seed: int) -> QuadratureR
     w[good] = np.exp(log_ratio[good]) / samples
     inside = weight.cone.is_interior(x, tol=1e-300)
     w[~inside] = 0.0
-    return QuadratureRule(x, w, "monte_carlo", lam,
+    return QuadratureRule(x, w, "monte_carlo", lam, float(np.sum(w)),
                           mc=McInfo(seed=seed, samples=samples, proposal_sigma=sigma))
 
 
+# Rules keyed by (weight, lambda of the cached rule, settings); the oldest
+# entry is dropped past RULE_CACHE_ENTRIES, so memory does not grow with the
+# number of scales visited.
+RULE_CACHE_ENTRIES = 16
 _RULE_CACHE: dict[tuple, QuadratureRule] = {}
+
+
+def _cached(key: tuple, make: Callable[[], QuadratureRule | None]
+            ) -> QuadratureRule | None:
+    rule = _RULE_CACHE.get(key)
+    if rule is None:
+        rule = make()
+        if rule is not None:
+            _RULE_CACHE[key] = rule
+            if len(_RULE_CACHE) > RULE_CACHE_ENTRIES:
+                del _RULE_CACHE[next(iter(_RULE_CACHE))]
+    return rule
 
 
 def build_rule(weight: Weight, lam: float = 1.0, order: int | None = None,
                mc_samples: int | None = None, seed: int = 0) -> QuadratureRule:
-    """Quadrature rule for the density w(x) exp(-|x|^2/(2 lambda^2)) dx."""
+    """Quadrature rule for the density w(x) exp(-|x|^2/(2 lambda^2)) dx.
+
+    Tensor and polar rules are used where they apply; otherwise, or when
+    `mc_samples` is given, a Monte Carlo rule."""
     if lam <= 0:
         raise ParameterError("scale lambda must be positive")
+    # homogeneous weights rescale exactly: nodes -> lam t, weights ->
+    # lam^{n+alpha} q (the MC proposal scales with lam too), so one lam = 1
+    # rule per weight and settings serves every scale at O(N) per call
+    base_lam = 1.0 if weight.degree is not None else lam
+    base = None
     if mc_samples is None:
         order = DEFAULT_ORDER if order is None else order
-        key = (weight.cache_key(), round(lam, 15), order, "det")
-        rule = _RULE_CACHE.get(key)
-        if rule is not None:
-            return rule
-        # homogeneous weights rescale exactly: nodes -> lam x, weights ->
-        # lam^{n+alpha} q; this keeps the lambda sweeps in the stability
-        # optimizer at O(N) per scale
-        if weight.degree is not None and lam != 1.0:
-            base = build_rule(weight, 1.0, order=order)
-            if base.kind == "tensor_generalized_hermite":
-                rule = QuadratureRule(
-                    base.nodes * lam,
-                    base.weights * lam ** (weight.dim + weight.degree),
-                    base.kind, lam, order=base.order)
-                _RULE_CACHE[key] = rule
-                return rule
-        rule = _tensor_rule(weight, lam, order) or _polar_rule(weight, lam, order)
-        if rule is not None:
-            _RULE_CACHE[key] = rule
-            return rule
+        base = _cached((weight.cache_key(), base_lam, order, "det"),
+                       lambda: _tensor_rule(weight, base_lam, order)
+                       or _polar_rule(weight, base_lam, order))
         mc_samples = DEFAULT_MC_SAMPLES
-    key = (weight.cache_key(), round(lam, 15), mc_samples, seed, "mc")
-    rule = _RULE_CACHE.get(key)
-    if rule is None:
-        rule = _mc_rule(weight, lam, mc_samples, seed)
-        _RULE_CACHE[key] = rule
-    return rule
+    if base is None:
+        base = _cached((weight.cache_key(), base_lam, mc_samples, seed, "mc"),
+                       lambda: _mc_rule(weight, base_lam, mc_samples, seed))
+    if lam == base.scale:
+        return base
+    factor = lam ** (weight.dim + weight.degree)
+    mc = None if base.mc is None else replace(
+        base.mc, proposal_sigma=base.mc.proposal_sigma * lam)
+    return replace(base, nodes=base.nodes * lam, weights=base.weights * factor,
+                   scale=lam, mass=base.mass * factor, mc=mc)
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +254,7 @@ def build_rule(weight: Weight, lam: float = 1.0, order: int | None = None,
 def partition_function(weight: Weight, lam: float = 1.0,
                        order: int = DEFAULT_ORDER) -> float:
     """Z(w, lambda) = integral of w exp(-|x|^2/(2 lambda^2)) over the cone."""
-    if lam <= 0:
-        raise ParameterError("scale lambda must be positive")
-    exps = weight.axis_exponents()
-    sig = weight.cone.axis_signature()
-    scales = _axis_scales(weight, lam)
-    if exps is not None and sig is not None and scales is not None and all(
-            not (a > 0 and k == "full") for a, k in zip(exps, sig)):
-        z = 1.0
-        for a, kind, lam_eff in zip(exps, sig, scales):
-            m0 = gamma_moment(float(a), 0) * lam_eff ** (a + 1.0)
-            z *= 2.0 * m0 if kind == "full" else m0
-        return z
-    if weight.is_radial and weight.dim == 2 and isinstance(weight.cone, FullSpace):
-        alpha = weight.degree
-        return 2.0 * np.pi * lam ** (alpha + 2.0) * gamma_moment(alpha + 1.0, 0)
-    rule = build_rule(weight, lam, order=order)
-    z = rule.mass
+    z = build_rule(weight, lam, order=order).mass
     if not np.isfinite(z) or z <= 0:
         raise IntegrationFailureError("partition function estimate is not positive")
     return z
@@ -325,10 +321,7 @@ def make_measure(weight: Weight, scale: float | None = 1.0,
     if scale is None:
         return Measure(weight, None, None, None, order=order)
     rule = build_rule(weight, scale, order=order, mc_samples=mc_samples, seed=seed)
-    if rule.kind == "monte_carlo":
-        z = rule.mass
-    else:
-        z = partition_function(weight, scale, order=order)
+    z = rule.mass
     if not np.isfinite(z) or z <= 0:
         raise IntegrationFailureError("normalization is not positive/finite")
     return Measure(weight, scale, rule, 1.0 / z, order=order)
@@ -391,7 +384,7 @@ def nu_integral(weight: Weight, integrand: Callable[[np.ndarray], np.ndarray],
     if rate <= 0:
         raise DecayContractError("nu-integration needs a positive Gaussian rate")
     lam = 1.0 / math.sqrt(2.0 * rate)
-    rule = build_rule(weight, lam)
+    rule = build_rule(weight, lam, order=order)
     pts = rule.nodes
     folded = np.asarray(integrand(pts), dtype=float) * np.exp(
         rate * np.sum(pts ** 2, axis=1))

@@ -280,7 +280,7 @@ def suite_lsi_equivalence(ctx: RunContext) -> list[dict]:
     candidates.append(poly_gauss(ctx.seed + 7, ctx.dim, even_axes=ctx.constrained))
     out = []
     for big_f in candidates:
-        res = check_lsi_equivalence(w, big_f, order=ctx.order)
+        res = check_lsi_equivalence(w, big_f)
         out.append({"theorem": "lsi_equivalence", "field": big_f.name,
                     "informational": False, **res})
     return out

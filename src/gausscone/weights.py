@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .cones import Cone, FullSpace, Halfspace, Orthant
 from .errors import (
@@ -403,7 +401,8 @@ class CustomLogWeight:
         return FullSpace(dim)
 
     def cache_key(self):
-        return ("custom", self.name, id(self.log_value))
+        # the callable itself: the key keeps it alive, so its id is never reused
+        return ("custom", self.name, self.log_value)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +434,10 @@ def _min_eig_neg_hess(weight: "Weight", pts: np.ndarray) -> np.ndarray:
 
 
 def _sampled_curvature(weight: "Weight", sampler: CurvatureSampler) -> CurvatureCertificate:
+    # imported here: scipy.stats dominates `import gausscone` otherwise
+    from scipy.optimize import minimize
+    from scipy.stats import qmc
+
     dim = weight.dim
     eng = qmc.Sobol(d=dim, scramble=True, seed=sampler.seed)
     raw = eng.random(sampler.num_points)

@@ -9,6 +9,7 @@ from gausscone.cones import FullSpace, Halfspace, Orthant, ProductCone
 from gausscone.errors import EvaluationError, UnsupportedRuleError
 from gausscone.fields import constant, gaussian
 from gausscone.measures import (
+    _mc_rule,
     build_rule,
     integrate,
     make_measure,
@@ -49,6 +50,22 @@ class TestMeasurePlumbing:
         assert rule.kind == "monte_carlo"
         mu = make_measure(w, 1.0, mc_samples=2 ** 13, seed=1)
         assert integrate(mu, constant(1.0, 2)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_custom_weight_rule_not_stale(self):
+        # each weight is dropped before the next is made, so a new log_value
+        # can land at the address of a freed one; its rule must still be its own
+        def soft_quartic(c):
+            return CustomLogWeight(
+                lambda p: -c * np.sum(p ** 2, axis=1) ** 2,
+                lambda p: -4.0 * c * p * np.sum(p ** 2, axis=1)[:, None],
+                lambda p: np.zeros((len(p), p.shape[1], p.shape[1])),
+                name="soft-quartic")
+
+        for k in range(20):
+            w = make_weight(soft_quartic(0.05 * (k + 1)), 2, certify=False)
+            got = build_rule(w, 1.0, mc_samples=256, seed=0).weights
+            np.testing.assert_array_equal(got, _mc_rule(w, 1.0, 256, 0).weights)
+            del w, got
 
     def test_mc_axis_aligned_product_cone_supported(self):
         # axis-aligned product cones fold like orthants

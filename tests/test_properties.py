@@ -56,11 +56,13 @@ def test_tensor_rule_monomial_moments(exps, powers, lam):
 @given(exponents_2d, st.floats(min_value=0.3, max_value=3.0))
 @settings(max_examples=20, deadline=None)
 def test_partition_scaling_covariance(exps, lam):
-    """Z(lambda) = lambda^{n+alpha} Z(1) for homogeneous weights."""
+    """Z(lambda) equals the product of the per-axis Gamma moments at lambda."""
     w = make_weight(Monomial(exps), 2)
-    z1 = partition_function(w, 1.0)
-    assert partition_function(w, lam) == pytest.approx(
-        lam ** (2.0 + sum(exps)) * z1, rel=1e-11)
+    expect = 1.0
+    for a in exps:
+        axis_mass = lam ** (a + 1) * gamma_moment(a, 0)
+        expect *= 2.0 * axis_mass if a == 0.0 else axis_mass
+    assert partition_function(w, lam) == pytest.approx(expect, rel=1e-11)
 
 
 @given(exponents_2d, st.integers(0, 10_000))

@@ -17,6 +17,9 @@ from gausscone.errors import (
 )
 from gausscone.fields import constant, gaussian, poly_gauss, squared
 from gausscone.measures import (
+    RULE_CACHE_ENTRIES,
+    _RULE_CACHE,
+    _mc_rule,
     build_rule,
     integrate,
     integrate_with_error,
@@ -135,15 +138,24 @@ class TestNormalization:
         assert moments[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_rescaling_covariance(self):
-        # Z(lambda) = lambda^{n+alpha} Z(1) for homogeneous weights
-        cases = [(Monomial((1.0, 2.0)), 2), (Monomial((1.5, 0.0)), 2),
-                 (Radial(1.0), 2)]
-        for spec, dim in cases:
-            w = make_weight(spec, dim, certify=False)
-            z1 = partition_function(w, 1.0)
+        # Z(lambda) against the Gamma-moment closed form at lambda: per axis
+        # lambda^(a+1) M_a (doubled on full axes), and for the radial weight
+        # |x| on the plane 2 pi lambda^3 M_2, with M_a = gamma_moment(a, 0)
+        def monomial_z(exps, lam):
+            z = 1.0
+            for a in exps:
+                m = lam ** (a + 1.0) * gamma_moment(a, 0)
+                z *= 2.0 * m if a == 0.0 else m
+            return z
+
+        cases = [(Monomial((1.0, 2.0)), lambda lam: monomial_z((1.0, 2.0), lam)),
+                 (Monomial((1.5, 0.0)), lambda lam: monomial_z((1.5, 0.0), lam)),
+                 (Radial(1.0), lambda lam: 2 * np.pi * lam ** 3 * gamma_moment(2.0, 0))]
+        for spec, closed_form in cases:
+            w = make_weight(spec, 2, certify=False)
             for lam in (0.5, 1.3, 2.0):
                 assert partition_function(w, lam) == pytest.approx(
-                    lam ** (dim + w.degree) * z1, rel=1e-10)
+                    closed_form(lam), rel=1e-10)
 
 
 class TestIntegrate:
@@ -215,6 +227,17 @@ class TestIntegrate:
         val = integrate(nu, gaussian(1.0, 1.0, 2))
         assert val == pytest.approx(2 * np.pi * 0.5 ** 0, rel=1e-10) or val > 0
 
+    def test_nu_integral_uses_order(self, w_one_1d):
+        # an order-4 rule is exact only through degree 7, so x^12 tells which
+        # rule ran; rate 1/2 puts the rule at scale 1, where it is the bare
+        # Gauss-Hermite rule
+        t, q = fullline_rule(0.0, 4)
+        expected = float(np.sum(q * t ** 12))
+        assert abs(expected - 2.0 * gamma_moment(0.0, 12)) > 0.1 * expected
+        val = nu_integral(w_one_1d, lambda x: x[:, 0] ** 12 * np.exp(-0.5 * x[:, 0] ** 2),
+                          0.5, order=4)
+        assert val == pytest.approx(expected, rel=1e-12)
+
     def test_nu_integral_matches_closed_form(self, w_one_2d):
         # int e^{-|x|^2} dx over R^2 = pi
         val = nu_integral(w_one_2d, lambda x: np.exp(-np.sum(x ** 2, axis=1)), 1.0)
@@ -236,3 +259,42 @@ class TestIntegrate:
     def test_bad_lambda(self, w_one_1d):
         with pytest.raises(ParameterError):
             build_rule(w_one_1d, 0.0)
+
+
+# one homogeneous weight (cached at lambda = 1 and rescaled) and one that is
+# not (cached per exact lambda)
+CACHE_CASES = [(Monomial((1.5, 0.0)), 2), (GaussianTilt(0.3), 1)]
+
+
+class TestRuleCache:
+    @pytest.mark.parametrize("spec, dim", CACHE_CASES)
+    def test_scale_is_exact(self, spec, dim):
+        w = make_weight(spec, dim)
+        lam = 1.3
+        lam_next = float(np.nextafter(lam, 2.0))
+        assert build_rule(w, lam).scale == lam
+        assert build_rule(w, lam_next).scale == lam_next
+
+    @pytest.mark.parametrize("spec, dim", CACHE_CASES)
+    def test_cache_bounded(self, spec, dim):
+        w = make_weight(spec, dim)
+        for lam in np.linspace(0.5, 2.0, 1000):
+            build_rule(w, float(lam), order=8)
+        assert len(_RULE_CACHE) <= RULE_CACHE_ENTRIES
+
+    def test_rescaled_mc_rule_matches_direct(self):
+        spec = DunklProduct(((np.sqrt(0.5), np.sqrt(0.5)),), (0.75,))
+        w = make_weight(spec, 2, cone=Halfspace(2, (np.sqrt(0.5), np.sqrt(0.5))))
+        for lam in (0.6, 1.7):
+            got = build_rule(w, lam, mc_samples=4096, seed=2)
+            ref = _mc_rule(w, lam, 4096, 2)
+            assert got.scale == lam
+            np.testing.assert_allclose(got.nodes, ref.nodes, rtol=1e-13)
+            # relative to the largest weight: near the root's zero set the
+            # cancellation in <beta, x> amplifies the round-off of the tiny
+            # weights there, in both rules alike
+            np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-13,
+                                       atol=1e-13 * ref.weights.max())
+            assert got.mass == pytest.approx(ref.mass, rel=1e-13)
+            assert got.mc.proposal_sigma == pytest.approx(
+                ref.mc.proposal_sigma, rel=1e-13)

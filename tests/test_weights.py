@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,3 +252,13 @@ class TestBoundaryNormal:
             assert np.max(np.abs(np.sum(pts * etas, axis=1))) < 1e-12
             norms = np.linalg.norm(etas, axis=1)
             np.testing.assert_allclose(norms, 1.0)
+
+
+def test_import_leaves_sampling_scipy_unloaded():
+    # scipy.stats and scipy.optimize serve only sampled curvature
+    # certification, so `import gausscone` must not pay for them
+    code = ("import sys, gausscone; print(sorted(m for m in "
+            "('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
