@@ -45,9 +45,14 @@ def variance(measure: Measure, f: ScalarField) -> float:
         raise ContractError("variance requires a normalized measure")
     pts = measure.nodes
     w = measure.norm_weights
+    # shifted data (Chan, Golub and LeVeque 1983): the moments of f - c with
+    # c the value at the heaviest node cancel only the spread of f, not its
+    # size, and a constant has variance exactly 0 even though the weights
+    # sum to 1 only up to round-off
     vals = f.value(pts)
-    mean = float(np.sum(w * vals))
-    return max(float(np.sum(w * vals ** 2)) - mean ** 2, 0.0)
+    dev = vals - vals[np.argmax(w)]
+    mean = float(np.sum(w * dev))
+    return max(float(np.sum(w * dev ** 2)) - mean ** 2, 0.0)
 
 
 def entropy(measure: Measure, g: ScalarField) -> float:

@@ -94,7 +94,12 @@ def _axis_scales(weight: Weight, lam: float) -> list[float] | None:
     return scales
 
 
-def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
+def axis_factors(weight: Weight, lam: float
+                 ) -> list[tuple[float, str, float]] | None:
+    """Per-axis (exponent a, axis kind, scale s) when the density
+    w exp(-|x|^2/(2 lambda^2)) is the product over axes of
+    |t|^a e^(-t^2/(2 s^2)) on a full line ("full") or a half line
+    ("half+"/"half-"); None when it does not factor that way."""
     exps = weight.axis_exponents()
     sig = weight.cone.axis_signature()
     scales = _axis_scales(weight, lam)
@@ -105,12 +110,19 @@ def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | Non
     for a, kind in zip(exps, sig):
         if a > 0 and kind == "full":
             return None
+    return list(zip(exps, sig, scales))
+
+
+def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
+    factors = axis_factors(weight, lam)
+    if factors is None:
+        return None
     if order ** weight.dim > MAX_TENSOR_NODES:
         raise ResourceError(
             f"tensor rule would need {order ** weight.dim} nodes; use Monte Carlo")
     axes_nodes, axes_weights = [], []
     mass = 1.0
-    for a, kind, lam_eff in zip(exps, sig, scales):
+    for a, kind, lam_eff in factors:
         if kind == "full":
             t, q = fullline_rule(float(a), order)
         else:

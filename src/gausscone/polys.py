@@ -1,9 +1,10 @@
 """Dense multivariate polynomials over explicit exponent tables.
 
-Shared by the random polynomial fields and the Galerkin basis machinery.
-Exponent tables are integer arrays of shape (n_terms, dim); evaluation is
-vectorized over point batches and supports an optional dtype (longdouble is
-used during basis orthonormalization).
+Used by the random polynomial fields; the Galerkin basis of `spectral` takes
+its exponent table from here and evaluates tensor products of orthonormal
+polynomials from their recurrences instead of monomials.  Exponent tables are
+integer arrays of shape (n_terms, dim); evaluation is vectorized over point
+batches.
 """
 
 from __future__ import annotations
@@ -33,17 +34,16 @@ def exponent_table(dim: int, max_degree: int,
     return np.array(idx, dtype=np.int64)
 
 
-def monomial_values(points: np.ndarray, expo: np.ndarray,
-                    dtype=np.float64) -> np.ndarray:
+def monomial_values(points: np.ndarray, expo: np.ndarray) -> np.ndarray:
     """Matrix of monomial values, shape (n_points, n_terms)."""
-    pts = np.asarray(points, dtype=dtype)
-    out = np.ones((pts.shape[0], expo.shape[0]), dtype=dtype)
+    pts = np.asarray(points, dtype=float)
+    out = np.ones((pts.shape[0], expo.shape[0]))
     for ax in range(pts.shape[1]):
         emax = int(expo[:, ax].max()) if expo.shape[0] else 0
         if emax == 0:
             continue
         # cumulative powers of the axis coordinate, reused across terms
-        powers = np.empty((pts.shape[0], emax + 1), dtype=dtype)
+        powers = np.empty((pts.shape[0], emax + 1))
         powers[:, 0] = 1.0
         for e in range(1, emax + 1):
             powers[:, e] = powers[:, e - 1] * pts[:, ax]
@@ -52,15 +52,15 @@ def monomial_values(points: np.ndarray, expo: np.ndarray,
 
 
 def monomial_axis_derivative(points: np.ndarray, expo: np.ndarray, axis: int,
-                             order: int = 1, dtype=np.float64) -> np.ndarray:
+                             order: int = 1) -> np.ndarray:
     """Values of d^order/dx_axis^order applied to each monomial."""
     expo = np.asarray(expo)
-    coeff = np.ones(expo.shape[0], dtype=dtype)
+    coeff = np.ones(expo.shape[0])
     shifted = expo.copy()
     for _ in range(order):
         coeff = coeff * shifted[:, axis]
         shifted[:, axis] = np.maximum(shifted[:, axis] - 1, 0)
-    vals = monomial_values(points, shifted, dtype=dtype)
+    vals = monomial_values(points, shifted)
     return vals * coeff[None, :]
 
 

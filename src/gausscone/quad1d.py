@@ -9,8 +9,14 @@ up to polynomial degree 2*order - 1.  Recurrence coefficients come from the
 Gamma-function closed form of the moments: the full-line (even) case has a
 known closed recurrence, the half-line case runs the Chebyshev moment
 algorithm in mpmath working precision, which is the only numerically hazardous
-step of rule construction.  Nodes and weights are then a standard
-Golub-Welsch tridiagonal eigendecomposition.
+step of rule construction.  The nodes are the eigenvalues of the Jacobi
+matrix (Golub-Welsch); the weights are the Christoffel numbers
+1 / sum_j phat_j(t_k)^2, with the orthonormal polynomials phat_j evaluated by
+the same recurrence, so small tail weights are accurate to relative round-off
+rather than only relative to the largest weight.
+
+`orthonormal_polys` evaluates those polynomials and their derivatives; the
+Galerkin basis of `spectral` is built from them.
 """
 
 from __future__ import annotations
@@ -85,9 +91,43 @@ def fullline_recurrence(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(order), beta
 
 
+def orthonormal_polys(alpha: np.ndarray, beta: np.ndarray, t: np.ndarray,
+                      degree: int, derivatives: int = 0) -> np.ndarray:
+    """Orthonormal polynomials of the probability measure with recurrence
+    (alpha, beta), and their derivatives, at the points t.
+
+    Returns an array of shape (derivatives + 1, len(t), degree + 1) whose
+    [d, :, j] slice is the d-th derivative of p_j, where p_0 = 1 and
+
+        sqrt(beta_(j+1)) p_(j+1) = (t - alpha_j) p_j - sqrt(beta_j) p_(j-1);
+
+    the d-th derivative follows by differentiating the recurrence d times,
+    which adds d * p_j^(d-1) to the right-hand side.  Needs
+    len(beta) > degree.
+    """
+    if degree >= len(beta):
+        raise ValueError(f"degree {degree} needs {degree + 1} recurrence terms")
+    t = np.asarray(t, dtype=float)
+    out = np.zeros((derivatives + 1, len(t), degree + 1))
+    out[0, :, 0] = 1.0
+    root = np.sqrt(beta)
+    for j in range(degree):
+        for d in range(derivatives + 1):
+            nxt = (t - alpha[j]) * out[d, :, j]
+            if j:
+                nxt -= root[j] * out[d, :, j - 1]
+            if d:
+                nxt += d * out[d - 1, :, j]
+            out[d, :, j + 1] = nxt / root[j + 1]
+    return out
+
+
 def _golub_welsch(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nodes, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
-    weights = beta[0] * vecs[0, :] ** 2
+    nodes = eigh_tridiagonal(alpha, np.sqrt(beta[1:]), eigvals_only=True)
+    # Christoffel numbers: beta_0 is the mass, p_j are orthonormal for the
+    # measure divided by it
+    p = orthonormal_polys(alpha, beta, nodes, len(alpha) - 1)[0]
+    weights = beta[0] / np.sum(p * p, axis=1)
     return nodes, weights
 
 

@@ -2,12 +2,18 @@
 mu_w: spectral gap, Poisson solves for the duality-based stability argument,
 and the spectral realization of the semigroup P_t.
 
-The basis is built by modified Gram-Schmidt (two passes, longdouble
-accumulation) over quadrature-orthonormalized monomials with a parity filter:
-on cone-constrained axes only even powers enter, which is exactly the
-polynomial subspace with Neumann boundary behavior.  Analytic Hermite and
-Laguerre families are deliberately not used as the code path; they reappear
-in the tests as oracles.  The generator itself comes from `gamma.generator`.
+The measure must factor per axis into |t|^a e^(-t^2/(2 s^2)) on full and
+half lines (`measures.axis_factors`).  Basis function k is the tensor product
+prod_ax p_(expo[k, ax])(x_ax / s_ax) of the orthonormal polynomials of the
+axis factor, evaluated with their derivatives from the three-term recurrence
+of `quad1d.fullline_recurrence`.  On cone-constrained axes only even indices
+enter: the full-line weight is even, so its even members are orthonormal for
+t^a on the half line and span exactly the polynomials with Neumann boundary
+behavior.  The Gram matrix is assembled on the quadrature nodes independently
+of the rule's construction, so `gram_residual` checks rule and basis against
+each other.  Analytic Hermite and Laguerre families are deliberately not used
+as the code path; they reappear in the tests as oracles.  The generator
+itself comes from `gamma.generator`.
 """
 
 from __future__ import annotations
@@ -28,12 +34,16 @@ from .errors import (
 )
 from .fields import ScalarField
 from .gamma import generator
-from .measures import Measure, build_rule
-from .polys import exponent_table, monomial_axis_derivative, monomial_values
+from .measures import Measure, axis_factors, build_rule
+from .polys import exponent_table
+from .quad1d import fullline_recurrence, orthonormal_polys
 
 GRAM_TOL = 1e-10
 # spectral_gap checks convergence against the system of this much lower degree
 CONVERGENCE_STEP = 2
+
+# per axis: recurrence (alpha, beta) of the unit-scale factor, and its scale
+AxisBasis = tuple[np.ndarray, np.ndarray, float]
 
 
 def default_degree(dim: int) -> int:
@@ -44,12 +54,33 @@ def default_degree(dim: int) -> int:
     return 8
 
 
+def _tensor_values(axes: tuple[AxisBasis, ...], expo: np.ndarray,
+                   pts: np.ndarray, axis: int | None = None,
+                   order: int = 0) -> np.ndarray:
+    """(N, m) values at pts of d^order/dx_axis^order applied to each basis
+    function (plain values when axis is None)."""
+    pts = np.asarray(pts, dtype=float)
+    out = None
+    for ax, (alpha, beta, scale) in enumerate(axes):
+        d = order if ax == axis else 0
+        table = orthonormal_polys(alpha, beta, pts[:, ax] / scale,
+                                  int(expo[:, ax].max()), d)[d]
+        col = table[:, expo[:, ax]]
+        if d:
+            col /= scale ** d
+        if out is None:
+            out = col
+        else:
+            out *= col
+    return out
+
+
 @dataclass
 class GalerkinSystem:
     measure: Measure
     max_degree: int
     expo: np.ndarray            # (m, n) parity-filtered exponent table
-    coeffs: np.ndarray          # (m, m) basis coefficients over monomials
+    axes: tuple[AxisBasis, ...]  # per-axis recurrence and scale of the basis
     stiffness: np.ndarray       # (m, m) <grad p_i, grad p_j>_mu
     gram_residual: float
     parity_axes: frozenset[int]
@@ -64,10 +95,14 @@ class GalerkinSystem:
 
     # -- evaluation ---------------------------------------------------------
     def values(self, pts: np.ndarray) -> np.ndarray:
-        return monomial_values(pts, self.expo) @ self.coeffs.T
+        return _tensor_values(self.axes, self.expo, pts)
 
     def grad_values(self, pts: np.ndarray, axis: int) -> np.ndarray:
-        return monomial_axis_derivative(pts, self.expo, axis) @ self.coeffs.T
+        return _tensor_values(self.axes, self.expo, pts, axis, 1)
+
+    def laplacian_values(self, pts: np.ndarray) -> np.ndarray:
+        return sum(_tensor_values(self.axes, self.expo, pts, ax, 2)
+                   for ax in range(self.measure.dim))
 
     def eval_coeffs(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return self.values(pts) @ coeffs
@@ -83,10 +118,8 @@ class GalerkinSystem:
         grad = np.empty((len(pts), len(axes), self.size))
         for ax in axes:
             grad[:, ax] = self.grad_values(pts, ax)
-        lap = sum(monomial_axis_derivative(pts, self.expo, ax, order=2)
-                  for ax in axes) @ self.coeffs.T
-        return generator(self.measure.weight, pts, grad, lap,
-                         self.measure.scale)
+        return generator(self.measure.weight, pts, grad,
+                         self.laplacian_values(pts), self.measure.scale)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
@@ -98,65 +131,56 @@ class GalerkinSystem:
 
 def build_galerkin(measure: Measure,
                    max_degree: int | None = None) -> GalerkinSystem:
-    """Orthonormal polynomial Galerkin system for the Dirichlet form of mu_w,
-    with only even powers on cone-constrained axes."""
+    """Orthonormal tensor polynomial Galerkin system for the Dirichlet form
+    of mu_w, with only even indices on cone-constrained axes."""
     weight = measure.weight
     if not measure.is_normalized:
         raise ContractError("Galerkin systems need a normalized measure")
     if measure.rule is None or measure.rule.kind != "tensor_generalized_hermite":
         raise ContractError("Galerkin assembly requires a deterministic tensor rule")
+    factors = axis_factors(weight, measure.scale)
+    if factors is None:
+        raise ContractError(
+            "Galerkin assembly requires a density that factors per axis")
     if max_degree is None:
         max_degree = default_degree(weight.dim)
 
     parity_axes = weight.cone.constrained_axes()
+    axes = tuple((*fullline_recurrence(float(a), max_degree + 1), scale)
+                 for a, _, scale in factors)
 
     # the rule must integrate products of two basis gradients exactly
     order = max(measure.order, max_degree + 8)
     rule = build_rule(weight, measure.scale, order=order)
     nodes = rule.nodes
-    qw = (rule.weights / rule.mass).astype(np.longdouble)
+    qw = rule.weights / rule.mass
+    root_w = np.sqrt(qw)[:, None]
 
     expo = exponent_table(weight.dim, max_degree, even_axes=parity_axes)
     m = expo.shape[0]
-    V = monomial_values(nodes, expo, dtype=np.longdouble)
-
-    # modified Gram-Schmidt, two passes, longdouble accumulation
-    C = np.zeros((m, m), dtype=np.longdouble)
-    B = np.empty((len(nodes), m), dtype=np.longdouble)
-    for k in range(m):
-        c = np.zeros(m, dtype=np.longdouble)
-        c[k] = 1.0
-        v = V[:, k].copy()
-        for _ in range(2):
-            for j in range(k):
-                r = np.sum(qw * v * B[:, j])
-                v -= r * B[:, j]
-                c -= r * C[j]
-        nrm = np.sqrt(np.sum(qw * v * v))
-        if not np.isfinite(nrm) or nrm < 1e-200:
-            raise DegreeTooHighError(
-                f"Gram matrix numerically singular at degree {max_degree}")
-        B[:, k] = v / nrm
-        C[k] = c / nrm
-
-    gram = (B * qw[:, None]).T @ B
-    gram_residual = float(np.max(np.abs(gram - np.eye(m, dtype=np.longdouble))))
+    basis = _tensor_values(axes, expo, nodes)
+    scaled = basis * root_w
+    gram = scaled.T @ scaled
+    del scaled
+    gram_residual = float(np.max(np.abs(gram - np.eye(m))))
     if gram_residual > GRAM_TOL:
         raise DegreeTooHighError(
             f"orthonormality residual {gram_residual:.3e} exceeds {GRAM_TOL}")
 
-    stiffness = np.zeros((m, m), dtype=np.longdouble)
+    # one (N, m) derivative table at a time keeps the peak memory at the
+    # basis plus one table
+    stiffness = np.zeros((m, m))
     for ax in range(weight.dim):
-        D = monomial_axis_derivative(nodes, expo, ax, dtype=np.longdouble) @ C.T
-        stiffness += (D * qw[:, None]).T @ D
-    stiffness = np.asarray(0.5 * (stiffness + stiffness.T), dtype=float)
+        deriv = _tensor_values(axes, expo, nodes, ax, 1)
+        deriv *= root_w
+        stiffness += deriv.T @ deriv
+    stiffness = 0.5 * (stiffness + stiffness.T)
 
     return GalerkinSystem(
-        measure=measure, max_degree=max_degree, expo=expo,
-        coeffs=np.asarray(C, dtype=float), stiffness=stiffness,
-        gram_residual=gram_residual, parity_axes=parity_axes,
-        nodes=nodes, node_weights=np.asarray(qw, dtype=float),
-        basis_values=np.asarray(B, dtype=float))
+        measure=measure, max_degree=max_degree, expo=expo, axes=axes,
+        stiffness=stiffness, gram_residual=gram_residual,
+        parity_axes=parity_axes, nodes=nodes, node_weights=qw,
+        basis_values=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +202,8 @@ def spectral_gap(system: GalerkinSystem) -> SpectralResult:
     """Ascending spectrum of -L_w on the parity-filtered span; gap = second
     eigenvalue.  Convergence compares against the degree-(d-2) system, which
     is the leading block of the stiffness: the exponent table is sorted by
-    degree and Gram-Schmidt builds basis function k from the first k
-    monomials only."""
+    degree and basis function k is the same tensor product whatever the
+    maximal degree."""
     vals, vecs = system.eigensystem()
     gap = float(vals[1])
     degrees = system.expo.sum(axis=1)

@@ -179,3 +179,19 @@ def test_replication_byte_identical_across_processes(tmp_path):
                      "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_partial_3d_spectral_suite(tmp_path):
+    # the 3-D Galerkin system at its default degree, end to end in a fresh
+    # process; the in-process tests stop at lower degrees
+    cfg = {"dim": 3, "weight": {"kind": "monomial", "exponents": [1.5, 0.0, 0.0]},
+           "quadrature": {"order": 16}, "suites": ["spectral"]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    proc = _cli(["verify", "--config", str(path), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    checks = [c for s in json.loads(out.read_text())["suites"]
+              for c in s["checks"]]
+    assert len(checks) == 14
+    assert all(c["pass"] for c in checks)

@@ -67,6 +67,13 @@ class TestVariance:
     def test_constant_zero(self, mu_partial):
         assert variance(mu_partial, constant(4.2, 2)) == 0.0
 
+    @pytest.mark.parametrize("order", [12, 24, 40])
+    def test_constant_zero_weights_off_one(self, w_partial, order):
+        # the normalized weights of these rules sum to 1 - O(1e-16), which
+        # E[f^2] - E[f]^2 turns into a variance of 4e-15 to 1e-14
+        mu = make_measure(w_partial, 1.0, order=order)
+        assert variance(mu, constant(4.2, 2)) == 0.0
+
     def test_partial_affine_sum_of_squares(self, mu_partial):
         # free-axis affine: Var = sum a_k^2 over free axes
         f = affine([0.0, 3.0], 1.0)

@@ -1,10 +1,21 @@
 """Galerkin solver: basis quality, spectra, Poisson solves, the duality
 chain and the semigroup realization.
 
+The basis is a tensor product of per-axis orthonormal polynomials from the
+three-term recurrences of `quad1d`; its Gram matrix is assembled on the
+quadrature rule, which is built separately (Christoffel weights), so the
+Gram residual is a real check of both.
+
 Spectral oracles (all derived by independent computation):
-  * w = 1: the quadrature Gram-Schmidt basis must reproduce the
-    probabilists' Hermite functions, so the stiffness is diag(0, 1, 2, ...)
-    and the gap is exactly 1.
+  * w = 1: the recurrence basis must reproduce the probabilists' Hermite
+    functions, so the stiffness is diag(0, 1, 2, ...) and the gap is
+    exactly 1.
+  * |x_1|^1.5 on the half-plane: -L_w maps the polynomials of per-axis
+    degree at most (2j, i) into themselves and acts on the leading term
+    x_1^(2j) x_2^i by -(2j + i), so the spectrum of the degree-d system is
+    the multiset of total degrees i + 2j <= d.
+  * off the nodes, values, gradients and Laplacians of the basis agree with
+    central differences.
   * Gaussian tilt s: rescaling x -> x/sqrt(1+s) maps the generator onto the
     standard one, so the spectrum is (1+s) N and the gap 1+s.
   * monomial |x|^a on the half line with the even (Neumann) basis: u = x^2
@@ -37,7 +48,13 @@ from gausscone.spectral import (
     semigroup_gradient_bound,
     spectral_gap,
 )
-from gausscone.weights import GaussianTilt, Monomial, make_weight
+from gausscone.weights import GaussianTilt, Monomial, Radial, make_weight
+
+
+# a scale lambda != 1 and an axis tilt both enter the per-axis scale s of
+# the basis polynomials p(x / s)
+SCALED_AND_TILTED = [(make_weight(Monomial((1.5, 0.0)), 2), 1.7),
+                     (make_weight(GaussianTilt(-0.5), 2), 1.0)]
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +94,39 @@ class TestBasis:
 
     def test_constant_element_zero_stiffness_row(self, sys_1d):
         np.testing.assert_allclose(sys_1d.stiffness[0], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("weight,lam", SCALED_AND_TILTED)
+    def test_gram_residual_scaled_and_tilted(self, weight, lam):
+        system = build_galerkin(make_measure(weight, lam), 12)
+        assert system.gram_residual <= 1e-13
+
+    @pytest.mark.parametrize("weight,lam", SCALED_AND_TILTED)
+    def test_off_node_derivatives_match_differences(self, weight, lam):
+        system = build_galerkin(make_measure(weight, lam), 8)
+        pts = np.random.default_rng(7).uniform(-2.0, 2.0, (25, 2))
+        vals = system.values(pts)
+        scale = 1.0 + np.max(np.abs(vals))
+        lap = np.zeros_like(vals)
+        for ax in range(2):
+            step = np.zeros(2)
+            step[ax] = 1e-5
+            central = (system.values(pts + step)
+                       - system.values(pts - step)) / 2e-5
+            np.testing.assert_allclose(system.grad_values(pts, ax), central,
+                                       rtol=0, atol=1e-7 * scale)
+            step[ax] = 1e-3
+            lap += (system.values(pts + step) - 2.0 * vals
+                    + system.values(pts - step)) / 1e-6
+        np.testing.assert_allclose(system.laplacian_values(pts), lap,
+                                   rtol=0, atol=1e-5 * scale)
+
+    def test_polar_rule_rejected(self):
+        # the radial weight on the plane has a polar rule, whose nodes do
+        # not form a tensor grid and whose density does not factor per axis
+        mu = make_measure(make_weight(Radial(1.0), 2), 1.0)
+        assert mu.rule.kind == "tensor_generalized_hermite"
+        with pytest.raises(ContractError):
+            build_galerkin(mu, 6)
 
     def test_mc_measure_rejected(self):
         spec = np.sqrt(0.5)
@@ -120,6 +170,13 @@ class TestGap:
         for w in cases:
             res = spectral_gap(build_galerkin(make_measure(w, 1.0), 10))
             assert res.gap >= (1.0 + w.kw) - 1e-6
+
+    def test_half_plane_spectrum_is_total_degrees(self):
+        w = make_weight(Monomial((1.5, 0.0)), 2)
+        system = build_galerkin(make_measure(w, 1.0, order=32), 16)
+        exact = np.sort(system.expo.sum(axis=1)).astype(float)
+        np.testing.assert_allclose(spectral_gap(system).eigenvalues, exact,
+                                   rtol=0, atol=1e-12)
 
     def test_partial_free_axis_eigenvalue_one(self, mu_partial):
         system = build_galerkin(mu_partial, 10)
