@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,33 +94,40 @@ def _gauss_rate(f: ScalarField) -> float:
     return f.decay.rate
 
 
-def nu_norm_sq(weight: Weight, f: ScalarField) -> float:
-    """int f^2 w dx."""
+class NuMoments(NamedTuple):
+    """Integrals of one Gaussian-decay field against w dx."""
+
+    norm_sq: float      # int f^2 w dx
+    energy: float       # int |grad f|^2 w dx
+    moment: float       # int f^2 |x|^2 w dx
+    cross: float        # int f x.grad f w dx
+    sq_log_sq: float    # int f^2 log f^2 w dx, with 0 log 0 := 0
+
+
+def _nu_moments(weight: Weight, f: ScalarField) -> NuMoments:
+    """All NuMoments of f from one rate-matched pass, with f and grad f each
+    evaluated once at the nodes."""
     rate = _gauss_rate(f)
-    return nu_integral(weight, lambda x: f.value(x) ** 2, 2.0 * rate)
 
+    def integrand(pts):
+        vals = f.value(pts)
+        grad = f.grad(pts)
+        sq = vals ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sq_log_sq = np.where(sq > 0, sq * np.log(sq), 0.0)
+        return np.stack([sq, np.sum(grad ** 2, axis=1),
+                         sq * np.sum(pts ** 2, axis=1),
+                         vals * np.sum(pts * grad, axis=1), sq_log_sq], axis=1)
 
-def nu_energy(weight: Weight, f: ScalarField) -> float:
-    """int |grad f|^2 w dx."""
-    rate = _gauss_rate(f)
-    return nu_integral(
-        weight, lambda x: np.sum(f.grad(x) ** 2, axis=1), 2.0 * rate)
-
-
-def nu_moment_sq(weight: Weight, f: ScalarField) -> float:
-    """int f^2 |x|^2 w dx."""
-    rate = _gauss_rate(f)
-    return nu_integral(
-        weight, lambda x: f.value(x) ** 2 * np.sum(x ** 2, axis=1), 2.0 * rate)
+    return NuMoments(*(float(v) for v in nu_integral(weight, integrand, 2.0 * rate)))
 
 
 def optimal_scale(weight: Weight, f: ScalarField) -> float:
     """lambda* = (int f^2 |x|^2 w dx / int |grad f|^2 w dx)^(1/4)."""
-    num = nu_moment_sq(weight, f)
-    den = nu_energy(weight, f)
-    if num <= 0.0 or den <= 0.0:
+    m = _nu_moments(weight, f)
+    if m.moment <= 0.0 or m.energy <= 0.0:
         raise DegenerateInputError("optimal scale of a (numerically) zero field")
-    return (num / den) ** 0.25
+    return (m.moment / m.energy) ** 0.25
 
 
 @dataclass(frozen=True)
@@ -139,28 +147,20 @@ def hup_deficit(weight: Weight, f: ScalarField) -> HupDeficit:
         delta_w(f) = (lam*^2/2) int |grad f + x f / lam*^2|^2 w dx,
 
     which is the expanded form of the Gaussian-conjugation identity and must
-    vanish to quadrature precision for every admissible field.
+    vanish to quadrature precision for every admissible field.  The square
+    expands to energy + 2 cross / lam*^2 + moment / lam*^4, so the residual
+    is that of the integration by parts int f x.grad f w = -(n+alpha)/2 norm_sq.
     """
     if not weight.is_homogeneous:
         raise NotHomogeneousError("the HUP deficit assumes a homogeneous weight")
-    energy = nu_energy(weight, f)
-    moment = nu_moment_sq(weight, f)
-    norm_sq = nu_norm_sq(weight, f)
-    if norm_sq <= 0.0:
+    m = _nu_moments(weight, f)
+    if m.norm_sq <= 0.0:
         raise DegenerateInputError("zero field")
     n_alpha = weight.dim + weight.degree
-    delta = math.sqrt(max(energy, 0.0)) * math.sqrt(max(moment, 0.0)) \
-        - 0.5 * n_alpha * norm_sq
-    lam = (moment / energy) ** 0.25
-    rate = _gauss_rate(f)
-
-    def conjugated(pts):
-        grad = f.grad(pts)
-        vals = f.value(pts)
-        shifted = grad + pts * (vals / lam ** 2)[:, None]
-        return np.sum(shifted ** 2, axis=1)
-
-    rhs = 0.5 * lam ** 2 * nu_integral(weight, conjugated, 2.0 * rate)
-    residual = abs(delta - rhs)
+    delta = math.sqrt(max(m.energy, 0.0)) * math.sqrt(max(m.moment, 0.0)) \
+        - 0.5 * n_alpha * m.norm_sq
+    lam = (m.moment / m.energy) ** 0.25
+    conjugated = m.energy + 2.0 * m.cross / lam ** 2 + m.moment / lam ** 4
+    residual = abs(delta - 0.5 * lam ** 2 * conjugated)
     return HupDeficit(delta=delta, identity_residual=residual, lambda_star=lam,
-                      energy=energy, moment=moment, norm_sq=norm_sq)
+                      energy=m.energy, moment=m.moment, norm_sq=m.norm_sq)

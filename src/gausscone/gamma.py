@@ -22,7 +22,7 @@ import numpy as np
 from .cones import Cone
 from .errors import NoBoundaryError
 from .fields import ScalarField
-from .measures import Measure
+from .measures import Measure, nu_integral
 from .weights import Weight
 
 
@@ -167,27 +167,27 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
                                   g: ScalarField) -> float:
     """Relative residual of int (L_w f) g dmu = -int Gamma(f,g) dmu.
 
-    Both sides evaluate on a rule whose Gaussian factor matches the combined
-    decay of the pair plus the measure's own Gaussian, so pairs of fast-
-    decaying fields are integrated at full precision instead of riding the
-    tail of the lambda = 1 rule.
+    Both sides evaluate in one pass on a rule whose Gaussian factor matches
+    the combined decay of the pair plus the measure's own Gaussian, so pairs
+    of fast-decaying fields are integrated at full precision instead of
+    riding the tail of the lambda = 1 rule.
     """
-    from .measures import nu_integral
-
     weight = measure.weight
     lam = measure.scale if measure.scale is not None else 1.0
     damp = 0.5 / (lam * lam)
     rate = f.decay.rate + g.decay.rate + damp
 
-    def lhs_integrand(pts):
+    def integrand(pts):
+        # the (N, n, n) Hessian is evaluated before anything else is held and
+        # both sides fill one array, so on a large Monte Carlo rule the peak
+        # memory is that of the Hessian evaluation
+        sides = np.empty((len(pts), 2))
         lap = np.trace(f.hess(pts), axis1=1, axis2=2)
-        lf = generator(weight, pts, f.grad(pts), lap, lam)
-        return lf * g.value(pts) * np.exp(-damp * np.sum(pts ** 2, axis=1))
+        grad = f.grad(pts)
+        sides[:, 0] = generator(weight, pts, grad, lap, lam) * g.value(pts)
+        sides[:, 1] = -np.sum(grad * g.grad(pts), axis=1)
+        sides *= np.exp(-damp * np.sum(pts ** 2, axis=1))[:, None]
+        return sides
 
-    def rhs_integrand(pts):
-        return (np.sum(f.grad(pts) * g.grad(pts), axis=1)
-                * np.exp(-damp * np.sum(pts ** 2, axis=1)))
-
-    lhs = nu_integral(weight, lhs_integrand, rate)
-    rhs = -nu_integral(weight, rhs_integrand, rate)
+    lhs, rhs = (float(v) for v in nu_integral(weight, integrand, rate))
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))

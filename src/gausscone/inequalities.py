@@ -22,11 +22,10 @@ from .errors import (
 )
 from .fields import ScalarField, gaussian, mass_dilated, one_plus, product
 from .functionals import (
+    _nu_moments,
     dirichlet_energy,
+    hup_deficit,
     lq_norm,
-    nu_energy,
-    nu_moment_sq,
-    nu_norm_sq,
     variance,
 )
 from .measures import Measure, make_measure, normalization_constant, nu_integral
@@ -150,7 +149,6 @@ def _least_squares_affine_gap(measure: Measure, f: ScalarField) -> float:
     pts = measure.nodes
     w = measure.norm_weights
     vals = f.value(pts)
-    dim = measure.dim
     basis = np.hstack([np.ones((len(pts), 1)), pts])  # 1, x_1..x_n
     gram = (basis * w[:, None]).T @ basis
     b = basis.T @ (w * vals)
@@ -229,21 +227,6 @@ def _c_lsih(weight: Weight) -> tuple[float, float, float]:
     return 4.0 * c_w ** (2.0 / n_alpha) / (math.e * n_alpha), c_w, n_alpha
 
 
-def _nu_entropy_sq(weight: Weight, f: ScalarField) -> float:
-    """Ent_nu(f^2) for Gaussian-decay f, by rate-matched quadrature."""
-    rate = f.decay.rate
-
-    def integrand(pts):
-        v = f.value(pts) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(v > 0, v * np.log(v), 0.0)
-
-    total = nu_norm_sq(weight, f)
-    if total <= 0:
-        raise DegenerateInputError("zero field")
-    return nu_integral(weight, integrand, 2.0 * rate) - total * math.log(total)
-
-
 def check_euclidean_lsi(weight: Weight, f: ScalarField,
                         tolerance: float | None = None) -> InequalityCheck:
     """Sharp Euclidean LSI for log-concave homogeneous weights:
@@ -259,11 +242,11 @@ def check_euclidean_lsi(weight: Weight, f: ScalarField,
     if not f.decay.is_gaussian:
         raise ContractError("field needs a Gaussian decay envelope")
     c_lsih, c_w, n_alpha = _c_lsih(weight)
-    b = nu_norm_sq(weight, f)
+    m = _nu_moments(weight, f)
+    b, a = m.norm_sq, m.energy
     if b <= 0:
         raise DegenerateInputError("zero field")
-    a = nu_energy(weight, f)
-    ent = _nu_entropy_sq(weight, f)
+    ent = m.sq_log_sq - b * math.log(b)
     rhs = 0.5 * n_alpha * b * math.log(c_lsih * a / b)
     return _check("euclidean_lsi", None, 2.0, ent, rhs, c_lsih, tolerance,
                   diagnostics={"C_w": c_w, "n_plus_alpha": n_alpha,
@@ -287,32 +270,27 @@ def check_lsi_equivalence(weight: Weight, big_f: ScalarField) -> dict:
     h = gaussian(math.sqrt(c_w), math.sqrt(2.0), weight.dim)
     f = product(big_f, h)
 
-    # all five terms evaluate on the same rate-matched rule (2 rate_F + 1/2 is
+    # every term evaluates on the same rate-matched rule (2 rate_F + 1/2 is
     # exactly twice the decay rate of f = F h), so the bookkeeping identities
     # are checked at quadrature precision even for fields with log-singular
-    # entropy integrands
-    rate_mu = 2.0 * big_f.decay.rate + 0.5
-
-    def _mu_int(fn):
-        return c_w * nu_integral(weight, fn, rate_mu)
-
-    def _ent_integrand(pts):
+    # entropy integrands; the mu side (on F) and the nu side (on f) are two
+    # separate passes, so the identities compare independent evaluations
+    def mu_integrand(pts):
         v = big_f.value(pts) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             vlogv = np.where(v > 0, v * np.log(v), 0.0)
-        return vlogv * np.exp(-0.5 * np.sum(pts ** 2, axis=1))
+        return (np.stack([v, vlogv, np.sum(big_f.grad(pts) ** 2, axis=1)], axis=1)
+                * np.exp(-0.5 * np.sum(pts ** 2, axis=1))[:, None])
 
-    mass_mu = _mu_int(
-        lambda x: big_f.value(x) ** 2 * np.exp(-0.5 * np.sum(x ** 2, axis=1)))
-    ent_mu = _mu_int(_ent_integrand) - mass_mu * math.log(mass_mu)
-    energy_mu = _mu_int(
-        lambda x: np.sum(big_f.grad(x) ** 2, axis=1)
-        * np.exp(-0.5 * np.sum(x ** 2, axis=1)))
+    mass_mu, vlogv_mu, energy_mu = (c_w * float(v) for v in nu_integral(
+        weight, mu_integrand, 2.0 * big_f.decay.rate + 0.5))
+    ent_mu = vlogv_mu - mass_mu * math.log(mass_mu)
 
-    b = nu_norm_sq(weight, f)
-    a = nu_energy(weight, f)
-    d = nu_moment_sq(weight, f)
-    ent_nu = _nu_entropy_sq(weight, f)
+    m = _nu_moments(weight, f)
+    b, a, d = m.norm_sq, m.energy, m.moment
+    if b <= 0:
+        raise DegenerateInputError("zero field")
+    ent_nu = m.sq_log_sq - b * math.log(b)
     f2_log_h2 = math.log(c_w) * b - 0.5 * d
 
     scale = 1.0 + abs(ent_mu) + abs(ent_nu) + abs(energy_mu)
@@ -375,7 +353,6 @@ def check_hup(weight: Weight, f: ScalarField,
               tolerance: float | None = None) -> InequalityCheck:
     """sqrt(energy) sqrt(moment) >= (n+alpha)/2 * norm; the deficit is
     delta_w(f) and the conjugation-identity residual rides in diagnostics."""
-    from .functionals import hup_deficit
     res = hup_deficit(weight, f)
     n_alpha = weight.dim + weight.degree
     lhs = 0.5 * n_alpha * res.norm_sq

@@ -390,16 +390,24 @@ def special_moments(measure: Measure) -> SpecialMoments:
 # ---------------------------------------------------------------------------
 
 def nu_integral(weight: Weight, integrand: Callable[[np.ndarray], np.ndarray],
-                rate: float, order: int = DEFAULT_ORDER) -> float:
+                rate: float, order: int = DEFAULT_ORDER) -> float | np.ndarray:
     """Integral of integrand(x) w(x) dx for integrands ~ (slow factor) *
-    exp(-rate |x|^2); the rule's Gaussian factor matches the rate exactly."""
+    exp(-rate |x|^2); the rule's Gaussian factor matches the rate exactly.
+
+    An integrand returning (N, ...) at the N nodes gives the (...) array of
+    the integrals of its components; (N,) gives a float."""
     if rate <= 0:
         raise DecayContractError("nu-integration needs a positive Gaussian rate")
     lam = 1.0 / math.sqrt(2.0 * rate)
     rule = build_rule(weight, lam, order=order)
     pts = rule.nodes
-    folded = np.asarray(integrand(pts), dtype=float) * np.exp(
-        rate * np.sum(pts ** 2, axis=1))
+    vals = np.asarray(integrand(pts), dtype=float)
+    # node axis last and contiguous, so every component is summed pairwise
+    # exactly as the same integrand alone would be
+    folded = np.multiply(np.moveaxis(vals, 0, -1),
+                         np.exp(rate * np.sum(pts ** 2, axis=1)), order="C")
     if not np.all(np.isfinite(folded)):
         raise EvaluationError("folded integrand is not finite at a node")
-    return float(np.sum(rule.weights * folded))
+    folded *= rule.weights
+    total = np.sum(folded, axis=-1)
+    return float(total) if vals.ndim == 1 else total

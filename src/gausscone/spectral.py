@@ -83,7 +83,6 @@ class GalerkinSystem:
     axes: tuple[AxisBasis, ...]  # per-axis recurrence and scale of the basis
     stiffness: np.ndarray       # (m, m) <grad p_i, grad p_j>_mu
     gram_residual: float
-    parity_axes: frozenset[int]
     nodes: np.ndarray           # quadrature nodes used for projections
     node_weights: np.ndarray    # normalized quadrature weights
     basis_values: np.ndarray    # (N, m) p_k at the nodes
@@ -129,25 +128,28 @@ class GalerkinSystem:
         return self._eig
 
 
+def galerkin_applies(measure: Measure) -> bool:
+    """Whether build_galerkin assembles on the measure: a normalized measure
+    on a deterministic tensor rule whose density factors per axis."""
+    return (measure.is_normalized and measure.rule is not None
+            and measure.rule.kind == "tensor_generalized_hermite"
+            and axis_factors(measure.weight, measure.scale) is not None)
+
+
 def build_galerkin(measure: Measure,
                    max_degree: int | None = None) -> GalerkinSystem:
     """Orthonormal tensor polynomial Galerkin system for the Dirichlet form
     of mu_w, with only even indices on cone-constrained axes."""
     weight = measure.weight
-    if not measure.is_normalized:
-        raise ContractError("Galerkin systems need a normalized measure")
-    if measure.rule is None or measure.rule.kind != "tensor_generalized_hermite":
-        raise ContractError("Galerkin assembly requires a deterministic tensor rule")
-    factors = axis_factors(weight, measure.scale)
-    if factors is None:
+    if not galerkin_applies(measure):
         raise ContractError(
-            "Galerkin assembly requires a density that factors per axis")
+            "Galerkin assembly requires a normalized measure on a deterministic "
+            "tensor rule whose density factors per axis")
     if max_degree is None:
         max_degree = default_degree(weight.dim)
 
-    parity_axes = weight.cone.constrained_axes()
     axes = tuple((*fullline_recurrence(float(a), max_degree + 1), scale)
-                 for a, _, scale in factors)
+                 for a, _, scale in axis_factors(weight, measure.scale))
 
     # the rule must integrate products of two basis gradients exactly
     order = max(measure.order, max_degree + 8)
@@ -156,7 +158,8 @@ def build_galerkin(measure: Measure,
     qw = rule.weights / rule.mass
     root_w = np.sqrt(qw)[:, None]
 
-    expo = exponent_table(weight.dim, max_degree, even_axes=parity_axes)
+    expo = exponent_table(weight.dim, max_degree,
+                          even_axes=weight.cone.constrained_axes())
     m = expo.shape[0]
     basis = _tensor_values(axes, expo, nodes)
     scaled = basis * root_w
@@ -179,7 +182,7 @@ def build_galerkin(measure: Measure,
     return GalerkinSystem(
         measure=measure, max_degree=max_degree, expo=expo, axes=axes,
         stiffness=stiffness, gram_residual=gram_residual,
-        parity_axes=parity_axes, nodes=nodes, node_weights=qw,
+        nodes=nodes, node_weights=qw,
         basis_values=basis)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError, NotHomogeneousError
 from .fields import ScalarField
-from .functionals import hup_deficit, nu_norm_sq
+from .functionals import _nu_moments, hup_deficit
 from .measures import nu_integral
 from .weights import Weight
 
@@ -49,32 +49,21 @@ class DistanceResult:
 def _objective(weight: Weight, f: ScalarField, lam: float, affine: bool,
                norm_sq: float) -> tuple[float, np.ndarray]:
     """Least-squares residual ||f - proj_family||^2_w at fixed lambda."""
-    dim = weight.dim
-    rate_f = f.decay.rate
     rate_g = 0.5 / (lam * lam)
 
-    def gauss(pts):
-        return np.exp(-rate_g * np.sum(pts ** 2, axis=1))
+    def basis(pts):
+        # e^{-|x|^2/(2 lambda^2)} times [1] or, for the affine family, [1, x]
+        ones = np.ones((len(pts), 1))
+        poly = np.hstack([ones, pts]) if affine else ones
+        return poly * np.exp(-rate_g * np.sum(pts ** 2, axis=1))[:, None]
 
-    n_basis = 1 + (dim if affine else 0)
-    b = np.empty(n_basis)
-    b[0] = nu_integral(weight, lambda x: f.value(x) * gauss(x), rate_f + rate_g)
-    if affine:
-        for i in range(dim):
-            b[1 + i] = nu_integral(
-                weight, lambda x, i=i: f.value(x) * x[:, i] * gauss(x),
-                rate_f + rate_g)
-    gram = np.empty((n_basis, n_basis))
-    gram[0, 0] = nu_integral(weight, lambda x: gauss(x) ** 2, 2.0 * rate_g)
-    if affine:
-        for i in range(dim):
-            gram[0, 1 + i] = gram[1 + i, 0] = nu_integral(
-                weight, lambda x, i=i: x[:, i] * gauss(x) ** 2, 2.0 * rate_g)
-        for i in range(dim):
-            for j in range(i, dim):
-                gram[1 + i, 1 + j] = gram[1 + j, 1 + i] = nu_integral(
-                    weight, lambda x, i=i, j=j: x[:, i] * x[:, j] * gauss(x) ** 2,
-                    2.0 * rate_g)
+    def outer(pts):
+        e = basis(pts)
+        return e[:, :, None] * e[:, None, :]
+
+    b = nu_integral(weight, lambda x: f.value(x)[:, None] * basis(x),
+                    f.decay.rate + rate_g)
+    gram = nu_integral(weight, outer, 2.0 * rate_g)
     coef = np.linalg.solve(gram, b)
     return max(norm_sq - float(b @ coef), 0.0), coef
 
@@ -113,7 +102,7 @@ def distance_to_family(weight: Weight, f: ScalarField,
     if family not in (FAMILY_GAUSSIAN, FAMILY_AFFINE_GAUSSIAN):
         raise ContractError(f"unknown family {family!r}")
     affine = family == FAMILY_AFFINE_GAUSSIAN
-    norm_sq = nu_norm_sq(weight, f)
+    norm_sq = _nu_moments(weight, f).norm_sq
     if norm_sq <= 0.0:
         raise DegenerateInputError("zero field")
 

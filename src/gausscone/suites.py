@@ -24,6 +24,9 @@ from .fields import (
     gaussian_quarter,
     hermite_witness,
     poly_gauss,
+    scaled,
+    shifted,
+    squared,
 )
 from .gamma import (
     bochner_residual,
@@ -48,12 +51,17 @@ from .measures import Measure
 from .spectral import (
     build_galerkin,
     duality_stability_residual,
+    galerkin_applies,
     poisson_solve,
     semigroup_decay_check,
     spectral_gap,
 )
 from .stability import brute_force_lambda_scan, check_hup_stability, distance_to_family
 from .weights import Weight
+
+# seeded poly_gauss fields per run of the HUP identity and of HUP stability
+IDENTITY_SEEDS = 50
+STABILITY_SEEDS = 20
 
 SUITE_NAMES = (
     "gamma_calculus", "beckner", "poincare", "scale_poincare", "lsi",
@@ -69,8 +77,6 @@ class RunContext:
     tolerance: float = 1e-7
     seed: int = 0
     order: int = 32
-    stability_seeds: int = 20
-    identity_seeds: int = 50
 
     @property
     def dim(self) -> int:
@@ -299,14 +305,14 @@ def suite_hup(ctx: RunContext) -> list[dict]:
         out.append(record_of(check_hup(w, f), f.name, ctx.tolerance))
     # UNP identity on seeded fields
     worst = 0.0
-    for k in range(ctx.identity_seeds):
+    for k in range(IDENTITY_SEEDS):
         g = poly_gauss(ctx.seed + 100 + k, ctx.dim, even_axes=ctx.constrained)
         chk = check_hup(w, g)
         rel = chk.diagnostics["identity_residual"] / (
             1.0 + abs(chk.diagnostics["delta"]))
         worst = max(worst, rel)
     out.append({"theorem": "hup_identity", "pass": bool(worst <= 1e-8),
-                "informational": False, "seeds": ctx.identity_seeds,
+                "informational": False, "seeds": IDENTITY_SEEDS,
                 "max_relative_residual": worst})
     return out
 
@@ -334,7 +340,7 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
     fails = 0
     worst_basic = math.inf
     worst_improved = math.inf
-    for k in range(ctx.stability_seeds):
+    for k in range(STABILITY_SEEDS):
         g = poly_gauss(ctx.seed + 300 + k, ctx.dim, even_axes=ctx.constrained)
         rep = check_hup_stability(w, g, improved=True, tolerance=1e-7 * (1.0 + 1.0))
         worst_basic = min(worst_basic, rep.basic_deficit)
@@ -343,7 +349,7 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
             fails += 1
     out.append({"theorem": "hup_stability_seeded",
                 "pass": bool(fails == 0), "informational": False,
-                "seeds": ctx.stability_seeds, "failures": fails,
+                "seeds": STABILITY_SEEDS, "failures": fails,
                 "min_basic_deficit": worst_basic,
                 "min_improved_deficit": worst_improved})
     # optimizer oracle on one seeded field
@@ -367,8 +373,7 @@ def suite_spectral(ctx: RunContext) -> list[dict]:
     skip = _needs_kw(ctx, "spectral")
     if skip:
         return [skip]
-    if ctx.measure.rule.kind != "tensor_generalized_hermite" or (
-            ctx.weight.is_radial and ctx.dim > 1):
+    if not galerkin_applies(ctx.measure):
         return [_info("spectral", "skipped: needs an axis-aligned tensor rule")]
     out = []
     system = build_galerkin(ctx.measure)
@@ -417,13 +422,11 @@ def suite_spectral(ctx: RunContext) -> list[dict]:
 
 def _mean_zero_projection(system, f: ScalarField) -> ScalarField:
     mean = float(np.sum(system.node_weights * f.value(system.nodes)))
-    from .fields import shifted
     return shifted(f, -mean)
 
 
 def _nonneg_decay_fields(ctx: RunContext) -> list[ScalarField]:
     """Small non-constant, nonnegative-leaning set for the decay grid."""
-    from .fields import scaled, shifted, squared
     dim = ctx.dim
     axis = ctx.free_axis
     constrained = ctx.constrained

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from gausscone import measures
 from gausscone.measures import make_measure
 from gausscone.weights import GaussianTilt, Monomial, make_weight
 
@@ -49,3 +52,21 @@ def mu_partial(w_partial):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def nu_calls(monkeypatch):
+    """List of the measures.nu_integral calls made while the test runs: every
+    gausscone module attribute bound to it points at a counting wrapper."""
+    original = measures.nu_integral
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("gausscone")
+                and getattr(module, "nu_integral", None) is original):
+            monkeypatch.setattr(module, "nu_integral", counting)
+    return calls

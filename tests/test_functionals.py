@@ -10,6 +10,8 @@ Frozen derived values and their oracles:
     int_0^inf x e^{-x^2} dx = 1/2 and int x^2 e^{-x^2} dx = sqrt(pi)/2.
 """
 
+import dataclasses
+
 import pytest
 
 from gausscone.errors import (
@@ -38,6 +40,7 @@ from gausscone.functionals import (
     optimal_scale,
     variance,
 )
+from gausscone.inequalities import check_hup
 from gausscone.measures import make_measure
 from gausscone.weights import Monomial, Radial, make_weight
 
@@ -186,3 +189,17 @@ class TestHupDeficit:
     def test_non_homogeneous_rejected(self, w_tilt):
         with pytest.raises(NotHomogeneousError):
             hup_deficit(w_tilt, gaussian(1.0, 1.0, 1))
+
+    def test_one_nu_integral_call(self, w_partial, nu_calls):
+        hup_deficit(w_partial, poly_gauss(3, 2, even_axes=frozenset({0})))
+        assert len(nu_calls) == 1
+
+    def test_identity_detects_wrong_gradient(self, w_partial):
+        # the residual checks int f x.grad f w = -(n+alpha)/2 int f^2 w, so a
+        # gradient off by 1% must fail the gate that suite_hup applies
+        f = poly_gauss(3, 2, even_axes=frozenset({0}))
+        bad = dataclasses.replace(f, grad=lambda x: 1.01 * f.grad(x))
+        good, res = hup_deficit(w_partial, f), hup_deficit(w_partial, bad)
+        assert good.identity_residual <= 1e-8 * (1.0 + abs(good.delta))
+        assert res.identity_residual > 1e-8 * (1.0 + abs(res.delta))
+        assert not check_hup(w_partial, bad).passed

@@ -223,6 +223,11 @@ class TestIntegrationByParts:
                 for g in fields[i:]:
                     assert integration_by_parts_residual(mu, f, g) < 1e-7
 
+    def test_one_nu_integral_call(self, mu_partial, nu_calls):
+        f = poly_gauss(0, 2, even_axes=frozenset({0}))
+        integration_by_parts_residual(mu_partial, f, gaussian(1.0, 1.2, 2))
+        assert len(nu_calls) == 1
+
     def test_mean_of_generator_vanishes(self, mu_partial):
         # g = 1 case: int L_w f dmu = 0 for Neumann-compatible f
         for f in (exp_axis(0.4, 1, 2), gaussian(1.0, 1.0, 2),

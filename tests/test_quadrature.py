@@ -246,6 +246,29 @@ class TestIntegrate:
         val = nu_integral(w_one_2d, lambda x: np.exp(-np.sum(x ** 2, axis=1)), 1.0)
         assert val == pytest.approx(np.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("spec, cone, kind", [
+        (Monomial((1.0, 2.0)), None, "tensor_generalized_hermite"),
+        (Radial(1.0), None, "tensor_generalized_hermite"),
+        (DunklProduct(((0.6, 0.8),), (0.5,)), Halfspace(2, (0.6, 0.8)),
+         "monte_carlo"),
+    ], ids=["tensor", "polar", "monte_carlo"])
+    def test_nu_integral_vector_matches_scalar_calls(self, spec, cone, kind):
+        w = make_weight(spec, 2, cone=cone, certify=False)
+        rate = 0.8
+        assert build_rule(w, 1.0 / np.sqrt(2.0 * rate)).kind == kind
+
+        def components(x):
+            r2 = np.sum(x ** 2, axis=1)
+            polys = [np.ones(len(x)), x[:, 0] ** 2, 1.0 + x[:, 1] ** 2, r2 ** 2]
+            return [p * np.exp(-rate * r2) for p in polys]
+
+        vec = nu_integral(w, lambda x: np.stack(components(x), axis=1)
+                          .reshape(len(x), 2, 2), rate)
+        assert vec.shape == (2, 2)
+        scalars = [nu_integral(w, lambda x, k=k: components(x)[k], rate)
+                   for k in range(4)]
+        np.testing.assert_allclose(vec.ravel(), scalars, rtol=1e-14, atol=0)
+
     def test_radial_polar_rule(self):
         w = make_weight(Radial(1.0), 2, certify=False)
         rule = build_rule(w, 1.0, order=24)

@@ -28,6 +28,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gausscone.config import build_weight, parse_config
 from gausscone.errors import ContractError, DomainError, MeanZeroViolationError
 from gausscone.fields import (
     affine,
@@ -42,6 +43,7 @@ from gausscone.measures import make_measure
 from gausscone.spectral import (
     build_galerkin,
     duality_stability_residual,
+    galerkin_applies,
     poisson_solve,
     semigroup_apply,
     semigroup_decay_check,
@@ -137,6 +139,45 @@ class TestBasis:
         mu = make_measure(w, 1.0, mc_samples=2 ** 12, seed=0)
         with pytest.raises(ContractError):
             build_galerkin(mu, 6)
+
+
+# one config weight of every kind the schema lists; the radial weight on the
+# plane gets the polar rule, in 3-D and for the dunkl_mc root a Monte Carlo one
+GALERKIN_CASES = [
+    ({"kind": "one"}, 2, None, True),
+    ({"kind": "monomial", "exponents": [1.5, 0.0]}, 2, None, True),
+    ({"kind": "radial", "alpha": 1.0}, 1, None, True),
+    ({"kind": "radial", "alpha": 1.0}, 2, None, False),
+    ({"kind": "radial", "alpha": 1.0}, 3, None, False),
+    ({"kind": "dunkl", "roots": [[1.0, 0.0]], "multiplicities": [0.75]}, 2,
+     None, True),
+    ({"kind": "dunkl", "roots": [[0.6, 0.8]], "multiplicities": [0.5]}, 2,
+     200000, False),
+    ({"kind": "gaussian_tilt", "s": 0.5}, 3, None, True),
+    ({"kind": "partial_product", "coords": [0],
+      "inner": {"kind": "monomial", "exponents": [1.5]}}, 3, None, True),
+]
+
+
+class TestGalerkinApplies:
+    @pytest.mark.parametrize("spec, dim, mc_samples, expected", GALERKIN_CASES)
+    def test_predicate_matches_build_galerkin(self, spec, dim, mc_samples,
+                                              expected):
+        config = parse_config({"dim": dim, "weight": spec, "suites": []})
+        mu = make_measure(build_weight(config), 1.0, order=8,
+                          mc_samples=mc_samples)
+        assert galerkin_applies(mu) is expected
+        if expected:
+            assert build_galerkin(mu, 4).size > 0
+        else:
+            with pytest.raises(ContractError):
+                build_galerkin(mu, 4)
+
+    def test_unnormalized_measure(self, w_partial):
+        nu = make_measure(w_partial, scale=None)
+        assert not galerkin_applies(nu)
+        with pytest.raises(ContractError):
+            build_galerkin(nu, 4)
 
 
 class TestGap:

@@ -17,6 +17,7 @@ from gausscone.fields import dilated, gaussian, hermite_witness, poly_gauss
 from gausscone.stability import (
     FAMILY_AFFINE_GAUSSIAN,
     FAMILY_GAUSSIAN,
+    _objective,
     brute_force_lambda_scan,
     check_hup_stability,
     distance_to_family,
@@ -76,6 +77,17 @@ class TestDistance:
                                                   rel=1e-6, abs=1e-9)
 
 
+class TestObjective:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_two_nu_integral_calls(self, dim, affine, nu_calls):
+        # b and the family Gram matrix, one vector call each
+        w = make_weight(Monomial((1.0,) + (0.0,) * (dim - 1)), dim)
+        f = poly_gauss(4, dim)
+        _objective(w, f, 1.3, affine, 1.0)
+        assert len(nu_calls) == 2
+
+
 class TestHupStability:
     def test_member_equality(self, w_abs):
         rep = check_hup_stability(w_abs, gaussian(1.0, 1.3, 2), improved=True)
@@ -110,10 +122,11 @@ class TestHupStability:
     def test_zero_deficit_implies_near_family(self, w_abs):
         # contrapositive of the stability bound at numeric scale: a tiny
         # deficit forces a small distance relative to the field norm
-        from gausscone.functionals import nu_norm_sq
+        from gausscone.measures import nu_integral
         f = gaussian(1.4, 0.9, 2)
         rep = check_hup_stability(w_abs, f)
-        norm = math.sqrt(nu_norm_sq(w_abs, f))
+        norm = math.sqrt(nu_integral(w_abs, lambda x: f.value(x) ** 2,
+                                     2.0 * f.decay.rate))
         assert rep.delta <= 1e-8
         assert math.sqrt(rep.distance_sq) <= 1e-3 * norm
 
