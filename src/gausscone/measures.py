@@ -37,6 +37,7 @@ from .errors import (
     DecayContractError,
     EvaluationError,
     IntegrationFailureError,
+    NotHomogeneousError,
     ParameterError,
     ResourceError,
     UnsupportedRuleError,
@@ -390,24 +391,47 @@ def special_moments(measure: Measure) -> SpecialMoments:
 # ---------------------------------------------------------------------------
 
 def nu_integral(weight: Weight, integrand: Callable[[np.ndarray], np.ndarray],
-                rate: float, order: int = DEFAULT_ORDER) -> float | np.ndarray:
+                rate: float | np.ndarray, order: int = DEFAULT_ORDER
+                ) -> float | np.ndarray:
     """Integral of integrand(x) w(x) dx for integrands ~ (slow factor) *
     exp(-rate |x|^2); the rule's Gaussian factor matches the rate exactly.
 
     An integrand returning (N, ...) at the N nodes gives the (...) array of
-    the integrals of its components; (N,) gives a float."""
-    if rate <= 0:
+    the integrals of its components; (N,) gives a float.
+
+    For a homogeneous weight `rate` may be a 1-D array of K rates.  The
+    integrand then receives the K rate-matched node sets stacked as (K, N, n),
+    returns (K, N, ...), and the result is the (K, ...) array whose row k is
+    what the call with rate[k] alone returns.  Each rule is the cached
+    lambda = 1 rule rescaled exactly as build_rule rescales it."""
+    rates = np.asarray(rate, dtype=float)
+    if rates.ndim > 1:
+        raise ContractError("nu-integration takes one rate or a 1-D array of rates")
+    if not np.all(rates > 0):
         raise DecayContractError("nu-integration needs a positive Gaussian rate")
-    lam = 1.0 / math.sqrt(2.0 * rate)
-    rule = build_rule(weight, lam, order=order)
-    pts = rule.nodes
+    if rates.ndim == 0:
+        rule = build_rule(weight, 1.0 / math.sqrt(2.0 * rate), order=order)
+        pts, qw = rule.nodes, rule.weights
+    else:
+        if weight.degree is None:
+            raise NotHomogeneousError(
+                "a batch of rates needs a homogeneous weight")
+        base = build_rule(weight, 1.0, order=order)
+        lams = 1.0 / np.sqrt(2.0 * rates)
+        power = weight.dim + weight.degree
+        pts = base.nodes * lams[:, None, None]
+        # Python float powers, as build_rule takes them, so that row k
+        # matches the call with rate[k] alone bit for bit
+        qw = base.weights * np.array([lam ** power for lam in lams.tolist()])[:, None]
     vals = np.asarray(integrand(pts), dtype=float)
-    # node axis last and contiguous, so every component is summed pairwise
-    # exactly as the same integrand alone would be
-    folded = np.multiply(np.moveaxis(vals, 0, -1),
-                         np.exp(rate * np.sum(pts ** 2, axis=1)), order="C")
+    # node axis last and contiguous, so every component of every rate is
+    # summed pairwise exactly as the same integrand alone would be
+    along_nodes = rates.shape + (1,) * (vals.ndim - pts.ndim + 1) + (-1,)
+    gauss = np.exp(rates[..., None] * np.sum(pts ** 2, axis=-1))
+    folded = np.multiply(np.moveaxis(vals, rates.ndim, -1),
+                         gauss.reshape(along_nodes), order="C")
     if not np.all(np.isfinite(folded)):
         raise EvaluationError("folded integrand is not finite at a node")
-    folded *= rule.weights
+    folded *= qw.reshape(along_nodes)
     total = np.sum(folded, axis=-1)
-    return float(total) if vals.ndim == 1 else total
+    return float(total) if total.ndim == 0 else total

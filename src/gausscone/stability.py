@@ -5,9 +5,13 @@ The optimizer family is E = {c exp(-|x|^2/(2 lambda^2))}; the improved
 stability statement measures against the larger affine-Gaussian family
 {(c + d.x) exp(-|x|^2/(2 lambda^2))}.  Inner minimization over the linear
 coefficients is exact least squares against the lambda-Gaussian; the outer
-one-dimensional minimization runs in log(lambda) with a coarse pre-scan
-followed by golden-section refinement, which keeps the search deterministic
-and auditable.
+one-dimensional minimization runs in log(lambda).  A pre-scan evaluates the
+least-squares objective on a grid of lambda in batches: the projections of
+f come from one nu-pass over the stacked rate-matched rules of a chunk of
+lambda, and the Gram matrix of the family basis at every lambda is the
+moment matrix of the lambda = 1 rule rescaled by exact homogeneity.  Brent's
+method (Brent 1973) then refines the best grid bracket, which keeps the
+search deterministic and auditable.
 """
 
 from __future__ import annotations
@@ -21,14 +25,17 @@ import numpy as np
 from .errors import ContractError, DegenerateInputError, NotHomogeneousError
 from .fields import ScalarField
 from .functionals import _nu_moments, hup_deficit
-from .measures import nu_integral
+from .measures import build_rule, nu_integral
 from .weights import Weight
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+EPS = float(np.finfo(float).eps)
 
 LOG_LAMBDA_BRACKET = (math.log(1e-2), math.log(1e2))
 PRESCAN_POINTS = 16
+# stacked nodes per batched nu-pass: bounds the memory of a scan; larger
+# chunks raised peak RSS and ran no faster
+NODE_BUDGET = 2 ** 12
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_AFFINE_GAUSSIAN = "affine_gaussian"
 
@@ -43,50 +50,141 @@ class DistanceResult:
     degenerate: bool
     objective: float          # squared distance at the argmin
     prescan_best: float
-    iterations: int
+    iterations: int           # objective evaluations of the refinement
 
 
-def _objective(weight: Weight, f: ScalarField, lam: float, affine: bool,
-               norm_sq: float) -> tuple[float, np.ndarray]:
-    """Least-squares residual ||f - proj_family||^2_w at fixed lambda."""
-    rate_g = 0.5 / (lam * lam)
-
-    def basis(pts):
-        # e^{-|x|^2/(2 lambda^2)} times [1] or, for the affine family, [1, x]
-        ones = np.ones((len(pts), 1))
-        poly = np.hstack([ones, pts]) if affine else ones
-        return poly * np.exp(-rate_g * np.sum(pts ** 2, axis=1))[:, None]
-
-    def outer(pts):
-        e = basis(pts)
-        return e[:, :, None] * e[:, None, :]
-
-    b = nu_integral(weight, lambda x: f.value(x)[:, None] * basis(x),
-                    f.decay.rate + rate_g)
-    gram = nu_integral(weight, outer, 2.0 * rate_g)
-    coef = np.linalg.solve(gram, b)
-    return max(norm_sq - float(b @ coef), 0.0), coef
+def _family_poly(pts: np.ndarray, affine: bool) -> np.ndarray:
+    """[1] or, for the affine family, [1, x] at (..., n) points: (..., m)."""
+    ones = np.ones(pts.shape[:-1] + (1,))
+    return np.concatenate([ones, pts], axis=-1) if affine else ones
 
 
-def _golden(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float, int]:
-    """Golden-section minimum of fn on [lo, hi] to absolute tolerance tol."""
-    h = hi - lo
-    c = lo + INV_PHI2 * h
-    d = lo + INV_PHI * h
-    yc, yd = fn(c), fn(d)
-    steps = max(int(math.ceil(math.log(tol / h) / math.log(INV_PHI))), 0)
-    for _ in range(steps):
-        if yc < yd:
-            hi, d, yd = d, c, yc
-            h *= INV_PHI
-            c = lo + INV_PHI2 * h
-            yc = fn(c)
+def _objective(weight: Weight, f: ScalarField, lams: np.ndarray, affine: bool,
+               norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares residuals ||f - proj_family||^2_w at each lambda of the
+    1-D array lams, with the (len(lams), m) coefficients of the projections.
+
+    The Gram matrix of the basis e^{-|x|^2/(2 lambda^2)} p(x) is a nu-integral
+    at rate 1/lambda^2, whose rule is the lambda = 1 rule with nodes t and
+    weights q rescaled to nodes s t and weights s^{n+alpha} q, s = lambda/sqrt 2.
+    So Gram(lambda)_ij = s^{n+alpha+|i|+|j|} G_ij with G = sum q p(t) p(t)^T."""
+    rule = build_rule(weight, 1.0)
+    poly = _family_poly(rule.nodes, affine)
+    gram1 = (poly.T * rule.weights) @ poly
+    degree = np.array([0] + [1] * (poly.shape[1] - 1))
+    power = weight.dim + weight.degree + degree[:, None] + degree[None, :]
+    gram = (lams[:, None, None] / math.sqrt(2.0)) ** power * gram1
+
+    rate_g = 0.5 / (lams * lams)
+    dim = weight.dim
+
+    def projections(rg):
+        def integrand(pts):  # (K, N, n) stacked nodes
+            vals = f.value(pts.reshape(-1, dim)).reshape(pts.shape[:-1])
+            gauss = np.exp(-rg[:, None] * np.sum(pts ** 2, axis=-1))
+            return (vals * gauss)[..., None] * _family_poly(pts, affine)
+        return nu_integral(weight, integrand, f.decay.rate + rg)
+
+    chunk = max(NODE_BUDGET // len(rule.weights), 1)
+    b = np.concatenate([projections(rate_g[k:k + chunk])
+                        for k in range(0, len(lams), chunk)])
+    coef = np.linalg.solve(gram, b[..., None])[..., 0]
+    return np.maximum(norm_sq - np.sum(b * coef, axis=1), 0.0), coef
+
+
+def _brent(fn, lo: float, x: float, fx: float, hi: float,
+           tol: float = 1e-10) -> tuple[float, float, int]:
+    """Brent's minimization (Brent 1973, ch. 5) of fn on [lo, hi] from the
+    point x with value fx, to absolute tolerance tol in the argument: golden
+    steps, replaced by parabolic ones where those converge.  Returns the
+    argmin, its value and the number of evaluations of fn."""
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    evals = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        # the relative term keeps a step of tol1 from vanishing in x + tol1
+        tol1 = tol + 4.0 * EPS * abs(x)
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (hi - lo):
+            return x, fx, evals
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+                e, d = d, p / q
+                parabolic = True
+                if (x + d) - lo < 2.0 * tol1 or hi - (x + d) < 2.0 * tol1:
+                    d = tol1 if x < mid else -tol1
+        if not parabolic:
+            e = (hi if x < mid else lo) - x
+            d = GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fn(u)
+        evals += 1
+        if fu <= fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, c, yc = c, d, yd
-            h *= INV_PHI
-            d = lo + INV_PHI * h
-            yd = fn(d)
-    return (c, yc, steps) if yc < yd else (d, yd, steps)
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _distance(weight: Weight, f: ScalarField, family: str, norm_sq: float,
+              prescan_points: int = PRESCAN_POINTS,
+              bracket: tuple[float, float] = LOG_LAMBDA_BRACKET) -> DistanceResult:
+    """distance_to_family with ||f||^2_w = norm_sq already known."""
+    if family not in (FAMILY_GAUSSIAN, FAMILY_AFFINE_GAUSSIAN):
+        raise ContractError(f"unknown family {family!r}")
+    if not weight.is_homogeneous:
+        raise NotHomogeneousError(
+            "the optimizer families assume a homogeneous weight")
+    if norm_sq <= 0.0:
+        raise DegenerateInputError("zero field")
+    affine = family == FAMILY_AFFINE_GAUSSIAN
+
+    def objective(loglam: float) -> float:
+        return float(_objective(weight, f, np.array([math.exp(loglam)]),
+                                affine, norm_sq)[0][0])
+
+    grid = np.linspace(bracket[0], bracket[1], prescan_points)
+    vals = _objective(weight, f, np.exp(grid), affine, norm_sq)[0]
+    spread = float(np.max(vals) - np.min(vals))
+    if spread <= 1e-12 * (1.0 + norm_sq):
+        return DistanceResult(
+            distance=math.sqrt(norm_sq), family=family, c=0.0,
+            d=tuple(0.0 for _ in range(weight.dim)) if affine else None,
+            lam=None, degenerate=True, objective=norm_sq,
+            prescan_best=float(np.min(vals)), iterations=0)
+
+    best = int(np.argmin(vals))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, len(grid) - 1)]
+    loglam, _, evals = _brent(objective, float(lo), float(grid[best]),
+                              float(vals[best]), float(hi))
+    lam = math.exp(loglam)
+    objs, coefs = _objective(weight, f, np.array([lam]), affine, norm_sq)
+    obj, coef = float(objs[0]), coefs[0]
+    return DistanceResult(
+        distance=math.sqrt(obj), family=family, c=float(coef[0]),
+        d=tuple(float(v) for v in coef[1:]) if affine else None,
+        lam=lam, degenerate=False, objective=obj,
+        prescan_best=float(vals[best]), iterations=evals)
 
 
 def distance_to_family(weight: Weight, f: ScalarField,
@@ -99,37 +197,8 @@ def distance_to_family(weight: Weight, f: ScalarField,
     e.g. odd witnesses against the pure Gaussian family) short-circuits to
     distance = ||f|| with the argmin flagged degenerate.
     """
-    if family not in (FAMILY_GAUSSIAN, FAMILY_AFFINE_GAUSSIAN):
-        raise ContractError(f"unknown family {family!r}")
-    affine = family == FAMILY_AFFINE_GAUSSIAN
-    norm_sq = _nu_moments(weight, f).norm_sq
-    if norm_sq <= 0.0:
-        raise DegenerateInputError("zero field")
-
-    def objective(loglam: float) -> float:
-        return _objective(weight, f, math.exp(loglam), affine, norm_sq)[0]
-
-    grid = np.linspace(bracket[0], bracket[1], prescan_points)
-    vals = np.array([objective(g) for g in grid])
-    spread = float(np.max(vals) - np.min(vals))
-    if spread <= 1e-12 * (1.0 + norm_sq):
-        return DistanceResult(
-            distance=math.sqrt(norm_sq), family=family, c=0.0,
-            d=tuple(0.0 for _ in range(weight.dim)) if affine else None,
-            lam=None, degenerate=True, objective=norm_sq,
-            prescan_best=float(np.min(vals)), iterations=0)
-
-    best = int(np.argmin(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    loglam, obj, iters = _golden(objective, lo, hi)
-    lam = math.exp(loglam)
-    obj, coef = _objective(weight, f, lam, affine, norm_sq)
-    return DistanceResult(
-        distance=math.sqrt(max(obj, 0.0)), family=family, c=float(coef[0]),
-        d=tuple(float(v) for v in coef[1:]) if affine else None,
-        lam=lam, degenerate=False, objective=obj,
-        prescan_best=float(vals[best]), iterations=iters)
+    return _distance(weight, f, family, _nu_moments(weight, f).norm_sq,
+                     prescan_points, bracket)
 
 
 def brute_force_lambda_scan(weight: Weight, f: ScalarField,
@@ -164,7 +233,7 @@ def check_hup_stability(weight: Weight, f: ScalarField, improved: bool = False,
         raise NotHomogeneousError("HUP stability assumes a homogeneous weight")
     kw = weight.kw
     dres = hup_deficit(weight, f)
-    base = distance_to_family(weight, f, FAMILY_GAUSSIAN)
+    base = _distance(weight, f, FAMILY_GAUSSIAN, dres.norm_sq)
     d_sq = base.distance ** 2
     tol = tolerance if tolerance is not None else 1e-7 * (1.0 + abs(dres.delta))
     basic_deficit = dres.delta - (1.0 + kw) * d_sq
@@ -172,7 +241,7 @@ def check_hup_stability(weight: Weight, f: ScalarField, improved: bool = False,
     tilde_sq = None
     argmin = {"c": base.c, "lam": base.lam, "degenerate": base.degenerate}
     if improved:
-        tilde = distance_to_family(weight, f, FAMILY_AFFINE_GAUSSIAN)
+        tilde = _distance(weight, f, FAMILY_AFFINE_GAUSSIAN, dres.norm_sq)
         tilde_sq = tilde.distance ** 2
         improved_deficit = basic_deficit - 0.5 * (1.0 + kw) * tilde_sq
         argmin["affine"] = {"c": tilde.c, "d": tilde.d, "lam": tilde.lam,
@@ -188,5 +257,5 @@ def check_hup_stability(weight: Weight, f: ScalarField, improved: bool = False,
             "lambda_star": dres.lambda_star,
             "identity_residual": dres.identity_residual,
             "prescan_best": base.prescan_best,
-            "golden_iterations": base.iterations,
+            "refine_iterations": base.iterations,
         })

@@ -10,8 +10,10 @@ import pytest
 
 from gausscone.cones import Halfspace
 from gausscone.errors import (
+    ContractError,
     DecayContractError,
     IntegrationFailureError,
+    NotHomogeneousError,
     ParameterError,
     ResourceError,
 )
@@ -268,6 +270,33 @@ class TestIntegrate:
         scalars = [nu_integral(w, lambda x, k=k: components(x)[k], rate)
                    for k in range(4)]
         np.testing.assert_allclose(vec.ravel(), scalars, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("spec, cone", [
+        (Monomial((1.0, 2.0)), None),
+        (Radial(1.0), None),
+        (DunklProduct(((0.6, 0.8),), (0.5,)), Halfspace(2, (0.6, 0.8))),
+    ], ids=["tensor", "polar", "monte_carlo"])
+    def test_nu_integral_rate_batch_matches_scalar_calls(self, spec, cone):
+        # row k of a batch is the call with rate[k] alone, bit for bit
+        w = make_weight(spec, 2, cone=cone, certify=False)
+        rates = np.array([0.8, 2.5])
+
+        def components(x, rate):
+            r2 = np.sum(x ** 2, axis=-1)
+            polys = [np.ones_like(r2), x[..., 0] ** 2, 1.0 + x[..., 1] ** 2]
+            return np.stack([p * np.exp(-rate * r2) for p in polys], axis=-1)
+
+        batch = nu_integral(w, lambda x: components(x, rates[:, None]), rates)
+        assert batch.shape == (2, 3)
+        for row, rate in zip(batch, rates):
+            single = nu_integral(w, lambda x: components(x, rate), float(rate))
+            np.testing.assert_array_equal(row, single)
+
+    def test_nu_integral_rate_batch_needs_homogeneous_weight(self, w_tilt):
+        with pytest.raises(NotHomogeneousError):
+            nu_integral(w_tilt, lambda x: np.ones(x.shape[:-1]), np.array([0.5, 1.0]))
+        with pytest.raises(ContractError):
+            nu_integral(w_tilt, lambda x: np.ones(x.shape[:-1]), np.ones((2, 2)))
 
     def test_radial_polar_rule(self):
         w = make_weight(Radial(1.0), 2, certify=False)

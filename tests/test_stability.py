@@ -3,20 +3,26 @@
 Oracles: family members have zero distance by construction; the odd witness
 x_n e^{-|x|^2/2} under a partial weight is orthogonal to every pure Gaussian,
 so its squared distance is its norm, sqrt(pi)/4 (frozen from the 1-D
-integrals); the golden-section argmin is checked against the brute-force
-grid-scan oracle.
+integrals); the refined argmin is checked against the brute-force grid-scan
+oracle, the batched objective against one quadrature per integral and per
+lambda, and Brent's method against functions with known minimizers.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gausscone.errors import NotHomogeneousError
 from gausscone.fields import dilated, gaussian, hermite_witness, poly_gauss
+from gausscone.functionals import _nu_moments
+from gausscone.measures import nu_integral
 from gausscone.stability import (
     FAMILY_AFFINE_GAUSSIAN,
     FAMILY_GAUSSIAN,
+    NODE_BUDGET,
+    _brent,
     _objective,
     brute_force_lambda_scan,
     check_hup_stability,
@@ -77,15 +83,89 @@ class TestDistance:
                                                   rel=1e-6, abs=1e-9)
 
 
+def _per_lambda_objective(weight, f, lam, affine, norm_sq):
+    """The objective at one lambda with b and the Gram matrix each from their
+    own nu_integral call on its rate-matched rule."""
+    rate_g = 0.5 / (lam * lam)
+
+    def basis(pts):
+        ones = np.ones((len(pts), 1))
+        poly = np.hstack([ones, pts]) if affine else ones
+        return poly * np.exp(-rate_g * np.sum(pts ** 2, axis=1))[:, None]
+
+    b = nu_integral(weight, lambda x: f.value(x)[:, None] * basis(x),
+                    f.decay.rate + rate_g)
+    gram = nu_integral(weight, lambda x: basis(x)[:, :, None] * basis(x)[:, None, :],
+                       2.0 * rate_g)
+    coef = np.linalg.solve(gram, b)
+    return norm_sq - float(b @ coef), coef
+
+
 class TestObjective:
+    LAMS = (1e-2, 0.3, 1.0, 3.7, 1e2)
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("affine", [False, True])
-    def test_two_nu_integral_calls(self, dim, affine, nu_calls):
-        # b and the family Gram matrix, one vector call each
+    def test_batch_matches_per_lambda_quadrature(self, dim, affine):
+        # the Gram matrix by exact homogeneity and b from one stacked pass
+        # reproduce one quadrature per integral and per lambda
         w = make_weight(Monomial((1.0,) + (0.0,) * (dim - 1)), dim)
         f = poly_gauss(4, dim)
-        _objective(w, f, 1.3, affine, 1.0)
-        assert len(nu_calls) == 2
+        norm_sq = _nu_moments(w, f).norm_sq
+        objs, coefs = _objective(w, f, np.array(self.LAMS), affine, norm_sq)
+        assert objs.shape == (len(self.LAMS),)
+        assert coefs.shape == (len(self.LAMS), dim + 1 if affine else 1)
+        for lam, obj, coef in zip(self.LAMS, objs, coefs):
+            ref_obj, ref_coef = _per_lambda_objective(w, f, lam, affine, norm_sq)
+            assert obj == pytest.approx(ref_obj, rel=1e-13)
+            np.testing.assert_allclose(coef, ref_coef, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(ref_coef)))
+
+    def test_scan_respects_node_budget(self, w_abs):
+        f = poly_gauss(7, 2)
+        sizes = []
+
+        def value(x):
+            sizes.append(len(x))
+            return f.value(x)
+
+        brute_force_lambda_scan(w_abs, replace(f, value=value), num=2001)
+        # 32^2-node rules, four scales per pass
+        assert max(sizes) == NODE_BUDGET
+
+
+class TestBrent:
+    def test_smooth_non_quadratic(self):
+        # e^t - 2t is smallest at log 2
+        def fn(t):
+            return math.exp(t) - 2.0 * t
+
+        x, fx, evals = _brent(fn, -1.0, 2.0, fn(2.0), 3.0)
+        assert x == pytest.approx(math.log(2.0), abs=1e-7)
+        assert fx == fn(x)
+        # golden section makes 53 evaluations on this bracket
+        assert evals <= 30
+
+    @pytest.mark.parametrize("slope, start", [(1.0, 0.5), (-1.0, 0.5),
+                                              (-1.0, 1.0), (1.0, 0.0)])
+    def test_minimum_at_bracket_end(self, slope, start):
+        x, fx, _ = _brent(lambda t: slope * t, 0.0, start, slope * start, 1.0)
+        end = 0.0 if slope > 0 else 1.0
+        assert abs(x - end) <= 3e-10
+        assert fx == slope * x
+
+    def test_flat_function(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return 2.5
+
+        x, fx, evals = _brent(fn, -1.0, 0.0, 2.5, 1.0)
+        assert -1.0 <= x <= 1.0
+        assert fx == 2.5
+        assert evals == len(calls) <= 100
+        assert all(-1.0 <= t <= 1.0 for t in calls)
 
 
 class TestHupStability:
@@ -133,3 +213,5 @@ class TestHupStability:
     def test_non_homogeneous_rejected(self, w_tilt):
         with pytest.raises(NotHomogeneousError):
             check_hup_stability(w_tilt, gaussian(1.0, 1.0, 1))
+        with pytest.raises(NotHomogeneousError):
+            distance_to_family(w_tilt, gaussian(1.0, 1.0, 1))
