@@ -194,30 +194,36 @@ def poly_gauss(seed: int, dim: int, degree: int = 3,
     c = 1.0 / (tau * tau)
 
     def bump(pts):
-        return np.exp(-0.5 * c * np.sum(pts ** 2, axis=1))
+        # einsum forms |x|^2 without the (N, n) temporary of pts ** 2
+        return np.exp(-0.5 * c * np.einsum("ij,ij->i", pts, pts))
 
     def val(x):
         pts = _batch(x)
         return poly.value(pts) * bump(pts)
 
+    # p and its derivatives come axis-first from one table, one row per
+    # derivative; with e the bump, w = c x and s = e grad p - w p e / 2,
+    # hess(p e) = e hess p - (w s^T + s w^T) - c p e I
     def grad(x):
         pts = _batch(x)
-        e = bump(pts)
-        return (poly.grad(pts) - c * pts * poly.value(pts)[:, None]) * e[:, None]
+        d = poly.derivatives(pts, 1)
+        return ((d[1:] - c * pts.T * d[0]) * bump(pts)).T
 
     def hess(x):
         pts = _batch(x)
         n = pts.shape[1]
         e = bump(pts)
-        p = poly.value(pts)
-        gp = poly.grad(pts)
-        hp = poly.hess(pts)
-        outer_xg = pts[:, :, None] * gp[:, None, :]
-        outer_xx = pts[:, :, None] * pts[:, None, :]
-        h = (hp - c * (outer_xg + np.swapaxes(outer_xg, 1, 2))
-             - c * np.eye(n)[None, :, :] * p[:, None, None]
-             + c * c * outer_xx * p[:, None, None])
-        return h * e[:, None, None]
+        d = poly.derivatives(pts, 2)
+        pe = d[0] * e
+        w = c * pts.T
+        s = d[1:1 + n] * e - 0.5 * w * pe
+        h = d[1 + n:].reshape(n, n, -1)
+        h *= e
+        t = w[:, None] * s[None, :]
+        h -= t + np.swapaxes(t, 0, 1)
+        diag = np.arange(n)
+        h[diag, diag] -= c * pe
+        return h.transpose(2, 0, 1)
 
     return ScalarField(
         name=f"poly_gauss(seed={seed})", dim=dim,

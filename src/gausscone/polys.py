@@ -5,6 +5,16 @@ its exponent table from here and evaluates tensor products of orthonormal
 polynomials from their recurrences instead of monomials.  Exponent tables are
 integer arrays of shape (n_terms, dim); evaluation is vectorized over point
 batches.
+
+A `PolyND` evaluates its value, gradient and Hessian from one monomial table.
+At construction it lays out every monomial of total degree <= its degree
+(a table closed under differentiation) and writes p, each d_a p and each
+d_a d_b p as coefficient rows on that table, stacked into one matrix of
+shape (1 + n + n^2, T).  Each monomial but the constant extends a parent of
+one degree less by one axis, so a call fills the (T, N) table with one
+multiply per monomial and multiplies it by the leading 1, 1 + n or
+1 + n + n^2 rows.  A field that needs p with its gradient, or with its
+gradient and Hessian, takes them all from one `derivatives` call.
 """
 
 from __future__ import annotations
@@ -34,36 +44,6 @@ def exponent_table(dim: int, max_degree: int,
     return np.array(idx, dtype=np.int64)
 
 
-def monomial_values(points: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """Matrix of monomial values, shape (n_points, n_terms)."""
-    pts = np.asarray(points, dtype=float)
-    out = np.ones((pts.shape[0], expo.shape[0]))
-    for ax in range(pts.shape[1]):
-        emax = int(expo[:, ax].max()) if expo.shape[0] else 0
-        if emax == 0:
-            continue
-        # cumulative powers of the axis coordinate, reused across terms
-        powers = np.empty((pts.shape[0], emax + 1))
-        powers[:, 0] = 1.0
-        for e in range(1, emax + 1):
-            powers[:, e] = powers[:, e - 1] * pts[:, ax]
-        out *= powers[:, expo[:, ax]]
-    return out
-
-
-def monomial_axis_derivative(points: np.ndarray, expo: np.ndarray, axis: int,
-                             order: int = 1) -> np.ndarray:
-    """Values of d^order/dx_axis^order applied to each monomial."""
-    expo = np.asarray(expo)
-    coeff = np.ones(expo.shape[0])
-    shifted = expo.copy()
-    for _ in range(order):
-        coeff = coeff * shifted[:, axis]
-        shifted[:, axis] = np.maximum(shifted[:, axis] - 1, 0)
-    vals = monomial_values(points, shifted)
-    return vals * coeff[None, :]
-
-
 class PolyND:
     """Polynomial sum_k coeffs[k] * x^expo[k], with analytic grad and hessian."""
 
@@ -72,33 +52,59 @@ class PolyND:
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.expo.shape[0] != self.coeffs.shape[0]:
             raise ValueError("exponent/coefficient length mismatch")
-        self.dim = self.expo.shape[1]
+        self.dim = n = self.expo.shape[1]
+        degree = int(self.expo.sum(axis=1).max()) if len(self.expo) else 0
+        table = exponent_table(n, degree)
+        index = {tuple(e): k for k, e in enumerate(table.tolist())}
+        # monomial k = monomial parent[k] times x_axis[k]; the parent has one
+        # degree less, so it precedes k in the degree-sorted table
+        self._axis = np.zeros(len(table), dtype=np.int64)
+        self._parent = np.zeros(len(table), dtype=np.int64)
+        for k, e in enumerate(table.tolist()[1:], start=1):
+            ax = next(a for a, ea in enumerate(e) if ea)
+            e[ax] -= 1
+            self._axis[k], self._parent[k] = ax, index[tuple(e)]
+        self._rows = np.zeros((1 + n + n * n, len(table)))
+        for e, c in zip(self.expo.tolist(), self.coeffs.tolist()):
+            self._rows[0, index[tuple(e)]] += c
+            for a in range(n):
+                if not e[a]:
+                    continue
+                da = list(e)
+                da[a] -= 1
+                self._rows[1 + a, index[tuple(da)]] += e[a] * c
+                for b in range(n):
+                    if not da[b]:
+                        continue
+                    dab = list(da)
+                    dab[b] -= 1
+                    # integer factor first: the (a, b) and (b, a) rows agree
+                    # bit for bit
+                    self._rows[1 + n + a * n + b, index[tuple(dab)]] += (
+                        e[a] * da[b]) * c
+
+    def _table(self, points: np.ndarray) -> np.ndarray:
+        """Monomial values on the full table, shape (T, N)."""
+        coords = np.asarray(points, dtype=float).T
+        out = np.empty((len(self._axis), coords.shape[1]))
+        out[0] = 1.0
+        for k in range(1, len(out)):
+            np.multiply(out[self._parent[k]], coords[self._axis[k]], out=out[k])
+        return out
+
+    def derivatives(self, points: np.ndarray, order: int) -> np.ndarray:
+        """Rows p, then d_a p (order >= 1), then d_a d_b p at row
+        1 + n + a n + b (order 2), evaluated at the (N, n) points: shape
+        (1, N), (1 + n, N) or (1 + n + n^2, N)."""
+        m = (1, 1 + self.dim, 1 + self.dim + self.dim ** 2)[order]
+        return self._rows[:m] @ self._table(points)
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        return monomial_values(points, self.expo) @ self.coeffs
+        return self.derivatives(points, 0)[0]
 
     def grad(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        out = np.empty((pts.shape[0], self.dim))
-        for ax in range(self.dim):
-            out[:, ax] = monomial_axis_derivative(pts, self.expo, ax) @ self.coeffs
-        return out
+        return self.derivatives(points, 1)[1:].T
 
     def hess(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
         n = self.dim
-        out = np.empty((pts.shape[0], n, n))
-        for i in range(n):
-            out[:, i, i] = (monomial_axis_derivative(pts, self.expo, i, order=2)
-                            @ self.coeffs)
-            for j in range(i + 1, n):
-                di = self.expo.copy()
-                ci = self.coeffs * di[:, i]
-                di[:, i] = np.maximum(di[:, i] - 1, 0)
-                mixed = monomial_axis_derivative(pts, di, j) @ ci
-                out[:, i, j] = out[:, j, i] = mixed
-        return out
-
-    def degree(self) -> int:
-        live = np.abs(self.coeffs) > 0
-        return int(self.expo[live].sum(axis=1).max()) if live.any() else 0
+        return self.derivatives(points, 2)[1 + n:].reshape(n, n, -1).transpose(2, 0, 1)

@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ResourceError
 
@@ -123,7 +122,8 @@ def orthonormal_polys(alpha: np.ndarray, beta: np.ndarray, t: np.ndarray,
 
 
 def _golub_welsch(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nodes = eigh_tridiagonal(alpha, np.sqrt(beta[1:]), eigvals_only=True)
+    off = np.sqrt(beta[1:])
+    nodes = np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
     # Christoffel numbers: beta_0 is the mass, p_j are orthonormal for the
     # measure divided by it
     p = orthonormal_polys(alpha, beta, nodes, len(alpha) - 1)[0]

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     ContractError,
@@ -122,7 +121,7 @@ class GalerkinSystem:
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
-            vals, vecs = eigh(self.stiffness)
+            vals, vecs = np.linalg.eigh(self.stiffness)
             vals = np.maximum(vals, 0.0)
             self._eig = (vals, vecs)
         return self._eig
@@ -211,7 +210,7 @@ def spectral_gap(system: GalerkinSystem) -> SpectralResult:
     gap = float(vals[1])
     degrees = system.expo.sum(axis=1)
     m = int(np.count_nonzero(degrees <= system.max_degree - CONVERGENCE_STEP))
-    gap_lower = max(float(eigh(system.stiffness[:m, :m])[0][1]), 0.0)
+    gap_lower = max(float(np.linalg.eigvalsh(system.stiffness[:m, :m])[1]), 0.0)
     delta = abs(gap - gap_lower)
     return SpectralResult(
         eigenvalues=vals, gap=gap, eigenvectors=vecs,
