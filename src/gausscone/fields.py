@@ -1,12 +1,20 @@
 """Test fields: the operational stand-in for smooth functions with Neumann
 boundary behavior on the cone.
 
-Each field carries exact analytic value/gradient/hessian evaluators
-(vectorized over (N, n) point batches), a decay envelope used by the
-unnormalized-measure integration contract, and parity tags.  Parity tags are
-what admit a field into orthant-cone checks (even in every constrained axis
-means the normal derivative vanishes identically) and what lets odd integrals
-short-circuit to exact zero in the sharpness computations.
+Each field carries one exact analytic derivative callable, its jet:
+`jet(pts, order)` takes an (N, n) point batch and order 0, 1 or 2 and
+returns (value,), (value, grad) or (value, grad, hess) with shapes (N,),
+(N, n) and (N, n, n).  A jet shares its work across orders (a Gaussian bump,
+an exponential, a monomial table), and a lower order is a prefix of a higher
+one bit for bit: jet(pts, 2)[:k + 1] equals jet(pts, k).  The `value`,
+`grad` and `hess` methods and calling the field index one jet; they also
+accept a single point of shape (n,), which they treat as a batch of one.
+
+A field also carries a decay envelope used by the unnormalized-measure
+integration contract, and parity tags.  Parity tags are what admit a field
+into orthant-cone checks (even in every constrained axis means the normal
+derivative vanishes identically) and what lets odd integrals short-circuit
+to exact zero in the sharpness computations.
 """
 
 from __future__ import annotations
@@ -44,16 +52,22 @@ NO_DECAY = Decay()
 class ScalarField:
     name: str
     dim: int
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray, int], tuple[np.ndarray, ...]]
     decay: Decay = NO_DECAY
     even_axes: frozenset[int] = field(default_factory=frozenset)
     odd_axes: frozenset[int] = field(default_factory=frozenset)
     radial: bool = False
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.value(pts)
+    def value(self, pts) -> np.ndarray:
+        return self.jet(_batch(pts), 0)[0]
+
+    def grad(self, pts) -> np.ndarray:
+        return self.jet(_batch(pts), 1)[1]
+
+    def hess(self, pts) -> np.ndarray:
+        return self.jet(_batch(pts), 2)[2]
+
+    __call__ = value
 
     def with_name(self, name: str) -> "ScalarField":
         return replace(self, name=name)
@@ -69,12 +83,14 @@ def _batch(pts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def constant(c: float, dim: int) -> ScalarField:
+    def jet(x, order):
+        # the zero derivatives are never written, so they take no memory
+        n = len(x)
+        return (np.full(n, float(c)), np.zeros((n, dim)),
+                np.zeros((n, dim, dim)))[:order + 1]
+
     return ScalarField(
-        name=f"constant({c})", dim=dim,
-        value=lambda x: np.full(len(_batch(x)), float(c)),
-        grad=lambda x: np.zeros((len(_batch(x)), dim)),
-        hess=lambda x: np.zeros((len(_batch(x)), dim, dim)),
-        decay=Decay("polynomial"),
+        name=f"constant({c})", dim=dim, jet=jet, decay=Decay("polynomial"),
         even_axes=frozenset(range(dim)), radial=True)
 
 
@@ -87,65 +103,56 @@ def affine(a, b: float, dim: int | None = None) -> ScalarField:
     odd = frozenset()
     if b == 0.0 and np.count_nonzero(a) == 1:
         odd = frozenset({int(np.nonzero(a)[0][0])})
+
+    def jet(x, order):
+        out = (x @ a + b,)
+        if order >= 1:
+            out += (np.tile(a, (len(x), 1)),)
+        if order == 2:
+            out += (np.zeros((len(x), dim, dim)),)
+        return out
+
     return ScalarField(
-        name=f"affine({a.tolist()},{b})", dim=dim,
-        value=lambda x: _batch(x) @ a + b,
-        grad=lambda x: np.tile(a, (len(_batch(x)), 1)),
-        hess=lambda x: np.zeros((len(_batch(x)), dim, dim)),
-        decay=Decay("polynomial"),
-        even_axes=even, odd_axes=odd)
+        name=f"affine({a.tolist()},{b})", dim=dim, jet=jet,
+        decay=Decay("polynomial"), even_axes=even, odd_axes=odd)
 
 
 def exp_axis(b: float, axis: int, dim: int) -> ScalarField:
-    def val(x):
-        return np.exp(b * _batch(x)[:, axis])
-
-    def grad(x):
-        pts = _batch(x)
-        out = np.zeros((len(pts), dim))
-        out[:, axis] = b * np.exp(b * pts[:, axis])
-        return out
-
-    def hess(x):
-        pts = _batch(x)
-        out = np.zeros((len(pts), dim, dim))
-        out[:, axis, axis] = b * b * np.exp(b * pts[:, axis])
+    def jet(x, order):
+        e = np.exp(b * x[:, axis])
+        out = (e, np.zeros((len(x), dim)),
+               np.zeros((len(x), dim, dim)))[:order + 1]
+        if order >= 1:
+            out[1][:, axis] = b * e
+        if order == 2:
+            out[2][:, axis, axis] = b * b * e
         return out
 
     return ScalarField(
-        name=f"exp_axis(b={b},axis={axis})", dim=dim,
-        value=val, grad=grad, hess=hess, decay=NO_DECAY,
+        name=f"exp_axis(b={b},axis={axis})", dim=dim, jet=jet, decay=NO_DECAY,
         even_axes=frozenset(i for i in range(dim) if i != axis))
 
 
 def hermite_witness(axis: int, dim: int) -> ScalarField:
     """f(x) = x_k exp(-|x|^2/2), the sharpness witness of the HUP stability."""
 
-    def val(x):
-        pts = _batch(x)
-        return pts[:, axis] * np.exp(-0.5 * np.sum(pts ** 2, axis=1))
-
-    def grad(x):
-        pts = _batch(x)
-        g = np.exp(-0.5 * np.sum(pts ** 2, axis=1))
-        out = -pts * (pts[:, axis] * g)[:, None]
-        out[:, axis] += g
-        return out
-
-    def hess(x):
-        pts = _batch(x)
-        n = pts.shape[1]
-        g = np.exp(-0.5 * np.sum(pts ** 2, axis=1))
-        xk = pts[:, axis]
-        out = (pts[:, :, None] * pts[:, None, :]) * (xk * g)[:, None, None]
-        out -= np.eye(n)[None, :, :] * (xk * g)[:, None, None]
-        out[:, axis, :] -= pts * g[:, None]
-        out[:, :, axis] -= pts * g[:, None]
-        return out
+    def jet(x, order):
+        g = np.exp(-0.5 * np.sum(x ** 2, axis=1))
+        xkg = x[:, axis] * g
+        if order == 0:
+            return (xkg,)
+        grad = -x * xkg[:, None]
+        grad[:, axis] += g
+        if order == 1:
+            return xkg, grad
+        hess = (x[:, :, None] * x[:, None, :]) * xkg[:, None, None]
+        hess -= np.eye(dim)[None, :, :] * xkg[:, None, None]
+        hess[:, axis, :] -= x * g[:, None]
+        hess[:, :, axis] -= x * g[:, None]
+        return xkg, grad, hess
 
     return ScalarField(
-        name=f"hermite_witness(axis={axis})", dim=dim,
-        value=val, grad=grad, hess=hess,
+        name=f"hermite_witness(axis={axis})", dim=dim, jet=jet,
         decay=Decay("gaussian", rate=0.5, exact=True),
         even_axes=frozenset(i for i in range(dim) if i != axis),
         odd_axes=frozenset({axis}))
@@ -155,24 +162,22 @@ def gaussian(amplitude: float, lam: float, dim: int) -> ScalarField:
     """f(x) = A exp(-|x|^2 / (2 lam^2)); member of the HUP optimizer family."""
     c = 1.0 / (lam * lam)
 
-    def val(x):
-        pts = _batch(x)
-        return amplitude * np.exp(-0.5 * c * np.sum(pts ** 2, axis=1))
-
-    def grad(x):
-        pts = _batch(x)
-        return -c * pts * val(pts)[:, None]
-
-    def hess(x):
-        pts = _batch(x)
-        n = pts.shape[1]
-        f = val(pts)
-        outer = pts[:, :, None] * pts[:, None, :]
-        return (c * c * outer - c * np.eye(n)[None, :, :]) * f[:, None, None]
+    def jet(x, order):
+        f = amplitude * np.exp(-0.5 * c * np.sum(x ** 2, axis=1))
+        if order == 0:
+            return (f,)
+        grad = -c * x * f[:, None]
+        if order == 1:
+            return f, grad
+        # (c^2 x x^T - c I) f, formed in place
+        hess = x[:, :, None] * x[:, None, :]
+        hess *= c * c
+        hess -= c * np.eye(dim)
+        hess *= f[:, None, None]
+        return f, grad, hess
 
     return ScalarField(
-        name=f"gaussian(A={amplitude},lam={lam})", dim=dim,
-        value=val, grad=grad, hess=hess,
+        name=f"gaussian(A={amplitude},lam={lam})", dim=dim, jet=jet,
         decay=Decay("gaussian", rate=0.5 * c, exact=True),
         even_axes=frozenset(range(dim)), radial=True)
 
@@ -193,41 +198,31 @@ def poly_gauss(seed: int, dim: int, degree: int = 3,
     poly = PolyND(expo, coeffs)
     c = 1.0 / (tau * tau)
 
-    def bump(pts):
-        # einsum forms |x|^2 without the (N, n) temporary of pts ** 2
-        return np.exp(-0.5 * c * np.einsum("ij,ij->i", pts, pts))
-
-    def val(x):
-        pts = _batch(x)
-        return poly.value(pts) * bump(pts)
-
     # p and its derivatives come axis-first from one table, one row per
     # derivative; with e the bump, w = c x and s = e grad p - w p e / 2,
     # hess(p e) = e hess p - (w s^T + s w^T) - c p e I
-    def grad(x):
-        pts = _batch(x)
-        d = poly.derivatives(pts, 1)
-        return ((d[1:] - c * pts.T * d[0]) * bump(pts)).T
-
-    def hess(x):
-        pts = _batch(x)
-        n = pts.shape[1]
-        e = bump(pts)
-        d = poly.derivatives(pts, 2)
+    def jet(x, order):
+        # einsum forms |x|^2 without the (N, n) temporary of x ** 2
+        e = np.exp(-0.5 * c * np.einsum("ij,ij->i", x, x))
+        d = poly.derivatives(x, order)
         pe = d[0] * e
-        w = c * pts.T
-        s = d[1:1 + n] * e - 0.5 * w * pe
-        h = d[1 + n:].reshape(n, n, -1)
+        if order == 0:
+            return (pe,)
+        w = c * x.T
+        grad = ((d[1:1 + dim] - w * d[0]) * e).T
+        if order == 1:
+            return pe, grad
+        s = d[1:1 + dim] * e - 0.5 * w * pe
+        h = d[1 + dim:].reshape(dim, dim, -1)
         h *= e
         t = w[:, None] * s[None, :]
         h -= t + np.swapaxes(t, 0, 1)
-        diag = np.arange(n)
+        diag = np.arange(dim)
         h[diag, diag] -= c * pe
-        return h.transpose(2, 0, 1)
+        return pe, grad, h.transpose(2, 0, 1)
 
     return ScalarField(
-        name=f"poly_gauss(seed={seed})", dim=dim,
-        value=val, grad=grad, hess=hess,
+        name=f"poly_gauss(seed={seed})", dim=dim, jet=jet,
         decay=Decay("gaussian", rate=0.5 * c, exact=True),
         even_axes=frozenset(even_axes))
 
@@ -239,20 +234,19 @@ def poly_gauss(seed: int, dim: int, degree: int = 3,
 def scaled(f: ScalarField, c: float) -> ScalarField:
     return ScalarField(
         name=f"{c}*{f.name}", dim=f.dim,
-        value=lambda x: c * f.value(x),
-        grad=lambda x: c * f.grad(x),
-        hess=lambda x: c * f.hess(x),
+        jet=lambda x, order: tuple(c * d for d in f.jet(x, order)),
         decay=f.decay, even_axes=f.even_axes,
         odd_axes=f.odd_axes if c != 0 else frozenset(), radial=f.radial)
 
 
 def shifted(f: ScalarField, c: float) -> ScalarField:
-    dim = f.dim
-    decay = Decay("polynomial") if c != 0 else f.decay
+    def jet(x, order):
+        value, *derivs = f.jet(x, order)
+        return (value + c, *derivs)
+
     return ScalarField(
-        name=f"{f.name}+{c}", dim=dim,
-        value=lambda x: f.value(x) + c,
-        grad=f.grad, hess=f.hess, decay=decay,
+        name=f"{f.name}+{c}", dim=f.dim, jet=jet,
+        decay=Decay("polynomial") if c != 0 else f.decay,
         even_axes=f.even_axes,
         odd_axes=f.odd_axes if c == 0 else frozenset(), radial=f.radial)
 
@@ -264,22 +258,26 @@ def added(f: ScalarField, g: ScalarField) -> ScalarField:
         kind = "polynomial"
     return ScalarField(
         name=f"({f.name})+({g.name})", dim=f.dim,
-        value=lambda x: f.value(x) + g.value(x),
-        grad=lambda x: f.grad(x) + g.grad(x),
-        hess=lambda x: f.hess(x) + g.hess(x),
+        jet=lambda x, order: tuple(
+            a + b for a, b in zip(f.jet(x, order), g.jet(x, order))),
         decay=Decay(kind, rate, exact=False),
         even_axes=f.even_axes & g.even_axes,
         odd_axes=f.odd_axes & g.odd_axes)
 
 
-def product(f: ScalarField, g: ScalarField) -> ScalarField:
-    def hess(x):
-        pts = _batch(x)
-        fg = f.grad(pts)[:, :, None] * g.grad(pts)[:, None, :]
-        return (f.hess(pts) * g.value(pts)[:, None, None]
-                + g.hess(pts) * f.value(pts)[:, None, None]
-                + fg + np.swapaxes(fg, 1, 2))
+def _leibniz(fj: tuple, gj: tuple) -> tuple:
+    """Jet of the product from the factors' jets of the same order."""
+    out = [fj[0] * gj[0]]
+    if len(fj) > 1:
+        out.append(fj[1] * gj[0][:, None] + gj[1] * fj[0][:, None])
+    if len(fj) > 2:
+        fg = fj[1][:, :, None] * gj[1][:, None, :]
+        out.append(fj[2] * gj[0][:, None, None] + gj[2] * fj[0][:, None, None]
+                   + fg + np.swapaxes(fg, 1, 2))
+    return tuple(out)
 
+
+def product(f: ScalarField, g: ScalarField) -> ScalarField:
     rate = f.decay.rate + g.decay.rate
     kind = "gaussian" if rate > 0 else (
         "polynomial" if "none" not in (f.decay.kind, g.decay.kind) else "none")
@@ -287,17 +285,18 @@ def product(f: ScalarField, g: ScalarField) -> ScalarField:
     odd = (f.odd_axes & g.even_axes) | (f.even_axes & g.odd_axes)
     return ScalarField(
         name=f"({f.name})*({g.name})", dim=f.dim,
-        value=lambda x: f.value(x) * g.value(x),
-        grad=lambda x: f.grad(x) * g.value(x)[:, None] + g.grad(x) * f.value(x)[:, None],
-        hess=hess,
+        jet=lambda x, order: _leibniz(f.jet(x, order), g.jet(x, order)),
         decay=Decay(kind, rate, exact=f.decay.exact and g.decay.exact),
         even_axes=even, odd_axes=odd,
         radial=f.radial and g.radial)
 
 
 def squared(f: ScalarField) -> ScalarField:
-    sq = product(f, f)
-    return sq.with_name(f"({f.name})^2")
+    def jet(x, order):
+        fj = f.jet(x, order)
+        return _leibniz(fj, fj)
+
+    return replace(product(f, f), name=f"({f.name})^2", jet=jet)
 
 
 def one_plus(eps: float, u: ScalarField) -> ScalarField:
@@ -306,43 +305,31 @@ def one_plus(eps: float, u: ScalarField) -> ScalarField:
     return g.with_name(f"1+{eps}*{u.name}")
 
 
-def dilated(f: ScalarField, s: float) -> ScalarField:
-    """x -> f(x/s)."""
-    inv = 1.0 / s
-
-    def val(x):
-        return f.value(_batch(x) * inv)
-
-    def grad(x):
-        return inv * f.grad(_batch(x) * inv)
-
-    def hess(x):
-        return inv * inv * f.hess(_batch(x) * inv)
+def _rescaled(f: ScalarField, name: str, s: float, amp: float) -> ScalarField:
+    """x -> amp f(s x); the k-th derivative carries the factor amp s^k."""
+    def jet(x, order):
+        out = []
+        factor = amp
+        for d in f.jet(x * s, order):
+            out.append(factor * d)
+            factor *= s
+        return tuple(out)
 
     return ScalarField(
-        name=f"{f.name}(x/{s})", dim=f.dim, value=val, grad=grad, hess=hess,
-        decay=Decay(f.decay.kind, f.decay.rate * inv * inv, f.decay.exact),
+        name=name, dim=f.dim, jet=jet,
+        decay=Decay(f.decay.kind, f.decay.rate * s * s, f.decay.exact),
         even_axes=f.even_axes, odd_axes=f.odd_axes, radial=f.radial)
+
+
+def dilated(f: ScalarField, s: float) -> ScalarField:
+    """x -> f(x/s)."""
+    return _rescaled(f, f"{f.name}(x/{s})", 1.0 / s, 1.0)
 
 
 def mass_dilated(f: ScalarField, lam: float, n_plus_alpha: float) -> ScalarField:
     """f_lam(x) = lam^((n+alpha)/2) f(lam x); preserves the weighted L2 norm."""
-    amp = lam ** (0.5 * n_plus_alpha)
-
-    def val(x):
-        return amp * f.value(_batch(x) * lam)
-
-    def grad(x):
-        return amp * lam * f.grad(_batch(x) * lam)
-
-    def hess(x):
-        return amp * lam * lam * f.hess(_batch(x) * lam)
-
-    return ScalarField(
-        name=f"mass_dilated({f.name},{lam})", dim=f.dim,
-        value=val, grad=grad, hess=hess,
-        decay=Decay(f.decay.kind, f.decay.rate * lam * lam, f.decay.exact),
-        even_axes=f.even_axes, odd_axes=f.odd_axes, radial=f.radial)
+    return _rescaled(f, f"mass_dilated({f.name},{lam})", lam,
+                     lam ** (0.5 * n_plus_alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -105,13 +105,12 @@ class NuMoments(NamedTuple):
 
 
 def _nu_moments(weight: Weight, f: ScalarField) -> NuMoments:
-    """All NuMoments of f from one rate-matched pass, with f and grad f each
-    evaluated once at the nodes."""
+    """All NuMoments of f from one rate-matched pass and one jet of f at the
+    nodes."""
     rate = _gauss_rate(f)
 
     def integrand(pts):
-        vals = f.value(pts)
-        grad = f.grad(pts)
+        vals, grad = f.jet(pts, 1)
         sq = vals ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             sq_log_sq = np.where(sq > 0, sq * np.log(sq), 0.0)

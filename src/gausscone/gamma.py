@@ -53,8 +53,8 @@ def generator(weight: Weight, pts: np.ndarray, grad: np.ndarray,
 def apply_generator(weight: Weight, f: ScalarField, x) -> float | np.ndarray:
     """L_w f at x (singularity errors from grad(log w) propagate)."""
     pts, single = _pts(x, weight.dim)
-    lap = np.trace(f.hess(pts), axis1=1, axis2=2)
-    out = generator(weight, pts, f.grad(pts), lap)
+    _, grad, hess = f.jet(pts, 2)
+    out = generator(weight, pts, grad, np.trace(hess, axis1=1, axis2=2))
     return float(out[0]) if single else out
 
 
@@ -64,13 +64,15 @@ def carre_du_champ(f: ScalarField, g: ScalarField, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
+def _gamma2(weight: Weight, pts: np.ndarray, grad: np.ndarray,
+            hess: np.ndarray) -> np.ndarray:
+    quad = np.einsum("Nij,Ni,Nj->N", weight.hess_log(pts), grad, grad)
+    return np.sum(hess ** 2, axis=(1, 2)) + np.sum(grad ** 2, axis=1) - quad
+
+
 def gamma2(weight: Weight, f: ScalarField, x) -> float | np.ndarray:
     pts, single = _pts(x, weight.dim)
-    hess = f.hess(pts)
-    grad = f.grad(pts)
-    frob = np.sum(hess ** 2, axis=(1, 2))
-    quad = np.einsum("Nij,Ni,Nj->N", weight.hess_log(pts), grad, grad)
-    out = frob + np.sum(grad ** 2, axis=1) - quad
+    out = _gamma2(weight, pts, *f.jet(pts, 2)[1:])
     return float(out[0]) if single else out
 
 
@@ -86,9 +88,10 @@ def cd_margin(weight: Weight, f: ScalarField, sample: np.ndarray | None = None,
     if sample is None:
         rng = np.random.default_rng(seed)
         sample = weight.cone.sample_interior(rng, num_points, radius=radius)
-    g2 = gamma2(weight, f, sample)
-    g = carre_du_champ(f, f, sample)
-    return float(np.min(g2 - (1.0 + kw) * g))
+    pts, _ = _pts(sample, weight.dim)
+    _, grad, hess = f.jet(pts, 2)
+    g2 = _gamma2(weight, pts, grad, hess)
+    return float(np.min(g2 - (1.0 + kw) * np.sum(grad ** 2, axis=1)))
 
 
 def bochner_residual(weight: Weight, f: ScalarField, x,
@@ -103,34 +106,25 @@ def bochner_residual(weight: Weight, f: ScalarField, x,
         h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
     dim = weight.dim
 
-    def gamma_ff(pts):
-        return np.sum(f.grad(pts) ** 2, axis=1)
+    # one jet on the stencil x, x + h e_a, x - h e_a gives Gamma(f,f) and
+    # L_w f at every node and Gamma_2(f) at x
+    eye = h * np.eye(dim)
+    pts = x + np.vstack([np.zeros(dim), eye, -eye])
+    _, grad, hess = f.jet(pts, 2)
+    gam = np.sum(grad ** 2, axis=1)
+    lf = generator(weight, pts, grad, np.trace(hess, axis1=1, axis2=2))
+    up, dn = slice(1, 1 + dim), slice(1 + dim, None)
 
     # centered-difference Laplacian and gradient of Gamma(f,f)
-    center = gamma_ff(x[None, :])[0]
-    lap = 0.0
-    grad = np.zeros(dim)
-    for ax in range(dim):
-        step = np.zeros(dim)
-        step[ax] = h
-        up = gamma_ff((x + step)[None, :])[0]
-        dn = gamma_ff((x - step)[None, :])[0]
-        lap += (up - 2.0 * center + dn) / h ** 2
-        grad[ax] = (up - dn) / (2.0 * h)
-    l_gamma = float(generator(weight, x[None, :], grad[None, :],
+    lap = float(np.sum((gam[up] - 2.0 * gam[0] + gam[dn]) / h ** 2))
+    grad_gam = (gam[up] - gam[dn]) / (2.0 * h)
+    l_gamma = float(generator(weight, pts[:1], grad_gam[None, :],
                               np.array([lap]))[0])
 
     # Gamma(f, L_w f) via centered differences of L_w f
-    grad_lf = np.zeros(dim)
-    for ax in range(dim):
-        step = np.zeros(dim)
-        step[ax] = h
-        up = apply_generator(weight, f, x + step)
-        dn = apply_generator(weight, f, x - step)
-        grad_lf[ax] = (up - dn) / (2.0 * h)
-    gamma_f_lf = float(f.grad(x[None, :])[0] @ grad_lf)
-
-    return abs(0.5 * l_gamma - gamma_f_lf - gamma2(weight, f, x))
+    gamma_f_lf = float(grad[0] @ ((lf[up] - lf[dn]) / (2.0 * h)))
+    g2 = float(_gamma2(weight, pts[:1], grad[:1], hess[:1])[0])
+    return abs(0.5 * l_gamma - gamma_f_lf - g2)
 
 
 def neumann_residual(f: ScalarField, cone: Cone,
@@ -178,14 +172,19 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
     rate = f.decay.rate + g.decay.rate + damp
 
     def integrand(pts):
-        # the (N, n, n) Hessian is evaluated before anything else is held and
-        # both sides fill one array, so on a large Monte Carlo rule the peak
-        # memory is that of the Hessian evaluation
+        # f's jet is taken before anything else is held and only its
+        # gradient and Laplacian are kept, g's jet only once L_w f is formed,
+        # and both sides fill one array, so on a large Monte Carlo rule the
+        # peak memory is that of f's jet
         sides = np.empty((len(pts), 2))
-        lap = np.trace(f.hess(pts), axis1=1, axis2=2)
-        grad = f.grad(pts)
-        sides[:, 0] = generator(weight, pts, grad, lap, lam) * g.value(pts)
-        sides[:, 1] = -np.sum(grad * g.grad(pts), axis=1)
+        grad, hess = f.jet(pts, 2)[1:]
+        lap = np.trace(hess, axis1=1, axis2=2)
+        del hess
+        sides[:, 0] = generator(weight, pts, grad, lap, lam)
+        del lap
+        g_value, g_grad = g.jet(pts, 1)
+        sides[:, 0] *= g_value
+        sides[:, 1] = -np.sum(grad * g_grad, axis=1)
         sides *= np.exp(-damp * np.sum(pts ** 2, axis=1))[:, None]
         return sides
 

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cones import Cone, FullSpace
+from .cones import Cone, FullSpace, Halfspace
 from .errors import (
     ContractError,
     DecayContractError,
@@ -179,7 +179,6 @@ def _fold_to_cone(cone: Cone, z: np.ndarray) -> tuple[np.ndarray, float]:
                 x[:, i] = -np.abs(x[:, i])
                 mult *= 2.0
         return x, mult
-    from .cones import Halfspace
     if isinstance(cone, Halfspace):
         nu = np.asarray(cone.normal)
         dots = z @ nu
@@ -341,8 +340,7 @@ def make_measure(weight: Weight, scale: float | None = 1.0,
 
 
 def _values_on(f, pts: np.ndarray) -> np.ndarray:
-    vals = f.value(pts) if isinstance(f, ScalarField) else f(pts)
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(f(pts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("integrand is not finite at a quadrature node")
     return vals

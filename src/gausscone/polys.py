@@ -12,9 +12,10 @@ At construction it lays out every monomial of total degree <= its degree
 d_a d_b p as coefficient rows on that table, stacked into one matrix of
 shape (1 + n + n^2, T).  Each monomial but the constant extends a parent of
 one degree less by one axis, so a call fills the (T, N) table with one
-multiply per monomial and multiplies it by the leading 1, 1 + n or
-1 + n + n^2 rows.  A field that needs p with its gradient, or with its
-gradient and Hessian, takes them all from one `derivatives` call.
+multiply per monomial, then multiplies it by the rows of p, of the gradient
+and of the Hessian, one product per order, so a lower order's rows equal a
+higher order's bit for bit.  A field that needs p with its gradient, or with
+its gradient and Hessian, takes them all from one `derivatives` call.
 """
 
 from __future__ import annotations
@@ -96,8 +97,14 @@ class PolyND:
         """Rows p, then d_a p (order >= 1), then d_a d_b p at row
         1 + n + a n + b (order 2), evaluated at the (N, n) points: shape
         (1, N), (1 + n, N) or (1 + n + n^2, N)."""
-        m = (1, 1 + self.dim, 1 + self.dim + self.dim ** 2)[order]
-        return self._rows[:m] @ self._table(points)
+        n = self.dim
+        table = self._table(points)
+        out = np.empty(((1, 1 + n, 1 + n + n * n)[order], table.shape[1]))
+        # one product per order, so a lower order's rows are a prefix of a
+        # higher order's bit for bit
+        for rows in (slice(0, 1), slice(1, 1 + n), slice(1 + n, None))[:order + 1]:
+            np.matmul(self._rows[rows], table, out=out[rows])
+        return out
 
     def value(self, points: np.ndarray) -> np.ndarray:
         return self.derivatives(points, 0)[0]

@@ -106,8 +106,7 @@ class GalerkinSystem:
         return self.values(pts) @ coeffs
 
     def project(self, f) -> np.ndarray:
-        vals = f.value(self.nodes) if isinstance(f, ScalarField) else f(self.nodes)
-        return self.basis_values.T @ (self.node_weights * vals)
+        return self.basis_values.T @ (self.node_weights * f(self.nodes))
 
     def generator_values(self) -> np.ndarray:
         """(N, m) matrix of L_w p_k at the nodes."""
@@ -239,7 +238,8 @@ def poisson_solve(system: GalerkinSystem, f) -> PoissonSolution:
     (residual at round-off) while smooth generic inputs expose only their
     projection error.
     """
-    fh = system.project(f)
+    fv = f(system.nodes)
+    fh = system.basis_values.T @ (system.node_weights * fv)
     scale = float(np.linalg.norm(fh))
     if scale == 0.0:
         raise MeanZeroViolationError("zero right-hand side")
@@ -249,7 +249,6 @@ def poisson_solve(system: GalerkinSystem, f) -> PoissonSolution:
     uh = np.zeros_like(fh)
     uh[1:] = np.linalg.solve(system.stiffness[1:, 1:], fh[1:])
     lu = system.generator_values() @ uh
-    fv = f.value(system.nodes) if isinstance(f, ScalarField) else f(system.nodes)
     proj = system.basis_values @ fh
     res = float(np.sqrt(np.sum(system.node_weights * (-lu - proj) ** 2)))
     perr = float(np.sqrt(np.sum(system.node_weights * (fv - proj) ** 2)))
@@ -342,7 +341,7 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
     pts = system.nodes
     w = system.node_weights
 
-    fv = f.value(pts)
+    fv, grad = f.jet(pts, 1)
     shift = 0.0
     fmin = float(np.min(fv))
     if fmin < 0:
@@ -359,7 +358,7 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
     phi_limit_expected = float(np.sum(w * fp)) ** (2.0 / p)
 
     # gradient energy of the (shifted) field
-    grad_norm = np.linalg.norm(f.grad(pts), axis=1)
+    grad_norm = np.linalg.norm(grad, axis=1)
     energy_q = float(np.sum(w * grad_norm ** q)) ** (2.0 / q)
 
     rows = []
@@ -413,7 +412,7 @@ def semigroup_gradient_bound(system: GalerkinSystem, f: ScalarField, p: float,
     kw = system.measure.weight.kw
     pts = system.nodes
     w = system.node_weights
-    fv = f.value(pts)
+    fv, grad = f.jet(pts, 1)
     fmin = float(np.min(fv))
     shift = -fmin + 1e-6 if fmin < 0 else 0.0
     fv = fv + shift
@@ -425,7 +424,7 @@ def semigroup_gradient_bound(system: GalerkinSystem, f: ScalarField, p: float,
         grad_sq += (system.grad_values(pts, ax) @ evolved) ** 2
 
     grad_fp = p * fv ** (p - 1.0)
-    grad_fp = grad_fp[:, None] * f.grad(pts)
+    grad_fp = grad_fp[:, None] * grad
     mod = np.linalg.norm(grad_fp, axis=1)
     mod_coeffs = system.basis_values.T @ (w * mod)
     mod_t = system.basis_values @ semigroup_apply(system, mod_coeffs, t)

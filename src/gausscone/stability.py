@@ -80,7 +80,7 @@ def _objective(weight: Weight, f: ScalarField, lams: np.ndarray, affine: bool,
 
     def projections(rg):
         def integrand(pts):  # (K, N, n) stacked nodes
-            vals = f.value(pts.reshape(-1, dim)).reshape(pts.shape[:-1])
+            vals = f(pts.reshape(-1, dim)).reshape(pts.shape[:-1])
             gauss = np.exp(-rg[:, None] * np.sum(pts ** 2, axis=-1))
             return (vals * gauss)[..., None] * _family_poly(pts, affine)
         return nu_integral(weight, integrand, f.decay.rate + rg)

@@ -597,10 +597,12 @@ def make_weight(spec, dim: int, cone: Cone | None = None,
                 sampler: CurvatureSampler | None = None) -> Weight:
     """Bind a spec to its cone and certify the curvature bound.
 
-    certify="auto" runs the analytic path and falls back to sampling only when
-    a sampler is supplied; certify=True forces sampled certification when no
-    analytic argument exists; certify=False leaves the weight uncertified
-    (usable for homogeneity identities, not for inequality constants).
+    certify="auto" takes the analytic bound, leaves the weight uncertified
+    when the spec shows that no bound exists, and samples (with the default
+    sampler if none is supplied) when the spec has no analytic argument;
+    certify=True also samples where no bound exists; certify=False leaves the
+    weight uncertified (usable for homogeneity identities, not for inequality
+    constants).  Certification is `curvature_lower_bound`.
     """
     hint = spec.dim_hint()
     if hint is not None and hint != dim:
@@ -612,47 +614,37 @@ def make_weight(spec, dim: int, cone: Cone | None = None,
 
     degree = spec.degree(dim)
     analytic = spec.analytic_curvature(dim)
-    known_unbounded = analytic is not NotImplemented and analytic[0] is None
     detail = "" if analytic is NotImplemented else analytic[1]
 
     weight = Weight(spec, dim, cone, degree, None,
                     CurvatureCertificate("uncertified", detail))
     if certify is False:
         return weight
-
-    if analytic is not NotImplemented and analytic[0] is not None:
-        curvature = float(analytic[0])
-        cert = CurvatureCertificate("analytic", detail)
-    elif known_unbounded and certify == "auto":
-        # no admissible bound exists; keep the weight usable for the
-        # homogeneity identities that never touch K_w
-        return weight
-    elif certify is True or certify == "auto" or sampler is not None:
-        cert = _sampled_curvature(weight, sampler or CurvatureSampler())
-        if cert.min_eigenvalue_found <= -1.0:
-            raise InadmissibleWeightError(
-                f"sampled curvature {cert.min_eigenvalue_found:.6g} <= -1")
-        curvature = cert.min_eigenvalue_found
-    else:
-        return weight
-
-    if curvature <= -1.0:
-        raise InadmissibleWeightError(f"K_w = {curvature} violates K_w > -1")
+    if analytic is NotImplemented or analytic[0] is None:
+        if analytic is not NotImplemented and certify == "auto":
+            # no admissible bound exists; keep the weight usable for the
+            # homogeneity identities that never touch K_w
+            return weight
+        if not (certify is True or certify == "auto" or sampler is not None):
+            return weight
+    curvature, cert = curvature_lower_bound(weight, sampler or CurvatureSampler())
     return Weight(spec, dim, cone, degree, curvature, cert)
 
 
 def curvature_lower_bound(weight: Weight,
                           sampler: CurvatureSampler | None = None) -> tuple[float, CurvatureCertificate]:
-    """K_w with its certificate; analytic when available, sampled otherwise."""
+    """K_w with its certificate; analytic when available, sampled otherwise.
+    The one place a bound K_w <= -1 is refused."""
     analytic = weight.spec.analytic_curvature(weight.dim)
-    if analytic is not NotImplemented:
-        k, detail = analytic
-        if k is not None:
-            return float(k), CurvatureCertificate("analytic", detail)
-        if sampler is None:
-            raise InadmissibleWeightError(detail)
-    cert = _sampled_curvature(weight, sampler or CurvatureSampler())
-    if cert.min_eigenvalue_found <= -1.0:
+    if analytic is not NotImplemented and analytic[0] is not None:
+        curvature = float(analytic[0])
+        cert = CurvatureCertificate("analytic", analytic[1])
+    elif analytic is not NotImplemented and sampler is None:
+        raise InadmissibleWeightError(analytic[1])
+    else:
+        cert = _sampled_curvature(weight, sampler or CurvatureSampler())
+        curvature = cert.min_eigenvalue_found
+    if curvature <= -1.0:
         raise InadmissibleWeightError(
-            f"sampled curvature {cert.min_eigenvalue_found:.6g} <= -1")
-    return cert.min_eigenvalue_found, cert
+            f"{cert.kind} curvature {curvature:.6g} <= -1")
+    return curvature, cert

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gausscone.fields import (
+    ScalarField,
+    added,
     affine,
     constant,
     dilated,
@@ -16,6 +20,8 @@ from gausscone.fields import (
     one_plus,
     poly_gauss,
     product,
+    scaled,
+    shifted,
     squared,
 )
 
@@ -33,6 +39,9 @@ LIBRARY = [
     one_plus(0.1, affine([0.0, 1.0], 0.0)),
     dilated(gaussian(1.0, 1.0, 2), 2.0),
     mass_dilated(poly_gauss(2, 2), 1.5, 3.5),
+    added(poly_gauss(5, 2), hermite_witness(0, 2)),
+    scaled(poly_gauss(6, 2), 0.0),
+    shifted(exp_axis(-0.3, 0, 2), -1.5),
 ]
 
 
@@ -48,6 +57,31 @@ def test_hessian_symmetric_and_matches_fd(f, rng):
     hess = f.hess(pts)
     np.testing.assert_allclose(hess, np.swapaxes(hess, 1, 2), atol=1e-12)
     assert fd_hessian_error(f, pts) < 1e-5
+
+
+@pytest.mark.parametrize("f", LIBRARY, ids=lambda f: f.name)
+def test_jet_orders_are_prefixes(f, rng):
+    pts = rng.normal(size=(30, 2))
+    full = f.jet(pts, 2)
+    assert [d.shape for d in full] == [(30,), (30, 2), (30, 2, 2)]
+    for order in (0, 1):
+        low = f.jet(pts, order)
+        assert len(low) == order + 1
+        for a, b in zip(low, full):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("f", LIBRARY, ids=lambda f: f.name)
+def test_methods_index_the_jet(f, rng):
+    pts = rng.normal(size=(7, 2))
+    for x in (pts, pts[3]):
+        batch = np.atleast_2d(x)
+        value, grad, hess = f.jet(batch, 2)
+        assert np.array_equal(f.value(x), value)
+        assert np.array_equal(f(x), value)
+        assert np.array_equal(f.grad(x), grad)
+        assert np.array_equal(f.hess(x), hess)
+    assert f.value(pts[3]).shape == (1,)
 
 
 def test_decay_envelopes_hold(rng):
@@ -121,3 +155,9 @@ def test_poly_gauss_even_axes(rng):
     flipped = pts.copy()
     flipped[:, 0] *= -1
     np.testing.assert_allclose(f.value(flipped), f.value(pts), rtol=1e-12)
+
+
+def test_jet_is_the_only_derivative_field():
+    names = {fld.name for fld in dataclasses.fields(ScalarField)}
+    assert "jet" in names
+    assert not names & {"value", "grad", "hess"}

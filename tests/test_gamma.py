@@ -36,12 +36,12 @@ from gausscone.weights import GaussianTilt, Monomial, make_weight
 
 
 def _norm_sq_field(dim):
-    return ScalarField(
-        name="|x|^2", dim=dim,
-        value=lambda p: np.sum(p ** 2, axis=1),
-        grad=lambda p: 2.0 * p,
-        hess=lambda p: np.broadcast_to(2.0 * np.eye(dim),
-                                       (len(p), dim, dim)).copy())
+    def jet(p, order):
+        return (np.sum(p ** 2, axis=1), 2.0 * p,
+                np.broadcast_to(2.0 * np.eye(dim), (len(p), dim, dim)).copy()
+                )[:order + 1]
+
+    return ScalarField(name="|x|^2", dim=dim, jet=jet)
 
 
 class TestGenerator:
@@ -136,9 +136,9 @@ class TestGamma2:
     def test_half_norm_sq(self, w_one_2d):
         f = ScalarField(
             name="|x|^2/2", dim=2,
-            value=lambda p: 0.5 * np.sum(p ** 2, axis=1),
-            grad=lambda p: p,
-            hess=lambda p: np.broadcast_to(np.eye(2), (len(p), 2, 2)).copy())
+            jet=lambda p, order: (
+                0.5 * np.sum(p ** 2, axis=1), p,
+                np.broadcast_to(np.eye(2), (len(p), 2, 2)).copy())[:order + 1])
         x = np.array([1.0, 2.0])
         assert gamma2(w_one_2d, f, x) == pytest.approx(2.0 + 5.0)
 

@@ -3,7 +3,17 @@ import pytest
 
 from gausscone import polys
 from gausscone.fields import fd_gradient_error, fd_hessian_error, poly_gauss
+from gausscone.functionals import hup_deficit
+from gausscone.gamma import (
+    apply_generator,
+    bochner_residual,
+    cd_margin,
+    integration_by_parts_residual,
+)
+from gausscone.inequalities import check_poincare
+from gausscone.measures import make_measure
 from gausscone.polys import PolyND, exponent_table
+from gausscone.weights import Monomial, make_weight
 
 REL_TOL = 1e-13
 
@@ -116,3 +126,30 @@ def test_one_table_per_call(method, table_builds):
     assert table_builds == [64]
     getattr(f, method)(pts)
     assert table_builds == [64, 64]
+
+
+# each consumer needs several derivative orders at the same points and takes
+# them from one jet, so it fills the monomial table once per field and point set
+CONSUMERS = {
+    "cd_margin": (lambda w, mu, f, g: cd_margin(w, f), 1),
+    "integration_by_parts_residual":
+        (lambda w, mu, f, g: integration_by_parts_residual(mu, f, g), 2),
+    "hup_deficit": (lambda w, mu, f, g: hup_deficit(w, f), 1),
+    "apply_generator": (lambda w, mu, f, g: apply_generator(
+        w, f, w.cone.sample_interior(np.random.default_rng(0), 50)), 1),
+    "check_poincare_gradient_stability":
+        (lambda w, mu, f, g: check_poincare(mu, f, level="gradient_stability"), 1),
+    "bochner_residual":
+        (lambda w, mu, f, g: bochner_residual(w, f, [0.7, -0.3, 0.4]), 1),
+}
+
+
+@pytest.mark.parametrize("consumer", list(CONSUMERS))
+def test_one_table_per_consumer(consumer, table_builds):
+    weight = make_weight(Monomial((1.5, 0.0, 0.0)), 3)
+    measure = make_measure(weight, 1.0, order=8)
+    f = poly_gauss(0, 3, even_axes=frozenset({0}))
+    g = poly_gauss(1, 3, even_axes=frozenset({0}))
+    call, tables = CONSUMERS[consumer]
+    call(weight, measure, f, g)
+    assert len(table_builds) == tables

@@ -125,11 +125,11 @@ class TestObjective:
         f = poly_gauss(7, 2)
         sizes = []
 
-        def value(x):
+        def jet(x, order):
             sizes.append(len(x))
-            return f.value(x)
+            return f.jet(x, order)
 
-        brute_force_lambda_scan(w_abs, replace(f, value=value), num=2001)
+        brute_force_lambda_scan(w_abs, replace(f, jet=jet), num=2001)
         # 32^2-node rules, four scales per pass
         assert max(sizes) == NODE_BUDGET
 
