@@ -32,6 +32,8 @@ from .fields import (
     hermite_witness,
     poly_gauss,
 )
+from .inequalities import TOLERANCE_SCALE
+from .measures import DEFAULT_ORDER
 from .suites import SUITE_NAMES
 from .weights import (
     DunklProduct,
@@ -101,7 +103,7 @@ def parse_config(source) -> RunConfig:
     if cone is not None:
         _require(isinstance(cone, dict) and cone.get("kind") in _CONE_KINDS,
                  f"cone.kind must be one of {_CONE_KINDS}")
-    quadrature = raw.get("quadrature", {"order": 32})
+    quadrature = raw.get("quadrature", {"order": DEFAULT_ORDER})
     _require(isinstance(quadrature, dict)
              and ("order" in quadrature) != ("mc_samples" in quadrature),
              "quadrature needs exactly one of order / mc_samples")
@@ -111,10 +113,10 @@ def parse_config(source) -> RunConfig:
             isinstance(f, dict) and f.get("kind") in _FIELD_KINDS
             for f in fields), f"field kinds must be among {_FIELD_KINDS}")
     suites = raw.get("suites")
-    _require(isinstance(suites, list) and len(suites) >= 0
+    _require(isinstance(suites, list)
              and all(s in SUITE_NAMES for s in suites),
              f"suites must be a list drawn from {SUITE_NAMES}")
-    tolerance = float(raw.get("tolerance", 1e-7))
+    tolerance = float(raw.get("tolerance", TOLERANCE_SCALE))
     _require(tolerance > 0, "tolerance must be positive")
     seed = int(raw.get("seed", 0))
     output = raw.get("output")

@@ -2,6 +2,11 @@
 variance, entropy, Dirichlet energy, weighted moments, the optimal
 uncertainty scale lambda* and the Heisenberg deficit delta_w.
 
+Each mu-functional has one formula, a private function of the field's values
+or gradients at the measure's nodes that integrates through
+`measures.integrate`.  The public functions evaluate the field and call it;
+the checkers of `inequalities` call it on the one jet they take per check.
+
 The weighted-Lebesgue (nu = w dx) functionals are restricted to fields with
 Gaussian decay envelopes and evaluate on rate-matched rules, so polynomial-
 times-Gaussian inputs are integrated exactly.
@@ -19,41 +24,61 @@ from .errors import (
     ContractError,
     DegenerateInputError,
     DomainError,
-    EvaluationError,
     NotHomogeneousError,
     ParameterError,
 )
 from .fields import ScalarField
-from .measures import Measure, nu_integral
+from .measures import Measure, integrate, nu_integral
 from .weights import Weight
 
 _NEG_TOL = 1e-12
+
+
+def _lq_norm(measure: Measure, vals: np.ndarray, q: float) -> float:
+    """(int |f|^q dmu)^(1/q) from the values of f at the nodes."""
+    return integrate(measure, np.abs(vals) ** q) ** (1.0 / q)
+
+
+def _mean_variance(measure: Measure, vals: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of f under mu from its values at the nodes."""
+    # shifted data (Chan, Golub and LeVeque 1983): the moments of f - c with
+    # c the value at the heaviest node cancel only the spread of f, not its
+    # size, and a constant has variance exactly 0 even though the weights
+    # sum to 1 only up to round-off
+    shift = vals[np.argmax(measure.norm_weights)]
+    dev = vals - shift
+    m1, m2 = integrate(measure, np.stack([dev, dev ** 2], axis=1))
+    return float(shift + m1), max(float(m2 - m1 ** 2), 0.0)
+
+
+def _entropy(measure: Measure, vals: np.ndarray) -> tuple[float, float]:
+    """(Ent(g), int g dmu) from the values of g >= 0 at the nodes, with
+    0 log 0 := 0."""
+    if np.any(vals < -_NEG_TOL * (1.0 + np.max(np.abs(vals)))):
+        raise DomainError("entropy integrand is negative")
+    vals = np.maximum(vals, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        glogg = np.where(vals > 0.0, vals * np.log(vals), 0.0)
+    total, glogg_total = integrate(measure, np.stack([vals, glogg], axis=1))
+    if total <= 0.0:
+        raise DegenerateInputError("entropy of the zero field")
+    return float(glogg_total - total * math.log(total)), float(total)
+
+
+def _energy(measure: Measure, grad: np.ndarray, q: float) -> float:
+    """int |grad f|^q dmu from the (N, n) gradients at the nodes."""
+    return integrate(measure, np.sum(grad ** 2, axis=1) ** (0.5 * q))
 
 
 def lq_norm(measure: Measure, f: ScalarField, q: float) -> float:
     """(int |f|^q dmu)^(1/q)."""
     if q < 1:
         raise ParameterError("q must be >= 1")
-    pts = measure.nodes
-    vals = np.abs(f.value(pts)) ** q
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("non-finite |f|^q at a quadrature node")
-    return float(np.sum(measure.norm_weights * vals)) ** (1.0 / q)
+    return _lq_norm(measure, f.value(measure.nodes), q)
 
 
 def variance(measure: Measure, f: ScalarField) -> float:
-    if not measure.is_normalized:
-        raise ContractError("variance requires a normalized measure")
-    pts = measure.nodes
-    w = measure.norm_weights
-    # shifted data (Chan, Golub and LeVeque 1983): the moments of f - c with
-    # c the value at the heaviest node cancel only the spread of f, not its
-    # size, and a constant has variance exactly 0 even though the weights
-    # sum to 1 only up to round-off
-    vals = f.value(pts)
-    dev = vals - vals[np.argmax(w)]
-    mean = float(np.sum(w * dev))
-    return max(float(np.sum(w * dev ** 2)) - mean ** 2, 0.0)
+    return _mean_variance(measure, f.value(measure.nodes))[1]
 
 
 def entropy(measure: Measure, g: ScalarField) -> float:
@@ -61,27 +86,14 @@ def entropy(measure: Measure, g: ScalarField) -> float:
 
     g must be the nonnegative integrand itself (pass squared(f) for Ent(f^2)).
     """
-    pts = measure.nodes
-    w = measure.norm_weights
-    vals = g.value(pts)
-    if np.any(vals < -_NEG_TOL * (1.0 + np.max(np.abs(vals)))):
-        raise DomainError("entropy integrand is negative")
-    vals = np.maximum(vals, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        glogg = np.where(vals > 0.0, vals * np.log(vals), 0.0)
-    total = float(np.sum(w * vals))
-    if total <= 0.0:
-        raise DegenerateInputError("entropy of the zero field")
-    return float(np.sum(w * glogg)) - total * math.log(total)
+    return _entropy(measure, g.value(measure.nodes))[0]
 
 
 def dirichlet_energy(measure: Measure, f: ScalarField, q: float = 2.0) -> float:
     """int |grad f|^q dmu."""
     if q < 1:
         raise ParameterError("q must be >= 1")
-    pts = measure.nodes
-    norms = np.linalg.norm(f.grad(pts), axis=1)
-    return float(np.sum(measure.norm_weights * norms ** q))
+    return _energy(measure, f.grad(measure.nodes), q)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
     riding the tail of the lambda = 1 rule.
     """
     weight = measure.weight
-    lam = measure.scale if measure.scale is not None else 1.0
+    lam = measure.scale
     damp = 0.5 / (lam * lam)
     rate = f.decay.rate + g.decay.rate + damp
 

@@ -2,10 +2,16 @@
 the sharpness sweeps the proofs prescribe.
 
 Conventions: every check is stored as lhs <= rhs with deficit = rhs - lhs and
-pass iff deficit >= -tolerance.  Default tolerance is 1e-7 (1 + |lhs| + |rhs|),
-quadrature-limited rather than theory-limited.  Checks outside the range the
-proofs cover (q < 2 in the Beckner/Poincare family, whose Hoelder step uses
-q/(q-2)) still run but carry an informational flag and never fail a suite.
+pass iff deficit >= -tolerance, with tolerance TOLERANCE_SCALE (1 + |lhs| +
+|rhs|) and TOLERANCE_SCALE = 1e-7: quadrature-limited rather than
+theory-limited.  Checks outside the range the proofs cover (q < 2 in the
+Beckner/Poincare family, whose Hoelder step uses q/(q-2)) still run but carry
+an informational flag and never fail a suite.
+
+Each check under mu_{w,lambda} takes one order-1 jet of its field at the
+measure's nodes and gets every integral from it through the formulas of
+`functionals`, so a checker's norms, variance, entropy and energy are the
+ones `lq_norm`, `variance`, `entropy` and `dirichlet_energy` return.
 """
 
 from __future__ import annotations
@@ -22,13 +28,21 @@ from .errors import (
 )
 from .fields import ScalarField, gaussian, mass_dilated, one_plus, product
 from .functionals import (
+    _energy,
+    _entropy,
+    _lq_norm,
+    _mean_variance,
     _nu_moments,
-    dirichlet_energy,
     hup_deficit,
-    lq_norm,
-    variance,
 )
-from .measures import Measure, make_measure, normalization_constant, nu_integral
+from .measures import (
+    DEFAULT_ORDER,
+    Measure,
+    integrate,
+    make_measure,
+    normalization_constant,
+    nu_integral,
+)
 from .weights import Weight
 
 TOLERANCE_SCALE = 1e-7
@@ -49,14 +63,9 @@ class InequalityCheck:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def default_tolerance(lhs: float, rhs: float,
-                      scale: float = TOLERANCE_SCALE) -> float:
-    return scale * (1.0 + abs(lhs) + abs(rhs))
-
-
-def _check(theorem, p, q, lhs, rhs, constant, tolerance=None,
-           informational=False, diagnostics=None) -> InequalityCheck:
-    tol = default_tolerance(lhs, rhs) if tolerance is None else tolerance
+def _check(theorem, p, q, lhs, rhs, constant, informational=False,
+           diagnostics=None) -> InequalityCheck:
+    tol = TOLERANCE_SCALE * (1.0 + abs(lhs) + abs(rhs))
     deficit = rhs - lhs
     return InequalityCheck(
         theorem=theorem, p=p, q=q, lhs=float(lhs), rhs=float(rhs),
@@ -69,125 +78,114 @@ def _check(theorem, p, q, lhs, rhs, constant, tolerance=None,
 # Beckner family
 # ---------------------------------------------------------------------------
 
-def check_beckner(measure: Measure, f: ScalarField, p: float, q: float,
-                  tolerance: float | None = None) -> InequalityCheck:
+def check_beckner(measure: Measure, f: ScalarField, p: float,
+                  q: float) -> InequalityCheck:
     """(||f||_q^2 - ||f||_p^2)/(q-p) <= (1/(1+K_w)) (int |grad f|^q)^{2/q}."""
     if not (1.0 <= p < q):
         raise ParameterError("need 1 <= p < q")
     kw = measure.weight.kw
-    nq = lq_norm(measure, f, q)
-    np_ = lq_norm(measure, f, p)
+    vals, grad = f.jet(measure.nodes, 1)
+    nq = _lq_norm(measure, vals, q)
+    np_ = _lq_norm(measure, vals, p)
     lhs = (nq ** 2 - np_ ** 2) / (q - p)
-    energy = dirichlet_energy(measure, f, q)
+    energy = _energy(measure, grad, q)
     rhs = energy ** (2.0 / q) / (1.0 + kw)
-    return _check("beckner", p, q, lhs, rhs, 1.0 / (1.0 + kw), tolerance,
+    return _check("beckner", p, q, lhs, rhs, 1.0 / (1.0 + kw),
                   informational=q < 2.0,
                   diagnostics={"norm_q": nq, "norm_p": np_, "energy_q": energy,
                                "note": "outside verified q-range" if q < 2.0 else ""})
 
 
 def check_poincare(measure: Measure, f: ScalarField, q: float = 2.0,
-                   level: str = "basic",
-                   tolerance: float | None = None) -> InequalityCheck:
+                   level: str = "basic") -> InequalityCheck:
     """Poincare inequality and its gradient/L2 stability refinements."""
     kw = measure.weight.kw
     c = 1.0 + kw
     if level == "basic":
         if q < 1.0:
             raise ParameterError("q must be >= 1")
-        var = variance(measure, f)
-        energy = dirichlet_energy(measure, f, q)
-        rhs = energy ** (2.0 / q) / c
-        return _check("poincare", None, q, var, rhs, 1.0 / c, tolerance,
-                      informational=q < 2.0,
-                      diagnostics={"variance": var, "energy_q": energy})
-    if q != 2.0:
+    elif level not in ("gradient_stability", "l2_stability"):
+        raise ParameterError(f"unknown Poincare level {level!r}")
+    elif q != 2.0:
         raise ParameterError("stability levels are stated at q = 2 only")
     pts = measure.nodes
-    w = measure.norm_weights
-    vals, grads = f.jet(pts, 1)
-    mean = float(np.sum(w * vals))
-    var = max(float(np.sum(w * vals ** 2)) - mean ** 2, 0.0)
-    energy = float(np.sum(w * np.sum(grads ** 2, axis=1)))
+    vals, grad = f.jet(pts, 1)
+    mean, var = _mean_variance(measure, vals)
+    energy = _energy(measure, grad, q)
+    if level == "basic":
+        rhs = energy ** (2.0 / q) / c
+        return _check("poincare", None, q, var, rhs, 1.0 / c,
+                      informational=q < 2.0,
+                      diagnostics={"variance": var, "energy_q": energy})
     rhs = energy - c * var
+    # v = int (f - mean) x dmu and the barycenter mx = int x dmu
+    v, mx = integrate(measure, np.stack([(vals - mean)[:, None] * pts, pts],
+                                        axis=1))
     if level == "gradient_stability":
-        # v = int (f - mean) x dmu; lhs = (1/2) int |grad f - c v|^2 dmu
-        v = (w[:, None] * (vals - mean)[:, None] * pts).sum(axis=0)
-        shifted = grads - c * v[None, :]
-        lhs = 0.5 * float(np.sum(w * np.sum(shifted ** 2, axis=1)))
-        return _check("poincare_gradient_stability", None, 2.0, lhs, rhs,
-                      c, tolerance,
+        # lhs = (1/2) int |grad f - c v|^2 dmu
+        lhs = 0.5 * _energy(measure, grad - c * v, 2.0)
+        return _check("poincare_gradient_stability", None, 2.0, lhs, rhs, c,
                       diagnostics={"projection_vector": v.tolist(),
                                    "variance": var, "energy": energy})
-    if level == "l2_stability":
-        m0 = mean
-        vf = (w[:, None] * vals[:, None] * pts).sum(axis=0)
-        mx = (w[:, None] * pts).sum(axis=0)
-        t1 = vals
-        t2 = -m0
-        t3 = -c * (pts @ vf)
-        t4 = c * m0 * (pts @ mx)
-        t5 = -c * m0 * float(mx @ mx)
-        t6 = c * float(vf @ mx)
-        pi = t1 + t2 + t3 + t4 + t5 + t6
-        lhs = 0.5 * c * float(np.sum(w * pi ** 2))
-        return _check("poincare_l2_stability", None, 2.0, lhs, rhs, c, tolerance,
-                      diagnostics={
-                          "mean": m0, "first_moment": vf.tolist(),
-                          "measure_barycenter": mx.tolist(),
-                          "term_const": t2, "term_fx_scale": (-c * vf).tolist(),
-                          "term_mean_x_scale": (c * m0 * mx).tolist(),
-                          "term_mean_barycenter_sq": t5,
-                          "term_fx_dot_barycenter": t6,
-                          "variance": var, "energy": energy})
-    raise ParameterError(f"unknown Poincare level {level!r}")
+    # lhs = (c/2) int pi^2 dmu with pi = f - mean - c (x - mx).v; expanding
+    # (x - mx).v with v = vf - mean mx, vf = int f x dmu, gives the terms
+    # reported below, which sum to pi
+    pi = vals - mean - c * ((pts - mx) @ v)
+    lhs = 0.5 * c * integrate(measure, pi ** 2)
+    vf = v + mean * mx
+    return _check("poincare_l2_stability", None, 2.0, lhs, rhs, c,
+                  diagnostics={
+                      "mean": mean, "first_moment": vf.tolist(),
+                      "measure_barycenter": mx.tolist(),
+                      "term_const": -mean, "term_fx_scale": (-c * vf).tolist(),
+                      "term_mean_x_scale": (c * mean * mx).tolist(),
+                      "term_mean_barycenter_sq": -c * mean * float(mx @ mx),
+                      "term_fx_dot_barycenter": c * float(vf @ mx),
+                      "variance": var, "energy": energy})
 
 
-def _least_squares_affine_gap(measure: Measure, f: ScalarField) -> float:
-    """inf over (c, d) of int |f - (c + d.x)|^2 dmu, exact via least squares."""
-    pts = measure.nodes
-    w = measure.norm_weights
-    vals = f.value(pts)
-    basis = np.hstack([np.ones((len(pts), 1)), pts])  # 1, x_1..x_n
-    gram = (basis * w[:, None]).T @ basis
-    b = basis.T @ (w * vals)
+def _least_squares_affine_gap(measure: Measure, centered: np.ndarray) -> float:
+    """inf over (c, d) of int |f - (c + d.x)|^2 dmu, exact via least squares
+    in the basis 1, x_1..x_n, from the values of f minus its mean at the
+    nodes (the infimum is the same for f)."""
+    basis = np.hstack([np.ones((len(centered), 1)), measure.nodes])
+    gram = integrate(measure, basis[:, :, None] * basis[:, None, :])
+    b = integrate(measure, basis * centered[:, None])
     coef = np.linalg.solve(gram, b)
-    return max(float(np.sum(w * vals ** 2)) - float(b @ coef), 0.0)
+    return max(integrate(measure, centered ** 2) - float(b @ coef), 0.0)
 
 
 def check_scale_poincare(weight: Weight, f: ScalarField, lam: float,
-                         level: str = "basic", order: int | None = None,
-                         tolerance: float | None = None) -> InequalityCheck:
+                         level: str = "basic",
+                         order: int = DEFAULT_ORDER) -> InequalityCheck:
     """Scale-dependent Poincare inequality under mu_{w,lambda}; the improved
     level adds the affine least-squares correction term."""
     if lam <= 0:
         raise ParameterError("lambda must be positive")
-    kw = weight.kw
-    c = 1.0 + kw
-    measure = make_measure(weight, lam, order=order or 32)
-    energy = dirichlet_energy(measure, f, 2.0)
-    var = variance(measure, f)
+    if level not in ("basic", "improved"):
+        raise ParameterError(f"unknown scale level {level!r}")
+    c = 1.0 + weight.kw
+    measure = make_measure(weight, lam, order=order)
+    vals, grad = f.jet(measure.nodes, 1)
+    energy = _energy(measure, grad, 2.0)
+    mean, var = _mean_variance(measure, vals)
     if level == "basic":
         lhs = c / (lam * lam) * var
         return _check("scale_poincare", None, 2.0, lhs, energy, c / lam ** 2,
-                      tolerance, diagnostics={"lambda": lam, "variance": var})
-    if level == "improved":
-        affine_gap = _least_squares_affine_gap(measure, f)
-        lhs = c * var + 0.5 * c * affine_gap
-        rhs = lam * lam * energy
-        return _check("scale_poincare_improved", None, 2.0, lhs, rhs, c,
-                      tolerance,
-                      diagnostics={"lambda": lam, "variance": var,
-                                   "affine_gap": affine_gap})
-    raise ParameterError(f"unknown scale level {level!r}")
+                      diagnostics={"lambda": lam, "variance": var})
+    affine_gap = _least_squares_affine_gap(measure, vals - mean)
+    lhs = c * var + 0.5 * c * affine_gap
+    rhs = lam * lam * energy
+    return _check("scale_poincare_improved", None, 2.0, lhs, rhs, c,
+                  diagnostics={"lambda": lam, "variance": var,
+                               "affine_gap": affine_gap})
 
 
 # ---------------------------------------------------------------------------
 # log-Sobolev family
 # ---------------------------------------------------------------------------
 
-def check_lsi(measure: Measure, f: ScalarField, q: float = 2.0,
-              tolerance: float | None = None) -> InequalityCheck:
+def check_lsi(measure: Measure, f: ScalarField, q: float = 2.0) -> InequalityCheck:
     """Gaussian-measure log-Sobolev inequality.
 
     q = 2 reports Ent(f^2) <= (2/(1+K_w)) int |grad f|^2 dmu; general q uses
@@ -197,17 +195,9 @@ def check_lsi(measure: Measure, f: ScalarField, q: float = 2.0,
     if q < 2.0:
         raise ParameterError("the LSI family is stated for q >= 2")
     kw = measure.weight.kw
-    pts = measure.nodes
-    w = measure.norm_weights
-    vals, grads = f.jet(pts, 1)
-    absf = np.abs(vals)
-    iq = float(np.sum(w * absf ** q))
-    if iq <= 0.0:
-        raise DegenerateInputError("zero field in the LSI check")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(absf > 0, absf ** q * np.log(absf ** q), 0.0)
-    ent_q = float(np.sum(w * plogp)) - iq * math.log(iq)
-    energy = float(np.sum(w * np.linalg.norm(grads, axis=1) ** q))
+    vals, grad = f.jet(measure.nodes, 1)
+    ent_q, iq = _entropy(measure, np.abs(vals) ** q)
+    energy = _energy(measure, grad, q)
     lhs_gen = (2.0 / q ** 2) * iq ** (2.0 / q - 1.0) * ent_q
     rhs_gen = energy ** (2.0 / q) / (1.0 + kw)
     if q == 2.0:
@@ -216,7 +206,7 @@ def check_lsi(measure: Measure, f: ScalarField, q: float = 2.0,
     else:
         lhs, rhs = lhs_gen, rhs_gen
         constant = 1.0 / (1.0 + kw)
-    return _check("lsi", None, q, lhs, rhs, constant, tolerance,
+    return _check("lsi", None, q, lhs, rhs, constant,
                   diagnostics={"entropy_q": ent_q, "mass_q": iq,
                                "energy_q": energy})
 
@@ -227,8 +217,7 @@ def _c_lsih(weight: Weight) -> tuple[float, float, float]:
     return 4.0 * c_w ** (2.0 / n_alpha) / (math.e * n_alpha), c_w, n_alpha
 
 
-def check_euclidean_lsi(weight: Weight, f: ScalarField,
-                        tolerance: float | None = None) -> InequalityCheck:
+def check_euclidean_lsi(weight: Weight, f: ScalarField) -> InequalityCheck:
     """Sharp Euclidean LSI for log-concave homogeneous weights:
 
         Ent_nu(f^2) <= (n+alpha)/2 * int f^2 dnu * log(C_LSIH * A / B)
@@ -248,7 +237,7 @@ def check_euclidean_lsi(weight: Weight, f: ScalarField,
         raise DegenerateInputError("zero field")
     ent = m.sq_log_sq - b * math.log(b)
     rhs = 0.5 * n_alpha * b * math.log(c_lsih * a / b)
-    return _check("euclidean_lsi", None, 2.0, ent, rhs, c_lsih, tolerance,
+    return _check("euclidean_lsi", None, 2.0, ent, rhs, c_lsih,
                   diagnostics={"C_w": c_w, "n_plus_alpha": n_alpha,
                                "mass": b, "energy": a})
 
@@ -350,17 +339,15 @@ def euclidean_lsi_rescaling_invariance(weight: Weight, f: ScalarField,
 # HUP wrapper
 # ---------------------------------------------------------------------------
 
-def check_hup(weight: Weight, f: ScalarField,
-              tolerance: float | None = None) -> InequalityCheck:
+def check_hup(weight: Weight, f: ScalarField) -> InequalityCheck:
     """sqrt(energy) sqrt(moment) >= (n+alpha)/2 * norm; the deficit is
     delta_w(f) and the conjugation-identity residual rides in diagnostics."""
     res = hup_deficit(weight, f)
     n_alpha = weight.dim + weight.degree
     lhs = 0.5 * n_alpha * res.norm_sq
     rhs = math.sqrt(res.energy) * math.sqrt(res.moment)
-    tol = tolerance if tolerance is not None else default_tolerance(lhs, rhs)
     identity_ok = res.identity_residual <= 1e-8 * (1.0 + abs(res.delta))
-    check = _check("hup", None, 2.0, lhs, rhs, 0.5 * n_alpha, tol,
+    check = _check("hup", None, 2.0, lhs, rhs, 0.5 * n_alpha,
                    diagnostics={"delta": res.delta,
                                 "identity_residual": res.identity_residual,
                                 "lambda_star": res.lambda_star,

@@ -1,5 +1,5 @@
-"""Measures mu_{w,lambda} = w(x) exp(-|x|^2/(2 lambda^2)) dx / Z and the
-unnormalized nu = w dx, with quadrature rules accurate to a stated tolerance.
+"""The probability measures mu_{w,lambda} = w(x) exp(-|x|^2/(2 lambda^2)) dx / Z
+on quadrature rules, and rate-matched integrals against nu = w dx.
 
 Rule families:
 
@@ -15,11 +15,13 @@ Rule families:
   custom weights).  Sampling uses the counter-based Philox generator, so a
   (seed, samples) pair reproduces the rule exactly.
 
-Integrals of Gaussian-decay fields against the unnormalized nu = w dx reuse
-the same tensor factories rescaled so the rule's Gaussian factor matches the
-integrand's envelope rate exactly; the remaining slowly-varying factor is
-folded into the integrand.  For polynomial-times-Gaussian integrands this is
-exact, which is what the identity suites rely on.
+Every integral against mu goes through `integrate`, which takes a vector
+integrand and checks that it is finite at every node.  Integrals of
+Gaussian-decay fields against nu = w dx go through `nu_integral`, which
+reuses the same tensor factories rescaled so the rule's Gaussian factor
+matches the integrand's envelope rate exactly; the remaining slowly-varying
+factor is folded into the integrand.  For polynomial-times-Gaussian
+integrands this is exact, which is what the identity suites rely on.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import (
     ResourceError,
     UnsupportedRuleError,
 )
-from .fields import ScalarField
 from .quad1d import fullline_rule, gamma_moment, halfline_rule
 from .weights import Weight
 
@@ -284,12 +285,12 @@ def normalization_constant(weight: Weight, lam: float = 1.0,
 
 @dataclass(frozen=True)
 class Measure:
-    """mu_{w,lambda} when scale is set; the unnormalized nu = w dx otherwise."""
+    """mu_{w,lambda} on its quadrature rule; normalization = 1 / Z."""
 
     weight: Weight
-    scale: Optional[float]
-    rule: Optional[QuadratureRule]
-    normalization: Optional[float]
+    scale: float
+    rule: QuadratureRule
+    normalization: float
     order: int = DEFAULT_ORDER
 
     @property
@@ -301,20 +302,12 @@ class Measure:
         return self.weight.dim
 
     @property
-    def is_normalized(self) -> bool:
-        return self.scale is not None
-
-    @property
     def nodes(self) -> np.ndarray:
-        if self.rule is None:
-            raise ContractError("unnormalized measure has no fixed rule")
         return self.rule.nodes
 
     @property
     def norm_weights(self) -> np.ndarray:
         """Quadrature weights of the probability measure (sum to one)."""
-        if self.rule is None or self.normalization is None:
-            raise ContractError("unnormalized measure has no fixed rule")
         return self.rule.weights * self.normalization
 
     def describe(self) -> dict:
@@ -323,15 +316,13 @@ class Measure:
             "dim": self.dim,
             "cone": repr(self.cone.cache_key()),
             "scale": self.scale,
-            "rule": self.rule.kind if self.rule is not None else "rate-matched",
+            "rule": self.rule.kind,
         }
 
 
-def make_measure(weight: Weight, scale: float | None = 1.0,
+def make_measure(weight: Weight, scale: float = 1.0,
                  order: int = DEFAULT_ORDER, mc_samples: int | None = None,
                  seed: int = 0) -> Measure:
-    if scale is None:
-        return Measure(weight, None, None, None, order=order)
     rule = build_rule(weight, scale, order=order, mc_samples=mc_samples, seed=seed)
     z = rule.mass
     if not np.isfinite(z) or z <= 0:
@@ -339,34 +330,31 @@ def make_measure(weight: Weight, scale: float | None = 1.0,
     return Measure(weight, scale, rule, 1.0 / z, order=order)
 
 
-def _values_on(f, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("integrand is not finite at a quadrature node")
-    return vals
-
-
-def integrate(measure: Measure, f) -> float:
-    """Integral against the measure (normalized when a scale is present)."""
+def integrate(measure: Measure, f) -> float | np.ndarray:
+    """Integral of f against mu: f is a callable on the (N, n) nodes or the
+    array of its values there.  (N,) values give a float; (N, ...) values
+    give the (...) array of the integrals of their components."""
     value, _ = integrate_with_error(measure, f)
     return value
 
 
-def integrate_with_error(measure: Measure, f) -> tuple[float, float]:
-    """Integral plus a standard-error estimate (zero for deterministic rules)."""
-    if not measure.is_normalized:
-        if not (isinstance(f, ScalarField) and f.decay.is_gaussian):
-            raise DecayContractError(
-                "unnormalized nu-integration requires a Gaussian decay envelope")
-        val = nu_integral(measure.weight, f.value, f.decay.rate, order=measure.order)
-        return val, 0.0
-    vals = _values_on(f, measure.rule.nodes)
+def integrate_with_error(measure: Measure, f
+                         ) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Integral plus the standard-error estimate of each component (zero
+    for deterministic rules)."""
+    vals = np.asarray(f(measure.nodes) if callable(f) else f, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("integrand is not finite at a quadrature node")
+    w = measure.norm_weights
+    # node axis last and contiguous, so every component is summed pairwise
+    # exactly as the same integrand alone would be
+    vals = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+    est = np.sum(vals * w, axis=-1)
     if measure.rule.kind == "monte_carlo":
-        w = measure.rule.weights * measure.normalization
-        est = float(np.sum(w * vals))
-        se = float(np.sqrt(np.sum((w * (vals - est)) ** 2)))
-        return est, se
-    return float(np.sum(measure.norm_weights * vals)), 0.0
+        se = np.sqrt(np.sum((w * (vals - est[..., None])) ** 2, axis=-1))
+    else:
+        se = np.zeros_like(est)
+    return (float(est), float(se)) if est.ndim == 0 else (est, se)
 
 
 @dataclass(frozen=True)
@@ -376,11 +364,7 @@ class SpecialMoments:
 
 
 def special_moments(measure: Measure) -> SpecialMoments:
-    if not measure.is_normalized:
-        raise ContractError("special moments need a normalized measure")
-    pts = measure.rule.nodes
-    w = measure.norm_weights
-    axis = tuple(float(np.sum(w * pts[:, k] ** 2)) for k in range(measure.dim))
+    axis = tuple(float(m) for m in integrate(measure, measure.nodes ** 2))
     return SpecialMoments(second_moment=float(sum(axis)), axis_moments=axis)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, build_field, build_weight
-from .measures import make_measure
+from .measures import DEFAULT_ORDER, make_measure
 from .suites import RunContext, default_library, run_suite
 
 
@@ -49,7 +49,7 @@ def run(config: RunConfig) -> RunReport:
     from .errors import ConfigError, ToolkitError
     try:
         weight = build_weight(config)
-        order = config.quadrature.get("order", 32)
+        order = config.quadrature.get("order", DEFAULT_ORDER)
         mc_samples = config.quadrature.get("mc_samples")
         measure = make_measure(weight, 1.0, order=order, mc_samples=mc_samples,
                                seed=config.seed)

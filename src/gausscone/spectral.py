@@ -127,10 +127,9 @@ class GalerkinSystem:
 
 
 def galerkin_applies(measure: Measure) -> bool:
-    """Whether build_galerkin assembles on the measure: a normalized measure
-    on a deterministic tensor rule whose density factors per axis."""
-    return (measure.is_normalized and measure.rule is not None
-            and measure.rule.kind == "tensor_generalized_hermite"
+    """Whether build_galerkin assembles on the measure: a deterministic
+    tensor rule whose density factors per axis."""
+    return (measure.rule.kind == "tensor_generalized_hermite"
             and axis_factors(measure.weight, measure.scale) is not None)
 
 
@@ -141,8 +140,8 @@ def build_galerkin(measure: Measure,
     weight = measure.weight
     if not galerkin_applies(measure):
         raise ContractError(
-            "Galerkin assembly requires a normalized measure on a deterministic "
-            "tensor rule whose density factors per axis")
+            "Galerkin assembly requires a deterministic tensor rule whose "
+            "density factors per axis")
     if max_degree is None:
         max_degree = default_degree(weight.dim)
 

@@ -36,6 +36,7 @@ from .gamma import (
     neumann_residual,
 )
 from .inequalities import (
+    TOLERANCE_SCALE,
     InequalityCheck,
     check_beckner,
     check_euclidean_lsi,
@@ -47,7 +48,7 @@ from .inequalities import (
     euclidean_lsi_rescaling_invariance,
     sharpness_sweep,
 )
-from .measures import Measure
+from .measures import DEFAULT_ORDER, Measure
 from .spectral import (
     build_galerkin,
     duality_stability_residual,
@@ -74,9 +75,9 @@ class RunContext:
     weight: Weight
     measure: Measure
     fields: list[ScalarField]
-    tolerance: float = 1e-7
+    tolerance: float = TOLERANCE_SCALE
     seed: int = 0
-    order: int = 32
+    order: int = DEFAULT_ORDER
 
     @property
     def dim(self) -> int:
@@ -342,7 +343,7 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
     worst_improved = math.inf
     for k in range(STABILITY_SEEDS):
         g = poly_gauss(ctx.seed + 300 + k, ctx.dim, even_axes=ctx.constrained)
-        rep = check_hup_stability(w, g, improved=True, tolerance=1e-7 * (1.0 + 1.0))
+        rep = check_hup_stability(w, g, improved=True, tolerance=2.0 * ctx.tolerance)
         worst_basic = min(worst_basic, rep.basic_deficit)
         worst_improved = min(worst_improved, rep.improved_deficit)
         if not rep.passed:

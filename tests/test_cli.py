@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from gausscone import cli, suites
 from gausscone.config import parse_config
-from gausscone.errors import ConfigError
+from gausscone.errors import ConfigError, ToolkitError
 from gausscone.report import emit, report_payload, run
 
 BASE_CONFIG = {
@@ -168,6 +169,30 @@ class TestCliExitCodes:
         r1 = _cli(["report", "--config", str(path), "--seed", "7"])
         r2 = _cli(["report", "--config", str(path), "--seed", "7"])
         assert r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize("flag, expected", [
+    ([], 2.0 * 1e-7),
+    (["--tolerance", "3e-6"], 2.0 * 3e-6),
+], ids=["default", "override"])
+def test_tolerance_reaches_seeded_hup_stability(tmp_path, monkeypatch, flag,
+                                                expected):
+    # the seeded HUP-stability checks are judged at twice the run tolerance;
+    # the half-line weight has no free axis, so the first stability check
+    # is the first seeded one
+    seen = []
+
+    def first_check(weight, f, improved=False, **kwargs):
+        seen.append(kwargs)
+        raise ToolkitError("stop after the first stability check")
+
+    monkeypatch.setattr(suites, "check_hup_stability", first_check)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(
+        BASE_CONFIG, weight={"kind": "monomial", "exponents": [1.0]},
+        suites=["hup_stability"])))
+    assert cli.main(["verify", "--config", str(path), *flag]) == 1
+    assert seen == [{"tolerance": expected}]
 
 
 def test_replication_byte_identical_across_processes(tmp_path):

@@ -15,7 +15,6 @@ import dataclasses
 import pytest
 
 from gausscone.errors import (
-    ContractError,
     DegenerateInputError,
     DomainError,
     NotHomogeneousError,
@@ -85,11 +84,6 @@ class TestVariance:
     def test_gaussian_x_squared(self, mu_one_1d):
         f = squared(affine([1.0], 0.0))
         assert variance(mu_one_1d, f) == pytest.approx(2.0, rel=1e-12)
-
-    def test_unnormalized_contract(self, w_one_2d):
-        nu = make_measure(w_one_2d, scale=None)
-        with pytest.raises(ContractError):
-            variance(nu, constant(1.0, 2))
 
 
 class TestEntropy:

@@ -29,7 +29,7 @@ from gausscone.fields import (
     scaled,
     squared,
 )
-from gausscone.functionals import variance
+from gausscone.functionals import dirichlet_energy, entropy, lq_norm, variance
 from gausscone.inequalities import (
     check_beckner,
     check_euclidean_lsi,
@@ -44,8 +44,47 @@ from gausscone.inequalities import (
 from gausscone.measures import make_measure
 from gausscone.weights import GaussianTilt, Monomial, make_weight
 
+SHARED_FORMULA_FIELDS = [
+    poly_gauss(3, 2, even_axes=frozenset({0})),
+    exp_axis(0.4, 1, 2),
+    affine([0.0, 1.0], 0.3),
+]
 EUCLID_EQUALITY_1D = -3.5567514473020886  # log(C_w)/C_w - 1/(2 C_w), C_w = (2pi)^{-1/2}
 ENT_HALF = 0.8243606353500641
+
+
+class TestSharedFormulas:
+    """The mu-functionals and the checkers share one formula each, so the
+    functionals reproduce the checkers' diagnostics bit for bit."""
+
+    @pytest.mark.parametrize("f", SHARED_FORMULA_FIELDS,
+                             ids=lambda f: f.name)
+    def test_functionals_equal_checker_diagnostics(self, mu_partial, f):
+        mu = mu_partial
+        for p, q in ((1.0, 2.0), (1.0, 1.5)):
+            beckner = check_beckner(mu, f, p, q).diagnostics
+            assert beckner["norm_q"] == lq_norm(mu, f, q)
+            assert beckner["norm_p"] == lq_norm(mu, f, p)
+            assert beckner["energy_q"] == dirichlet_energy(mu, f, q)
+        basic = check_poincare(mu, f, 1.5, "basic").diagnostics
+        assert basic["variance"] == variance(mu, f)
+        assert basic["energy_q"] == dirichlet_energy(mu, f, 1.5)
+        for level in ("gradient_stability", "l2_stability"):
+            stable = check_poincare(mu, f, 2.0, level).diagnostics
+            assert stable["variance"] == variance(mu, f)
+            assert stable["energy"] == dirichlet_energy(mu, f, 2.0)
+        lsi = check_lsi(mu, f, 2.0).diagnostics
+        assert lsi["energy_q"] == dirichlet_energy(mu, f, 2.0)
+        assert lsi["entropy_q"] == entropy(mu, squared(f))
+
+    @pytest.mark.parametrize("level", ["basic", "improved"])
+    def test_scale_poincare_variance_is_variance(self, w_partial, level):
+        f = SHARED_FORMULA_FIELDS[0]
+        chk = check_scale_poincare(w_partial, f, 1.3, level, order=16)
+        mu = make_measure(w_partial, 1.3, order=16)
+        assert chk.diagnostics["variance"] == variance(mu, f)
+        assert chk.rhs == (1.3 * 1.3 if level == "improved" else 1.0) \
+            * dirichlet_energy(mu, f, 2.0)
 
 
 class TestBeckner:

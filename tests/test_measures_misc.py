@@ -7,11 +7,18 @@ import pytest
 
 from gausscone.cones import FullSpace, Halfspace, Orthant, ProductCone
 from gausscone.errors import EvaluationError, UnsupportedRuleError
-from gausscone.fields import constant, gaussian
+from gausscone.fields import constant, exp_axis, gaussian, poly_gauss
+from gausscone.inequalities import (
+    check_beckner,
+    check_lsi,
+    check_poincare,
+    check_scale_poincare,
+)
 from gausscone.measures import (
     _mc_rule,
     build_rule,
     integrate,
+    integrate_with_error,
     make_measure,
     nu_integral,
     partition_function,
@@ -28,6 +35,48 @@ class TestMeasurePlumbing:
     def test_non_finite_integrand(self, mu_one_1d):
         with pytest.raises(EvaluationError), np.errstate(divide="ignore"):
             integrate(mu_one_1d, lambda x: 1.0 / (x[:, 0] - x[:, 0]))
+
+    @pytest.mark.parametrize("mc_samples", [None, 2 ** 12], ids=["tensor", "mc"])
+    def test_vector_integrand_matches_components(self, w_partial, mc_samples):
+        # (N, 2, 3) values give (2, 3) integrals, each with the value and
+        # standard error of that component integrated alone, bit for bit
+        mu = make_measure(w_partial, 1.0, order=12, mc_samples=mc_samples,
+                          seed=3)
+        f = poly_gauss(4, 2, even_axes=frozenset({0}))
+        vals = f.value(mu.nodes)
+        stack = np.stack([np.stack([vals, vals ** 2, mu.nodes[:, 0]], axis=1),
+                          np.stack([mu.nodes[:, 1], vals * mu.nodes[:, 1],
+                                    np.ones(len(vals))], axis=1)], axis=1)
+        est, se = integrate_with_error(mu, stack)
+        assert est.shape == se.shape == (2, 3)
+        for i in range(2):
+            for k in range(3):
+                assert (est[i, k], se[i, k]) == integrate_with_error(
+                    mu, stack[:, i, k])
+        assert np.all(se > 0) if mc_samples else np.all(se == 0)
+        assert integrate(mu, f) == integrate(mu, vals)
+
+    def test_non_finite_component(self, mu_one_1d):
+        vals = np.ones((len(mu_one_1d.nodes), 2))
+        vals[3, 1] = np.inf
+        with pytest.raises(EvaluationError):
+            integrate(mu_one_1d, vals)
+
+    @pytest.mark.parametrize("check", [
+        lambda mu, f: check_beckner(mu, f, 1.0, 2.0),
+        lambda mu, f: check_poincare(mu, f, 2.0, "basic"),
+        lambda mu, f: check_poincare(mu, f, 2.0, "gradient_stability"),
+        lambda mu, f: check_poincare(mu, f, 2.0, "l2_stability"),
+        lambda mu, f: check_scale_poincare(mu.weight, f, 1.0, "basic"),
+        lambda mu, f: check_scale_poincare(mu.weight, f, 1.0, "improved"),
+        lambda mu, f: check_lsi(mu, f, 2.0),
+    ], ids=["beckner", "poincare_basic", "gradient_stability", "l2_stability",
+            "scale_basic", "scale_improved", "lsi"])
+    def test_mu_checks_refuse_non_finite_fields(self, mu_one_1d, check):
+        # e^{800 x} overflows at the outer Gauss-Hermite nodes
+        with pytest.raises(EvaluationError), np.errstate(over="ignore",
+                                                         invalid="ignore"):
+            check(mu_one_1d, exp_axis(800.0, 0, 1))
 
     def test_callable_and_field_agree(self, mu_one_2d):
         f = gaussian(1.0, 1.3, 2)

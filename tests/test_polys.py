@@ -10,7 +10,12 @@ from gausscone.gamma import (
     cd_margin,
     integration_by_parts_residual,
 )
-from gausscone.inequalities import check_poincare
+from gausscone.inequalities import (
+    check_beckner,
+    check_lsi,
+    check_poincare,
+    check_scale_poincare,
+)
 from gausscone.measures import make_measure
 from gausscone.polys import PolyND, exponent_table
 from gausscone.weights import Monomial, make_weight
@@ -137,8 +142,19 @@ CONSUMERS = {
     "hup_deficit": (lambda w, mu, f, g: hup_deficit(w, f), 1),
     "apply_generator": (lambda w, mu, f, g: apply_generator(
         w, f, w.cone.sample_interior(np.random.default_rng(0), 50)), 1),
+    # each mu-check takes one order-1 jet at the nodes for all its integrals
+    "check_beckner": (lambda w, mu, f, g: check_beckner(mu, f, 1.5, 2.0), 1),
+    "check_poincare_basic":
+        (lambda w, mu, f, g: check_poincare(mu, f, level="basic"), 1),
     "check_poincare_gradient_stability":
         (lambda w, mu, f, g: check_poincare(mu, f, level="gradient_stability"), 1),
+    "check_poincare_l2_stability":
+        (lambda w, mu, f, g: check_poincare(mu, f, level="l2_stability"), 1),
+    "check_scale_poincare_basic": (lambda w, mu, f, g: check_scale_poincare(
+        w, f, 1.3, "basic", order=8), 1),
+    "check_scale_poincare_improved": (lambda w, mu, f, g: check_scale_poincare(
+        w, f, 1.3, "improved", order=8), 1),
+    "check_lsi": (lambda w, mu, f, g: check_lsi(mu, f, 2.0), 1),
     "bochner_residual":
         (lambda w, mu, f, g: bochner_residual(w, f, [0.7, -0.3, 0.4]), 1),
 }

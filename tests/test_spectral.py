@@ -173,12 +173,6 @@ class TestGalerkinApplies:
             with pytest.raises(ContractError):
                 build_galerkin(mu, 4)
 
-    def test_unnormalized_measure(self, w_partial):
-        nu = make_measure(w_partial, scale=None)
-        assert not galerkin_applies(nu)
-        with pytest.raises(ContractError):
-            build_galerkin(nu, 4)
-
 
 class TestGap:
     def test_gaussian_gap_one(self, sys_1d):
