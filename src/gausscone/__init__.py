@@ -57,7 +57,6 @@ from .measures import (
     build_rule,
     integrate,
     make_measure,
-    normalization_constant,
     special_moments,
 )
 from .spectral import (

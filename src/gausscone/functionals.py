@@ -7,9 +7,10 @@ or gradients at the measure's nodes that integrates through
 `measures.integrate`.  The public functions evaluate the field and call it;
 the checkers of `inequalities` call it on the one jet they take per check.
 
-The weighted-Lebesgue (nu = w dx) functionals are restricted to fields with
-Gaussian decay envelopes and evaluate on rate-matched rules, so polynomial-
-times-Gaussian inputs are integrated exactly.
+The weighted-Lebesgue (nu = w dx) functionals take the run's measure for its
+weight and rule settings, are restricted to fields with Gaussian decay
+envelopes and evaluate on rate-matched rules of those settings, so
+polynomial-times-Gaussian inputs are integrated exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
 )
 from .fields import ScalarField
 from .measures import Measure, integrate, nu_integral
-from .weights import Weight
 
 _NEG_TOL = 1e-12
 
@@ -116,7 +116,7 @@ class NuMoments(NamedTuple):
     sq_log_sq: float    # int f^2 log f^2 w dx, with 0 log 0 := 0
 
 
-def _nu_moments(weight: Weight, f: ScalarField) -> NuMoments:
+def _nu_moments(measure: Measure, f: ScalarField) -> NuMoments:
     """All NuMoments of f from one rate-matched pass and one jet of f at the
     nodes."""
     rate = _gauss_rate(f)
@@ -130,12 +130,12 @@ def _nu_moments(weight: Weight, f: ScalarField) -> NuMoments:
                          sq * np.sum(pts ** 2, axis=1),
                          vals * np.sum(pts * grad, axis=1), sq_log_sq], axis=1)
 
-    return NuMoments(*(float(v) for v in nu_integral(weight, integrand, 2.0 * rate)))
+    return NuMoments(*(float(v) for v in nu_integral(measure, integrand, 2.0 * rate)))
 
 
-def optimal_scale(weight: Weight, f: ScalarField) -> float:
+def optimal_scale(measure: Measure, f: ScalarField) -> float:
     """lambda* = (int f^2 |x|^2 w dx / int |grad f|^2 w dx)^(1/4)."""
-    m = _nu_moments(weight, f)
+    m = _nu_moments(measure, f)
     if m.moment <= 0.0 or m.energy <= 0.0:
         raise DegenerateInputError("optimal scale of a (numerically) zero field")
     return (m.moment / m.energy) ** 0.25
@@ -151,7 +151,7 @@ class HupDeficit:
     norm_sq: float      # int f^2 w dx
 
 
-def hup_deficit(weight: Weight, f: ScalarField) -> HupDeficit:
+def hup_deficit(measure: Measure, f: ScalarField) -> HupDeficit:
     """delta_w(f) = sqrt(energy) sqrt(moment) - (n+alpha)/2 * norm_sq, plus the
     residual of the completed-square identity
 
@@ -162,9 +162,10 @@ def hup_deficit(weight: Weight, f: ScalarField) -> HupDeficit:
     expands to energy + 2 cross / lam*^2 + moment / lam*^4, so the residual
     is that of the integration by parts int f x.grad f w = -(n+alpha)/2 norm_sq.
     """
+    weight = measure.weight
     if not weight.is_homogeneous:
         raise NotHomogeneousError("the HUP deficit assumes a homogeneous weight")
-    m = _nu_moments(weight, f)
+    m = _nu_moments(measure, f)
     if m.norm_sq <= 0.0:
         raise DegenerateInputError("zero field")
     n_alpha = weight.dim + weight.degree

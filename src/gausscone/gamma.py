@@ -161,10 +161,10 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
                                   g: ScalarField) -> float:
     """Relative residual of int (L_w f) g dmu = -int Gamma(f,g) dmu.
 
-    Both sides evaluate in one pass on a rule whose Gaussian factor matches
-    the combined decay of the pair plus the measure's own Gaussian, so pairs
-    of fast-decaying fields are integrated at full precision instead of
-    riding the tail of the lambda = 1 rule.
+    Both sides evaluate in one nu-pass on the rule of the measure's settings
+    whose Gaussian factor matches the combined decay of the pair plus the
+    measure's own Gaussian, so pairs of fast-decaying fields are integrated
+    at full precision instead of riding the tail of the lambda = 1 rule.
     """
     weight = measure.weight
     lam = measure.scale
@@ -188,5 +188,5 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
         sides *= np.exp(-damp * np.sum(pts ** 2, axis=1))[:, None]
         return sides
 
-    lhs, rhs = (float(v) for v in nu_integral(weight, integrand, rate))
+    lhs, rhs = (float(v) for v in nu_integral(measure, integrand, rate))
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))

@@ -12,6 +12,11 @@ Each check under mu_{w,lambda} takes one order-1 jet of its field at the
 measure's nodes and gets every integral from it through the formulas of
 `functionals`, so a checker's norms, variance, entropy and energy are the
 ones `lq_norm`, `variance`, `entropy` and `dirichlet_energy` return.
+
+Every checker takes the run's `Measure` first, including the ones stated
+under nu = w dx (Euclidean LSI, HUP) and the scale-dependent Poincare check
+under mu_{w,lambda} at another scale: their rules come from the measure's
+settings, so a run integrates on one rule family.
 """
 
 from __future__ import annotations
@@ -35,15 +40,7 @@ from .functionals import (
     _nu_moments,
     hup_deficit,
 )
-from .measures import (
-    DEFAULT_ORDER,
-    Measure,
-    integrate,
-    make_measure,
-    normalization_constant,
-    nu_integral,
-)
-from .weights import Weight
+from .measures import Measure, integrate, nu_integral, partition_function
 
 TOLERANCE_SCALE = 1e-7
 
@@ -155,17 +152,17 @@ def _least_squares_affine_gap(measure: Measure, centered: np.ndarray) -> float:
     return max(integrate(measure, centered ** 2) - float(b @ coef), 0.0)
 
 
-def check_scale_poincare(weight: Weight, f: ScalarField, lam: float,
-                         level: str = "basic",
-                         order: int = DEFAULT_ORDER) -> InequalityCheck:
-    """Scale-dependent Poincare inequality under mu_{w,lambda}; the improved
-    level adds the affine least-squares correction term."""
+def check_scale_poincare(measure: Measure, f: ScalarField, lam: float,
+                         level: str = "basic") -> InequalityCheck:
+    """Scale-dependent Poincare inequality under mu_{w,lambda}, on a rule of
+    the measure's settings at scale lam; the improved level adds the affine
+    least-squares correction term."""
     if lam <= 0:
         raise ParameterError("lambda must be positive")
     if level not in ("basic", "improved"):
         raise ParameterError(f"unknown scale level {level!r}")
-    c = 1.0 + weight.kw
-    measure = make_measure(weight, lam, order=order)
+    c = 1.0 + measure.weight.kw
+    measure = measure.at_scale(lam)
     vals, grad = f.jet(measure.nodes, 1)
     energy = _energy(measure, grad, 2.0)
     mean, var = _mean_variance(measure, vals)
@@ -211,27 +208,28 @@ def check_lsi(measure: Measure, f: ScalarField, q: float = 2.0) -> InequalityChe
                                "energy_q": energy})
 
 
-def _c_lsih(weight: Weight) -> tuple[float, float, float]:
-    c_w = normalization_constant(weight, 1.0)
-    n_alpha = weight.dim + weight.degree
+def _c_lsih(measure: Measure) -> tuple[float, float, float]:
+    c_w = 1.0 / partition_function(measure)
+    n_alpha = measure.weight.dim + measure.weight.degree
     return 4.0 * c_w ** (2.0 / n_alpha) / (math.e * n_alpha), c_w, n_alpha
 
 
-def check_euclidean_lsi(weight: Weight, f: ScalarField) -> InequalityCheck:
+def check_euclidean_lsi(measure: Measure, f: ScalarField) -> InequalityCheck:
     """Sharp Euclidean LSI for log-concave homogeneous weights:
 
         Ent_nu(f^2) <= (n+alpha)/2 * int f^2 dnu * log(C_LSIH * A / B)
 
     with C_LSIH = 4 C_w^{2/(n+alpha)} / (e (n+alpha)); equality at Gaussians
     A e^{-|x|^2/4}."""
+    weight = measure.weight
     if not weight.is_homogeneous:
         raise ContractError("Euclidean LSI requires a homogeneous weight")
     if weight.kw != 0.0:
         raise ContractError("Euclidean LSI requires a log-concave weight (K_w = 0)")
     if not f.decay.is_gaussian:
         raise ContractError("field needs a Gaussian decay envelope")
-    c_lsih, c_w, n_alpha = _c_lsih(weight)
-    m = _nu_moments(weight, f)
+    c_lsih, c_w, n_alpha = _c_lsih(measure)
+    m = _nu_moments(measure, f)
     b, a = m.norm_sq, m.energy
     if b <= 0:
         raise DegenerateInputError("zero field")
@@ -242,7 +240,7 @@ def check_euclidean_lsi(weight: Weight, f: ScalarField) -> InequalityCheck:
                                "mass": b, "energy": a})
 
 
-def check_lsi_equivalence(weight: Weight, big_f: ScalarField) -> dict:
+def check_lsi_equivalence(measure: Measure, big_f: ScalarField) -> dict:
     """Term-by-term bookkeeping tying the Euclidean LSI to the Gaussian one.
 
     forward: with h = sqrt(C_w) e^{-|x|^2/4} and f = F h,
@@ -253,9 +251,10 @@ def check_lsi_equivalence(weight: Weight, big_f: ScalarField) -> dict:
     turns the Euclidean bound into Ent_mu(F^2) <= 2 int |grad F|^2 dmu; the
     coefficient of int |x|^2 f^2 dnu in that assembly cancels exactly.
     """
+    weight = measure.weight
     if not weight.is_homogeneous or weight.kw != 0.0:
         raise ContractError("requires a log-concave homogeneous weight")
-    c_lsih, c_w, n_alpha = _c_lsih(weight)
+    c_lsih, c_w, n_alpha = _c_lsih(measure)
     h = gaussian(math.sqrt(c_w), math.sqrt(2.0), weight.dim)
     f = product(big_f, h)
 
@@ -273,10 +272,10 @@ def check_lsi_equivalence(weight: Weight, big_f: ScalarField) -> dict:
                 * np.exp(-0.5 * np.sum(pts ** 2, axis=1))[:, None])
 
     mass_mu, vlogv_mu, energy_mu = (c_w * float(v) for v in nu_integral(
-        weight, mu_integrand, 2.0 * big_f.decay.rate + 0.5))
+        measure, mu_integrand, 2.0 * big_f.decay.rate + 0.5))
     ent_mu = vlogv_mu - mass_mu * math.log(mass_mu)
 
-    m = _nu_moments(weight, f)
+    m = _nu_moments(measure, f)
     b, a, d = m.norm_sq, m.energy, m.moment
     if b <= 0:
         raise DegenerateInputError("zero field")
@@ -319,14 +318,14 @@ def check_lsi_equivalence(weight: Weight, big_f: ScalarField) -> dict:
     }
 
 
-def euclidean_lsi_rescaling_invariance(weight: Weight, f: ScalarField,
+def euclidean_lsi_rescaling_invariance(measure: Measure, f: ScalarField,
                                        lam: float = 2.0) -> dict:
     """Relative change of the Euclidean-LSI deficit under the mass-preserving
     dilation f_lam = lam^{(n+alpha)/2} f(lam x); zero in exact arithmetic."""
-    base = check_euclidean_lsi(weight, f)
-    n_alpha = weight.dim + weight.degree
+    base = check_euclidean_lsi(measure, f)
+    n_alpha = measure.weight.dim + measure.weight.degree
     f_lam = mass_dilated(f, lam, n_alpha)
-    scaled = check_euclidean_lsi(weight, f_lam)
+    scaled = check_euclidean_lsi(measure, f_lam)
     denom = 1.0 + abs(base.rhs) + abs(scaled.rhs)
     return {
         "deficit": base.deficit,
@@ -339,11 +338,11 @@ def euclidean_lsi_rescaling_invariance(weight: Weight, f: ScalarField,
 # HUP wrapper
 # ---------------------------------------------------------------------------
 
-def check_hup(weight: Weight, f: ScalarField) -> InequalityCheck:
+def check_hup(measure: Measure, f: ScalarField) -> InequalityCheck:
     """sqrt(energy) sqrt(moment) >= (n+alpha)/2 * norm; the deficit is
     delta_w(f) and the conjugation-identity residual rides in diagnostics."""
-    res = hup_deficit(weight, f)
-    n_alpha = weight.dim + weight.degree
+    res = hup_deficit(measure, f)
+    n_alpha = measure.weight.dim + measure.weight.degree
     lhs = 0.5 * n_alpha * res.norm_sq
     rhs = math.sqrt(res.energy) * math.sqrt(res.moment)
     identity_ok = res.identity_residual <= 1e-8 * (1.0 + abs(res.delta))

@@ -15,13 +15,17 @@ Rule families:
   custom weights).  Sampling uses the counter-based Philox generator, so a
   (seed, samples) pair reproduces the rule exactly.
 
-Every integral against mu goes through `integrate`, which takes a vector
-integrand and checks that it is finite at every node.  Integrals of
-Gaussian-decay fields against nu = w dx go through `nu_integral`, which
-reuses the same tensor factories rescaled so the rule's Gaussian factor
-matches the integrand's envelope rate exactly; the remaining slowly-varying
-factor is folded into the integrand.  For polynomial-times-Gaussian
-integrands this is exact, which is what the identity suites rely on.
+A `Measure` holds the weight together with the rule settings it was made
+with (the order, or the Monte Carlo sample count and seed), and every rule
+of a run comes from those settings: `Measure.rule_at` is the rule of the
+same family at any scale.  Every integral against mu goes through
+`integrate`, which takes a vector integrand and checks that it is finite at
+every node.  Integrals of Gaussian-decay fields against nu = w dx go through
+`nu_integral(measure, ...)`, which takes the measure's rule at the scale
+whose Gaussian factor matches the integrand's envelope rate exactly (the
+measure's own scale plays no part); the remaining slowly-varying factor is
+folded into the integrand.  For polynomial-times-Gaussian integrands this
+is exact, which is what the identity suites rely on.
 """
 
 from __future__ import annotations
@@ -261,37 +265,23 @@ def build_rule(weight: Weight, lam: float = 1.0, order: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# partition function / normalization
-# ---------------------------------------------------------------------------
-
-def partition_function(weight: Weight, lam: float = 1.0,
-                       order: int = DEFAULT_ORDER) -> float:
-    """Z(w, lambda) = integral of w exp(-|x|^2/(2 lambda^2)) over the cone."""
-    z = build_rule(weight, lam, order=order).mass
-    if not np.isfinite(z) or z <= 0:
-        raise IntegrationFailureError("partition function estimate is not positive")
-    return z
-
-
-def normalization_constant(weight: Weight, lam: float = 1.0,
-                           order: int = DEFAULT_ORDER) -> float:
-    """C_{w,lambda} = 1 / Z(w, lambda)."""
-    return 1.0 / partition_function(weight, lam, order)
-
-
-# ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Measure:
-    """mu_{w,lambda} on its quadrature rule; normalization = 1 / Z."""
+    """mu_{w,lambda} on its quadrature rule; normalization = 1 / Z.
+
+    order, mc_samples and seed are the rule settings exactly as make_measure
+    received them; every other rule of the run is built from them."""
 
     weight: Weight
     scale: float
     rule: QuadratureRule
     normalization: float
-    order: int = DEFAULT_ORDER
+    order: int
+    mc_samples: int | None
+    seed: int
 
     @property
     def cone(self) -> Cone:
@@ -310,6 +300,16 @@ class Measure:
         """Quadrature weights of the probability measure (sum to one)."""
         return self.rule.weights * self.normalization
 
+    def rule_at(self, lam: float) -> QuadratureRule:
+        """The rule of this measure's settings for w exp(-|x|^2/(2 lam^2)) dx."""
+        return build_rule(self.weight, lam, order=self.order,
+                          mc_samples=self.mc_samples, seed=self.seed)
+
+    def at_scale(self, lam: float) -> Measure:
+        """mu_{w,lam} on a rule of the same settings."""
+        return make_measure(self.weight, lam, self.order, self.mc_samples,
+                            self.seed)
+
     def describe(self) -> dict:
         return {
             "weight": repr(self.weight.spec.cache_key()),
@@ -327,7 +327,13 @@ def make_measure(weight: Weight, scale: float = 1.0,
     z = rule.mass
     if not np.isfinite(z) or z <= 0:
         raise IntegrationFailureError("normalization is not positive/finite")
-    return Measure(weight, scale, rule, 1.0 / z, order=order)
+    return Measure(weight, scale, rule, 1.0 / z, order, mc_samples, seed)
+
+
+def partition_function(measure: Measure) -> float:
+    """Z(w, 1) = integral of w exp(-|x|^2/2) over the cone: the mass of the
+    lambda = 1 rule of the measure's settings, whatever its own scale."""
+    return measure.rule_at(1.0).mass
 
 
 def integrate(measure: Measure, f) -> float | np.ndarray:
@@ -372,11 +378,11 @@ def special_moments(measure: Measure) -> SpecialMoments:
 # rate-matched unnormalized integrals
 # ---------------------------------------------------------------------------
 
-def nu_integral(weight: Weight, integrand: Callable[[np.ndarray], np.ndarray],
-                rate: float | np.ndarray, order: int = DEFAULT_ORDER
-                ) -> float | np.ndarray:
+def nu_integral(measure: Measure, integrand: Callable[[np.ndarray], np.ndarray],
+                rate: float | np.ndarray) -> float | np.ndarray:
     """Integral of integrand(x) w(x) dx for integrands ~ (slow factor) *
-    exp(-rate |x|^2); the rule's Gaussian factor matches the rate exactly.
+    exp(-rate |x|^2), on the rule of the measure's settings whose Gaussian
+    factor matches the rate exactly; the measure's own scale plays no part.
 
     An integrand returning (N, ...) at the N nodes gives the (...) array of
     the integrals of its components; (N,) gives a float.
@@ -386,19 +392,20 @@ def nu_integral(weight: Weight, integrand: Callable[[np.ndarray], np.ndarray],
     returns (K, N, ...), and the result is the (K, ...) array whose row k is
     what the call with rate[k] alone returns.  Each rule is the cached
     lambda = 1 rule rescaled exactly as build_rule rescales it."""
+    weight = measure.weight
     rates = np.asarray(rate, dtype=float)
     if rates.ndim > 1:
         raise ContractError("nu-integration takes one rate or a 1-D array of rates")
     if not np.all(rates > 0):
         raise DecayContractError("nu-integration needs a positive Gaussian rate")
     if rates.ndim == 0:
-        rule = build_rule(weight, 1.0 / math.sqrt(2.0 * rate), order=order)
+        rule = measure.rule_at(1.0 / math.sqrt(2.0 * rate))
         pts, qw = rule.nodes, rule.weights
     else:
         if weight.degree is None:
             raise NotHomogeneousError(
                 "a batch of rates needs a homogeneous weight")
-        base = build_rule(weight, 1.0, order=order)
+        base = measure.rule_at(1.0)
         lams = 1.0 / np.sqrt(2.0 * rates)
         power = weight.dim + weight.degree
         pts = base.nodes * lams[:, None, None]

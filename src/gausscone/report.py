@@ -64,7 +64,7 @@ def run(config: RunConfig) -> RunReport:
         # problem, not a theorem failure
         raise ConfigError(str(exc)) from exc
     ctx = RunContext(weight=weight, measure=measure, fields=fields,
-                     tolerance=config.tolerance, seed=config.seed, order=order)
+                     tolerance=config.tolerance, seed=config.seed)
     report = RunReport(config=dict(config.raw), version=__version__)
     for name in config.suites:
         t0 = time.perf_counter()

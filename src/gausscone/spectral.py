@@ -394,43 +394,3 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
                       phi0_expected=phi0_expected, phi_limit=phi_limit,
                       phi_limit_expected=phi_limit_expected, shift=shift,
                       p=p, q=q)
-
-
-def semigroup_gradient_bound(system: GalerkinSystem, f: ScalarField, p: float,
-                             t: float) -> float:
-    """Max pointwise-relative violation over the quadrature nodes of
-
-        |grad(P_t f^p)|^2  <=  e^{-2(1+K_w)t} (P_t |grad(f^p)|)^2.
-
-    Nonpositive (up to projection error) under CD(1+K_w, inf).  Violations
-    are normalized by 1 + max(lhs, rhs) per node since both sides swing over
-    many orders of magnitude across the node set.  Only fields whose
-    |grad(f^p)| is smooth are meaningful here; kinked moduli project poorly
-    and the check would report the projection artifact.
-    """
-    kw = system.measure.weight.kw
-    pts = system.nodes
-    w = system.node_weights
-    fv, grad = f.jet(pts, 1)
-    fmin = float(np.min(fv))
-    shift = -fmin + 1e-6 if fmin < 0 else 0.0
-    fv = fv + shift
-
-    fp_coeffs = system.basis_values.T @ (w * fv ** p)
-    evolved = semigroup_apply(system, fp_coeffs, t)
-    grad_sq = np.zeros(len(pts))
-    for ax in range(system.measure.dim):
-        grad_sq += (system.grad_values(pts, ax) @ evolved) ** 2
-
-    grad_fp = p * fv ** (p - 1.0)
-    grad_fp = grad_fp[:, None] * grad
-    mod = np.linalg.norm(grad_fp, axis=1)
-    mod_coeffs = system.basis_values.T @ (w * mod)
-    mod_t = system.basis_values @ semigroup_apply(system, mod_coeffs, t)
-    rhs = math.exp(-2.0 * (1.0 + kw) * t) * mod_t ** 2
-    # extreme tail nodes carry ~e^{-50} of the measure and see only the
-    # polynomial projection's oscillation; the bound is checked where the
-    # discretization represents the semigroup
-    live = w >= 1e-14 * float(np.max(w))
-    rel = (grad_sq - rhs) / (1.0 + np.maximum(grad_sq, rhs))
-    return float(np.max(rel[live]))

@@ -5,13 +5,14 @@ The optimizer family is E = {c exp(-|x|^2/(2 lambda^2))}; the improved
 stability statement measures against the larger affine-Gaussian family
 {(c + d.x) exp(-|x|^2/(2 lambda^2))}.  Inner minimization over the linear
 coefficients is exact least squares against the lambda-Gaussian; the outer
-one-dimensional minimization runs in log(lambda).  A pre-scan evaluates the
-least-squares objective on a grid of lambda in batches: the projections of
-f come from one nu-pass over the stacked rate-matched rules of a chunk of
+one-dimensional minimization runs in log(lambda).  Every entry point takes
+the run's `Measure` for its weight and rule settings.  A pre-scan evaluates
+the least-squares objective on a grid of lambda in batches: the projections
+of f come from one nu-pass over the stacked rate-matched rules of a chunk of
 lambda, and the Gram matrix of the family basis at every lambda is the
-moment matrix of the lambda = 1 rule rescaled by exact homogeneity.  Brent's
-method (Brent 1973) then refines the best grid bracket, which keeps the
-search deterministic and auditable.
+moment matrix of the same lambda = 1 rule rescaled by exact homogeneity.
+Brent's method (Brent 1973) then refines the best grid bracket, which keeps
+the search deterministic and auditable.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from .errors import ContractError, DegenerateInputError, NotHomogeneousError
 from .fields import ScalarField
 from .functionals import _nu_moments, hup_deficit
-from .measures import build_rule, nu_integral
-from .weights import Weight
+from .inequalities import TOLERANCE_SCALE
+from .measures import Measure, nu_integral
 
 GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 EPS = float(np.finfo(float).eps)
@@ -59,16 +60,18 @@ def _family_poly(pts: np.ndarray, affine: bool) -> np.ndarray:
     return np.concatenate([ones, pts], axis=-1) if affine else ones
 
 
-def _objective(weight: Weight, f: ScalarField, lams: np.ndarray, affine: bool,
+def _objective(measure: Measure, f: ScalarField, lams: np.ndarray, affine: bool,
                norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares residuals ||f - proj_family||^2_w at each lambda of the
     1-D array lams, with the (len(lams), m) coefficients of the projections.
 
     The Gram matrix of the basis e^{-|x|^2/(2 lambda^2)} p(x) is a nu-integral
-    at rate 1/lambda^2, whose rule is the lambda = 1 rule with nodes t and
-    weights q rescaled to nodes s t and weights s^{n+alpha} q, s = lambda/sqrt 2.
+    at rate 1/lambda^2, whose rule is the measure's lambda = 1 rule (the one
+    the projections are rescaled from) with nodes t and weights q rescaled to
+    nodes s t and weights s^{n+alpha} q, s = lambda/sqrt 2.
     So Gram(lambda)_ij = s^{n+alpha+|i|+|j|} G_ij with G = sum q p(t) p(t)^T."""
-    rule = build_rule(weight, 1.0)
+    weight = measure.weight
+    rule = measure.rule_at(1.0)
     poly = _family_poly(rule.nodes, affine)
     gram1 = (poly.T * rule.weights) @ poly
     degree = np.array([0] + [1] * (poly.shape[1] - 1))
@@ -83,7 +86,7 @@ def _objective(weight: Weight, f: ScalarField, lams: np.ndarray, affine: bool,
             vals = f(pts.reshape(-1, dim)).reshape(pts.shape[:-1])
             gauss = np.exp(-rg[:, None] * np.sum(pts ** 2, axis=-1))
             return (vals * gauss)[..., None] * _family_poly(pts, affine)
-        return nu_integral(weight, integrand, f.decay.rate + rg)
+        return nu_integral(measure, integrand, f.decay.rate + rg)
 
     chunk = max(NODE_BUDGET // len(rule.weights), 1)
     b = np.concatenate([projections(rate_g[k:k + chunk])
@@ -145,12 +148,13 @@ def _brent(fn, lo: float, x: float, fx: float, hi: float,
                 v, fv = u, fu
 
 
-def _distance(weight: Weight, f: ScalarField, family: str, norm_sq: float,
+def _distance(measure: Measure, f: ScalarField, family: str, norm_sq: float,
               prescan_points: int = PRESCAN_POINTS,
               bracket: tuple[float, float] = LOG_LAMBDA_BRACKET) -> DistanceResult:
     """distance_to_family with ||f||^2_w = norm_sq already known."""
     if family not in (FAMILY_GAUSSIAN, FAMILY_AFFINE_GAUSSIAN):
         raise ContractError(f"unknown family {family!r}")
+    weight = measure.weight
     if not weight.is_homogeneous:
         raise NotHomogeneousError(
             "the optimizer families assume a homogeneous weight")
@@ -159,11 +163,11 @@ def _distance(weight: Weight, f: ScalarField, family: str, norm_sq: float,
     affine = family == FAMILY_AFFINE_GAUSSIAN
 
     def objective(loglam: float) -> float:
-        return float(_objective(weight, f, np.array([math.exp(loglam)]),
+        return float(_objective(measure, f, np.array([math.exp(loglam)]),
                                 affine, norm_sq)[0][0])
 
     grid = np.linspace(bracket[0], bracket[1], prescan_points)
-    vals = _objective(weight, f, np.exp(grid), affine, norm_sq)[0]
+    vals = _objective(measure, f, np.exp(grid), affine, norm_sq)[0]
     spread = float(np.max(vals) - np.min(vals))
     if spread <= 1e-12 * (1.0 + norm_sq):
         return DistanceResult(
@@ -178,7 +182,7 @@ def _distance(weight: Weight, f: ScalarField, family: str, norm_sq: float,
     loglam, _, evals = _brent(objective, float(lo), float(grid[best]),
                               float(vals[best]), float(hi))
     lam = math.exp(loglam)
-    objs, coefs = _objective(weight, f, np.array([lam]), affine, norm_sq)
+    objs, coefs = _objective(measure, f, np.array([lam]), affine, norm_sq)
     obj, coef = float(objs[0]), coefs[0]
     return DistanceResult(
         distance=math.sqrt(obj), family=family, c=float(coef[0]),
@@ -187,7 +191,7 @@ def _distance(weight: Weight, f: ScalarField, family: str, norm_sq: float,
         prescan_best=float(vals[best]), iterations=evals)
 
 
-def distance_to_family(weight: Weight, f: ScalarField,
+def distance_to_family(measure: Measure, f: ScalarField,
                        family: str = FAMILY_GAUSSIAN,
                        prescan_points: int = PRESCAN_POINTS,
                        bracket: tuple[float, float] = LOG_LAMBDA_BRACKET) -> DistanceResult:
@@ -197,17 +201,17 @@ def distance_to_family(weight: Weight, f: ScalarField,
     e.g. odd witnesses against the pure Gaussian family) short-circuits to
     distance = ||f|| with the argmin flagged degenerate.
     """
-    return _distance(weight, f, family, _nu_moments(weight, f).norm_sq,
+    return _distance(measure, f, family, _nu_moments(measure, f).norm_sq,
                      prescan_points, bracket)
 
 
-def brute_force_lambda_scan(weight: Weight, f: ScalarField,
+def brute_force_lambda_scan(measure: Measure, f: ScalarField,
                             family: str = FAMILY_GAUSSIAN,
                             num: int = 2001,
                             bracket: tuple[float, float] = LOG_LAMBDA_BRACKET) -> DistanceResult:
     """Optimizer oracle: the same search behind a dense num-point pre-scan,
     which checks that the coarse pre-scan brackets the global minimum."""
-    return distance_to_family(weight, f, family, prescan_points=num,
+    return distance_to_family(measure, f, family, prescan_points=num,
                               bracket=bracket)
 
 
@@ -225,23 +229,25 @@ class StabilityReport:
     diagnostics: dict
 
 
-def check_hup_stability(weight: Weight, f: ScalarField, improved: bool = False,
+def check_hup_stability(measure: Measure, f: ScalarField, improved: bool = False,
                         tolerance: float | None = None) -> StabilityReport:
     """delta_w(f) >= (1+K_w) d^2(f, E); improved version subtracts the basic
-    bound and compares against the affine-Gaussian distance."""
-    if not weight.is_homogeneous:
+    bound and compares against the affine-Gaussian distance.  Without a
+    tolerance the verdict is judged at TOLERANCE_SCALE (1 + |delta|)."""
+    if not measure.weight.is_homogeneous:
         raise NotHomogeneousError("HUP stability assumes a homogeneous weight")
-    kw = weight.kw
-    dres = hup_deficit(weight, f)
-    base = _distance(weight, f, FAMILY_GAUSSIAN, dres.norm_sq)
+    kw = measure.weight.kw
+    dres = hup_deficit(measure, f)
+    base = _distance(measure, f, FAMILY_GAUSSIAN, dres.norm_sq)
     d_sq = base.distance ** 2
-    tol = tolerance if tolerance is not None else 1e-7 * (1.0 + abs(dres.delta))
+    tol = (tolerance if tolerance is not None
+           else TOLERANCE_SCALE * (1.0 + abs(dres.delta)))
     basic_deficit = dres.delta - (1.0 + kw) * d_sq
     improved_deficit = None
     tilde_sq = None
     argmin = {"c": base.c, "lam": base.lam, "degenerate": base.degenerate}
     if improved:
-        tilde = _distance(weight, f, FAMILY_AFFINE_GAUSSIAN, dres.norm_sq)
+        tilde = _distance(measure, f, FAMILY_AFFINE_GAUSSIAN, dres.norm_sq)
         tilde_sq = tilde.distance ** 2
         improved_deficit = basic_deficit - 0.5 * (1.0 + kw) * tilde_sq
         argmin["affine"] = {"c": tilde.c, "d": tilde.d, "lam": tilde.lam,

@@ -48,7 +48,7 @@ from .inequalities import (
     euclidean_lsi_rescaling_invariance,
     sharpness_sweep,
 )
-from .measures import DEFAULT_ORDER, Measure
+from .measures import Measure
 from .spectral import (
     build_galerkin,
     duality_stability_residual,
@@ -77,7 +77,6 @@ class RunContext:
     fields: list[ScalarField]
     tolerance: float = TOLERANCE_SCALE
     seed: int = 0
-    order: int = DEFAULT_ORDER
 
     @property
     def dim(self) -> int:
@@ -222,11 +221,11 @@ def suite_scale_poincare(ctx: RunContext) -> list[dict]:
             continue
         for lam in (0.5, 1.0, 2.0):
             out.append(record_of(
-                check_scale_poincare(ctx.weight, f, lam, "basic",
-                                     order=ctx.order), f.name, ctx.tolerance))
+                check_scale_poincare(ctx.measure, f, lam, "basic"), f.name,
+                ctx.tolerance))
         out.append(record_of(
-            check_scale_poincare(ctx.weight, f, 1.3, "improved",
-                                 order=ctx.order), f.name, ctx.tolerance))
+            check_scale_poincare(ctx.measure, f, 1.3, "improved"), f.name,
+            ctx.tolerance))
     return out
 
 
@@ -260,16 +259,17 @@ def suite_euclidean_lsi(ctx: RunContext) -> list[dict]:
                       "skipped: requires a log-concave homogeneous weight")]
     out = []
     for amp in (1.0, 2.0):
-        chk = check_euclidean_lsi(w, gaussian_quarter(amp, ctx.dim))
+        chk = check_euclidean_lsi(ctx.measure, gaussian_quarter(amp, ctx.dim))
         rec = record_of(chk, f"gaussian_quarter(A={amp})")
         rec["pass"] = bool(rec["pass"] and abs(chk.deficit)
                            <= 1e-7 * (1.0 + abs(chk.lhs) + abs(chk.rhs)))
         out.append(rec)
     for f in ctx.fields:
         if f.decay.is_gaussian:
-            out.append(record_of(check_euclidean_lsi(w, f), f.name, ctx.tolerance))
+            out.append(record_of(check_euclidean_lsi(ctx.measure, f), f.name,
+                                 ctx.tolerance))
     probe = gaussian(1.0, 1.1, ctx.dim)
-    inv = euclidean_lsi_rescaling_invariance(w, probe, lam=2.0)
+    inv = euclidean_lsi_rescaling_invariance(ctx.measure, probe, lam=2.0)
     out.append({"theorem": "euclidean_lsi_rescaling",
                 "pass": bool(inv["relative_change"] <= 1e-7),
                 "informational": False, **inv})
@@ -287,7 +287,7 @@ def suite_lsi_equivalence(ctx: RunContext) -> list[dict]:
     candidates.append(poly_gauss(ctx.seed + 7, ctx.dim, even_axes=ctx.constrained))
     out = []
     for big_f in candidates:
-        res = check_lsi_equivalence(w, big_f)
+        res = check_lsi_equivalence(ctx.measure, big_f)
         out.append({"theorem": "lsi_equivalence", "field": big_f.name,
                     "informational": False, **res})
     return out
@@ -303,12 +303,12 @@ def suite_hup(ctx: RunContext) -> list[dict]:
             out.append(_info("hup", "skipped: no Gaussian decay envelope",
                              field=f.name))
             continue
-        out.append(record_of(check_hup(w, f), f.name, ctx.tolerance))
+        out.append(record_of(check_hup(ctx.measure, f), f.name, ctx.tolerance))
     # UNP identity on seeded fields
     worst = 0.0
     for k in range(IDENTITY_SEEDS):
         g = poly_gauss(ctx.seed + 100 + k, ctx.dim, even_axes=ctx.constrained)
-        chk = check_hup(w, g)
+        chk = check_hup(ctx.measure, g)
         rel = chk.diagnostics["identity_residual"] / (
             1.0 + abs(chk.diagnostics["delta"]))
         worst = max(worst, rel)
@@ -328,7 +328,7 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
     out = []
     if w.free_axes():
         wit = hermite_witness(ctx.free_axis, ctx.dim)
-        rep = check_hup_stability(w, wit, improved=True)
+        rep = check_hup_stability(ctx.measure, wit, improved=True)
         eq_gap = abs(rep.delta - (1.0 + rep.kw) * rep.distance_sq)
         out.append({
             "theorem": "hup_stability_witness", "field": wit.name,
@@ -343,7 +343,8 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
     worst_improved = math.inf
     for k in range(STABILITY_SEEDS):
         g = poly_gauss(ctx.seed + 300 + k, ctx.dim, even_axes=ctx.constrained)
-        rep = check_hup_stability(w, g, improved=True, tolerance=2.0 * ctx.tolerance)
+        rep = check_hup_stability(ctx.measure, g, improved=True,
+                                  tolerance=2.0 * ctx.tolerance)
         worst_basic = min(worst_basic, rep.basic_deficit)
         worst_improved = min(worst_improved, rep.improved_deficit)
         if not rep.passed:
@@ -355,8 +356,8 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
                 "min_improved_deficit": worst_improved})
     # optimizer oracle on one seeded field
     g = poly_gauss(ctx.seed + 301, ctx.dim, even_axes=ctx.constrained)
-    fast = distance_to_family(w, g)
-    oracle = brute_force_lambda_scan(w, g, num=2001)
+    fast = distance_to_family(ctx.measure, g)
+    oracle = brute_force_lambda_scan(ctx.measure, g, num=2001)
     if fast.degenerate or oracle.degenerate:
         lam_rel = 0.0
         dist_rel = abs(fast.distance - oracle.distance) / (1.0 + oracle.distance)

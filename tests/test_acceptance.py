@@ -36,7 +36,7 @@ from gausscone.inequalities import (
     check_lsi_equivalence,
     check_poincare,
 )
-from gausscone.measures import make_measure, normalization_constant, special_moments
+from gausscone.measures import make_measure, special_moments
 from gausscone.report import emit, run
 from gausscone.spectral import build_galerkin, semigroup_decay_check, spectral_gap
 from gausscone.stability import brute_force_lambda_scan, check_hup_stability, distance_to_family
@@ -118,7 +118,8 @@ def test_criterion_3_partial_weight_equalities():
             and abs(chk_b.rhs - ent_expect) <= 1e-7)
     # (c) HUP stability equality for the witness under |x_1|
     w1 = make_weight(Monomial((1.0, 0.0)), 2)
-    rep = check_hup_stability(w1, hermite_witness(1, 2), improved=True)
+    rep = check_hup_stability(make_measure(w1), hermite_witness(1, 2),
+                              improved=True)
     target = math.sqrt(math.pi) / 4.0
     ok_c = (abs(rep.delta - target) <= 1e-6
             and abs(rep.distance_sq - target) <= 1e-6
@@ -141,13 +142,13 @@ def test_criterion_4_identity_suite():
     for name, w in weights:
         sig = w.cone.axis_signature() or ("full", "full")
         even = frozenset(i for i, k in enumerate(sig) if k != "full")
+        mu = make_measure(w, 1.0)
         for seed in range(50):
             f = poly_gauss(seed, 2, even_axes=even)
-            res = hup_deficit(w, f)
+            res = hup_deficit(mu, f)
             rel = res.identity_residual / (1.0 + abs(res.delta))
             worst_res = max(worst_res, rel)
             ok &= rel <= 1e-8
-        mu = make_measure(w, 1.0)
         ok &= abs(special_moments(mu).second_moment - (2 + w.degree)) <= 1e-8
         # scale lambda = 1/sqrt(2): x_n moment 1/2 for weights independent
         # of x_n, and the (n+alpha+2)/2 second moment for w2 = x_n^2 w
@@ -164,30 +165,31 @@ def test_criterion_4_identity_suite():
 def test_criterion_5_euclidean_lsi():
     ok = True
     w = make_weight(Monomial((0.0,)), 1)
-    c_w = normalization_constant(w, 1.0)
+    mu = make_measure(w)
+    c_w = mu.normalization
     closed_form = math.log(c_w) / c_w - 1.0 / (2.0 * c_w)
     for amp in (1.0, 2.0):
-        chk = check_euclidean_lsi(w, gaussian_quarter(amp, 1))
+        chk = check_euclidean_lsi(mu, gaussian_quarter(amp, 1))
         scale = 1.0 + abs(chk.lhs) + abs(chk.rhs)
         ok &= abs(chk.deficit) <= 1e-7 * scale
         ok &= abs(chk.lhs - amp ** 2 * closed_form) <= 1e-7 * scale
         ok &= abs(chk.rhs - amp ** 2 * closed_form) <= 1e-7 * scale
     # deficit invariance under the mass-preserving rescaling
     from gausscone.inequalities import euclidean_lsi_rescaling_invariance
-    inv = euclidean_lsi_rescaling_invariance(w, gaussian(1.0, 1.15, 1), lam=2.0)
+    inv = euclidean_lsi_rescaling_invariance(mu, gaussian(1.0, 1.15, 1), lam=2.0)
     ok &= inv["relative_change"] <= 1e-7
     # a non-Gaussian probe as well
     wit = hermite_witness(0, 1)
-    base = check_euclidean_lsi(w, wit)
+    base = check_euclidean_lsi(mu, wit)
     lam = 2.0
-    resc = check_euclidean_lsi(w, mass_dilated(wit, lam, 1.0))
+    resc = check_euclidean_lsi(mu, mass_dilated(wit, lam, 1.0))
     ok &= abs(base.deficit - resc.deficit) <= 1e-7 * (
         1.0 + abs(base.rhs) + abs(resc.rhs))
     # equivalence bookkeeping, including the exact-zero x^2 coefficient
-    wp = make_weight(Monomial((1.5, 0.0)), 2)
+    mu_p = make_measure(make_weight(Monomial((1.5, 0.0)), 2))
     for big_f in (constant(1.0, 2), exp_axis(0.25, 1, 2),
                   poly_gauss(7, 2, even_axes=frozenset({0}))):
-        res = check_lsi_equivalence(wp, big_f)
+        res = check_lsi_equivalence(mu_p, big_f)
         ok &= res["forward_residual"] <= 1e-7
         ok &= res["backward_residual"] <= 1e-7
         ok &= res["d_coefficient"] == 0.0
@@ -285,17 +287,18 @@ def test_criterion_8_stability():
     worst_basic = math.inf
     worst_improved = math.inf
     for w in weights:
+        mu = make_measure(w)
         for seed in range(20):
             f = poly_gauss(seed + 800, w.dim)
-            rep = check_hup_stability(w, f, improved=True, tolerance=1e-7)
+            rep = check_hup_stability(mu, f, improved=True, tolerance=1e-7)
             worst_basic = min(worst_basic, rep.basic_deficit)
             worst_improved = min(worst_improved, rep.improved_deficit)
             ok &= rep.basic_deficit >= -1e-7 and rep.improved_deficit >= -1e-7
-    w = weights[1]
+    mu = make_measure(weights[1])
     for seed in (801, 805, 811):
         f = poly_gauss(seed, 2)
-        fast = distance_to_family(w, f)
-        oracle = brute_force_lambda_scan(w, f, num=2001)
+        fast = distance_to_family(mu, f)
+        oracle = brute_force_lambda_scan(mu, f, num=2001)
         ok &= abs(fast.lam - oracle.lam) / oracle.lam <= 1e-6
         ok &= abs(fast.distance - oracle.distance) <= 1e-6 * (1 + oracle.distance)
     assert _report(8, "HUP stability (S1/S2 seeded, optimizer oracle)",

@@ -182,7 +182,7 @@ def test_tolerance_reaches_seeded_hup_stability(tmp_path, monkeypatch, flag,
     # is the first seeded one
     seen = []
 
-    def first_check(weight, f, improved=False, **kwargs):
+    def first_check(measure, f, improved=False, **kwargs):
         seen.append(kwargs)
         raise ToolkitError("stop after the first stability check")
 

@@ -125,35 +125,36 @@ class TestDirichletEnergy:
 
 
 class TestOptimalScale:
-    def test_gaussian_family_member(self, w_partial):
+    def test_gaussian_family_member(self, mu_partial):
         for lam0 in (0.5, 1.0, 2.0):
             f = gaussian(1.3, lam0, 2)
-            assert optimal_scale(w_partial, f) == pytest.approx(lam0, rel=1e-10)
+            assert optimal_scale(mu_partial, f) == pytest.approx(lam0, rel=1e-10)
 
     def test_witness_scale_one(self):
         w = make_weight(Monomial((1.0, 0.0)), 2)
-        assert optimal_scale(w, hermite_witness(1, 2)) == pytest.approx(1.0, rel=1e-8)
+        assert optimal_scale(make_measure(w), hermite_witness(1, 2)) \
+            == pytest.approx(1.0, rel=1e-8)
 
-    def test_dilation_covariance(self, w_partial):
+    def test_dilation_covariance(self, mu_partial):
         f = poly_gauss(4, 2, even_axes=frozenset({0}))
         s = 2.0
-        assert optimal_scale(w_partial, dilated(f, s)) == pytest.approx(
-            s * optimal_scale(w_partial, f), rel=1e-10)
+        assert optimal_scale(mu_partial, dilated(f, s)) == pytest.approx(
+            s * optimal_scale(mu_partial, f), rel=1e-10)
 
-    def test_zero_field(self, w_partial):
+    def test_zero_field(self, mu_partial):
         with pytest.raises(DegenerateInputError):
-            optimal_scale(w_partial, scaled(gaussian(1.0, 1.0, 2), 0.0))
+            optimal_scale(mu_partial, scaled(gaussian(1.0, 1.0, 2), 0.0))
 
 
 class TestHupDeficit:
-    def test_family_member_zero(self, w_partial):
-        res = hup_deficit(w_partial, gaussian(2.0, 1.7, 2))
+    def test_family_member_zero(self, mu_partial):
+        res = hup_deficit(mu_partial, gaussian(2.0, 1.7, 2))
         assert abs(res.delta) < 1e-10
         assert res.identity_residual < 1e-10
 
     def test_witness_value(self):
         w = make_weight(Monomial((1.0, 0.0)), 2)
-        res = hup_deficit(w, hermite_witness(1, 2))
+        res = hup_deficit(make_measure(w), hermite_witness(1, 2))
         assert res.delta == pytest.approx(WITNESS_DELTA, rel=1e-10)
         assert res.lambda_star == pytest.approx(1.0, rel=1e-8)
         assert res.identity_residual < 1e-10
@@ -166,29 +167,29 @@ class TestHupDeficit:
         for w in weights:
             for seed in range(8):
                 f = poly_gauss(seed, 2)
-                res = hup_deficit(w, f)
+                res = hup_deficit(make_measure(w), f)
                 assert res.delta >= -1e-9
                 assert res.identity_residual <= 1e-8 * (1.0 + abs(res.delta))
 
-    def test_scale_invariance_bookkeeping(self, w_partial):
+    def test_scale_invariance_bookkeeping(self, mu_partial):
         # delta(f(./s)) = s^{n+alpha} delta(f): both integrals pick up
         # s^{n+alpha} while sqrt(energy)*sqrt(moment) picks s^{n+alpha} too
         f = poly_gauss(3, 2, even_axes=frozenset({0}))
         s = 2.0
         n_alpha = 2 + 1.5
-        d1 = hup_deficit(w_partial, f).delta
-        d2 = hup_deficit(w_partial, dilated(f, s)).delta
+        d1 = hup_deficit(mu_partial, f).delta
+        d2 = hup_deficit(mu_partial, dilated(f, s)).delta
         assert d2 == pytest.approx(s ** n_alpha * d1, rel=1e-7)
 
     def test_non_homogeneous_rejected(self, w_tilt):
         with pytest.raises(NotHomogeneousError):
-            hup_deficit(w_tilt, gaussian(1.0, 1.0, 1))
+            hup_deficit(make_measure(w_tilt), gaussian(1.0, 1.0, 1))
 
-    def test_one_nu_integral_call(self, w_partial, nu_calls):
-        hup_deficit(w_partial, poly_gauss(3, 2, even_axes=frozenset({0})))
+    def test_one_nu_integral_call(self, mu_partial, nu_calls):
+        hup_deficit(mu_partial, poly_gauss(3, 2, even_axes=frozenset({0})))
         assert len(nu_calls) == 1
 
-    def test_identity_detects_wrong_gradient(self, w_partial):
+    def test_identity_detects_wrong_gradient(self, mu_partial):
         # the residual checks int f x.grad f w = -(n+alpha)/2 int f^2 w, so a
         # gradient off by 1% must fail the gate that suite_hup applies
         f = poly_gauss(3, 2, even_axes=frozenset({0}))
@@ -199,7 +200,7 @@ class TestHupDeficit:
             return (value, *derivs)
 
         bad = dataclasses.replace(f, jet=bad_jet)
-        good, res = hup_deficit(w_partial, f), hup_deficit(w_partial, bad)
+        good, res = hup_deficit(mu_partial, f), hup_deficit(mu_partial, bad)
         assert good.identity_residual <= 1e-8 * (1.0 + abs(good.delta))
         assert res.identity_residual > 1e-8 * (1.0 + abs(res.delta))
-        assert not check_hup(w_partial, bad).passed
+        assert not check_hup(mu_partial, bad).passed

@@ -79,12 +79,16 @@ class TestSharedFormulas:
 
     @pytest.mark.parametrize("level", ["basic", "improved"])
     def test_scale_poincare_variance_is_variance(self, w_partial, level):
+        # the scale-lambda measure is built from the run measure's settings:
+        # its order, or its Monte Carlo sample count and seed
         f = SHARED_FORMULA_FIELDS[0]
-        chk = check_scale_poincare(w_partial, f, 1.3, level, order=16)
-        mu = make_measure(w_partial, 1.3, order=16)
-        assert chk.diagnostics["variance"] == variance(mu, f)
-        assert chk.rhs == (1.3 * 1.3 if level == "improved" else 1.0) \
-            * dirichlet_energy(mu, f, 2.0)
+        for settings in ({"order": 16}, {"mc_samples": 2 ** 12, "seed": 5}):
+            chk = check_scale_poincare(make_measure(w_partial, 1.0, **settings),
+                                       f, 1.3, level)
+            mu = make_measure(w_partial, 1.3, **settings)
+            assert chk.diagnostics["variance"] == variance(mu, f)
+            assert chk.rhs == (1.3 * 1.3 if level == "improved" else 1.0) \
+                * dirichlet_energy(mu, f, 2.0)
 
 
 class TestBeckner:
@@ -186,32 +190,32 @@ class TestPoincare:
 
 
 class TestScalePoincare:
-    def test_lambda_one_matches_basic(self, w_partial, mu_partial):
+    def test_lambda_one_matches_basic(self, mu_partial):
         f = poly_gauss(1, 2, even_axes=frozenset({0}))
-        a = check_scale_poincare(w_partial, f, 1.0)
+        a = check_scale_poincare(mu_partial, f, 1.0)
         b = check_poincare(mu_partial, f)
         assert a.deficit == pytest.approx(b.deficit, abs=1e-10)
 
-    def test_free_axis_equality_all_scales(self, w_partial):
+    def test_free_axis_equality_all_scales(self, mu_partial):
         f = affine([0.0, 1.0], 0.0)
         for lam in (0.5, 1.0, 2.0):
-            chk = check_scale_poincare(w_partial, f, lam)
+            chk = check_scale_poincare(mu_partial, f, lam)
             assert abs(chk.deficit) <= 1e-10
 
-    def test_constant_improved_all_zero(self, w_partial):
-        chk = check_scale_poincare(w_partial, constant(2.0, 2), 1.5,
+    def test_constant_improved_all_zero(self, mu_partial):
+        chk = check_scale_poincare(mu_partial, constant(2.0, 2), 1.5,
                                    level="improved")
         assert abs(chk.lhs) <= 1e-12 and abs(chk.rhs) <= 1e-12
 
-    def test_improved_holds_seeded(self, w_partial):
+    def test_improved_holds_seeded(self, mu_partial):
         for seed in range(5):
             f = poly_gauss(seed + 40, 2, even_axes=frozenset({0}))
-            chk = check_scale_poincare(w_partial, f, 1.3, level="improved")
+            chk = check_scale_poincare(mu_partial, f, 1.3, level="improved")
             assert chk.passed
 
-    def test_bad_lambda(self, w_partial):
+    def test_bad_lambda(self, mu_partial):
         with pytest.raises(ParameterError):
-            check_scale_poincare(w_partial, constant(1.0, 2), -1.0)
+            check_scale_poincare(mu_partial, constant(1.0, 2), -1.0)
 
 
 class TestLsi:
@@ -262,46 +266,45 @@ class TestLsi:
 
 
 class TestEuclideanLsi:
-    def test_equality_at_quarter_gaussian(self, w_one_1d):
+    def test_equality_at_quarter_gaussian(self, mu_one_1d):
         for amp in (1.0, 2.0):
-            chk = check_euclidean_lsi(w_one_1d, gaussian_quarter(amp, 1))
+            chk = check_euclidean_lsi(mu_one_1d, gaussian_quarter(amp, 1))
             expect = amp ** 2 * EUCLID_EQUALITY_1D
             assert chk.lhs == pytest.approx(expect, rel=1e-10)
             assert chk.rhs == pytest.approx(expect, rel=1e-10)
             assert abs(chk.deficit) <= 1e-7 * (1 + abs(chk.lhs) + abs(chk.rhs))
 
-    def test_equality_partial_weight(self, w_partial):
-        chk = check_euclidean_lsi(w_partial, gaussian_quarter(1.0, 2))
+    def test_equality_partial_weight(self, mu_partial):
+        chk = check_euclidean_lsi(mu_partial, gaussian_quarter(1.0, 2))
         assert abs(chk.deficit) <= 1e-7 * (1 + abs(chk.lhs) + abs(chk.rhs))
 
-    def test_gaussians_of_any_width_are_extremal(self, w_one_1d):
+    def test_gaussians_of_any_width_are_extremal(self, mu_one_1d):
         # the Euclidean LSI is dilation invariant, so the whole family
         # c e^{-beta |x|^2} achieves equality, not just beta = 1/4
         for lam in (1.1, 1.5, 2.0):
-            chk = check_euclidean_lsi(w_one_1d, gaussian(1.0, lam, 1))
+            chk = check_euclidean_lsi(mu_one_1d, gaussian(1.0, lam, 1))
             assert abs(chk.deficit) <= 1e-7 * (1 + abs(chk.lhs))
 
-    def test_strict_for_non_extremal(self, w_one_1d):
-        chk = check_euclidean_lsi(w_one_1d, hermite_witness(0, 1))
+    def test_strict_for_non_extremal(self, mu_one_1d):
+        chk = check_euclidean_lsi(mu_one_1d, hermite_witness(0, 1))
         assert chk.passed and chk.deficit > 1e-3
 
-    def test_rescaling_invariance(self, w_one_1d, w_partial):
-        for w in (w_one_1d,):
-            probe = gaussian(1.0, 1.15, w.dim)
-            res = euclidean_lsi_rescaling_invariance(w, probe, lam=2.0)
-            assert res["relative_change"] <= 1e-7
+    def test_rescaling_invariance(self, mu_one_1d, mu_partial):
         res = euclidean_lsi_rescaling_invariance(
-            w_partial, gaussian(1.0, 1.2, 2), lam=2.0)
+            mu_one_1d, gaussian(1.0, 1.15, 1), lam=2.0)
+        assert res["relative_change"] <= 1e-7
+        res = euclidean_lsi_rescaling_invariance(
+            mu_partial, gaussian(1.0, 1.2, 2), lam=2.0)
         assert res["relative_change"] <= 1e-7
 
     def test_tilt_rejected(self, w_tilt):
         with pytest.raises(ContractError):
-            check_euclidean_lsi(w_tilt, gaussian_quarter(1.0, 1))
+            check_euclidean_lsi(make_measure(w_tilt), gaussian_quarter(1.0, 1))
 
 
 class TestLsiEquivalence:
-    def test_constant_big_f(self, w_one_1d):
-        res = check_lsi_equivalence(w_one_1d, constant(1.0, 1))
+    def test_constant_big_f(self, mu_one_1d):
+        res = check_lsi_equivalence(mu_one_1d, constant(1.0, 1))
         assert res["pass"]
         assert res["forward_residual"] <= 1e-12
         assert res["d_coefficient"] == 0.0
@@ -309,27 +312,27 @@ class TestLsiEquivalence:
         # the Gaussian side
         assert res["log_inequality_slack"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_exp_partial(self, w_partial):
-        res = check_lsi_equivalence(w_partial, exp_axis(0.25, 1, 2))
+    def test_exp_partial(self, mu_partial):
+        res = check_lsi_equivalence(mu_partial, exp_axis(0.25, 1, 2))
         assert res["pass"]
         assert res["forward_residual"] <= 1e-7
         assert res["backward_residual"] <= 1e-7
 
-    def test_poly_gauss_big_f(self, w_partial):
+    def test_poly_gauss_big_f(self, mu_partial):
         res = check_lsi_equivalence(
-            w_partial, poly_gauss(7, 2, even_axes=frozenset({0})))
+            mu_partial, poly_gauss(7, 2, even_axes=frozenset({0})))
         assert res["pass"]
 
 
 class TestHup:
-    def test_member_zero_deficit(self, w_partial):
-        chk = check_hup(w_partial, gaussian(1.5, 0.8, 2))
+    def test_member_zero_deficit(self, mu_partial):
+        chk = check_hup(mu_partial, gaussian(1.5, 0.8, 2))
         assert chk.passed
         assert abs(chk.diagnostics["delta"]) <= 1e-10
 
     def test_witness(self):
         w = make_weight(Monomial((1.0, 0.0)), 2)
-        chk = check_hup(w, hermite_witness(1, 2))
+        chk = check_hup(make_measure(w), hermite_witness(1, 2))
         assert chk.diagnostics["delta"] == pytest.approx(
             math.sqrt(math.pi) / 4.0, rel=1e-10)
         assert chk.passed

@@ -103,7 +103,48 @@ class TestThreeDimensional:
 
     def test_gaussian_member_distance_3d(self):
         from gausscone.stability import distance_to_family
-        w = make_weight(Monomial((1.0, 0.0, 0.0)), 3)
-        res = distance_to_family(w, gaussian(1.5, 1.4, 3))
+        mu = make_measure(make_weight(Monomial((1.0, 0.0, 0.0)), 3))
+        res = distance_to_family(mu, gaussian(1.5, 1.4, 3))
         assert res.distance <= 1e-6
         assert res.lam == pytest.approx(1.4, rel=1e-5)
+
+
+class TestRunSettingsReachEveryRule:
+    """A run builds every rule, the nu-rules included, from the settings of
+    its measure: no rule of another order and no second Monte Carlo draw."""
+
+    def test_order_reaches_nu_rules(self, monkeypatch):
+        from gausscone import measures
+        from gausscone.config import parse_config
+        from gausscone.report import run
+        monkeypatch.setattr(measures, "_RULE_CACHE", {})
+        run(parse_config({
+            "dim": 3,
+            "weight": {"kind": "monomial", "exponents": [1.5, 0.0, 0.0]},
+            "quadrature": {"order": 16}, "suites": ["hup", "lsi"]}))
+        keys = list(measures._RULE_CACHE)
+        assert keys and all(key[-1] == "det" and key[2] == 16 for key in keys)
+
+    def test_mc_samples_and_seed_reach_nu_rules(self, monkeypatch):
+        from gausscone import measures
+        from gausscone.config import parse_config
+        from gausscone.report import run
+        monkeypatch.setattr(measures, "_RULE_CACHE", {})
+        draws = []
+        mc_rule = measures._mc_rule
+
+        def counting(weight, lam, samples, seed):
+            draws.append((samples, seed))
+            return mc_rule(weight, lam, samples, seed)
+
+        monkeypatch.setattr(measures, "_mc_rule", counting)
+        run(parse_config({
+            "dim": 2,
+            "weight": {"kind": "dunkl", "roots": [[0.6, 0.8]],
+                       "multiplicities": [0.5]},
+            "quadrature": {"mc_samples": 200000},
+            "suites": ["gamma_calculus", "beckner", "poincare", "lsi"],
+            "seed": 3}))
+        keys = [key for key in measures._RULE_CACHE if key[-1] == "mc"]
+        assert keys and all(key[2:4] == (200000, 3) for key in keys)
+        assert draws == [(200000, 3)]

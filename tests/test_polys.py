@@ -139,7 +139,7 @@ CONSUMERS = {
     "cd_margin": (lambda w, mu, f, g: cd_margin(w, f), 1),
     "integration_by_parts_residual":
         (lambda w, mu, f, g: integration_by_parts_residual(mu, f, g), 2),
-    "hup_deficit": (lambda w, mu, f, g: hup_deficit(w, f), 1),
+    "hup_deficit": (lambda w, mu, f, g: hup_deficit(mu, f), 1),
     "apply_generator": (lambda w, mu, f, g: apply_generator(
         w, f, w.cone.sample_interior(np.random.default_rng(0), 50)), 1),
     # each mu-check takes one order-1 jet at the nodes for all its integrals
@@ -151,9 +151,9 @@ CONSUMERS = {
     "check_poincare_l2_stability":
         (lambda w, mu, f, g: check_poincare(mu, f, level="l2_stability"), 1),
     "check_scale_poincare_basic": (lambda w, mu, f, g: check_scale_poincare(
-        w, f, 1.3, "basic", order=8), 1),
+        mu, f, 1.3, "basic"), 1),
     "check_scale_poincare_improved": (lambda w, mu, f, g: check_scale_poincare(
-        w, f, 1.3, "improved", order=8), 1),
+        mu, f, 1.3, "improved"), 1),
     "check_lsi": (lambda w, mu, f, g: check_lsi(mu, f, 2.0), 1),
     "bochner_residual":
         (lambda w, mu, f, g: bochner_residual(w, f, [0.7, -0.3, 0.4]), 1),

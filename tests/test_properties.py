@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from gausscone.fields import gaussian, poly_gauss
 from gausscone.functionals import hup_deficit
 from gausscone.inequalities import check_beckner, check_lsi, check_poincare
-from gausscone.measures import build_rule, make_measure, partition_function
+from gausscone.measures import build_rule, make_measure
 from gausscone.quad1d import gamma_moment
 from gausscone.stability import distance_to_family
 from gausscone.weights import Monomial, make_weight
@@ -62,7 +62,7 @@ def test_partition_scaling_covariance(exps, lam):
     for a in exps:
         axis_mass = lam ** (a + 1) * gamma_moment(a, 0)
         expect *= 2.0 * axis_mass if a == 0.0 else axis_mass
-    assert partition_function(w, lam) == pytest.approx(expect, rel=1e-11)
+    assert build_rule(w, lam).mass == pytest.approx(expect, rel=1e-11)
 
 
 @given(exponents_2d, st.integers(0, 10_000))
@@ -81,9 +81,9 @@ def test_inequalities_hold_for_random_fields(exps, seed):
 @given(exponents_2d, st.integers(0, 10_000))
 @settings(max_examples=10, deadline=None)
 def test_hup_deficit_nonnegative_random(exps, seed):
-    w = make_weight(Monomial(exps), 2)
+    mu = make_measure(make_weight(Monomial(exps), 2))
     f = poly_gauss(seed, 2)
-    res = hup_deficit(w, f)
+    res = hup_deficit(mu, f)
     assert res.delta >= -1e-9
     assert res.identity_residual <= 1e-8 * (1.0 + abs(res.delta))
 
@@ -92,8 +92,8 @@ def test_hup_deficit_nonnegative_random(exps, seed):
        st.floats(min_value=-3.0, max_value=3.0).filter(lambda c: abs(c) > 1e-3))
 @settings(max_examples=8, deadline=None)
 def test_family_members_have_zero_distance(lam0, c0):
-    w = make_weight(Monomial((1.0, 0.0)), 2)
-    res = distance_to_family(w, gaussian(c0, lam0, 2))
+    mu = make_measure(make_weight(Monomial((1.0, 0.0)), 2))
+    res = distance_to_family(mu, gaussian(c0, lam0, 2))
     norm = abs(c0)  # distance scales with the amplitude
     assert res.distance <= 1e-6 * (1.0 + norm)
     assert res.lam == pytest.approx(lam0, rel=1e-4)

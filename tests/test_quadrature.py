@@ -27,7 +27,6 @@ from gausscone.measures import (
     integrate,
     integrate_with_error,
     make_measure,
-    normalization_constant,
     nu_integral,
     partition_function,
     special_moments,
@@ -109,34 +108,34 @@ class TestTensorRules:
 
 class TestNormalization:
     def test_gaussian_1d(self, w_one_1d):
-        assert normalization_constant(w_one_1d, 1.0) == pytest.approx(
+        assert make_measure(w_one_1d, 1.0).normalization == pytest.approx(
             1.0 / np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_monomial_12_closed_form(self, w_mono_12):
         # 1-D Gamma integrals: int_0^inf t e^{-t^2/2} = 1,
         # int_0^inf t^2 e^{-t^2/2} = sqrt(pi/2); adaptive-quadrature
         # cross-check froze 1.2533141373155003
-        z = partition_function(w_mono_12, 1.0)
+        z = build_rule(w_mono_12, 1.0).mass
         assert z == pytest.approx(1.2533141373155003, rel=1e-10)
 
     def test_gaussian_tilt_closed_form(self):
         for s in (-0.5, 0.0, 1.7):
             for n in (1, 2, 3):
                 w = make_weight(GaussianTilt(s), n)
-                assert partition_function(w, 1.0) == pytest.approx(
+                assert build_rule(w, 1.0).mass == pytest.approx(
                     (2 * np.pi / (1 + s)) ** (n / 2), rel=1e-12)
 
     def test_tilt_divergent(self):
         w = make_weight(GaussianTilt(-0.5), 1)
         with pytest.raises(IntegrationFailureError):
-            partition_function(w, 2.0)  # 1/lambda^2 + s <= 0
+            build_rule(w, 2.0)  # 1/lambda^2 + s <= 0
 
     def test_partial_tilt_closed_form(self):
         # e^{-s x_1^2/2} on R^3 independent of x_2, x_3: the tensor rule must
         # fold the tilt on axis 1 only
         from gausscone.weights import PartialProduct
         w = make_weight(PartialProduct(GaussianTilt(0.8), (0,)), 3)
-        z = partition_function(w, 1.0)
+        z = build_rule(w, 1.0).mass
         assert z == pytest.approx(np.sqrt(2 * np.pi / 1.8) * 2 * np.pi, rel=1e-12)
         mu = make_measure(w, 1.0)
         moments = special_moments(mu).axis_moments
@@ -160,8 +159,12 @@ class TestNormalization:
         for spec, closed_form in cases:
             w = make_weight(spec, 2, certify=False)
             for lam in (0.5, 1.3, 2.0):
-                assert partition_function(w, lam) == pytest.approx(
+                assert build_rule(w, lam).mass == pytest.approx(
                     closed_form(lam), rel=1e-10)
+                # the partition function Z(w, 1) of a measure does not
+                # depend on the measure's own scale
+                assert partition_function(make_measure(w, lam)) == pytest.approx(
+                    closed_form(1.0), rel=1e-10)
 
 
 class TestIntegrate:
@@ -226,30 +229,47 @@ class TestIntegrate:
                 hits += 1
         assert hits >= 0.95 * trials
 
-    def test_decay_contract(self, w_one_2d):
+    def test_decay_contract(self, mu_one_2d):
         # nu-integration refuses a field without a Gaussian decay envelope
         with pytest.raises(ContractError):
-            _nu_moments(w_one_2d, constant(1.0, 2))
+            _nu_moments(mu_one_2d, constant(1.0, 2))
         with pytest.raises(DecayContractError):
-            nu_integral(w_one_2d, constant(1.0, 2).value, 0.0)
+            nu_integral(mu_one_2d, constant(1.0, 2).value, 0.0)
         # f = e^{-|x|^2/2}: int f^2 dx over R^2 = pi
-        moments = _nu_moments(w_one_2d, gaussian(1.0, 1.0, 2))
+        moments = _nu_moments(mu_one_2d, gaussian(1.0, 1.0, 2))
         assert moments.norm_sq == pytest.approx(np.pi, rel=1e-12)
 
     def test_nu_integral_uses_order(self, w_one_1d):
-        # an order-4 rule is exact only through degree 7, so x^12 tells which
-        # rule ran; rate 1/2 puts the rule at scale 1, where it is the bare
-        # Gauss-Hermite rule
+        # the measure's settings pick the rule: an order-4 rule is exact only
+        # through degree 7, so x^12 tells which rule ran; rate 1/2 puts the
+        # rule at scale 1, where it is the bare Gauss-Hermite rule, whatever
+        # the scale of the measure
         t, q = fullline_rule(0.0, 4)
         expected = float(np.sum(q * t ** 12))
         assert abs(expected - 2.0 * gamma_moment(0.0, 12)) > 0.1 * expected
-        val = nu_integral(w_one_1d, lambda x: x[:, 0] ** 12 * np.exp(-0.5 * x[:, 0] ** 2),
-                          0.5, order=4)
+        mu = make_measure(w_one_1d, 2.0, order=4)
+        val = nu_integral(mu, lambda x: x[:, 0] ** 12 * np.exp(-0.5 * x[:, 0] ** 2),
+                          0.5)
         assert val == pytest.approx(expected, rel=1e-12)
+        # on a Monte Carlo measure that rule is the lambda = 1 draw of the
+        # measure's own sample count and seed, and another seed differs
+        w = make_weight(DunklProduct(((0.6, 0.8),), (0.5,)), 2,
+                        cone=Halfspace(2, (0.6, 0.8)), certify=False)
 
-    def test_nu_integral_matches_closed_form(self, w_one_2d):
+        def integrand(x):
+            return x[:, 0] ** 2 * np.exp(-0.5 * np.sum(x ** 2, axis=1))
+
+        mu = make_measure(w, 1.5, mc_samples=2 ** 10, seed=3)
+        vals = [nu_integral(mu, integrand, 0.5)]
+        for seed in (3, 4):
+            rule = _mc_rule(w, 1.0, 2 ** 10, seed)
+            vals.append(float(np.sum(rule.weights * rule.nodes[:, 0] ** 2)))
+        assert vals[0] == pytest.approx(vals[1], rel=1e-12)
+        assert vals[0] != pytest.approx(vals[2], rel=1e-6)
+
+    def test_nu_integral_matches_closed_form(self, mu_one_2d):
         # int e^{-|x|^2} dx over R^2 = pi
-        val = nu_integral(w_one_2d, lambda x: np.exp(-np.sum(x ** 2, axis=1)), 1.0)
+        val = nu_integral(mu_one_2d, lambda x: np.exp(-np.sum(x ** 2, axis=1)), 1.0)
         assert val == pytest.approx(np.pi, rel=1e-12)
 
     @pytest.mark.parametrize("spec, cone, kind", [
@@ -268,10 +288,11 @@ class TestIntegrate:
             polys = [np.ones(len(x)), x[:, 0] ** 2, 1.0 + x[:, 1] ** 2, r2 ** 2]
             return [p * np.exp(-rate * r2) for p in polys]
 
-        vec = nu_integral(w, lambda x: np.stack(components(x), axis=1)
+        mu = make_measure(w)
+        vec = nu_integral(mu, lambda x: np.stack(components(x), axis=1)
                           .reshape(len(x), 2, 2), rate)
         assert vec.shape == (2, 2)
-        scalars = [nu_integral(w, lambda x, k=k: components(x)[k], rate)
+        scalars = [nu_integral(mu, lambda x, k=k: components(x)[k], rate)
                    for k in range(4)]
         np.testing.assert_allclose(vec.ravel(), scalars, rtol=1e-14, atol=0)
 
@@ -290,17 +311,19 @@ class TestIntegrate:
             polys = [np.ones_like(r2), x[..., 0] ** 2, 1.0 + x[..., 1] ** 2]
             return np.stack([p * np.exp(-rate * r2) for p in polys], axis=-1)
 
-        batch = nu_integral(w, lambda x: components(x, rates[:, None]), rates)
+        mu = make_measure(w)
+        batch = nu_integral(mu, lambda x: components(x, rates[:, None]), rates)
         assert batch.shape == (2, 3)
         for row, rate in zip(batch, rates):
-            single = nu_integral(w, lambda x: components(x, rate), float(rate))
+            single = nu_integral(mu, lambda x: components(x, rate), float(rate))
             np.testing.assert_array_equal(row, single)
 
     def test_nu_integral_rate_batch_needs_homogeneous_weight(self, w_tilt):
+        mu = make_measure(w_tilt)
         with pytest.raises(NotHomogeneousError):
-            nu_integral(w_tilt, lambda x: np.ones(x.shape[:-1]), np.array([0.5, 1.0]))
+            nu_integral(mu, lambda x: np.ones(x.shape[:-1]), np.array([0.5, 1.0]))
         with pytest.raises(ContractError):
-            nu_integral(w_tilt, lambda x: np.ones(x.shape[:-1]), np.ones((2, 2)))
+            nu_integral(mu, lambda x: np.ones(x.shape[:-1]), np.ones((2, 2)))
 
     def test_radial_polar_rule(self):
         w = make_weight(Radial(1.0), 2, certify=False)

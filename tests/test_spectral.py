@@ -33,7 +33,6 @@ from gausscone.errors import ContractError, DomainError, MeanZeroViolationError
 from gausscone.fields import (
     affine,
     constant,
-    exp_axis,
     poly_gauss,
     scaled,
     shifted,
@@ -47,7 +46,6 @@ from gausscone.spectral import (
     poisson_solve,
     semigroup_apply,
     semigroup_decay_check,
-    semigroup_gradient_bound,
     spectral_gap,
 )
 from gausscone.weights import GaussianTilt, Monomial, Radial, make_weight
@@ -363,14 +361,3 @@ class TestSemigroup:
         with pytest.raises(DomainError):
             semigroup_decay_check(sys_1d, affine([1.0], 0.0), 1.0, 2.0,
                                   [0.0, 1.0], allow_shift=False)
-
-    def test_gradient_bound_smooth_fields(self, sys_1d):
-        # |grad P_t f^p|^2 <= e^{-2t} (P_t |grad f^p|)^2 at the nodes, for
-        # fields with smooth gradient modulus (|grad e^{bx}| = b e^{bx};
-        # gaussian-type fields carry an |x| kink at the origin and project
-        # too poorly for a pointwise check)
-        for f in (exp_axis(0.5, 0, 1), exp_axis(0.25, 0, 1)):
-            for p in (1.0, 1.5):
-                for t in (0.25, 1.0):
-                    viol = semigroup_gradient_bound(sys_1d, f, p, t)
-                    assert viol <= 1e-6

@@ -17,7 +17,7 @@ import pytest
 from gausscone.errors import NotHomogeneousError
 from gausscone.fields import dilated, gaussian, hermite_witness, poly_gauss
 from gausscone.functionals import _nu_moments
-from gausscone.measures import nu_integral
+from gausscone.measures import make_measure, nu_integral
 from gausscone.stability import (
     FAMILY_AFFINE_GAUSSIAN,
     FAMILY_GAUSSIAN,
@@ -34,56 +34,56 @@ WITNESS_NORM_SQ = math.sqrt(math.pi) / 4.0
 
 
 @pytest.fixture(scope="module")
-def w_abs():
-    return make_weight(Monomial((1.0, 0.0)), 2)
+def mu_abs():
+    return make_measure(make_weight(Monomial((1.0, 0.0)), 2))
 
 
 class TestDistance:
-    def test_member_zero_distance(self, w_abs):
-        res = distance_to_family(w_abs, gaussian(2.0, 2.0, 2))
+    def test_member_zero_distance(self, mu_abs):
+        res = distance_to_family(mu_abs, gaussian(2.0, 2.0, 2))
         assert res.distance <= 1e-7
         assert res.lam == pytest.approx(2.0, rel=1e-6)
         assert res.c == pytest.approx(2.0, rel=1e-5)
         assert not res.degenerate
 
-    def test_witness_degenerate_orthogonal(self, w_abs):
-        res = distance_to_family(w_abs, hermite_witness(1, 2))
+    def test_witness_degenerate_orthogonal(self, mu_abs):
+        res = distance_to_family(mu_abs, hermite_witness(1, 2))
         assert res.degenerate
         assert res.distance ** 2 == pytest.approx(WITNESS_NORM_SQ, rel=1e-10)
         assert res.c == 0.0
 
-    def test_witness_in_affine_family(self, w_abs):
-        res = distance_to_family(w_abs, hermite_witness(1, 2),
+    def test_witness_in_affine_family(self, mu_abs):
+        res = distance_to_family(mu_abs, hermite_witness(1, 2),
                                  FAMILY_AFFINE_GAUSSIAN)
         assert res.distance <= 1e-7
         assert res.lam == pytest.approx(1.0, rel=1e-5)
         np.testing.assert_allclose(res.d, [0.0, 1.0], atol=1e-6)
 
-    def test_tilde_never_exceeds_d(self, w_abs):
+    def test_tilde_never_exceeds_d(self, mu_abs):
         for seed in range(6):
             f = poly_gauss(seed, 2)
-            d = distance_to_family(w_abs, f, FAMILY_GAUSSIAN).distance
-            dt = distance_to_family(w_abs, f, FAMILY_AFFINE_GAUSSIAN).distance
+            d = distance_to_family(mu_abs, f, FAMILY_GAUSSIAN).distance
+            dt = distance_to_family(mu_abs, f, FAMILY_AFFINE_GAUSSIAN).distance
             assert dt <= d + 1e-12
 
-    def test_scaling_equivariance_of_argmin(self, w_abs):
+    def test_scaling_equivariance_of_argmin(self, mu_abs):
         f = poly_gauss(2, 2)
-        base = distance_to_family(w_abs, f)
+        base = distance_to_family(mu_abs, f)
         s = 2.0
-        scaled_res = distance_to_family(w_abs, dilated(f, s))
+        scaled_res = distance_to_family(mu_abs, dilated(f, s))
         assert scaled_res.lam == pytest.approx(s * base.lam, rel=1e-6)
 
-    def test_golden_matches_grid_oracle(self, w_abs):
+    def test_golden_matches_grid_oracle(self, mu_abs):
         for seed in range(10):
             f = poly_gauss(seed + 50, 2)
-            fast = distance_to_family(w_abs, f)
-            oracle = brute_force_lambda_scan(w_abs, f, num=2001)
+            fast = distance_to_family(mu_abs, f)
+            oracle = brute_force_lambda_scan(mu_abs, f, num=2001)
             assert fast.lam == pytest.approx(oracle.lam, rel=1e-6)
             assert fast.distance == pytest.approx(oracle.distance,
                                                   rel=1e-6, abs=1e-9)
 
 
-def _per_lambda_objective(weight, f, lam, affine, norm_sq):
+def _per_lambda_objective(measure, f, lam, affine, norm_sq):
     """The objective at one lambda with b and the Gram matrix each from their
     own nu_integral call on its rate-matched rule."""
     rate_g = 0.5 / (lam * lam)
@@ -93,9 +93,9 @@ def _per_lambda_objective(weight, f, lam, affine, norm_sq):
         poly = np.hstack([ones, pts]) if affine else ones
         return poly * np.exp(-rate_g * np.sum(pts ** 2, axis=1))[:, None]
 
-    b = nu_integral(weight, lambda x: f.value(x)[:, None] * basis(x),
+    b = nu_integral(measure, lambda x: f.value(x)[:, None] * basis(x),
                     f.decay.rate + rate_g)
-    gram = nu_integral(weight, lambda x: basis(x)[:, :, None] * basis(x)[:, None, :],
+    gram = nu_integral(measure, lambda x: basis(x)[:, :, None] * basis(x)[:, None, :],
                        2.0 * rate_g)
     coef = np.linalg.solve(gram, b)
     return norm_sq - float(b @ coef), coef
@@ -109,19 +109,19 @@ class TestObjective:
     def test_batch_matches_per_lambda_quadrature(self, dim, affine):
         # the Gram matrix by exact homogeneity and b from one stacked pass
         # reproduce one quadrature per integral and per lambda
-        w = make_weight(Monomial((1.0,) + (0.0,) * (dim - 1)), dim)
+        mu = make_measure(make_weight(Monomial((1.0,) + (0.0,) * (dim - 1)), dim))
         f = poly_gauss(4, dim)
-        norm_sq = _nu_moments(w, f).norm_sq
-        objs, coefs = _objective(w, f, np.array(self.LAMS), affine, norm_sq)
+        norm_sq = _nu_moments(mu, f).norm_sq
+        objs, coefs = _objective(mu, f, np.array(self.LAMS), affine, norm_sq)
         assert objs.shape == (len(self.LAMS),)
         assert coefs.shape == (len(self.LAMS), dim + 1 if affine else 1)
         for lam, obj, coef in zip(self.LAMS, objs, coefs):
-            ref_obj, ref_coef = _per_lambda_objective(w, f, lam, affine, norm_sq)
+            ref_obj, ref_coef = _per_lambda_objective(mu, f, lam, affine, norm_sq)
             assert obj == pytest.approx(ref_obj, rel=1e-13)
             np.testing.assert_allclose(coef, ref_coef, rtol=1e-13,
                                        atol=1e-13 * np.max(np.abs(ref_coef)))
 
-    def test_scan_respects_node_budget(self, w_abs):
+    def test_scan_respects_node_budget(self, mu_abs):
         f = poly_gauss(7, 2)
         sizes = []
 
@@ -129,7 +129,7 @@ class TestObjective:
             sizes.append(len(x))
             return f.jet(x, order)
 
-        brute_force_lambda_scan(w_abs, replace(f, jet=jet), num=2001)
+        brute_force_lambda_scan(mu_abs, replace(f, jet=jet), num=2001)
         # 32^2-node rules, four scales per pass
         assert max(sizes) == NODE_BUDGET
 
@@ -169,14 +169,14 @@ class TestBrent:
 
 
 class TestHupStability:
-    def test_member_equality(self, w_abs):
-        rep = check_hup_stability(w_abs, gaussian(1.0, 1.3, 2), improved=True)
+    def test_member_equality(self, mu_abs):
+        rep = check_hup_stability(mu_abs, gaussian(1.0, 1.3, 2), improved=True)
         assert rep.passed
         assert abs(rep.delta) <= 1e-9
         assert rep.distance_sq <= 1e-9
 
-    def test_witness_equality_chain(self, w_abs):
-        rep = check_hup_stability(w_abs, hermite_witness(1, 2), improved=True)
+    def test_witness_equality_chain(self, mu_abs):
+        rep = check_hup_stability(mu_abs, hermite_witness(1, 2), improved=True)
         assert rep.passed
         assert rep.delta == pytest.approx(WITNESS_NORM_SQ, rel=1e-8)
         assert rep.distance_sq == pytest.approx(WITNESS_NORM_SQ, rel=1e-8)
@@ -191,27 +191,27 @@ class TestHupStability:
         (Radial(1.5), 1),
     ])
     def test_seeded_fields_basic_and_improved(self, spec, dim):
-        w = make_weight(spec, dim)
+        mu = make_measure(make_weight(spec, dim))
         for seed in range(20):
             f = poly_gauss(seed + 800, dim)
-            rep = check_hup_stability(w, f, improved=True)
+            rep = check_hup_stability(mu, f, improved=True)
             assert rep.basic_deficit >= -1e-7
             assert rep.improved_deficit >= -1e-7
             assert rep.passed
 
-    def test_zero_deficit_implies_near_family(self, w_abs):
+    def test_zero_deficit_implies_near_family(self, mu_abs):
         # contrapositive of the stability bound at numeric scale: a tiny
         # deficit forces a small distance relative to the field norm
-        from gausscone.measures import nu_integral
         f = gaussian(1.4, 0.9, 2)
-        rep = check_hup_stability(w_abs, f)
-        norm = math.sqrt(nu_integral(w_abs, lambda x: f.value(x) ** 2,
+        rep = check_hup_stability(mu_abs, f)
+        norm = math.sqrt(nu_integral(mu_abs, lambda x: f.value(x) ** 2,
                                      2.0 * f.decay.rate))
         assert rep.delta <= 1e-8
         assert math.sqrt(rep.distance_sq) <= 1e-3 * norm
 
     def test_non_homogeneous_rejected(self, w_tilt):
+        mu = make_measure(w_tilt)
         with pytest.raises(NotHomogeneousError):
-            check_hup_stability(w_tilt, gaussian(1.0, 1.0, 1))
+            check_hup_stability(mu, gaussian(1.0, 1.0, 1))
         with pytest.raises(NotHomogeneousError):
-            distance_to_family(w_tilt, gaussian(1.0, 1.0, 1))
+            distance_to_family(mu, gaussian(1.0, 1.0, 1))
