@@ -15,6 +15,11 @@ integration contract, and parity tags.  Parity tags are what admit a field
 into orthant-cone checks (even in every constrained axis means the normal
 derivative vanishes identically) and what lets odd integrals short-circuit
 to exact zero in the sharpness computations.
+
+A field that is exactly poly(x) exp(-rate |x|^2) carries that structure,
+from which the HUP-stability distances take every integral, as `poly_gauss`:
+the library's Gaussians, the Hermite witness and the seeded polynomial
+fields set it, scalings and dilations carry it, other combinators drop it.
 """
 
 from __future__ import annotations
@@ -29,16 +34,10 @@ from .polys import PolyND, exponent_table
 
 @dataclass(frozen=True)
 class Decay:
-    """Envelope |f(x)| <= C(x) exp(-rate |x|^2) with C of polynomial growth.
-
-    `exact` marks fields that are literally (slowly-varying factor) times
-    exp(-rate |x|^2), so a rule built for that Gaussian rate integrates them
-    at full precision.
-    """
+    """Envelope |f(x)| <= C(x) exp(-rate |x|^2) with C of polynomial growth."""
 
     kind: str = "none"  # "gaussian" | "polynomial" | "none"
     rate: float = 0.0
-    exact: bool = False
 
     @property
     def is_gaussian(self) -> bool:
@@ -46,6 +45,20 @@ class Decay:
 
 
 NO_DECAY = Decay()
+
+
+@dataclass(frozen=True)
+class PolyGauss:
+    """The field is exactly poly(x) exp(-rate |x|^2)."""
+
+    poly: PolyND
+    rate: float
+
+    def rescaled(self, amp: float, s: float) -> "PolyGauss":
+        """The structure of x -> amp f(s x): coefficient c_g times amp s^|g|."""
+        expo = self.poly.expo
+        coeffs = amp * s ** expo.sum(axis=1) * self.poly.coeffs
+        return PolyGauss(PolyND(expo, coeffs), self.rate * s * s)
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,7 @@ class ScalarField:
     even_axes: frozenset[int] = field(default_factory=frozenset)
     odd_axes: frozenset[int] = field(default_factory=frozenset)
     radial: bool = False
+    poly_gauss: PolyGauss | None = None
 
     def value(self, pts) -> np.ndarray:
         return self.jet(_batch(pts), 0)[0]
@@ -153,9 +167,11 @@ def hermite_witness(axis: int, dim: int) -> ScalarField:
 
     return ScalarField(
         name=f"hermite_witness(axis={axis})", dim=dim, jet=jet,
-        decay=Decay("gaussian", rate=0.5, exact=True),
+        decay=Decay("gaussian", rate=0.5),
         even_axes=frozenset(i for i in range(dim) if i != axis),
-        odd_axes=frozenset({axis}))
+        odd_axes=frozenset({axis}),
+        poly_gauss=PolyGauss(PolyND(np.eye(dim, dtype=np.int64)[[axis]], [1.0]),
+                             0.5))
 
 
 def gaussian(amplitude: float, lam: float, dim: int) -> ScalarField:
@@ -178,8 +194,10 @@ def gaussian(amplitude: float, lam: float, dim: int) -> ScalarField:
 
     return ScalarField(
         name=f"gaussian(A={amplitude},lam={lam})", dim=dim, jet=jet,
-        decay=Decay("gaussian", rate=0.5 * c, exact=True),
-        even_axes=frozenset(range(dim)), radial=True)
+        decay=Decay("gaussian", rate=0.5 * c),
+        even_axes=frozenset(range(dim)), radial=True,
+        poly_gauss=PolyGauss(PolyND(np.zeros((1, dim), dtype=np.int64),
+                                    [amplitude]), 0.5 * c))
 
 
 def gaussian_quarter(amplitude: float, dim: int) -> ScalarField:
@@ -223,8 +241,8 @@ def poly_gauss(seed: int, dim: int, degree: int = 3,
 
     return ScalarField(
         name=f"poly_gauss(seed={seed})", dim=dim, jet=jet,
-        decay=Decay("gaussian", rate=0.5 * c, exact=True),
-        even_axes=frozenset(even_axes))
+        decay=Decay("gaussian", rate=0.5 * c),
+        even_axes=frozenset(even_axes), poly_gauss=PolyGauss(poly, 0.5 * c))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +250,9 @@ def poly_gauss(seed: int, dim: int, degree: int = 3,
 # ---------------------------------------------------------------------------
 
 def scaled(f: ScalarField, c: float) -> ScalarField:
-    return ScalarField(
-        name=f"{c}*{f.name}", dim=f.dim,
-        jet=lambda x, order: tuple(c * d for d in f.jet(x, order)),
-        decay=f.decay, even_axes=f.even_axes,
-        odd_axes=f.odd_axes if c != 0 else frozenset(), radial=f.radial)
+    """x -> c f(x), the rescaling with s = 1."""
+    g = _rescaled(f, f"{c}*{f.name}", 1.0, c)
+    return g if c != 0 else replace(g, odd_axes=frozenset())
 
 
 def shifted(f: ScalarField, c: float) -> ScalarField:
@@ -260,7 +276,7 @@ def added(f: ScalarField, g: ScalarField) -> ScalarField:
         name=f"({f.name})+({g.name})", dim=f.dim,
         jet=lambda x, order: tuple(
             a + b for a, b in zip(f.jet(x, order), g.jet(x, order))),
-        decay=Decay(kind, rate, exact=False),
+        decay=Decay(kind, rate),
         even_axes=f.even_axes & g.even_axes,
         odd_axes=f.odd_axes & g.odd_axes)
 
@@ -286,7 +302,7 @@ def product(f: ScalarField, g: ScalarField) -> ScalarField:
     return ScalarField(
         name=f"({f.name})*({g.name})", dim=f.dim,
         jet=lambda x, order: _leibniz(f.jet(x, order), g.jet(x, order)),
-        decay=Decay(kind, rate, exact=f.decay.exact and g.decay.exact),
+        decay=Decay(kind, rate),
         even_axes=even, odd_axes=odd,
         radial=f.radial and g.radial)
 
@@ -317,8 +333,9 @@ def _rescaled(f: ScalarField, name: str, s: float, amp: float) -> ScalarField:
 
     return ScalarField(
         name=name, dim=f.dim, jet=jet,
-        decay=Decay(f.decay.kind, f.decay.rate * s * s, f.decay.exact),
-        even_axes=f.even_axes, odd_axes=f.odd_axes, radial=f.radial)
+        decay=Decay(f.decay.kind, f.decay.rate * s * s),
+        even_axes=f.even_axes, odd_axes=f.odd_axes, radial=f.radial,
+        poly_gauss=f.poly_gauss and f.poly_gauss.rescaled(amp, s))
 
 
 def dilated(f: ScalarField, s: float) -> ScalarField:

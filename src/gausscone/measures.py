@@ -23,23 +23,22 @@ same family at any scale.  Every integral against mu goes through
 every node.  Integrals of Gaussian-decay fields against nu = w dx go through
 `nu_integral(measure, ...)`, which takes the measure's rule at the scale
 whose Gaussian factor matches the integrand's envelope rate exactly (the
-measure's own scale plays no part); the remaining slowly-varying factor is
-folded into the integrand.  For polynomial-times-Gaussian integrands this
-is exact, which is what the identity suites rely on.
+measure's own scale plays no part), so polynomial-times-Gaussian integrands
+are integrated exactly.  For a homogeneous weight `nu_monomials` gives the
+integrals of monomials times a Gaussian of any rate from one cached table
+of the lambda = 1 rule's moments, `Measure.moments`.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .cones import Cone, FullSpace, Halfspace
 from .errors import (
-    ContractError,
     DecayContractError,
     EvaluationError,
     IntegrationFailureError,
@@ -48,12 +47,15 @@ from .errors import (
     ResourceError,
     UnsupportedRuleError,
 )
+from .polys import monomial_index, monomial_table
 from .quad1d import fullline_rule, gamma_moment, halfline_rule
 from .weights import Weight
 
 DEFAULT_ORDER = 32
 DEFAULT_MC_SAMPLES = 1_000_000
 MAX_TENSOR_NODES = 4_000_000
+# nodes per block of the monomial table of Measure.moments: bounds its memory
+MOMENT_CHUNK = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -74,14 +76,6 @@ class QuadratureRule:
     mass: float                # exact for tensor rules, sum of weights for MC
     order: Optional[tuple[int, ...]] = None  # per-axis order for tensor rules
     mc: Optional[McInfo] = None
-
-    def to_csv(self, path: str):
-        """Two-column audit dump: node coordinates (joined), weight."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i}" for i in range(self.nodes.shape[1])] + ["weight"])
-            for x, w in zip(self.nodes, self.weights):
-                writer.writerow([f"{v:.17g}" for v in x] + [f"{w:.17g}"])
 
 
 def _axis_scales(weight: Weight, lam: float) -> list[float] | None:
@@ -282,6 +276,7 @@ class Measure:
     order: int
     mc_samples: int | None
     seed: int
+    _moments: list = field(default_factory=list, init=False, compare=False)
 
     @property
     def cone(self) -> Cone:
@@ -310,14 +305,19 @@ class Measure:
         return make_measure(self.weight, lam, self.order, self.mc_samples,
                             self.seed)
 
-    def describe(self) -> dict:
-        return {
-            "weight": repr(self.weight.spec.cache_key()),
-            "dim": self.dim,
-            "cone": repr(self.cone.cache_key()),
-            "scale": self.scale,
-            "rule": self.rule.kind,
-        }
+    def moments(self, degree: int) -> np.ndarray:
+        """M_g = sum_i q_i t_i^g on the lambda = 1 rule (t_i, q_i) of this
+        measure's settings for every row g of exponent_table(n, degree), in
+        order; cached, the highest degree asked for serves lower ones."""
+        size = math.comb(self.dim + degree, degree)
+        if not self._moments or len(self._moments[0]) < size:
+            rule = self.rule_at(1.0)
+            table = np.zeros(size)
+            for k in range(0, len(rule.weights), MOMENT_CHUNK):
+                chunk = slice(k, k + MOMENT_CHUNK)
+                table += monomial_table(rule.nodes[chunk], degree) @ rule.weights[chunk]
+            self._moments[:] = [table]
+        return self._moments[0][:size]
 
 
 def make_measure(weight: Weight, scale: float = 1.0,
@@ -379,48 +379,44 @@ def special_moments(measure: Measure) -> SpecialMoments:
 # ---------------------------------------------------------------------------
 
 def nu_integral(measure: Measure, integrand: Callable[[np.ndarray], np.ndarray],
-                rate: float | np.ndarray) -> float | np.ndarray:
+                rate: float) -> float | np.ndarray:
     """Integral of integrand(x) w(x) dx for integrands ~ (slow factor) *
     exp(-rate |x|^2), on the rule of the measure's settings whose Gaussian
     factor matches the rate exactly; the measure's own scale plays no part.
 
     An integrand returning (N, ...) at the N nodes gives the (...) array of
-    the integrals of its components; (N,) gives a float.
-
-    For a homogeneous weight `rate` may be a 1-D array of K rates.  The
-    integrand then receives the K rate-matched node sets stacked as (K, N, n),
-    returns (K, N, ...), and the result is the (K, ...) array whose row k is
-    what the call with rate[k] alone returns.  Each rule is the cached
-    lambda = 1 rule rescaled exactly as build_rule rescales it."""
-    weight = measure.weight
-    rates = np.asarray(rate, dtype=float)
-    if rates.ndim > 1:
-        raise ContractError("nu-integration takes one rate or a 1-D array of rates")
-    if not np.all(rates > 0):
+    the integrals of its components; (N,) gives a float."""
+    if not rate > 0:
         raise DecayContractError("nu-integration needs a positive Gaussian rate")
-    if rates.ndim == 0:
-        rule = measure.rule_at(1.0 / math.sqrt(2.0 * rate))
-        pts, qw = rule.nodes, rule.weights
-    else:
-        if weight.degree is None:
-            raise NotHomogeneousError(
-                "a batch of rates needs a homogeneous weight")
-        base = measure.rule_at(1.0)
-        lams = 1.0 / np.sqrt(2.0 * rates)
-        power = weight.dim + weight.degree
-        pts = base.nodes * lams[:, None, None]
-        # Python float powers, as build_rule takes them, so that row k
-        # matches the call with rate[k] alone bit for bit
-        qw = base.weights * np.array([lam ** power for lam in lams.tolist()])[:, None]
-    vals = np.asarray(integrand(pts), dtype=float)
-    # node axis last and contiguous, so every component of every rate is
-    # summed pairwise exactly as the same integrand alone would be
-    along_nodes = rates.shape + (1,) * (vals.ndim - pts.ndim + 1) + (-1,)
-    gauss = np.exp(rates[..., None] * np.sum(pts ** 2, axis=-1))
-    folded = np.multiply(np.moveaxis(vals, rates.ndim, -1),
-                         gauss.reshape(along_nodes), order="C")
+    rule = measure.rule_at(1.0 / math.sqrt(2.0 * rate))
+    vals = np.asarray(integrand(rule.nodes), dtype=float)
+    # node axis last and contiguous, so every component is summed pairwise
+    # exactly as the same integrand alone would be
+    gauss = np.exp(rate * np.sum(rule.nodes ** 2, axis=1))
+    folded = np.multiply(np.moveaxis(vals, 0, -1), gauss, order="C")
     if not np.all(np.isfinite(folded)):
         raise EvaluationError("folded integrand is not finite at a node")
-    folded *= qw.reshape(along_nodes)
+    folded *= rule.weights
     total = np.sum(folded, axis=-1)
     return float(total) if total.ndim == 0 else total
+
+
+def nu_monomials(measure: Measure, left: np.ndarray, right: np.ndarray,
+                 rate: float | np.ndarray) -> np.ndarray:
+    """int x^a x^b exp(-rate |x|^2) w(x) dx for every row a of the (A, n)
+    and b of the (B, n) exponent arrays: (A, B), or (K, A, B) for a 1-D
+    array of K rates.  The rate-matched rule is the lambda = 1 rule (t, q)
+    rescaled by s = 1/sqrt(2 rate) as build_rule rescales it, so this is the
+    same quadrature sum, s^{n+alpha+|a+b|} M_{a+b} with M = Measure.moments."""
+    weight = measure.weight
+    if weight.degree is None:
+        raise NotHomogeneousError("monomial moments need a homogeneous weight")
+    rates = np.asarray(rate, dtype=float)
+    if not np.all(rates > 0):
+        raise DecayContractError("nu-integration needs a positive Gaussian rate")
+    expo = np.asarray(left)[:, None, :] + np.asarray(right)[None, :, :]
+    total = expo.sum(axis=-1)
+    degree = int(total.max())
+    moments = measure.moments(degree)[monomial_index(expo, degree)]
+    s = 1.0 / np.sqrt(2.0 * rates)
+    return s[..., None, None] ** (weight.dim + weight.degree + total) * moments

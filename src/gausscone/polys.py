@@ -6,19 +6,23 @@ polynomials from their recurrences instead of monomials.  Exponent tables are
 integer arrays of shape (n_terms, dim); evaluation is vectorized over point
 batches.
 
-A `PolyND` evaluates its value, gradient and Hessian from one monomial table.
-At construction it lays out every monomial of total degree <= its degree
-(a table closed under differentiation) and writes p, each d_a p and each
-d_a d_b p as coefficient rows on that table, stacked into one matrix of
-shape (1 + n + n^2, T).  Each monomial but the constant extends a parent of
-one degree less by one axis, so a call fills the (T, N) table with one
-multiply per monomial, then multiplies it by the rows of p, of the gradient
-and of the Hessian, one product per order, so a lower order's rows equal a
-higher order's bit for bit.  A field that needs p with its gradient, or with
-its gradient and Hessian, takes them all from one `derivatives` call.
+`monomial_table` fills the (T, N) values of every monomial of total degree
+<= d at N points with one multiply per monomial (each but the constant
+extends a parent of one degree less by one axis); `monomial_index` locates
+multi-indices in it.  The moment tables of `measures` sum it against rules.
+
+A `PolyND` writes p, each d_a p and each d_a d_b p as coefficient rows on
+the table of its degree (closed under differentiation), stacked into one
+matrix of shape (1 + n + n^2, T).  A call fills the table once and
+multiplies it by the rows of p, of the gradient and of the Hessian, one
+product per order, so a lower order's rows equal a higher order's bit for
+bit.  A field that needs p with its gradient, or with its gradient and
+Hessian, takes them all from one `derivatives` call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,53 +49,69 @@ def exponent_table(dim: int, max_degree: int,
     return np.array(idx, dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _layout(dim: int, degree: int) -> tuple[np.ndarray, ...]:
+    """Base-(degree + 1) keys of exponent_table(dim, degree) and their sorter,
+    which locate a multi-index; for each monomial k but the constant, the
+    parent[k] of one degree less (it precedes k) and the axis[k] extending it."""
+    table = exponent_table(dim, degree)
+    keys = table @ (degree + 1) ** np.arange(dim)
+    order = np.argsort(keys)
+    axis = np.argmax(table > 0, axis=1)
+    parent = order[np.searchsorted(keys, keys - (degree + 1) ** axis, sorter=order)]
+    return keys, order, parent, axis
+
+
+def monomial_index(expo: np.ndarray, degree: int) -> np.ndarray:
+    """Rows of exponent_table(n, degree) holding the multi-indices expo
+    (..., n), each of total degree <= degree."""
+    expo = np.asarray(expo, dtype=np.int64)
+    keys, order, _, _ = _layout(expo.shape[-1], degree)
+    radix = (degree + 1) ** np.arange(expo.shape[-1])
+    return order[np.searchsorted(keys, expo @ radix, sorter=order)]
+
+
+def monomial_table(points: np.ndarray, degree: int) -> np.ndarray:
+    """x^e at the (N, n) points for every row e of exponent_table(n, degree),
+    shape (T, N): one multiply per monomial."""
+    coords = np.asarray(points, dtype=float).T
+    _, _, parent, axis = _layout(coords.shape[0], degree)
+    out = np.empty((len(parent), coords.shape[1]))
+    out[0] = 1.0
+    for k in range(1, len(out)):
+        np.multiply(out[parent[k]], coords[axis[k]], out=out[k])
+    return out
+
+
 class PolyND:
     """Polynomial sum_k coeffs[k] * x^expo[k], with analytic grad and hessian."""
 
     def __init__(self, expo: np.ndarray, coeffs: np.ndarray):
-        self.expo = np.asarray(expo, dtype=np.int64)
+        self.expo = expo = np.asarray(expo, dtype=np.int64)
         self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.expo.shape[0] != self.coeffs.shape[0]:
+        if expo.shape[0] != self.coeffs.shape[0]:
             raise ValueError("exponent/coefficient length mismatch")
-        self.dim = n = self.expo.shape[1]
-        degree = int(self.expo.sum(axis=1).max()) if len(self.expo) else 0
-        table = exponent_table(n, degree)
-        index = {tuple(e): k for k, e in enumerate(table.tolist())}
-        # monomial k = monomial parent[k] times x_axis[k]; the parent has one
-        # degree less, so it precedes k in the degree-sorted table
-        self._axis = np.zeros(len(table), dtype=np.int64)
-        self._parent = np.zeros(len(table), dtype=np.int64)
-        for k, e in enumerate(table.tolist()[1:], start=1):
-            ax = next(a for a, ea in enumerate(e) if ea)
-            e[ax] -= 1
-            self._axis[k], self._parent[k] = ax, index[tuple(e)]
-        self._rows = np.zeros((1 + n + n * n, len(table)))
-        for e, c in zip(self.expo.tolist(), self.coeffs.tolist()):
-            self._rows[0, index[tuple(e)]] += c
-            for a in range(n):
-                if not e[a]:
-                    continue
-                da = list(e)
-                da[a] -= 1
-                self._rows[1 + a, index[tuple(da)]] += e[a] * c
-                for b in range(n):
-                    if not da[b]:
-                        continue
-                    dab = list(da)
-                    dab[b] -= 1
-                    # integer factor first: the (a, b) and (b, a) rows agree
-                    # bit for bit
-                    self._rows[1 + n + a * n + b, index[tuple(dab)]] += (
-                        e[a] * da[b]) * c
+        self.dim = n = expo.shape[1]
+        self._degree = int(expo.sum(axis=1).max()) if len(expo) else 0
+        self._rows = np.zeros((1 + n + n * n, len(_layout(n, self._degree)[0])))
+        # rows p, d_a p, d_a d_b p as term exponents with integer factors, in
+        # term order; a factor multiplies the coefficient only once formed,
+        # so rows (a, b) and (b, a) agree bit for bit
+        eye = np.eye(n, dtype=np.int64)
+        grads = [expo - eye[a] for a in range(n)]
+        terms = np.concatenate(
+            [expo] + grads + [g - eye[b] for g in grads for b in range(n)])
+        factor = np.concatenate(
+            [np.ones(len(expo), dtype=np.int64)] + [expo[:, a] for a in range(n)]
+            + [expo[:, a] * grads[a][:, b] for a in range(n) for b in range(n)])
+        row = np.repeat(np.arange(len(self._rows)), len(expo))
+        keep = factor != 0  # a zero factor marks a vanishing derivative
+        np.add.at(self._rows, (row[keep], monomial_index(terms[keep], self._degree)),
+                  factor[keep] * np.tile(self.coeffs, len(self._rows))[keep])
 
     def _table(self, points: np.ndarray) -> np.ndarray:
         """Monomial values on the full table, shape (T, N)."""
-        coords = np.asarray(points, dtype=float).T
-        out = np.empty((len(self._axis), coords.shape[1]))
-        out[0] = 1.0
-        for k in range(1, len(out)):
-            np.multiply(out[self._parent[k]], coords[self._axis[k]], out=out[k])
-        return out
+        return monomial_table(points, self._degree)
 
     def derivatives(self, points: np.ndarray, order: int) -> np.ndarray:
         """Rows p, then d_a p (order >= 1), then d_a d_b p at row

@@ -63,7 +63,7 @@ def run(config: RunConfig) -> RunReport:
         # an inadmissible weight or impossible rule is a configuration
         # problem, not a theorem failure
         raise ConfigError(str(exc)) from exc
-    ctx = RunContext(weight=weight, measure=measure, fields=fields,
+    ctx = RunContext(measure=measure, fields=fields,
                      tolerance=config.tolerance, seed=config.seed)
     report = RunReport(config=dict(config.raw), version=__version__)
     for name in config.suites:

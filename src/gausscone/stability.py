@@ -6,13 +6,13 @@ stability statement measures against the larger affine-Gaussian family
 {(c + d.x) exp(-|x|^2/(2 lambda^2))}.  Inner minimization over the linear
 coefficients is exact least squares against the lambda-Gaussian; the outer
 one-dimensional minimization runs in log(lambda).  Every entry point takes
-the run's `Measure` for its weight and rule settings.  A pre-scan evaluates
-the least-squares objective on a grid of lambda in batches: the projections
-of f come from one nu-pass over the stacked rate-matched rules of a chunk of
-lambda, and the Gram matrix of the family basis at every lambda is the
-moment matrix of the same lambda = 1 rule rescaled by exact homogeneity.
-Brent's method (Brent 1973) then refines the best grid bracket, which keeps
-the search deterministic and auditable.
+the run's `Measure` for its weight and rule settings.  The field must carry
+its structure p(x) exp(-r |x|^2) (`ScalarField.poly_gauss`), so its norm,
+its projections on the family basis and the basis Gram matrix are sums of
+monomial nu-integrals, which `measures.nu_monomials` takes from the
+measure's one moment table at any rate.  A pre-scan evaluates the objective
+on a grid of lambda at once, and Brent's method (Brent 1973) refines the
+best grid bracket, which keeps the search deterministic and auditable.
 """
 
 from __future__ import annotations
@@ -23,20 +23,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, NotHomogeneousError
+from .errors import ContractError, DegenerateInputError
 from .fields import ScalarField
-from .functionals import _nu_moments, hup_deficit
+from .functionals import hup_deficit
 from .inequalities import TOLERANCE_SCALE
-from .measures import Measure, nu_integral
+from .measures import Measure, nu_monomials
 
 GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 EPS = float(np.finfo(float).eps)
 
 LOG_LAMBDA_BRACKET = (math.log(1e-2), math.log(1e2))
 PRESCAN_POINTS = 16
-# stacked nodes per batched nu-pass: bounds the memory of a scan; larger
-# chunks raised peak RSS and ran no faster
-NODE_BUDGET = 2 ** 12
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_AFFINE_GAUSSIAN = "affine_gaussian"
 
@@ -49,15 +46,8 @@ class DistanceResult:
     d: Optional[tuple[float, ...]]
     lam: Optional[float]
     degenerate: bool
-    objective: float          # squared distance at the argmin
     prescan_best: float
     iterations: int           # objective evaluations of the refinement
-
-
-def _family_poly(pts: np.ndarray, affine: bool) -> np.ndarray:
-    """[1] or, for the affine family, [1, x] at (..., n) points: (..., m)."""
-    ones = np.ones(pts.shape[:-1] + (1,))
-    return np.concatenate([ones, pts], axis=-1) if affine else ones
 
 
 def _objective(measure: Measure, f: ScalarField, lams: np.ndarray, affine: bool,
@@ -65,32 +55,17 @@ def _objective(measure: Measure, f: ScalarField, lams: np.ndarray, affine: bool,
     """Least-squares residuals ||f - proj_family||^2_w at each lambda of the
     1-D array lams, with the (len(lams), m) coefficients of the projections.
 
-    The Gram matrix of the basis e^{-|x|^2/(2 lambda^2)} p(x) is a nu-integral
-    at rate 1/lambda^2, whose rule is the measure's lambda = 1 rule (the one
-    the projections are rescaled from) with nodes t and weights q rescaled to
-    nodes s t and weights s^{n+alpha} q, s = lambda/sqrt 2.
-    So Gram(lambda)_ij = s^{n+alpha+|i|+|j|} G_ij with G = sum q p(t) p(t)^T."""
-    weight = measure.weight
-    rule = measure.rule_at(1.0)
-    poly = _family_poly(rule.nodes, affine)
-    gram1 = (poly.T * rule.weights) @ poly
-    degree = np.array([0] + [1] * (poly.shape[1] - 1))
-    power = weight.dim + weight.degree + degree[:, None] + degree[None, :]
-    gram = (lams[:, None, None] / math.sqrt(2.0)) ** power * gram1
-
+    With f = sum_g c_g x^g e^{-r|x|^2} and the basis x^b e^{-|x|^2/(2 lambda^2)}
+    (b = 0, and each unit vector for the affine family), the projections are
+    c^T of the integrals of x^g x^b at rate r + 1/(2 lambda^2) and the Gram
+    matrix holds those of x^b x^b' at rate 1/lambda^2."""
+    dim = measure.dim
+    # exponent rows 0, e_1, ..., e_n
+    basis = np.eye(dim + 1, dim, k=-1, dtype=np.int64)[:dim + 1 if affine else 1]
+    pg = f.poly_gauss
     rate_g = 0.5 / (lams * lams)
-    dim = weight.dim
-
-    def projections(rg):
-        def integrand(pts):  # (K, N, n) stacked nodes
-            vals = f(pts.reshape(-1, dim)).reshape(pts.shape[:-1])
-            gauss = np.exp(-rg[:, None] * np.sum(pts ** 2, axis=-1))
-            return (vals * gauss)[..., None] * _family_poly(pts, affine)
-        return nu_integral(measure, integrand, f.decay.rate + rg)
-
-    chunk = max(NODE_BUDGET // len(rule.weights), 1)
-    b = np.concatenate([projections(rate_g[k:k + chunk])
-                        for k in range(0, len(lams), chunk)])
+    gram = nu_monomials(measure, basis, basis, 2.0 * rate_g)
+    b = pg.poly.coeffs @ nu_monomials(measure, pg.poly.expo, basis, pg.rate + rate_g)
     coef = np.linalg.solve(gram, b[..., None])[..., 0]
     return np.maximum(norm_sq - np.sum(b * coef, axis=1), 0.0), coef
 
@@ -148,16 +123,27 @@ def _brent(fn, lo: float, x: float, fx: float, hi: float,
                 v, fv = u, fu
 
 
-def _distance(measure: Measure, f: ScalarField, family: str, norm_sq: float,
-              prescan_points: int = PRESCAN_POINTS,
-              bracket: tuple[float, float] = LOG_LAMBDA_BRACKET) -> DistanceResult:
-    """distance_to_family with ||f||^2_w = norm_sq already known."""
+def distance_to_family(measure: Measure, f: ScalarField,
+                       family: str = FAMILY_GAUSSIAN,
+                       prescan_points: int = PRESCAN_POINTS,
+                       bracket: tuple[float, float] = LOG_LAMBDA_BRACKET) -> DistanceResult:
+    """inf over the family of ||f - member||_{L2(w dx)} with its argmin.
+
+    f must carry its polynomial-times-Gaussian structure, and the weight a
+    degree; ||f||^2 comes from the same moment table as the projections.
+    A flat pre-scan (the field is orthogonal to the family at every lambda,
+    e.g. odd witnesses against the pure Gaussian family) short-circuits to
+    distance = ||f|| with the argmin flagged degenerate.
+    """
     if family not in (FAMILY_GAUSSIAN, FAMILY_AFFINE_GAUSSIAN):
         raise ContractError(f"unknown family {family!r}")
-    weight = measure.weight
-    if not weight.is_homogeneous:
-        raise NotHomogeneousError(
-            "the optimizer families assume a homogeneous weight")
+    pg = f.poly_gauss
+    if pg is None:
+        raise ContractError(
+            f"field {f.name} is not a polynomial times a Gaussian")
+    c = pg.poly.coeffs
+    norm_sq = float(c @ nu_monomials(measure, pg.poly.expo, pg.poly.expo,
+                                     2.0 * pg.rate) @ c)
     if norm_sq <= 0.0:
         raise DegenerateInputError("zero field")
     affine = family == FAMILY_AFFINE_GAUSSIAN
@@ -172,9 +158,9 @@ def _distance(measure: Measure, f: ScalarField, family: str, norm_sq: float,
     if spread <= 1e-12 * (1.0 + norm_sq):
         return DistanceResult(
             distance=math.sqrt(norm_sq), family=family, c=0.0,
-            d=tuple(0.0 for _ in range(weight.dim)) if affine else None,
-            lam=None, degenerate=True, objective=norm_sq,
-            prescan_best=float(np.min(vals)), iterations=0)
+            d=tuple(0.0 for _ in range(measure.dim)) if affine else None,
+            lam=None, degenerate=True, prescan_best=float(np.min(vals)),
+            iterations=0)
 
     best = int(np.argmin(vals))
     lo = grid[max(best - 1, 0)]
@@ -183,26 +169,12 @@ def _distance(measure: Measure, f: ScalarField, family: str, norm_sq: float,
                               float(vals[best]), float(hi))
     lam = math.exp(loglam)
     objs, coefs = _objective(measure, f, np.array([lam]), affine, norm_sq)
-    obj, coef = float(objs[0]), coefs[0]
+    coef = coefs[0]
     return DistanceResult(
-        distance=math.sqrt(obj), family=family, c=float(coef[0]),
+        distance=math.sqrt(objs[0]), family=family, c=float(coef[0]),
         d=tuple(float(v) for v in coef[1:]) if affine else None,
-        lam=lam, degenerate=False, objective=obj,
-        prescan_best=float(vals[best]), iterations=evals)
-
-
-def distance_to_family(measure: Measure, f: ScalarField,
-                       family: str = FAMILY_GAUSSIAN,
-                       prescan_points: int = PRESCAN_POINTS,
-                       bracket: tuple[float, float] = LOG_LAMBDA_BRACKET) -> DistanceResult:
-    """inf over the family of ||f - member||_{L2(w dx)} with its argmin.
-
-    A flat pre-scan (the field is orthogonal to the family at every lambda,
-    e.g. odd witnesses against the pure Gaussian family) short-circuits to
-    distance = ||f|| with the argmin flagged degenerate.
-    """
-    return _distance(measure, f, family, _nu_moments(measure, f).norm_sq,
-                     prescan_points, bracket)
+        lam=lam, degenerate=False, prescan_best=float(vals[best]),
+        iterations=evals)
 
 
 def brute_force_lambda_scan(measure: Measure, f: ScalarField,
@@ -233,12 +205,11 @@ def check_hup_stability(measure: Measure, f: ScalarField, improved: bool = False
                         tolerance: float | None = None) -> StabilityReport:
     """delta_w(f) >= (1+K_w) d^2(f, E); improved version subtracts the basic
     bound and compares against the affine-Gaussian distance.  Without a
-    tolerance the verdict is judged at TOLERANCE_SCALE (1 + |delta|)."""
-    if not measure.weight.is_homogeneous:
-        raise NotHomogeneousError("HUP stability assumes a homogeneous weight")
+    tolerance the verdict is judged at TOLERANCE_SCALE (1 + |delta|); a
+    weight without a degree raises NotHomogeneousError."""
     kw = measure.weight.kw
     dres = hup_deficit(measure, f)
-    base = _distance(measure, f, FAMILY_GAUSSIAN, dres.norm_sq)
+    base = distance_to_family(measure, f, FAMILY_GAUSSIAN)
     d_sq = base.distance ** 2
     tol = (tolerance if tolerance is not None
            else TOLERANCE_SCALE * (1.0 + abs(dres.delta)))
@@ -247,7 +218,7 @@ def check_hup_stability(measure: Measure, f: ScalarField, improved: bool = False
     tilde_sq = None
     argmin = {"c": base.c, "lam": base.lam, "degenerate": base.degenerate}
     if improved:
-        tilde = _distance(measure, f, FAMILY_AFFINE_GAUSSIAN, dres.norm_sq)
+        tilde = distance_to_family(measure, f, FAMILY_AFFINE_GAUSSIAN)
         tilde_sq = tilde.distance ** 2
         improved_deficit = basic_deficit - 0.5 * (1.0 + kw) * tilde_sq
         argmin["affine"] = {"c": tilde.c, "d": tilde.d, "lam": tilde.lam,

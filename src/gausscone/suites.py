@@ -72,11 +72,14 @@ SUITE_NAMES = (
 
 @dataclass
 class RunContext:
-    weight: Weight
     measure: Measure
     fields: list[ScalarField]
     tolerance: float = TOLERANCE_SCALE
     seed: int = 0
+
+    @property
+    def weight(self) -> Weight:
+        return self.measure.weight
 
     @property
     def dim(self) -> int:
@@ -108,7 +111,7 @@ def default_library(weight: Weight, seed: int = 0) -> list[ScalarField]:
     dim = weight.dim
     constrained = weight.cone.constrained_axes()
     axis = _free_axis(weight)
-    lib = [
+    return [
         constant(2.0, dim),
         affine(np.eye(dim)[axis], 0.3),
         exp_axis(0.5, axis, dim),
@@ -118,7 +121,6 @@ def default_library(weight: Weight, seed: int = 0) -> list[ScalarField]:
         poly_gauss(seed, dim, even_axes=constrained),
         poly_gauss(seed + 1, dim, even_axes=constrained),
     ]
-    return lib
 
 
 def record_of(check: InequalityCheck, field_name: str | None = None,
@@ -358,12 +360,9 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
     g = poly_gauss(ctx.seed + 301, ctx.dim, even_axes=ctx.constrained)
     fast = distance_to_family(ctx.measure, g)
     oracle = brute_force_lambda_scan(ctx.measure, g, num=2001)
-    if fast.degenerate or oracle.degenerate:
-        lam_rel = 0.0
-        dist_rel = abs(fast.distance - oracle.distance) / (1.0 + oracle.distance)
-    else:
-        lam_rel = abs(fast.lam - oracle.lam) / oracle.lam
-        dist_rel = abs(fast.distance - oracle.distance) / (1.0 + oracle.distance)
+    lam_rel = (0.0 if fast.degenerate or oracle.degenerate
+               else abs(fast.lam - oracle.lam) / oracle.lam)
+    dist_rel = abs(fast.distance - oracle.distance) / (1.0 + oracle.distance)
     out.append({"theorem": "hup_stability_oracle",
                 "pass": bool(lam_rel <= 1e-6 and dist_rel <= 1e-6),
                 "informational": False, "lambda_rel_err": lam_rel,

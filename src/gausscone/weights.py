@@ -573,10 +573,6 @@ class Weight:
                 free.append(i)
         return tuple(free)
 
-    @property
-    def is_partial(self) -> bool:
-        return bool(self.free_axes())
-
     def euler_residual(self, x) -> float | np.ndarray:
         """x . grad(w) - alpha w; vanishes to round-off for homogeneous weights."""
         if self.degree is None:

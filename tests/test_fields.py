@@ -45,6 +45,50 @@ LIBRARY = [
 ]
 
 
+# the library fields that are exactly p(x) exp(-rate |x|^2), in dims 1 to 3
+STRUCTURED = [
+    hermite_witness(0, 1),
+    hermite_witness(1, 3),
+    gaussian(1.3, 1.2, 2),
+    gaussian_quarter(1.1, 3),
+    poly_gauss(0, 2),
+    poly_gauss(4, 3, even_axes=frozenset({0})),
+]
+STRUCTURE_KEEPERS = {
+    "plain": lambda f: f,
+    "scaled": lambda f: scaled(f, -2.5),
+    "dilated": lambda f: dilated(f, 1.7),
+    "mass_dilated": lambda f: mass_dilated(f, 0.6, f.dim + 1.5),
+}
+
+
+@pytest.mark.parametrize("keeper", list(STRUCTURE_KEEPERS))
+@pytest.mark.parametrize("base", STRUCTURED, ids=lambda f: f"{f.name}-{f.dim}d")
+def test_structure_matches_jet(base, keeper):
+    # the HUP-stability distances integrate the structure, not the jet, so a
+    # wrong structure would give wrong distances without any other failure
+    f = STRUCTURE_KEEPERS[keeper](base)
+    pts = np.random.default_rng(11).normal(scale=1.5, size=(200, f.dim))
+    pg = f.poly_gauss
+    assert pg.rate == f.decay.rate
+    structured = pg.poly.value(pts) * np.exp(-pg.rate * np.sum(pts ** 2, axis=1))
+    value = f.value(pts)
+    np.testing.assert_allclose(structured, value, rtol=1e-14,
+                               atol=1e-14 * np.max(np.abs(value)))
+
+
+@pytest.mark.parametrize("f", [
+    shifted(poly_gauss(0, 2), 0.0),
+    shifted(gaussian(1.0, 1.0, 2), 0.5),
+    product(gaussian(1.0, 1.0, 2), poly_gauss(1, 2)),
+    added(poly_gauss(5, 2), hermite_witness(0, 2)),
+    squared(hermite_witness(0, 2)),
+    one_plus(0.1, poly_gauss(2, 2)),
+], ids=lambda f: f.name)
+def test_other_combinators_drop_structure(f):
+    assert f.poly_gauss is None
+
+
 @pytest.mark.parametrize("f", LIBRARY, ids=lambda f: f.name)
 def test_gradient_matches_fd(f, rng):
     pts = rng.normal(size=(100, 2))

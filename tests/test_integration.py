@@ -109,6 +109,23 @@ class TestThreeDimensional:
         assert res.lam == pytest.approx(1.4, rel=1e-5)
 
 
+class TestFiveDimensional:
+    def test_hup_stability_5d_order_8(self):
+        # 8^5 = 32768 nodes: the partial monomial weight with a free axis,
+        # so the witness, the seeded checks and the oracle all run
+        from gausscone.config import parse_config
+        from gausscone.report import run
+        report = run(parse_config({
+            "dim": 5,
+            "weight": {"kind": "monomial", "exponents": [1.5, 0, 0, 0, 0]},
+            "quadrature": {"order": 8}, "suites": ["hup_stability"]}))
+        (suite,) = report.suites
+        assert [c["theorem"] for c in suite.checks] == [
+            "hup_stability_witness", "hup_stability_seeded",
+            "hup_stability_oracle"]
+        assert all(c["pass"] and not c["informational"] for c in suite.checks)
+
+
 class TestRunSettingsReachEveryRule:
     """A run builds every rule, the nu-rules included, from the settings of
     its measure: no rule of another order and no second Monte Carlo draw."""

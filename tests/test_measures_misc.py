@@ -27,10 +27,6 @@ from gausscone.weights import CustomLogWeight, Monomial, make_weight
 
 
 class TestMeasurePlumbing:
-    def test_describe_keys(self, mu_partial):
-        desc = mu_partial.describe()
-        assert set(desc) == {"weight", "dim", "cone", "scale", "rule"}
-
     def test_non_finite_integrand(self, mu_one_1d):
         with pytest.raises(EvaluationError), np.errstate(divide="ignore"):
             integrate(mu_one_1d, lambda x: 1.0 / (x[:, 0] - x[:, 0]))

@@ -50,8 +50,38 @@ def random_poly(rng, dim, degree, even_axes):
     return expo, coeffs
 
 
+def loop_rows(expo, coeffs):
+    """The coefficient rows of p, each d_a p and each d_a d_b p on the
+    monomial table, built term by term with the integer factor of a mixed
+    derivative formed first."""
+    n = expo.shape[1]
+    table = exponent_table(n, int(expo.sum(axis=1).max()) if len(expo) else 0)
+    index = {tuple(e): k for k, e in enumerate(table.tolist())}
+    rows = np.zeros((1 + n + n * n, len(table)))
+    for e, c in zip(expo.tolist(), np.asarray(coeffs, dtype=float).tolist()):
+        rows[0, index[tuple(e)]] += c
+        for a in range(n):
+            if not e[a]:
+                continue
+            da = list(e)
+            da[a] -= 1
+            rows[1 + a, index[tuple(da)]] += e[a] * c
+            for b in range(n):
+                if not da[b]:
+                    continue
+                dab = list(da)
+                dab[b] -= 1
+                rows[1 + n + a * n + b, index[tuple(dab)]] += (e[a] * da[b]) * c
+    return rows
+
+
 def check_against_reference(poly, expo, coeffs, pts):
     n = expo.shape[1]
+    # same arithmetic in the same order as the term-by-term loop
+    assert np.array_equal(poly._rows, loop_rows(expo, coeffs))
+    table = exponent_table(n, poly._degree)
+    assert np.array_equal(polys.monomial_index(table, poly._degree),
+                          np.arange(len(table)))
     assert_matches(poly.value(pts), reference_terms(pts, expo, coeffs))
     grad = poly.grad(pts)
     hess = poly.hess(pts)

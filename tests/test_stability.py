@@ -5,30 +5,37 @@ x_n e^{-|x|^2/2} under a partial weight is orthogonal to every pure Gaussian,
 so its squared distance is its norm, sqrt(pi)/4 (frozen from the 1-D
 integrals); the refined argmin is checked against the brute-force grid-scan
 oracle, the batched objective against one quadrature per integral and per
-lambda, and Brent's method against functions with known minimizers.
+lambda on tensor, polar and Monte Carlo rules, and Brent's method against
+functions with known minimizers.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gausscone.errors import NotHomogeneousError
-from gausscone.fields import dilated, gaussian, hermite_witness, poly_gauss
+from gausscone.cones import Halfspace
+from gausscone.errors import ContractError, NotHomogeneousError
+from gausscone.fields import (
+    dilated,
+    exp_axis,
+    gaussian,
+    hermite_witness,
+    poly_gauss,
+    product,
+)
 from gausscone.functionals import _nu_moments
 from gausscone.measures import make_measure, nu_integral
 from gausscone.stability import (
     FAMILY_AFFINE_GAUSSIAN,
     FAMILY_GAUSSIAN,
-    NODE_BUDGET,
     _brent,
     _objective,
     brute_force_lambda_scan,
     check_hup_stability,
     distance_to_family,
 )
-from gausscone.weights import Monomial, Radial, make_weight
+from gausscone.weights import DunklProduct, Monomial, Radial, make_weight
 
 WITNESS_NORM_SQ = math.sqrt(math.pi) / 4.0
 
@@ -82,6 +89,13 @@ class TestDistance:
             assert fast.distance == pytest.approx(oracle.distance,
                                                   rel=1e-6, abs=1e-9)
 
+    def test_unstructured_field_rejected(self, mu_abs):
+        # Gaussian decay, but not a polynomial times a Gaussian
+        f = product(gaussian(1.0, 1.0, 2), exp_axis(0.3, 0, 2))
+        assert f.decay.is_gaussian and f.poly_gauss is None
+        with pytest.raises(ContractError):
+            distance_to_family(mu_abs, f)
+
 
 def _per_lambda_objective(measure, f, lam, affine, norm_sq):
     """The objective at one lambda with b and the Gram matrix each from their
@@ -101,15 +115,28 @@ def _per_lambda_objective(measure, f, lam, affine, norm_sq):
     return norm_sq - float(b @ coef), coef
 
 
+ROOT = (0.6, 0.8)
+# tensor rules keyed by their dimension
+RULES = {
+    2: lambda: make_measure(make_weight(Monomial((1.0, 0.0)), 2)),
+    3: lambda: make_measure(make_weight(Monomial((1.0, 0.0, 0.0)), 3)),
+    "polar": lambda: make_measure(make_weight(Radial(1.0), 2, certify=False)),
+    "monte_carlo": lambda: make_measure(
+        make_weight(DunklProduct((ROOT,), (0.5,)), 2, cone=Halfspace(2, ROOT),
+                    certify=False), mc_samples=200000),
+}
+
+
 class TestObjective:
     LAMS = (1e-2, 0.3, 1.0, 3.7, 1e2)
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("rule", list(RULES))
     @pytest.mark.parametrize("affine", [False, True])
-    def test_batch_matches_per_lambda_quadrature(self, dim, affine):
-        # the Gram matrix by exact homogeneity and b from one stacked pass
+    def test_batch_matches_per_lambda_quadrature(self, rule, affine):
+        # the projections and the Gram matrix from the moment table
         # reproduce one quadrature per integral and per lambda
-        mu = make_measure(make_weight(Monomial((1.0,) + (0.0,) * (dim - 1)), dim))
+        mu = RULES[rule]()
+        dim = mu.dim
         f = poly_gauss(4, dim)
         norm_sq = _nu_moments(mu, f).norm_sq
         objs, coefs = _objective(mu, f, np.array(self.LAMS), affine, norm_sq)
@@ -120,18 +147,6 @@ class TestObjective:
             assert obj == pytest.approx(ref_obj, rel=1e-13)
             np.testing.assert_allclose(coef, ref_coef, rtol=1e-13,
                                        atol=1e-13 * np.max(np.abs(ref_coef)))
-
-    def test_scan_respects_node_budget(self, mu_abs):
-        f = poly_gauss(7, 2)
-        sizes = []
-
-        def jet(x, order):
-            sizes.append(len(x))
-            return f.jet(x, order)
-
-        brute_force_lambda_scan(mu_abs, replace(f, jet=jet), num=2001)
-        # 32^2-node rules, four scales per pass
-        assert max(sizes) == NODE_BUDGET
 
 
 class TestBrent:

@@ -226,9 +226,7 @@ class TestInvariants:
 
     def test_free_axes_partial(self, w_partial, w_mono_12):
         assert w_partial.free_axes() == (1,)
-        assert w_partial.is_partial
         assert w_mono_12.free_axes() == ()
-        assert not w_mono_12.is_partial
 
 
 class TestBoundaryNormal:
