@@ -347,35 +347,3 @@ def mass_dilated(f: ScalarField, lam: float, n_plus_alpha: float) -> ScalarField
     """f_lam(x) = lam^((n+alpha)/2) f(lam x); preserves the weighted L2 norm."""
     return _rescaled(f, f"mass_dilated({f.name},{lam})", lam,
                      lam ** (0.5 * n_plus_alpha))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference consistency checks
-# ---------------------------------------------------------------------------
-
-def fd_gradient_error(f: ScalarField, pts: np.ndarray, h: float = 1e-5) -> float:
-    """Max relative error of the analytic gradient vs centered differences."""
-    pts = _batch(pts)
-    g = f.grad(pts)
-    worst = 0.0
-    for ax in range(f.dim):
-        step = np.zeros(f.dim)
-        step[ax] = h
-        fd = (f.value(pts + step) - f.value(pts - step)) / (2 * h)
-        scale = np.maximum(np.abs(g[:, ax]), 1.0)
-        worst = max(worst, float(np.max(np.abs(fd - g[:, ax]) / scale)))
-    return worst
-
-
-def fd_hessian_error(f: ScalarField, pts: np.ndarray, h: float = 1e-4) -> float:
-    """Max relative error of the analytic hessian vs centered gradient differences."""
-    pts = _batch(pts)
-    hess = f.hess(pts)
-    worst = 0.0
-    for ax in range(f.dim):
-        step = np.zeros(f.dim)
-        step[ax] = h
-        fd = (f.grad(pts + step) - f.grad(pts - step)) / (2 * h)
-        scale = np.maximum(np.abs(hess[:, ax, :]), 1.0)
-        worst = max(worst, float(np.max(np.abs(fd - hess[:, ax, :]) / scale)))
-    return worst

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -113,15 +113,21 @@ def axis_factors(weight: Weight, lam: float
     return list(zip(exps, sig, scales))
 
 
-def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
+# per axis: 1-D rule nodes, weights and the exact mass of the axis factor
+AxisRule = tuple[np.ndarray, np.ndarray, float]
+
+
+def axis_rules(weight: Weight, lam: float, order: int) -> list[AxisRule] | None:
+    """Per-axis 1-D rules of the given order whose tensor product is the
+    tensor rule for w exp(-|x|^2/(2 lambda^2)) dx; None when the density
+    does not factor per axis (`axis_factors`)."""
     factors = axis_factors(weight, lam)
     if factors is None:
         return None
     if order ** weight.dim > MAX_TENSOR_NODES:
         raise ResourceError(
             f"tensor rule would need {order ** weight.dim} nodes; use Monte Carlo")
-    axes_nodes, axes_weights = [], []
-    mass = 1.0
+    rules = []
     for a, kind, lam_eff in factors:
         if kind == "full":
             t, q = fullline_rule(float(a), order)
@@ -130,16 +136,31 @@ def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | Non
             if kind == "half-":
                 t = -t
         s = lam_eff ** (a + 1.0)
-        axes_nodes.append(lam_eff * t)
-        axes_weights.append(s * q)
         m0 = gamma_moment(float(a), 0) * s
-        mass *= 2.0 * m0 if kind == "full" else m0
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
+        rules.append((lam_eff * t, s * q, 2.0 * m0 if kind == "full" else m0))
+    return rules
+
+
+def tensor_grid(axis_nodes: Sequence[np.ndarray],
+                axis_weights: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(N, n) nodes and (N,) weights of the tensor product of 1-D rules;
+    the last axis varies fastest."""
+    grids = np.meshgrid(*axis_nodes, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*axes_weights, indexing="ij")
+    wgrids = np.meshgrid(*axis_weights, indexing="ij")
     weights = np.ones(len(nodes))
     for g in wgrids:
         weights = weights * g.ravel()
+    return nodes, weights
+
+
+def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
+    rules = axis_rules(weight, lam, order)
+    if rules is None:
+        return None
+    nodes, weights = tensor_grid([t for t, _, _ in rules],
+                                 [q for _, q, _ in rules])
+    mass = math.prod(m for _, _, m in rules)
     return QuadratureRule(nodes, weights, "tensor_generalized_hermite",
                           lam, mass, order=tuple([order] * weight.dim))
 

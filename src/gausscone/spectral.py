@@ -9,11 +9,23 @@ axis factor, evaluated with their derivatives from the three-term recurrence
 of `quad1d.fullline_recurrence`.  On cone-constrained axes only even indices
 enter: the full-line weight is even, so its even members are orthonormal for
 t^a on the half line and span exactly the polynomials with Neumann boundary
-behavior.  The Gram matrix is assembled on the quadrature nodes independently
-of the rule's construction, so `gram_residual` checks rule and basis against
-each other.  Analytic Hermite and Laguerre families are deliberately not used
-as the code path; they reappear in the tests as oracles.  The generator
-itself comes from `gamma.generator`.
+behavior.
+
+Everything is sum-factorized (Orszag 1980): the quadrature rule is the
+tensor product of the 1-D axis rules of `measures.axis_rules`, and each axis
+carries one (N_ax, d + 1) table of its polynomials and their first two
+derivatives at its nodes.  The Gram matrix is the product over axes of the
+1-D Grams taken by quadrature on each axis rule, and the stiffness is the
+sum over axes of that axis's derivative Gram times the other axes' Grams;
+no table over the full grid and the whole basis is ever formed.  The basis
+is built independently of the rule's construction, so `gram_residual`
+checks rule and basis against each other.  Node values of an expansion (and
+of its derivatives) and projections onto the basis are one contraction per
+axis on the tensor grid.  Analytic Hermite and Laguerre families are
+deliberately not used as the code path; they reappear in the tests as
+oracles.  The generator itself comes from `gamma.generator`, which the
+Poisson residual applies to node derivatives of the solution, so that check
+never goes through the stiffness.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from .errors import (
 )
 from .fields import ScalarField
 from .gamma import generator
-from .measures import Measure, axis_factors, build_rule
+from .measures import Measure, axis_factors, axis_rules, tensor_grid
 from .polys import exponent_table
 from .quad1d import fullline_recurrence, orthonormal_polys
 
@@ -53,25 +65,22 @@ def default_degree(dim: int) -> int:
     return 8
 
 
-def _tensor_values(axes: tuple[AxisBasis, ...], expo: np.ndarray,
-                   pts: np.ndarray, axis: int | None = None,
-                   order: int = 0) -> np.ndarray:
-    """(N, m) values at pts of d^order/dx_axis^order applied to each basis
-    function (plain values when axis is None)."""
-    pts = np.asarray(pts, dtype=float)
-    out = None
-    for ax, (alpha, beta, scale) in enumerate(axes):
-        d = order if ax == axis else 0
-        table = orthonormal_polys(alpha, beta, pts[:, ax] / scale,
-                                  int(expo[:, ax].max()), d)[d]
-        col = table[:, expo[:, ax]]
-        if d:
-            col /= scale ** d
-        if out is None:
-            out = col
-        else:
-            out *= col
-    return out
+def axis_jet(basis: AxisBasis, t: np.ndarray, degree: int) -> np.ndarray:
+    """(3, len(t), degree + 1) table of p_j(t / s), j <= degree, and of its
+    first and second derivatives in t."""
+    alpha, beta, scale = basis
+    table = orthonormal_polys(alpha, beta, np.asarray(t, dtype=float) / scale,
+                              degree, 2)
+    return table / (scale ** np.arange(3.0))[:, None, None]
+
+
+def _sweep(block: np.ndarray, mats) -> np.ndarray:
+    """Contract axis 1 + ax of the (K, *dims) block with mats[ax] for every
+    axis in turn; each contraction moves its axis last, so the axes end in
+    their original order."""
+    for mat in mats:
+        block = np.tensordot(block, mat, axes=([1], [0]))
+    return block
 
 
 @dataclass
@@ -82,9 +91,10 @@ class GalerkinSystem:
     axes: tuple[AxisBasis, ...]  # per-axis recurrence and scale of the basis
     stiffness: np.ndarray       # (m, m) <grad p_i, grad p_j>_mu
     gram_residual: float
-    nodes: np.ndarray           # quadrature nodes used for projections
-    node_weights: np.ndarray    # normalized quadrature weights
-    basis_values: np.ndarray    # (N, m) p_k at the nodes
+    nodes: np.ndarray           # (N, n) tensor grid of the axis rules
+    node_weights: np.ndarray    # (N,) normalized quadrature weights
+    axis_weights: tuple[np.ndarray, ...]  # per axis: normalized 1-D weights
+    axis_tables: tuple[np.ndarray, ...]   # per axis: axis_jet at its 1-D nodes
     _eig: Optional[tuple[np.ndarray, np.ndarray]] = dc_field(default=None, repr=False)
 
     @property
@@ -93,30 +103,48 @@ class GalerkinSystem:
 
     # -- evaluation ---------------------------------------------------------
     def values(self, pts: np.ndarray) -> np.ndarray:
-        return _tensor_values(self.axes, self.expo, pts)
+        """(N, m) basis values at arbitrary points."""
+        pts = np.asarray(pts, dtype=float)
+        return math.prod(axis_jet(basis, pts[:, ax], self.max_degree)[0][:, e]
+                         for ax, (basis, e) in enumerate(zip(self.axes,
+                                                             self.expo.T)))
 
-    def grad_values(self, pts: np.ndarray, axis: int) -> np.ndarray:
-        return _tensor_values(self.axes, self.expo, pts, axis, 1)
-
-    def laplacian_values(self, pts: np.ndarray) -> np.ndarray:
-        return sum(_tensor_values(self.axes, self.expo, pts, ax, 2)
-                   for ax in range(self.measure.dim))
-
-    def eval_coeffs(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return self.values(pts) @ coeffs
+    def node_values(self, coeffs: np.ndarray, axis: int | None = None,
+                    order: int = 0) -> np.ndarray:
+        """Values at the nodes of d^order/dx_axis^order of sum_k c_k p_k
+        (plain values when axis is None), for (m,) coefficients or an
+        (m, K) block of them: (N,) or (N, K).  The coefficients are
+        scattered onto the dense per-axis index grid and contracted with
+        one 1-D table per axis."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        block = coeffs.reshape(self.size, -1).T
+        dense = np.zeros((len(block),) + tuple(t.shape[2] for t in self.axis_tables))
+        dense[(slice(None), *self.expo.T)] = block
+        mats = [t[order if ax == axis else 0].T
+                for ax, t in enumerate(self.axis_tables)]
+        out = _sweep(dense, mats).reshape(len(block), -1).T
+        return out.reshape((-1,) + coeffs.shape[1:])
 
     def project(self, f) -> np.ndarray:
-        return self.basis_values.T @ (self.node_weights * f(self.nodes))
+        """Coefficients <f, p_k>_mu on the rule: f is a callable on the
+        (N, n) nodes or the (N,) or (N, K) array of its values there."""
+        vals = np.asarray(f(self.nodes) if callable(f) else f, dtype=float)
+        block = vals.reshape(len(vals), -1).T
+        grid = block.reshape((len(block),) + tuple(len(w) for w in self.axis_weights))
+        mats = [w[:, None] * t[0]
+                for w, t in zip(self.axis_weights, self.axis_tables)]
+        coeffs = _sweep(grid, mats)[(slice(None), *self.expo.T)].T
+        return coeffs.reshape((self.size,) + vals.shape[1:])
 
-    def generator_values(self) -> np.ndarray:
-        """(N, m) matrix of L_w p_k at the nodes."""
-        pts = self.nodes
-        axes = range(self.measure.dim)
-        grad = np.empty((len(pts), len(axes), self.size))
-        for ax in axes:
-            grad[:, ax] = self.grad_values(pts, ax)
-        return generator(self.measure.weight, pts, grad,
-                         self.laplacian_values(pts), self.measure.scale)
+    def generator_at_nodes(self, coeffs: np.ndarray) -> np.ndarray:
+        """L_w sum_k c_k p_k at the nodes, from node derivatives of the
+        expansion through `gamma.generator`."""
+        dim = self.measure.dim
+        grad = np.stack([self.node_values(coeffs, ax, 1) for ax in range(dim)],
+                        axis=1)
+        lap = sum(self.node_values(coeffs, ax, 2) for ax in range(dim))
+        return generator(self.measure.weight, self.nodes, grad, lap,
+                         self.measure.scale)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
@@ -150,37 +178,36 @@ def build_galerkin(measure: Measure,
 
     # the rule must integrate products of two basis gradients exactly
     order = max(measure.order, max_degree + 8)
-    rule = build_rule(weight, measure.scale, order=order)
-    nodes = rule.nodes
-    qw = rule.weights / rule.mass
-    root_w = np.sqrt(qw)[:, None]
+    rules = axis_rules(weight, measure.scale, order)
+    axis_weights = tuple(q / mass for _, q, mass in rules)
+    nodes, node_weights = tensor_grid([t for t, _, _ in rules], axis_weights)
+    tables = tuple(axis_jet(basis, t, max_degree)
+                   for basis, (t, _, _) in zip(axes, rules))
 
+    # 1-D Gram and derivative Gram per axis, restricted to the index set;
+    # the full Gram is their product and the stiffness the sum over axes of
+    # the derivative Gram of that axis times the Grams of the others
     expo = exponent_table(weight.dim, max_degree,
                           even_axes=weight.cone.constrained_axes())
-    m = expo.shape[0]
-    basis = _tensor_values(axes, expo, nodes)
-    scaled = basis * root_w
-    gram = scaled.T @ scaled
-    del scaled
-    gram_residual = float(np.max(np.abs(gram - np.eye(m))))
+    grams, derivs = [], []
+    for w, table, e in zip(axis_weights, tables, expo.T):
+        idx = np.ix_(e, e)
+        grams.append((table[0].T @ (w[:, None] * table[0]))[idx])
+        derivs.append((table[1].T @ (w[:, None] * table[1]))[idx])
+    gram = math.prod(grams)
+    gram_residual = float(np.max(np.abs(gram - np.eye(len(expo)))))
     if gram_residual > GRAM_TOL:
         raise DegreeTooHighError(
             f"orthonormality residual {gram_residual:.3e} exceeds {GRAM_TOL}")
-
-    # one (N, m) derivative table at a time keeps the peak memory at the
-    # basis plus one table
-    stiffness = np.zeros((m, m))
-    for ax in range(weight.dim):
-        deriv = _tensor_values(axes, expo, nodes, ax, 1)
-        deriv *= root_w
-        stiffness += deriv.T @ deriv
+    stiffness = sum(d * math.prod(g for b, g in enumerate(grams) if b != ax)
+                    for ax, d in enumerate(derivs))
     stiffness = 0.5 * (stiffness + stiffness.T)
 
     return GalerkinSystem(
         measure=measure, max_degree=max_degree, expo=expo, axes=axes,
         stiffness=stiffness, gram_residual=gram_residual,
-        nodes=nodes, node_weights=qw,
-        basis_values=basis)
+        nodes=nodes, node_weights=node_weights, axis_weights=axis_weights,
+        axis_tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +265,7 @@ def poisson_solve(system: GalerkinSystem, f) -> PoissonSolution:
     projection error.
     """
     fv = f(system.nodes)
-    fh = system.basis_values.T @ (system.node_weights * fv)
+    fh = system.project(fv)
     scale = float(np.linalg.norm(fh))
     if scale == 0.0:
         raise MeanZeroViolationError("zero right-hand side")
@@ -247,8 +274,8 @@ def poisson_solve(system: GalerkinSystem, f) -> PoissonSolution:
             f"constant component {fh[0]:.3e} of the rhs exceeds 1e-8 relative")
     uh = np.zeros_like(fh)
     uh[1:] = np.linalg.solve(system.stiffness[1:, 1:], fh[1:])
-    lu = system.generator_values() @ uh
-    proj = system.basis_values @ fh
+    lu = system.generator_at_nodes(uh)
+    proj = system.node_values(fh)
     res = float(np.sqrt(np.sum(system.node_weights * (-lu - proj) ** 2)))
     perr = float(np.sqrt(np.sum(system.node_weights * (fv - proj) ** 2)))
     return PoissonSolution(coeffs=uh, residual=res, projection_error=perr,
@@ -350,7 +377,7 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
         fv = fv + shift
 
     fp = fv ** p
-    coeffs = system.basis_values.T @ (w * fp)
+    coeffs = system.project(fp)
 
     # direct-quadrature reference values for phi(0) and the t->inf limit
     phi0_expected = float(np.sum(w * fv ** q)) ** (2.0 / q)
@@ -360,11 +387,17 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
     grad_norm = np.linalg.norm(grad, axis=1)
     energy_q = float(np.sum(w * grad_norm ** q)) ** (2.0 / q)
 
+    # every time of the grid and the t -> inf limit in one block: the limit
+    # is the projection onto the kernel of -L_w (the constants), the
+    # eigenvector of the smallest stiffness eigenvalue
+    kernel = system.eigensystem()[1][:, 0]
+    block = np.stack([semigroup_apply(system, coeffs, float(t)) for t in t_grid]
+                     + [kernel * (kernel @ coeffs)], axis=1)
+    values = system.node_values(block)
     rows = []
     phis = []
     clamps = []
-    for t in t_grid:
-        vt = system.basis_values @ semigroup_apply(system, coeffs, float(t))
+    for vt in values[:, :-1].T:
         clamped = int(np.count_nonzero(vt < 0))
         vt = np.maximum(vt, 0.0)
         phis.append(float(np.sum(w * vt ** (q / p))) ** (2.0 / q))
@@ -384,10 +417,7 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
         rows.append(DecayRow(t=float(t_grid[i]), phi=phis[i], quotient=quot,
                              bound=bound, clamped_nodes=clamps[i]))
 
-    # t -> inf: projection onto the kernel of -L_w (the constants), the
-    # eigenvector of the smallest stiffness eigenvalue
-    kernel = system.eigensystem()[1][:, 0]
-    v_inf = np.maximum(system.basis_values @ (kernel * (kernel @ coeffs)), 0.0)
+    v_inf = np.maximum(values[:, -1], 0.0)
     phi_limit = float(np.sum(w * v_inf ** (q / p))) ** (2.0 / q)
     return DecayCheck(rows=tuple(rows), decreasing=decreasing,
                       quotient_bounded=quotient_ok, phi0=phis[0],

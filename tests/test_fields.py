@@ -11,8 +11,6 @@ from gausscone.fields import (
     constant,
     dilated,
     exp_axis,
-    fd_gradient_error,
-    fd_hessian_error,
     gaussian,
     gaussian_quarter,
     hermite_witness,
@@ -24,6 +22,8 @@ from gausscone.fields import (
     shifted,
     squared,
 )
+
+from fdcheck import fd_gradient_error, fd_hessian_error
 
 LIBRARY = [
     constant(2.0, 2),

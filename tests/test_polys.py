@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gausscone import polys
-from gausscone.fields import fd_gradient_error, fd_hessian_error, poly_gauss
+from gausscone.fields import poly_gauss
 from gausscone.functionals import hup_deficit
 from gausscone.gamma import (
     apply_generator,
@@ -19,6 +19,8 @@ from gausscone.inequalities import (
 from gausscone.measures import make_measure
 from gausscone.polys import PolyND, exponent_table
 from gausscone.weights import Monomial, make_weight
+
+from fdcheck import fd_gradient_error, fd_hessian_error
 
 REL_TOL = 1e-13
 

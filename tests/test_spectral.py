@@ -14,8 +14,8 @@ Spectral oracles (all derived by independent computation):
     degree at most (2j, i) into themselves and acts on the leading term
     x_1^(2j) x_2^i by -(2j + i), so the spectrum of the degree-d system is
     the multiset of total degrees i + 2j <= d.
-  * off the nodes, values, gradients and Laplacians of the basis agree with
-    central differences.
+  * off the nodes, the first and second derivatives in the per-axis tables
+    agree with central differences of their values.
   * Gaussian tilt s: rescaling x -> x/sqrt(1+s) maps the generator onto the
     standard one, so the spectrum is (1+s) N and the gap 1+s.
   * monomial |x|^a on the half line with the even (Neumann) basis: u = x^2
@@ -24,10 +24,12 @@ Spectral oracles (all derived by independent computation):
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gausscone.cones import Halfspace
 from gausscone.config import build_weight, parse_config
 from gausscone.errors import ContractError, DomainError, MeanZeroViolationError
 from gausscone.fields import (
@@ -38,8 +40,12 @@ from gausscone.fields import (
     shifted,
     squared,
 )
-from gausscone.measures import make_measure
+from gausscone.gamma import generator
+from gausscone.measures import build_rule, make_measure
+from gausscone.quad1d import orthonormal_polys
+from gausscone.report import run
 from gausscone.spectral import (
+    axis_jet,
     build_galerkin,
     duality_stability_residual,
     galerkin_applies,
@@ -67,7 +73,7 @@ class TestBasis:
         assert sys_1d.gram_residual <= 1e-10
 
     def test_hermite_recurrence_reproduced(self, sys_1d):
-        # oracle: компare against probabilists' Hermite evaluated by the
+        # oracle: compare against probabilists' Hermite evaluated by the
         # stable three-term recurrence h_{k+1} = (x h_k - sqrt(k) h_{k-1})/sqrt(k+1)
         x = np.linspace(-3, 3, 41)[:, None]
         vals = sys_1d.values(x)
@@ -102,23 +108,21 @@ class TestBasis:
 
     @pytest.mark.parametrize("weight,lam", SCALED_AND_TILTED)
     def test_off_node_derivatives_match_differences(self, weight, lam):
+        # the per-axis tables carry p_j(t/s) and its first two derivatives
+        # in t; both scale and tilt enter through s
         system = build_galerkin(make_measure(weight, lam), 8)
-        pts = np.random.default_rng(7).uniform(-2.0, 2.0, (25, 2))
-        vals = system.values(pts)
-        scale = 1.0 + np.max(np.abs(vals))
-        lap = np.zeros_like(vals)
-        for ax in range(2):
-            step = np.zeros(2)
-            step[ax] = 1e-5
-            central = (system.values(pts + step)
-                       - system.values(pts - step)) / 2e-5
-            np.testing.assert_allclose(system.grad_values(pts, ax), central,
-                                       rtol=0, atol=1e-7 * scale)
-            step[ax] = 1e-3
-            lap += (system.values(pts + step) - 2.0 * vals
-                    + system.values(pts - step)) / 1e-6
-        np.testing.assert_allclose(system.laplacian_values(pts), lap,
-                                   rtol=0, atol=1e-5 * scale)
+        t = np.random.default_rng(7).uniform(-2.0, 2.0, 25)
+        for basis in system.axes:
+            def vals(x):
+                return axis_jet(basis, x, system.max_degree)[0]
+            jet = axis_jet(basis, t, system.max_degree)
+            scale = 1.0 + np.max(np.abs(jet[0]))
+            central = (vals(t + 1e-5) - vals(t - 1e-5)) / 2e-5
+            np.testing.assert_allclose(jet[1], central, rtol=0,
+                                       atol=1e-7 * scale)
+            second = (vals(t + 1e-3) - 2.0 * jet[0] + vals(t - 1e-3)) / 1e-6
+            np.testing.assert_allclose(jet[2], second, rtol=0,
+                                       atol=1e-5 * scale)
 
     def test_polar_rule_rejected(self):
         # the radial weight on the plane has a polar rule, whose nodes do
@@ -247,14 +251,14 @@ class TestPoisson:
         sol = poisson_solve(sys_1d, affine([1.0], 0.0))
         assert sol.residual <= 1e-10
         x = np.array([[0.3], [1.2]])
-        np.testing.assert_allclose(sys_1d.eval_coeffs(sol.coeffs, x),
+        np.testing.assert_allclose(sys_1d.values(x) @ sol.coeffs,
                                    x[:, 0], atol=1e-10)
 
     def test_quadratic_eigenfunction(self, sys_1d):
         f = shifted(squared(affine([1.0], 0.0)), -1.0)  # x^2 - 1
         sol = poisson_solve(sys_1d, f)
         x = np.array([[0.5], [1.5]])
-        np.testing.assert_allclose(sys_1d.eval_coeffs(sol.coeffs, x),
+        np.testing.assert_allclose(sys_1d.values(x) @ sol.coeffs,
                                    (x[:, 0] ** 2 - 1.0) / 2.0, atol=1e-10)
 
     def test_constant_rejected(self, sys_1d):
@@ -308,7 +312,7 @@ class TestSemigroup:
     def test_coordinate_decay(self, sys_1d):
         c = sys_1d.project(affine([1.0], 0.0))
         x = np.array([[0.4], [1.0], [2.0]])
-        evolved = sys_1d.eval_coeffs(semigroup_apply(sys_1d, c, 1.0), x)
+        evolved = sys_1d.values(x) @ semigroup_apply(sys_1d, c, 1.0)
         np.testing.assert_allclose(evolved, np.exp(-1.0) * x[:, 0], atol=1e-8)
 
     def test_contraction_rate(self, sys_1d):
@@ -361,3 +365,121 @@ class TestSemigroup:
         with pytest.raises(DomainError):
             semigroup_decay_check(sys_1d, affine([1.0], 0.0), 1.0, 2.0,
                                   [0.0, 1.0], allow_shift=False)
+
+
+# ---------------------------------------------------------------------------
+# sum factorization against a dense assembly
+# ---------------------------------------------------------------------------
+
+def _dense_table(system, nodes, axis=None, order=0):
+    """(N, m) values at the nodes of d^order/dx_axis^order of every basis
+    function: the per-axis recurrence tables multiplied out node by node."""
+    out = None
+    for ax, (alpha, beta, scale) in enumerate(system.axes):
+        d = order if ax == axis else 0
+        table = orthonormal_polys(alpha, beta, nodes[:, ax] / scale,
+                                  system.max_degree, d)[d]
+        col = table[:, system.expo[:, ax]] / scale ** d
+        out = col if out is None else out * col
+    return out
+
+
+# (weight, lambda, measure order, degree): the replication and partial_3d
+# measures at their default degrees, the scaled and the tilted cases, and a
+# cone constrained on the negative half line of axis 0 ("half-")
+DENSE_CASES = [
+    (make_weight(Monomial((1.5, 0.0)), 2), 1.0, 32, 16),
+    (make_weight(Monomial((1.5, 0.0, 0.0)), 3), 1.0, 16, 10),
+    *[(w, lam, 32, 12) for w, lam in SCALED_AND_TILTED],
+    (make_weight(Monomial((1.0, 0.0)), 2, cone=Halfspace(2, (-1.0, 0.0))),
+     1.0, 24, 12),
+]
+
+
+def _close(got, ref, rel=1e-13):
+    ref = np.asarray(ref)
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+class TestSumFactorization:
+    @pytest.fixture(scope="class", params=DENSE_CASES,
+                    ids=["replication", "partial_3d", "scaled", "tilted",
+                         "negative_half_line"])
+    def dense(self, request):
+        """A built system and its dense reference on the rule build_rule
+        makes for the same density and order."""
+        weight, lam, order, degree = request.param
+        mu = make_measure(weight, lam, order=order)
+        system = build_galerkin(mu, degree)
+        rule = build_rule(weight, lam, order=max(order, degree + 8))
+        np.testing.assert_allclose(system.nodes, rule.nodes, rtol=1e-15,
+                                   atol=0)
+        qw = rule.weights / rule.mass
+        basis = _dense_table(system, rule.nodes)
+        root_w = np.sqrt(qw)[:, None]
+        grad = np.stack([_dense_table(system, rule.nodes, ax, 1)
+                         for ax in range(weight.dim)], axis=1)
+        lap = sum(_dense_table(system, rule.nodes, ax, 2)
+                  for ax in range(weight.dim))
+        stiffness = sum((g * root_w).T @ (g * root_w)
+                        for g in np.moveaxis(grad, 1, 0))
+        gram = (basis * root_w).T @ (basis * root_w)
+        return system, {
+            "nodes": rule.nodes, "weights": qw, "basis": basis,
+            "stiffness": 0.5 * (stiffness + stiffness.T),
+            "gram_residual": float(np.max(np.abs(gram - np.eye(system.size)))),
+            "generator": generator(weight, rule.nodes, grad, lap, lam)}
+
+    def test_stiffness(self, dense):
+        system, ref = dense
+        _close(system.stiffness, ref["stiffness"])
+
+    def test_gram_residual(self, dense):
+        system, ref = dense
+        assert abs(system.gram_residual - ref["gram_residual"]) <= 1e-13
+
+    def test_project(self, dense):
+        system, ref = dense
+        weight = system.measure.weight
+        f = poly_gauss(5, weight.dim, even_axes=weight.cone.constrained_axes())
+        _close(system.project(f),
+               ref["basis"].T @ (ref["weights"] * f(ref["nodes"])))
+
+    def test_node_values_of_a_block(self, dense):
+        system, ref = dense
+        block = np.random.default_rng(3).normal(size=(system.size, 4))
+        _close(system.node_values(block), ref["basis"] @ block)
+
+    def test_generator_at_nodes(self, dense):
+        system, ref = dense
+        coeffs = np.random.default_rng(4).normal(size=system.size)
+        _close(system.generator_at_nodes(coeffs), ref["generator"] @ coeffs)
+
+
+def test_poisson_residual_does_not_read_the_stiffness(mu_partial):
+    # the residual applies gamma.generator to the solution at the nodes; a
+    # corrupted stiffness gives a wrong solution and the residual shows it
+    system = build_galerkin(mu_partial, 12)
+    f = poly_gauss(11, 2, even_axes=frozenset({0}))
+    mean = float(np.sum(system.node_weights * f.value(system.nodes)))
+    g = shifted(f, -mean)
+    assert poisson_solve(system, g).residual <= 1e-6
+    bad = system.stiffness.copy()
+    bad[1, 2] += 1e-3
+    corrupt = dataclasses.replace(system, stiffness=bad)
+    assert poisson_solve(corrupt, g).residual > 1e-6
+
+
+def test_spectral_suite_in_four_dimensions():
+    config = parse_config({"dim": 4, "weight": {"kind": "monomial",
+                                                 "exponents": [1.5, 0, 0, 0]},
+                           "quadrature": {"order": 8}, "suites": ["spectral"]})
+    tracemalloc.start()
+    try:
+        report = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    checks = [c for suite in report.suites for c in suite.checks]
+    assert checks and all(c["pass"] for c in checks)
+    assert peak < 300 * 2 ** 20
