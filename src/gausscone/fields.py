@@ -16,10 +16,13 @@ into orthant-cone checks (even in every constrained axis means the normal
 derivative vanishes identically) and what lets odd integrals short-circuit
 to exact zero in the sharpness computations.
 
-A field that is exactly poly(x) exp(-rate |x|^2) carries that structure,
-from which the HUP-stability distances take every integral, as `poly_gauss`:
-the library's Gaussians, the Hermite witness and the seeded polynomial
-fields set it, scalings and dilations carry it, other combinators drop it.
+Every library field but `exp_axis` is exactly poly(x) exp(-rate |x|^2) with
+rate >= 0 (the constants and affine fields at rate 0, the Gaussians, the
+Hermite witness and the seeded polynomial fields), and is built from that
+structure alone: one jet, the decay rate and the parity tags all come from
+its `PolyGauss`, which it carries as `poly_gauss` and from which the
+HUP-stability distances take every integral.  Scalings and dilations carry
+the structure, other combinators drop it.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ from .polys import PolyND, exponent_table
 class Decay:
     """Envelope |f(x)| <= C(x) exp(-rate |x|^2) with C of polynomial growth."""
 
-    kind: str = "none"  # "gaussian" | "polynomial" | "none"
     rate: float = 0.0
 
     @property
     def is_gaussian(self) -> bool:
-        return self.kind == "gaussian" and self.rate > 0
+        return self.rate > 0
 
 
 NO_DECAY = Decay()
@@ -49,7 +51,7 @@ NO_DECAY = Decay()
 
 @dataclass(frozen=True)
 class PolyGauss:
-    """The field is exactly poly(x) exp(-rate |x|^2)."""
+    """The field is exactly poly(x) exp(-rate |x|^2), with rate >= 0."""
 
     poly: PolyND
     rate: float
@@ -69,7 +71,6 @@ class ScalarField:
     decay: Decay = NO_DECAY
     even_axes: frozenset[int] = field(default_factory=frozenset)
     odd_axes: frozenset[int] = field(default_factory=frozenset)
-    radial: bool = False
     poly_gauss: PolyGauss | None = None
 
     def value(self, pts) -> np.ndarray:
@@ -96,16 +97,55 @@ def _batch(pts) -> np.ndarray:
 # library
 # ---------------------------------------------------------------------------
 
-def constant(c: float, dim: int) -> ScalarField:
-    def jet(x, order):
-        # the zero derivatives are never written, so they take no memory
-        n = len(x)
-        return (np.full(n, float(c)), np.zeros((n, dim)),
-                np.zeros((n, dim, dim)))[:order + 1]
+def _structured(name: str, pg: PolyGauss) -> ScalarField:
+    """The field pg.poly(x) exp(-pg.rate |x|^2).  It decays at pg.rate, and
+    is even (odd) on the axes where every nonzero term has an even (odd)
+    exponent; the zero polynomial is even on every axis."""
+    poly, rate = pg.poly, pg.rate
+    dim, c = poly.dim, 2.0 * rate
+    odd_expo = poly.expo[poly.coeffs != 0] % 2 == 1
+    even = frozenset(a for a in range(dim) if not odd_expo[:, a].any())
+    odd = frozenset(a for a in range(dim) if len(odd_expo) and odd_expo[:, a].all())
 
-    return ScalarField(
-        name=f"constant({c})", dim=dim, jet=jet, decay=Decay("polynomial"),
-        even_axes=frozenset(range(dim)), radial=True)
+    # p and its derivatives come axis-first from one table, one row per
+    # derivative; with e the bump, w = c x and s = e grad p - w p e / 2,
+    # hess(p e) = e hess p - (w s^T + s w^T) - c p e I
+    def jet(x, order):
+        # einsum forms |x|^2 without the (N, n) temporary of x ** 2
+        e = np.exp(-rate * np.einsum("ij,ij->i", x, x))
+        d = poly.derivatives(x, order)
+        pe = d[0] * e
+        if order == 0:
+            return (pe,)
+        w = c * x.T
+        grad = ((d[1:1 + dim] - w * d[0]) * e).T
+        if order == 1:
+            return pe, grad
+        s = d[1:1 + dim] * e - 0.5 * w * pe
+        h = d[1 + dim:].reshape(dim, dim, -1)
+        h *= e
+        # one axis pair at a time, so no (n, n, N) temporary is formed
+        for a in range(dim):
+            h[a, a] -= 2.0 * w[a] * s[a]
+            h[a, a] -= c * pe
+            for b in range(a):
+                v = w[a] * s[b] + s[a] * w[b]
+                h[a, b] -= v
+                h[b, a] -= v
+        return pe, grad, h.transpose(2, 0, 1)
+
+    return ScalarField(name=name, dim=dim, jet=jet, decay=Decay(rate),
+                       even_axes=even, odd_axes=odd, poly_gauss=pg)
+
+
+def _affine_expo(dim: int) -> np.ndarray:
+    """Exponent rows of 1, x_1, ..., x_n."""
+    return np.eye(dim + 1, dim, k=-1, dtype=np.int64)
+
+
+def constant(c: float, dim: int) -> ScalarField:
+    return _structured(f"constant({c})",
+                       PolyGauss(PolyND(_affine_expo(dim)[:1], [float(c)]), 0.0))
 
 
 def affine(a, b: float, dim: int | None = None) -> ScalarField:
@@ -113,22 +153,8 @@ def affine(a, b: float, dim: int | None = None) -> ScalarField:
     dim = len(a) if dim is None else dim
     if len(a) != dim:
         raise ValueError(f"affine slope has length {len(a)}, need {dim}")
-    even = frozenset(i for i in range(dim) if a[i] == 0.0)
-    odd = frozenset()
-    if b == 0.0 and np.count_nonzero(a) == 1:
-        odd = frozenset({int(np.nonzero(a)[0][0])})
-
-    def jet(x, order):
-        out = (x @ a + b,)
-        if order >= 1:
-            out += (np.tile(a, (len(x), 1)),)
-        if order == 2:
-            out += (np.zeros((len(x), dim, dim)),)
-        return out
-
-    return ScalarField(
-        name=f"affine({a.tolist()},{b})", dim=dim, jet=jet,
-        decay=Decay("polynomial"), even_axes=even, odd_axes=odd)
+    poly = PolyND(_affine_expo(dim), [float(b), *a])
+    return _structured(f"affine({a.tolist()},{b})", PolyGauss(poly, 0.0))
 
 
 def exp_axis(b: float, axis: int, dim: int) -> ScalarField:
@@ -149,55 +175,15 @@ def exp_axis(b: float, axis: int, dim: int) -> ScalarField:
 
 def hermite_witness(axis: int, dim: int) -> ScalarField:
     """f(x) = x_k exp(-|x|^2/2), the sharpness witness of the HUP stability."""
-
-    def jet(x, order):
-        g = np.exp(-0.5 * np.sum(x ** 2, axis=1))
-        xkg = x[:, axis] * g
-        if order == 0:
-            return (xkg,)
-        grad = -x * xkg[:, None]
-        grad[:, axis] += g
-        if order == 1:
-            return xkg, grad
-        hess = (x[:, :, None] * x[:, None, :]) * xkg[:, None, None]
-        hess -= np.eye(dim)[None, :, :] * xkg[:, None, None]
-        hess[:, axis, :] -= x * g[:, None]
-        hess[:, :, axis] -= x * g[:, None]
-        return xkg, grad, hess
-
-    return ScalarField(
-        name=f"hermite_witness(axis={axis})", dim=dim, jet=jet,
-        decay=Decay("gaussian", rate=0.5),
-        even_axes=frozenset(i for i in range(dim) if i != axis),
-        odd_axes=frozenset({axis}),
-        poly_gauss=PolyGauss(PolyND(np.eye(dim, dtype=np.int64)[[axis]], [1.0]),
-                             0.5))
+    poly = PolyND(_affine_expo(dim)[[axis + 1]], [1.0])
+    return _structured(f"hermite_witness(axis={axis})", PolyGauss(poly, 0.5))
 
 
 def gaussian(amplitude: float, lam: float, dim: int) -> ScalarField:
     """f(x) = A exp(-|x|^2 / (2 lam^2)); member of the HUP optimizer family."""
-    c = 1.0 / (lam * lam)
-
-    def jet(x, order):
-        f = amplitude * np.exp(-0.5 * c * np.sum(x ** 2, axis=1))
-        if order == 0:
-            return (f,)
-        grad = -c * x * f[:, None]
-        if order == 1:
-            return f, grad
-        # (c^2 x x^T - c I) f, formed in place
-        hess = x[:, :, None] * x[:, None, :]
-        hess *= c * c
-        hess -= c * np.eye(dim)
-        hess *= f[:, None, None]
-        return f, grad, hess
-
-    return ScalarField(
-        name=f"gaussian(A={amplitude},lam={lam})", dim=dim, jet=jet,
-        decay=Decay("gaussian", rate=0.5 * c),
-        even_axes=frozenset(range(dim)), radial=True,
-        poly_gauss=PolyGauss(PolyND(np.zeros((1, dim), dtype=np.int64),
-                                    [amplitude]), 0.5 * c))
+    poly = PolyND(_affine_expo(dim)[:1], [amplitude])
+    return _structured(f"gaussian(A={amplitude},lam={lam})",
+                       PolyGauss(poly, 0.5 / (lam * lam)))
 
 
 def gaussian_quarter(amplitude: float, dim: int) -> ScalarField:
@@ -213,36 +199,8 @@ def poly_gauss(seed: int, dim: int, degree: int = 3,
     expo = exponent_table(dim, degree, even_axes=frozenset(even_axes))
     coeffs = rng.standard_normal(len(expo)) / (1.0 + expo.sum(axis=1))
     tau = float(rng.uniform(0.8, 1.3))
-    poly = PolyND(expo, coeffs)
-    c = 1.0 / (tau * tau)
-
-    # p and its derivatives come axis-first from one table, one row per
-    # derivative; with e the bump, w = c x and s = e grad p - w p e / 2,
-    # hess(p e) = e hess p - (w s^T + s w^T) - c p e I
-    def jet(x, order):
-        # einsum forms |x|^2 without the (N, n) temporary of x ** 2
-        e = np.exp(-0.5 * c * np.einsum("ij,ij->i", x, x))
-        d = poly.derivatives(x, order)
-        pe = d[0] * e
-        if order == 0:
-            return (pe,)
-        w = c * x.T
-        grad = ((d[1:1 + dim] - w * d[0]) * e).T
-        if order == 1:
-            return pe, grad
-        s = d[1:1 + dim] * e - 0.5 * w * pe
-        h = d[1 + dim:].reshape(dim, dim, -1)
-        h *= e
-        t = w[:, None] * s[None, :]
-        h -= t + np.swapaxes(t, 0, 1)
-        diag = np.arange(dim)
-        h[diag, diag] -= c * pe
-        return pe, grad, h.transpose(2, 0, 1)
-
-    return ScalarField(
-        name=f"poly_gauss(seed={seed})", dim=dim, jet=jet,
-        decay=Decay("gaussian", rate=0.5 * c),
-        even_axes=frozenset(even_axes), poly_gauss=PolyGauss(poly, 0.5 * c))
+    return _structured(f"poly_gauss(seed={seed})",
+                       PolyGauss(PolyND(expo, coeffs), 0.5 / (tau * tau)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +220,9 @@ def shifted(f: ScalarField, c: float) -> ScalarField:
 
     return ScalarField(
         name=f"{f.name}+{c}", dim=f.dim, jet=jet,
-        decay=Decay("polynomial") if c != 0 else f.decay,
+        decay=NO_DECAY if c != 0 else f.decay,
         even_axes=f.even_axes,
-        odd_axes=f.odd_axes if c == 0 else frozenset(), radial=f.radial)
-
-
-def added(f: ScalarField, g: ScalarField) -> ScalarField:
-    rate = min(f.decay.rate, g.decay.rate)
-    kind = "gaussian" if f.decay.is_gaussian and g.decay.is_gaussian else "none"
-    if f.decay.kind == "polynomial" and g.decay.kind == "polynomial":
-        kind = "polynomial"
-    return ScalarField(
-        name=f"({f.name})+({g.name})", dim=f.dim,
-        jet=lambda x, order: tuple(
-            a + b for a, b in zip(f.jet(x, order), g.jet(x, order))),
-        decay=Decay(kind, rate),
-        even_axes=f.even_axes & g.even_axes,
-        odd_axes=f.odd_axes & g.odd_axes)
+        odd_axes=f.odd_axes if c == 0 else frozenset())
 
 
 def _leibniz(fj: tuple, gj: tuple) -> tuple:
@@ -294,17 +238,13 @@ def _leibniz(fj: tuple, gj: tuple) -> tuple:
 
 
 def product(f: ScalarField, g: ScalarField) -> ScalarField:
-    rate = f.decay.rate + g.decay.rate
-    kind = "gaussian" if rate > 0 else (
-        "polynomial" if "none" not in (f.decay.kind, g.decay.kind) else "none")
     even = (f.even_axes & g.even_axes) | (f.odd_axes & g.odd_axes)
     odd = (f.odd_axes & g.even_axes) | (f.even_axes & g.odd_axes)
     return ScalarField(
         name=f"({f.name})*({g.name})", dim=f.dim,
         jet=lambda x, order: _leibniz(f.jet(x, order), g.jet(x, order)),
-        decay=Decay(kind, rate),
-        even_axes=even, odd_axes=odd,
-        radial=f.radial and g.radial)
+        decay=Decay(f.decay.rate + g.decay.rate),
+        even_axes=even, odd_axes=odd)
 
 
 def squared(f: ScalarField) -> ScalarField:
@@ -332,15 +272,9 @@ def _rescaled(f: ScalarField, name: str, s: float, amp: float) -> ScalarField:
         return tuple(out)
 
     return ScalarField(
-        name=name, dim=f.dim, jet=jet,
-        decay=Decay(f.decay.kind, f.decay.rate * s * s),
-        even_axes=f.even_axes, odd_axes=f.odd_axes, radial=f.radial,
+        name=name, dim=f.dim, jet=jet, decay=Decay(f.decay.rate * s * s),
+        even_axes=f.even_axes, odd_axes=f.odd_axes,
         poly_gauss=f.poly_gauss and f.poly_gauss.rescaled(amp, s))
-
-
-def dilated(f: ScalarField, s: float) -> ScalarField:
-    """x -> f(x/s)."""
-    return _rescaled(f, f"{f.name}(x/{s})", 1.0 / s, 1.0)
 
 
 def mass_dilated(f: ScalarField, lam: float, n_plus_alpha: float) -> ScalarField:

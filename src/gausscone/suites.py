@@ -128,10 +128,12 @@ def record_of(check: InequalityCheck, field_name: str | None = None,
     rec = asdict(check)
     rec["pass"] = rec.pop("passed")
     if tol_scale is not None:
-        # re-judge the verdict at the run-level tolerance scale
+        # re-judge the deficit at the run-level tolerance scale; a failed
+        # conjugation identity (`check_hup`) fails at every tolerance
         tol = tol_scale * (1.0 + abs(check.lhs) + abs(check.rhs))
         rec["tolerance"] = tol
-        rec["pass"] = bool(check.deficit >= -tol)
+        rec["pass"] = bool(check.deficit >= -tol
+                           and check.diagnostics.get("identity_ok", True))
     if field_name is not None:
         rec["field"] = field_name
     rec.setdefault("informational", False)

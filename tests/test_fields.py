@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gausscone.fields import (
     ScalarField,
-    added,
     affine,
     constant,
-    dilated,
     exp_axis,
     gaussian,
     gaussian_quarter,
@@ -25,6 +23,11 @@ from gausscone.fields import (
 
 from fdcheck import fd_gradient_error, fd_hessian_error
 
+def _sum(f, g):
+    return ScalarField(f"({f.name})+({g.name})", f.dim, lambda x, order: tuple(
+        a + b for a, b in zip(f.jet(x, order), g.jet(x, order))))
+
+
 LIBRARY = [
     constant(2.0, 2),
     affine([1.0, -2.0], 0.5),
@@ -37,9 +40,10 @@ LIBRARY = [
     squared(hermite_witness(0, 2)),
     product(gaussian(1.0, 1.0, 2), affine([0.0, 1.0], 0.0)),
     one_plus(0.1, affine([0.0, 1.0], 0.0)),
-    dilated(gaussian(1.0, 1.0, 2), 2.0),
+    mass_dilated(gaussian(1.0, 1.0, 2), 0.5, 0.0).with_name(
+        "gaussian(A=1.0,lam=1.0)(x/2.0)"),
     mass_dilated(poly_gauss(2, 2), 1.5, 3.5),
-    added(poly_gauss(5, 2), hermite_witness(0, 2)),
+    _sum(poly_gauss(5, 2), hermite_witness(0, 2)),
     scaled(poly_gauss(6, 2), 0.0),
     shifted(exp_axis(-0.3, 0, 2), -1.5),
 ]
@@ -57,7 +61,7 @@ STRUCTURED = [
 STRUCTURE_KEEPERS = {
     "plain": lambda f: f,
     "scaled": lambda f: scaled(f, -2.5),
-    "dilated": lambda f: dilated(f, 1.7),
+    "dilated": lambda f: mass_dilated(f, 1.0 / 1.7, 0.0),
     "mass_dilated": lambda f: mass_dilated(f, 0.6, f.dim + 1.5),
 }
 
@@ -81,7 +85,6 @@ def test_structure_matches_jet(base, keeper):
     shifted(poly_gauss(0, 2), 0.0),
     shifted(gaussian(1.0, 1.0, 2), 0.5),
     product(gaussian(1.0, 1.0, 2), poly_gauss(1, 2)),
-    added(poly_gauss(5, 2), hermite_witness(0, 2)),
     squared(hermite_witness(0, 2)),
     one_plus(0.1, poly_gauss(2, 2)),
 ], ids=lambda f: f.name)
@@ -170,7 +173,7 @@ def test_product_decay_rate_adds():
 
 def test_dilation_rescales_rate():
     f = gaussian(1.0, 1.0, 2)
-    assert dilated(f, 2.0).decay.rate == pytest.approx(0.125)
+    assert mass_dilated(f, 0.5, 0.0).decay.rate == pytest.approx(0.125)
     assert mass_dilated(f, 2.0, 2.0).decay.rate == pytest.approx(2.0)
 
 
@@ -205,3 +208,131 @@ def test_jet_is_the_only_derivative_field():
     names = {fld.name for fld in dataclasses.fields(ScalarField)}
     assert "jet" in names
     assert not names & {"value", "grad", "hess"}
+
+
+# ---------------------------------------------------------------------------
+# the structured jet against closed forms, and the tags read off the structure
+# ---------------------------------------------------------------------------
+
+def _constant_jet(c, x):
+    n, dim = x.shape
+    return np.full(n, float(c)), np.zeros((n, dim)), np.zeros((n, dim, dim))
+
+
+def _affine_jet(a, b, x):
+    n, dim = x.shape
+    return x @ a + b, np.tile(a, (n, 1)), np.zeros((n, dim, dim))
+
+
+def _gaussian_jet(amplitude, lam, x):
+    c = 1.0 / (lam * lam)
+    f = amplitude * np.exp(-0.5 * c * np.sum(x ** 2, axis=1))
+    grad = -c * x * f[:, None]
+    hess = (c * c * x[:, :, None] * x[:, None, :] - c * np.eye(x.shape[1]))
+    return f, grad, hess * f[:, None, None]
+
+
+def _hermite_witness_jet(axis, x):
+    g = np.exp(-0.5 * np.sum(x ** 2, axis=1))
+    xkg = x[:, axis] * g
+    grad = -x * xkg[:, None]
+    grad[:, axis] += g
+    hess = (x[:, :, None] * x[:, None, :]) * xkg[:, None, None]
+    hess -= np.eye(x.shape[1])[None, :, :] * xkg[:, None, None]
+    hess[:, axis, :] -= x * g[:, None]
+    hess[:, :, axis] -= x * g[:, None]
+    return xkg, grad, hess
+
+
+def _closed_forms(dim):
+    rng = np.random.default_rng(dim)
+    slope = rng.normal(size=dim)
+    return [
+        (constant(2.5, dim), lambda x: _constant_jet(2.5, x)),
+        (constant(0.0, dim), lambda x: _constant_jet(0.0, x)),
+        (affine(slope, 0.7), lambda x: _affine_jet(slope, 0.7, x)),
+        (affine(np.eye(dim)[-1], 0.0), lambda x: _affine_jet(np.eye(dim)[-1], 0.0, x)),
+        (gaussian(1.3, 0.9, dim), lambda x: _gaussian_jet(1.3, 0.9, x)),
+        (gaussian_quarter(1.1, dim),
+         lambda x: _gaussian_jet(1.1, np.sqrt(2.0), x)),
+        (hermite_witness(0, dim), lambda x: _hermite_witness_jet(0, x)),
+        (hermite_witness(dim - 1, dim),
+         lambda x: _hermite_witness_jet(dim - 1, x)),
+    ]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_structured_jets_match_closed_forms(dim):
+    x = np.random.default_rng(100 + dim).normal(scale=1.5, size=(100, dim))
+    for f, closed in _closed_forms(dim):
+        expected = closed(x)
+        for order in (0, 1, 2):
+            for got, want in zip(f.jet(x, order), expected[:order + 1]):
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)),
+                    err_msg=f"{f.name} order {order}")
+
+
+# decay rate, even axes and odd axes of each constructor, written out by hand:
+# the tags read off the structure must equal them
+DECLARED_TAGS = [
+    (constant(2.0, 3), 0.0, {0, 1, 2}, set()),
+    (constant(0.0, 2), 0.0, {0, 1}, set()),
+    (affine([0.0, 1.0, 0.0], 0.0), 0.0, {0, 2}, {1}),
+    (affine([0.0, 1.0, 0.0], 0.3), 0.0, {0, 2}, set()),
+    (affine([1.0, 0.0, -2.0], 0.0), 0.0, {1}, set()),
+    (affine([1.0, 0.5], 0.0), 0.0, set(), set()),
+    (affine([0.0, 0.0], 0.0), 0.0, {0, 1}, set()),
+    (affine([0.0, 0.0], 1.5), 0.0, {0, 1}, set()),
+    (exp_axis(0.5, 1, 2), 0.0, {0}, set()),
+    (hermite_witness(1, 3), 0.5, {0, 2}, {1}),
+    (hermite_witness(0, 1), 0.5, set(), {0}),
+    (gaussian(1.3, 1.2, 2), 0.3472222222222222, {0, 1}, set()),
+    (gaussian(0.0, 1.0, 2), 0.5, {0, 1}, set()),
+    (gaussian_quarter(1.1, 3), 0.24999999999999994, {0, 1, 2}, set()),
+    (poly_gauss(0, 2), 0.3426800226193738, set(), set()),
+    (poly_gauss(4, 3, even_axes=frozenset({0})), 0.35044274116881324, {0}, set()),
+    (poly_gauss(2, 2, even_axes=frozenset({0, 1})), 0.6986705387213976,
+     {0, 1}, set()),
+]
+
+
+@pytest.mark.parametrize("f, rate, even, odd", DECLARED_TAGS,
+                         ids=[f"{f.name}-{f.dim}d" for f, *_ in DECLARED_TAGS])
+def test_tags_match_declared(f, rate, even, odd):
+    assert f.decay.rate == rate
+    assert f.decay.is_gaussian == (rate > 0)
+    assert f.even_axes == even
+    assert f.odd_axes == odd
+    if f.poly_gauss is not None:
+        assert f.poly_gauss.rate == rate
+
+
+def _poly_gauss_reference(f, x):
+    """The seeded polynomial field's jet with its Hessian update written as
+    one symmetric (n, n, N) sum, w s^T + (w s^T)^T."""
+    poly, c, dim = f.poly_gauss.poly, 2.0 * f.poly_gauss.rate, f.dim
+    e = np.exp(-0.5 * c * np.einsum("ij,ij->i", x, x))
+    d = poly.derivatives(x, 2)
+    pe = d[0] * e
+    w = c * x.T
+    grad = ((d[1:1 + dim] - w * d[0]) * e).T
+    s = d[1:1 + dim] * e - 0.5 * w * pe
+    h = d[1 + dim:].reshape(dim, dim, -1)
+    h *= e
+    t = w[:, None] * s[None, :]
+    h -= t + np.swapaxes(t, 0, 1)
+    diag = np.arange(dim)
+    h[diag, diag] -= c * pe
+    return pe, grad, h.transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_poly_gauss_jet_bitwise_reference(dim):
+    x = np.random.default_rng(dim).normal(scale=1.5, size=(60, dim))
+    for f in (poly_gauss(dim, dim), poly_gauss(dim + 9, dim, degree=4,
+                                                  even_axes=frozenset({0}))):
+        expected = _poly_gauss_reference(f, x)
+        for order in (0, 1, 2):
+            for got, want in zip(f.jet(x, order), expected):
+                assert np.array_equal(got, want)

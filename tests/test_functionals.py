@@ -23,10 +23,10 @@ from gausscone.errors import (
 from gausscone.fields import (
     affine,
     constant,
-    dilated,
     exp_axis,
     gaussian,
     hermite_witness,
+    mass_dilated,
     poly_gauss,
     scaled,
     squared,
@@ -39,8 +39,9 @@ from gausscone.functionals import (
     optimal_scale,
     variance,
 )
-from gausscone.inequalities import check_hup
+from gausscone.inequalities import TOLERANCE_SCALE, check_hup
 from gausscone.measures import make_measure
+from gausscone.suites import record_of
 from gausscone.weights import Monomial, Radial, make_weight
 
 ENT_HALF = 0.8243606353500641
@@ -138,12 +139,23 @@ class TestOptimalScale:
     def test_dilation_covariance(self, mu_partial):
         f = poly_gauss(4, 2, even_axes=frozenset({0}))
         s = 2.0
-        assert optimal_scale(mu_partial, dilated(f, s)) == pytest.approx(
+        dilated = mass_dilated(f, 1.0 / s, 0.0)
+        assert optimal_scale(mu_partial, dilated) == pytest.approx(
             s * optimal_scale(mu_partial, f), rel=1e-10)
 
     def test_zero_field(self, mu_partial):
         with pytest.raises(DegenerateInputError):
             optimal_scale(mu_partial, scaled(gaussian(1.0, 1.0, 2), 0.0))
+
+
+def _gradient_off_by_one_percent(f):
+    def bad_jet(x, order):
+        value, *derivs = f.jet(x, order)
+        if derivs:
+            derivs[0] = 1.01 * derivs[0]
+        return (value, *derivs)
+
+    return dataclasses.replace(f, jet=bad_jet)
 
 
 class TestHupDeficit:
@@ -178,7 +190,7 @@ class TestHupDeficit:
         s = 2.0
         n_alpha = 2 + 1.5
         d1 = hup_deficit(mu_partial, f).delta
-        d2 = hup_deficit(mu_partial, dilated(f, s)).delta
+        d2 = hup_deficit(mu_partial, mass_dilated(f, 1.0 / s, 0.0)).delta
         assert d2 == pytest.approx(s ** n_alpha * d1, rel=1e-7)
 
     def test_non_homogeneous_rejected(self, w_tilt):
@@ -193,14 +205,20 @@ class TestHupDeficit:
         # the residual checks int f x.grad f w = -(n+alpha)/2 int f^2 w, so a
         # gradient off by 1% must fail the gate that suite_hup applies
         f = poly_gauss(3, 2, even_axes=frozenset({0}))
-        def bad_jet(x, order):
-            value, *derivs = f.jet(x, order)
-            if derivs:
-                derivs[0] = 1.01 * derivs[0]
-            return (value, *derivs)
-
-        bad = dataclasses.replace(f, jet=bad_jet)
+        bad = _gradient_off_by_one_percent(f)
         good, res = hup_deficit(mu_partial, f), hup_deficit(mu_partial, bad)
         assert good.identity_residual <= 1e-8 * (1.0 + abs(good.delta))
         assert res.identity_residual > 1e-8 * (1.0 + abs(res.delta))
         assert not check_hup(mu_partial, bad).passed
+
+    def test_run_tolerance_keeps_identity_verdict(self, mu_partial):
+        # suite_hup re-judges the deficit at the run tolerance; a failed
+        # identity must fail the record at every tolerance, however loose
+        f = poly_gauss(3, 2, even_axes=frozenset({0}))
+        chk = check_hup(mu_partial, _gradient_off_by_one_percent(f))
+        assert not chk.diagnostics["identity_ok"]
+        for tol_scale in (TOLERANCE_SCALE, 1e-2, 10.0):
+            rec = record_of(chk, f.name, tol_scale)
+            assert chk.deficit >= -rec["tolerance"]
+            assert rec["pass"] is False
+        assert record_of(check_hup(mu_partial, f), f.name, 10.0)["pass"] is True

@@ -17,10 +17,10 @@ import pytest
 from gausscone.cones import Halfspace
 from gausscone.errors import ContractError, NotHomogeneousError
 from gausscone.fields import (
-    dilated,
     exp_axis,
     gaussian,
     hermite_witness,
+    mass_dilated,
     poly_gauss,
     product,
 )
@@ -77,7 +77,7 @@ class TestDistance:
         f = poly_gauss(2, 2)
         base = distance_to_family(mu_abs, f)
         s = 2.0
-        scaled_res = distance_to_family(mu_abs, dilated(f, s))
+        scaled_res = distance_to_family(mu_abs, mass_dilated(f, 1.0 / s, 0.0))
         assert scaled_res.lam == pytest.approx(s * base.lam, rel=1e-6)
 
     def test_golden_matches_grid_oracle(self, mu_abs):
