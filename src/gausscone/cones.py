@@ -4,6 +4,8 @@ Every supported variant satisfies x . eta = 0 a.e. on its boundary, which is
 what makes the divergence-theorem identities for homogeneous weights
 boundary-free.  Points are judged interior with a hard tolerance of 1e-12 per
 facet coordinate so that quadrature nodes never sit exactly on a facet.
+Cones are frozen dataclasses: hashable and compared by value, so a cone is
+its own cache key.
 """
 
 from __future__ import annotations
@@ -93,9 +95,6 @@ class Cone:
         sig = self.axis_signature() or ()
         return frozenset(i for i, k in enumerate(sig) if k != "full")
 
-    def cache_key(self) -> tuple:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FullSpace(Cone):
@@ -108,9 +107,6 @@ class FullSpace(Cone):
 
     def axis_signature(self):
         return tuple("full" for _ in range(self.dim))
-
-    def cache_key(self):
-        return ("full", self.dim)
 
 
 @dataclass(frozen=True)
@@ -166,9 +162,6 @@ class Orthant(Cone):
     def axis_signature(self):
         return tuple("half+" if i in self.axes else "full" for i in range(self.dim))
 
-    def cache_key(self):
-        return ("orthant", self.dim, tuple(sorted(self.axes)))
-
 
 @dataclass(frozen=True)
 class Halfspace(Cone):
@@ -216,9 +209,6 @@ class Halfspace(Cone):
             sig[i] = "half+" if nu[i] > 0 else "half-"
             return tuple(sig)
         return None
-
-    def cache_key(self):
-        return ("halfspace", self.dim, self.normal)
 
 
 @dataclass(frozen=True)
@@ -270,10 +260,6 @@ class ProductCone(Cone):
             for a, s in zip(axes, sub):
                 sig[a] = s
         return tuple(sig)
-
-    def cache_key(self):
-        return ("product", self.dim,
-                tuple((c.cache_key(), ax) for c, ax in self.factors))
 
 
 def boundary_normal(cone: Cone, x) -> np.ndarray:

@@ -188,8 +188,8 @@ def gaussian(amplitude: float, lam: float, dim: int) -> ScalarField:
 
 def gaussian_quarter(amplitude: float, dim: int) -> ScalarField:
     """f(x) = A exp(-|x|^2/4), the Euclidean log-Sobolev extremizer."""
-    f = gaussian(amplitude, np.sqrt(2.0), dim)
-    return f.with_name(f"gaussian_quarter(A={amplitude})")
+    poly = PolyND(_affine_expo(dim)[:1], [amplitude])
+    return _structured(f"gaussian_quarter(A={amplitude})", PolyGauss(poly, 0.25))
 
 
 def poly_gauss(seed: int, dim: int, degree: int = 3,

@@ -19,20 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cones import Cone
+from .cones import Cone, _as_points
 from .errors import NoBoundaryError
 from .fields import ScalarField
 from .measures import Measure, nu_integral
 from .weights import Weight
-
-
-def _pts(x, dim: int) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise ValueError("point dimension mismatch")
-        return arr[None, :], True
-    return arr, False
 
 
 def generator(weight: Weight, pts: np.ndarray, grad: np.ndarray,
@@ -52,14 +43,14 @@ def generator(weight: Weight, pts: np.ndarray, grad: np.ndarray,
 
 def apply_generator(weight: Weight, f: ScalarField, x) -> float | np.ndarray:
     """L_w f at x (singularity errors from grad(log w) propagate)."""
-    pts, single = _pts(x, weight.dim)
+    pts, single = _as_points(x, weight.dim)
     _, grad, hess = f.jet(pts, 2)
     out = generator(weight, pts, grad, np.trace(hess, axis1=1, axis2=2))
     return float(out[0]) if single else out
 
 
 def carre_du_champ(f: ScalarField, g: ScalarField, x) -> float | np.ndarray:
-    pts, single = _pts(x, f.dim)
+    pts, single = _as_points(x, f.dim)
     out = np.sum(f.grad(pts) * g.grad(pts), axis=1)
     return float(out[0]) if single else out
 
@@ -71,7 +62,7 @@ def _gamma2(weight: Weight, pts: np.ndarray, grad: np.ndarray,
 
 
 def gamma2(weight: Weight, f: ScalarField, x) -> float | np.ndarray:
-    pts, single = _pts(x, weight.dim)
+    pts, single = _as_points(x, weight.dim)
     out = _gamma2(weight, pts, *f.jet(pts, 2)[1:])
     return float(out[0]) if single else out
 
@@ -88,7 +79,7 @@ def cd_margin(weight: Weight, f: ScalarField, sample: np.ndarray | None = None,
     if sample is None:
         rng = np.random.default_rng(seed)
         sample = weight.cone.sample_interior(rng, num_points, radius=radius)
-    pts, _ = _pts(sample, weight.dim)
+    pts, _ = _as_points(sample, weight.dim)
     _, grad, hess = f.jet(pts, 2)
     g2 = _gamma2(weight, pts, grad, hess)
     return float(np.min(g2 - (1.0 + kw) * np.sum(grad ** 2, axis=1)))

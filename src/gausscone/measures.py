@@ -229,7 +229,8 @@ def _mc_rule(weight: Weight, lam: float, samples: int, seed: int) -> QuadratureR
                           mc=McInfo(seed=seed, samples=samples, proposal_sigma=sigma))
 
 
-# Rules keyed by (weight, lambda of the cached rule, settings); the oldest
+# Rules keyed by ((spec, dim, cone), lambda of the cached rule, settings); specs
+# and cones are frozen dataclasses, so equal ones share an entry.  The oldest
 # entry is dropped past RULE_CACHE_ENTRIES, so memory does not grow with the
 # number of scales visited.
 RULE_CACHE_ENTRIES = 16
@@ -260,15 +261,16 @@ def build_rule(weight: Weight, lam: float = 1.0, order: int | None = None,
     # lam^{n+alpha} q (the MC proposal scales with lam too), so one lam = 1
     # rule per weight and settings serves every scale at O(N) per call
     base_lam = 1.0 if weight.degree is not None else lam
+    key = (weight.spec, weight.dim, weight.cone)
     base = None
     if mc_samples is None:
         order = DEFAULT_ORDER if order is None else order
-        base = _cached((weight.cache_key(), base_lam, order, "det"),
+        base = _cached((key, base_lam, order, "det"),
                        lambda: _tensor_rule(weight, base_lam, order)
                        or _polar_rule(weight, base_lam, order))
         mc_samples = DEFAULT_MC_SAMPLES
     if base is None:
-        base = _cached((weight.cache_key(), base_lam, mc_samples, seed, "mc"),
+        base = _cached((key, base_lam, mc_samples, seed, "mc"),
                        lambda: _mc_rule(weight, base_lam, mc_samples, seed))
     if lam == base.scale:
         return base

@@ -8,6 +8,13 @@ homogeneous families) and by quasi-random sampling plus local descent
 otherwise.  Homogeneous log-concave weights always get K_w = 0: the radial
 second derivative of log w along rays is exactly -alpha/t^2, so no positive
 bound can hold on an unbounded cone.
+
+A spec is a frozen dataclass, so it is hashable and compares by value: the
+spec, the dimension and the cone are the rule-cache key of a weight.  The
+private base `_Spec` holds the protocol defaults (no dimension hint, zero
+Gaussian tilts, the full space as natural cone, no analytic curvature
+argument); each spec overrides only what differs.  The axes on which w
+vanishes are read off the per-axis exponents (`Weight.singular_axes`).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cones import Cone, FullSpace, Halfspace, Orthant
+from .cones import Cone, FullSpace, Halfspace, Orthant, _as_points
 from .errors import (
     DomainError,
     InadmissibleWeightError,
@@ -33,8 +40,28 @@ _ZERO_TOL = 1e-12
 # weight specs
 # ---------------------------------------------------------------------------
 
+def _positive_axes(exps) -> tuple[int, ...]:
+    return tuple(i for i, a in enumerate(exps) if a > 0)
+
+
+class _Spec:
+    """Protocol defaults of a weight spec; each spec overrides what differs."""
+
+    def dim_hint(self) -> int | None:
+        return None
+
+    def axis_tilts(self, dim: int) -> tuple[float, ...] | None:
+        return (0.0,) * dim
+
+    def analytic_curvature(self, dim: int):
+        return NotImplemented
+
+    def natural_cone(self, dim: int) -> Cone:
+        return FullSpace(dim)
+
+
 @dataclass(frozen=True)
-class Monomial:
+class Monomial(_Spec):
     """w(x) = prod |x_i|^a_i, homogeneous of degree sum(a_i)."""
 
     exponents: tuple[float, ...]
@@ -74,28 +101,19 @@ class Monomial:
                 out[:, i, i] = -a / pts[:, i] ** 2
         return out
 
-    def singular_axes(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.exponents) if a > 0)
-
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         return self.exponents
-
-    def axis_tilts(self, dim: int) -> tuple[float, ...] | None:
-        return tuple(0.0 for _ in range(dim))
 
     def analytic_curvature(self, dim: int):
         # log-concave (hess_log diagonal <= 0) and homogeneous
         return 0.0, "analytic: homogeneous log-concave"
 
     def natural_cone(self, dim: int) -> Cone:
-        return Orthant(dim, frozenset(self.singular_axes()))
-
-    def cache_key(self):
-        return ("monomial", self.exponents)
+        return Orthant(dim, _positive_axes(self.exponents))
 
 
 @dataclass(frozen=True)
-class Radial:
+class Radial(_Spec):
     """w(x) = |x|^alpha.  Log-concave only in dimension one."""
 
     alpha: float
@@ -103,9 +121,6 @@ class Radial:
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError("radial exponent must be nonnegative")
-
-    def dim_hint(self) -> int | None:
-        return None
 
     def degree(self, dim: int) -> float | None:
         return float(self.alpha)
@@ -126,14 +141,8 @@ class Radial:
         return self.alpha * (eye / r2[:, None, None]
                              - 2.0 * outer / (r2 ** 2)[:, None, None])
 
-    def singular_axes(self) -> tuple[int, ...]:
-        return ()
-
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         return (self.alpha,) if dim == 1 else None
-
-    def axis_tilts(self, dim: int) -> tuple[float, ...] | None:
-        return tuple(0.0 for _ in range(dim))
 
     def analytic_curvature(self, dim: int):
         if dim == 1:
@@ -147,12 +156,9 @@ class Radial:
     def natural_cone(self, dim: int) -> Cone:
         return Orthant(1, frozenset({0})) if dim == 1 else FullSpace(dim)
 
-    def cache_key(self):
-        return ("radial", self.alpha)
-
 
 @dataclass(frozen=True)
-class DunklProduct:
+class DunklProduct(_Spec):
     """w(x) = prod_beta |<beta, x>|^(2 k_beta) over unit roots beta."""
 
     roots: tuple[tuple[float, ...], ...]
@@ -200,9 +206,6 @@ class DunklProduct:
         coef = -2.0 * ks / dots ** 2  # (N, n_roots)
         return np.einsum("Nr,rij->Nij", coef, outer)
 
-    def singular_axes(self) -> tuple[int, ...]:
-        return ()
-
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         exps = [0.0] * dim
         for r, k in zip(self.roots, self.multiplicities):
@@ -212,9 +215,6 @@ class DunklProduct:
             exps[hits[0]] += 2.0 * k
         return tuple(exps)
 
-    def axis_tilts(self, dim: int) -> tuple[float, ...] | None:
-        return tuple(0.0 for _ in range(dim))
-
     def analytic_curvature(self, dim: int):
         # each factor contributes +2k beta beta^T / <beta,x>^2 to -hess(log w)
         return 0.0, "analytic: homogeneous log-concave"
@@ -222,18 +222,15 @@ class DunklProduct:
     def natural_cone(self, dim: int) -> Cone:
         exps = self.axis_exponents(dim)
         if exps is not None:
-            return Orthant(dim, frozenset(i for i, a in enumerate(exps) if a > 0))
+            return Orthant(dim, _positive_axes(exps))
         if len(self.roots) == 1:
             return Halfspace(dim, self.roots[0])
         raise ValueError(
             "no built-in cone variant bounds this root system; pass one explicitly")
 
-    def cache_key(self):
-        return ("dunkl", self.roots, self.multiplicities)
-
 
 @dataclass(frozen=True)
-class GaussianTilt:
+class GaussianTilt(_Spec):
     """w(x) = exp(-s |x|^2 / 2) with s > -1; curvature is exactly s."""
 
     s: float
@@ -241,9 +238,6 @@ class GaussianTilt:
     def __post_init__(self):
         if self.s <= -1.0:
             raise InadmissibleWeightError(f"tilt s={self.s} violates s > -1")
-
-    def dim_hint(self) -> int | None:
-        return None
 
     def degree(self, dim: int) -> float | None:
         return None
@@ -258,9 +252,6 @@ class GaussianTilt:
         n = pts.shape[1]
         return np.broadcast_to(-self.s * np.eye(n), (len(pts), n, n)).copy()
 
-    def singular_axes(self) -> tuple[int, ...]:
-        return ()
-
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         return tuple(0.0 for _ in range(dim))
 
@@ -270,15 +261,9 @@ class GaussianTilt:
     def analytic_curvature(self, dim: int):
         return float(self.s), "analytic: constant log-Hessian"
 
-    def natural_cone(self, dim: int) -> Cone:
-        return FullSpace(dim)
-
-    def cache_key(self):
-        return ("tilt", self.s)
-
 
 @dataclass(frozen=True)
-class PartialProduct:
+class PartialProduct(_Spec):
     """Inner spec acting on a coordinate subset; every other axis is free."""
 
     inner: object
@@ -286,9 +271,6 @@ class PartialProduct:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    def dim_hint(self) -> int | None:
-        return None
 
     def _sub(self, pts: np.ndarray) -> np.ndarray:
         return pts[:, list(self.coords)]
@@ -311,9 +293,6 @@ class PartialProduct:
         ix = np.asarray(self.coords)
         out[:, ix[:, None], ix[None, :]] = sub
         return out
-
-    def singular_axes(self) -> tuple[int, ...]:
-        return tuple(self.coords[i] for i in self.inner.singular_axes())
 
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         sub = self.inner.axis_exponents(len(self.coords))
@@ -352,12 +331,9 @@ class PartialProduct:
             return FullSpace(dim)
         raise ValueError("partial product of this inner cone is not supported")
 
-    def cache_key(self):
-        return ("partial", self.inner.cache_key(), self.coords)
-
 
 @dataclass(frozen=True)
-class CustomLogWeight:
+class CustomLogWeight(_Spec):
     """User-supplied log-weight with first and second derivatives.
 
     Callables receive an (N, dim) batch; `log_value` must return -inf outside
@@ -369,9 +345,6 @@ class CustomLogWeight:
     hess: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
     homogeneity_degree: Optional[float] = None
-
-    def dim_hint(self) -> int | None:
-        return None
 
     def degree(self, dim: int) -> float | None:
         return self.homogeneity_degree
@@ -385,24 +358,11 @@ class CustomLogWeight:
     def hess_log(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.hess(pts), dtype=float)
 
-    def singular_axes(self) -> tuple[int, ...]:
-        return ()
-
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         return None
 
     def axis_tilts(self, dim: int) -> tuple[float, ...] | None:
         return None
-
-    def analytic_curvature(self, dim: int):
-        return NotImplemented
-
-    def natural_cone(self, dim: int) -> Cone:
-        return FullSpace(dim)
-
-    def cache_key(self):
-        # the callable itself: the key keeps it alive, so its id is never reused
-        return ("custom", self.name, self.log_value)
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +449,9 @@ class Weight:
         default_factory=lambda: CurvatureCertificate("uncertified"))
 
     # -- evaluation --------------------------------------------------------
-    def _pts(self, x) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 1:
-            return arr[None, :], True
-        return arr, False
-
     def eval(self, x) -> np.ndarray | float:
         """w(x); zero exactly on the zero set, DomainError outside closure(cone)."""
-        pts, single = self._pts(x)
+        pts, single = _as_points(x, self.dim)
         ok = self.cone.contains(pts)
         if not np.all(ok):
             raise DomainError(f"{np.count_nonzero(~ok)} point(s) outside the cone closure")
@@ -516,18 +470,18 @@ class Weight:
         if not np.all(np.isfinite(logs)):
             raise SingularityError("derivative of log w on the zero set of w")
         # axes where w vanishes: derivative evaluation right on them is singular
-        for ax in self.spec.singular_axes():
+        for ax in self.singular_axes():
             if np.any(np.abs(pts[:, ax]) <= _ZERO_TOL):
                 raise SingularityError(f"point on the singular hyperplane x_{ax} = 0")
 
     def grad_log(self, x) -> np.ndarray:
-        pts, single = self._pts(x)
+        pts, single = _as_points(x, self.dim)
         self._check_regular(pts)
         out = self.spec.grad_log(pts)
         return out[0] if single else out
 
     def hess_log(self, x) -> np.ndarray:
-        pts, single = self._pts(x)
+        pts, single = _as_points(x, self.dim)
         self._check_regular(pts)
         out = self.spec.hess_log(pts)
         return out[0] if single else out
@@ -541,11 +495,15 @@ class Weight:
     def kw(self) -> float:
         if self.curvature is None:
             raise UncertifiedCurvatureError(
-                f"weight {self.spec.cache_key()!r} carries no curvature certificate")
+                f"weight {self.spec!r} carries no curvature certificate")
         return self.curvature
 
     def axis_exponents(self) -> tuple[float, ...] | None:
         return self.spec.axis_exponents(self.dim)
+
+    def singular_axes(self) -> tuple[int, ...]:
+        """Axes whose hyperplane x_i = 0 carries the zero set of w."""
+        return _positive_axes(self.axis_exponents() or ())
 
     def axis_tilts(self) -> tuple[float, ...] | None:
         """Per-axis Gaussian tilt rates s_i (w carries e^{-s_i x_i^2 / 2})."""
@@ -577,28 +535,25 @@ class Weight:
         """x . grad(w) - alpha w; vanishes to round-off for homogeneous weights."""
         if self.degree is None:
             raise NotHomogeneousError("weight is not homogeneous")
-        pts, single = self._pts(x)
+        pts, single = _as_points(x, self.dim)
         self._check_regular(pts)
         w = np.exp(self.spec.log_w(pts))
         dot = np.sum(pts * self.spec.grad_log(pts), axis=1)
         res = w * (dot - self.degree)
         return float(res[0]) if single else res
 
-    def cache_key(self):
-        return (self.spec.cache_key(), self.dim, self.cone.cache_key())
 
-
-def make_weight(spec, dim: int, cone: Cone | None = None,
-                certify: bool | str = "auto",
+def make_weight(spec, dim: int, cone: Cone | None = None, certify: bool = True,
                 sampler: CurvatureSampler | None = None) -> Weight:
-    """Bind a spec to its cone and certify the curvature bound.
+    """Bind a spec to its cone (the spec's natural cone by default) and
+    certify the curvature bound.
 
-    certify="auto" takes the analytic bound, leaves the weight uncertified
-    when the spec shows that no bound exists, and samples (with the default
-    sampler if none is supplied) when the spec has no analytic argument;
-    certify=True also samples where no bound exists; certify=False leaves the
-    weight uncertified (usable for homogeneity identities, not for inequality
-    constants).  Certification is `curvature_lower_bound`.
+    With certify=True the weight takes the spec's analytic bound; it stays
+    uncertified, with the spec's reason as the certificate detail, when the
+    spec shows that no bound exists; and a spec with no analytic argument is
+    sampled (`sampler`, or the default sampler).  certify=False leaves the
+    weight uncertified: usable for homogeneity identities, not for
+    inequality constants.  Certification is `curvature_lower_bound`.
     """
     hint = spec.dim_hint()
     if hint is not None and hint != dim:
@@ -614,15 +569,10 @@ def make_weight(spec, dim: int, cone: Cone | None = None,
 
     weight = Weight(spec, dim, cone, degree, None,
                     CurvatureCertificate("uncertified", detail))
-    if certify is False:
+    if not certify or (analytic is not NotImplemented and analytic[0] is None):
+        # uncertified on request, or because no admissible bound exists; the
+        # weight stays usable for the homogeneity identities that never touch K_w
         return weight
-    if analytic is NotImplemented or analytic[0] is None:
-        if analytic is not NotImplemented and certify == "auto":
-            # no admissible bound exists; keep the weight usable for the
-            # homogeneity identities that never touch K_w
-            return weight
-        if not (certify is True or certify == "auto" or sampler is not None):
-            return weight
     curvature, cert = curvature_lower_bound(weight, sampler or CurvatureSampler())
     return Weight(spec, dim, cone, degree, curvature, cert)
 

@@ -289,7 +289,7 @@ DECLARED_TAGS = [
     (hermite_witness(0, 1), 0.5, set(), {0}),
     (gaussian(1.3, 1.2, 2), 0.3472222222222222, {0, 1}, set()),
     (gaussian(0.0, 1.0, 2), 0.5, {0, 1}, set()),
-    (gaussian_quarter(1.1, 3), 0.24999999999999994, {0, 1, 2}, set()),
+    (gaussian_quarter(1.1, 3), 0.25, {0, 1, 2}, set()),
     (poly_gauss(0, 2), 0.3426800226193738, set(), set()),
     (poly_gauss(4, 3, even_axes=frozenset({0})), 0.35044274116881324, {0}, set()),
     (poly_gauss(2, 2, even_axes=frozenset({0, 1})), 0.6986705387213976,

@@ -71,7 +71,7 @@ def test_inequalities_hold_for_random_fields(exps, seed):
     """Beckner, Poincare and LSI verdicts on seeded fields never fail."""
     w = make_weight(Monomial(exps), 2)
     mu = make_measure(w, 1.0)
-    constrained = frozenset(w.spec.singular_axes())
+    constrained = frozenset(w.singular_axes())
     f = poly_gauss(seed, 2, even_axes=constrained)
     for chk in (check_poincare(mu, f), check_beckner(mu, f, 1.0, 2.0),
                 check_lsi(mu, f)):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gausscone import measures
 from gausscone.cones import FullSpace, Halfspace, Orthant
 from gausscone.errors import (
     AmbiguousNormalError,
@@ -227,6 +228,97 @@ class TestInvariants:
     def test_free_axes_partial(self, w_partial, w_mono_12):
         assert w_partial.free_axes() == (1,)
         assert w_mono_12.free_axes() == ()
+
+
+class TestSpecProtocol:
+    """Specs and cones are their own cache keys; singular axes come from the
+    per-axis exponents; `certify` is a bool with four outcomes."""
+
+    @pytest.mark.parametrize("spec, dim, x", [
+        (DunklProduct(((1.0, 0.0),), (0.75,)), 2, [1e-13, 1.0]),
+        (Radial(1.5), 1, [1e-13]),
+    ], ids=["dunkl-axis", "radial-1d"])
+    def test_hyperplane_guard_from_exponents(self, spec, dim, x):
+        # both weights vanish on x_0 = 0, so the 1e-12 guard applies to them
+        w = make_weight(spec, dim)
+        assert w.singular_axes() == (0,)
+        with pytest.raises(SingularityError):
+            w.grad_log(x)
+        with pytest.raises(SingularityError):
+            w.hess_log(x)
+
+    def test_singular_axes_of_partial_and_unstructured(self):
+        assert make_weight(PartialProduct(Monomial((0.0, 2.0)), (2, 0)),
+                           3).singular_axes() == (0,)
+        assert make_weight(Radial(1.0), 2, certify=False).singular_axes() == ()
+        assert make_weight(GaussianTilt(0.5), 2).singular_axes() == ()
+
+    def test_equal_specs_share_one_rule(self, monkeypatch):
+        monkeypatch.setattr(measures, "_RULE_CACHE", {})
+        build = measures.build_rule
+        first = build(make_weight(Monomial((1.5, 0.0)), 2), order=8)
+        again = build(make_weight(Monomial([1.5, 0]), 2), order=8)
+        assert again is first
+        assert len(measures._RULE_CACHE) == 1
+
+    def test_same_spec_on_two_cones_gets_two_rules(self, monkeypatch):
+        monkeypatch.setattr(measures, "_RULE_CACHE", {})
+        spec = GaussianTilt(0.5)
+        build = measures.build_rule
+        half = build(make_weight(spec, 2, cone=Orthant(2, {0})), order=8)
+        full = build(make_weight(spec, 2, cone=FullSpace(2)), order=8)
+        assert len(measures._RULE_CACHE) == 2
+        assert full.mass == pytest.approx(2.0 * half.mass, rel=1e-12)
+
+    def test_custom_weights_with_different_callables_get_two_rules(
+            self, monkeypatch):
+        monkeypatch.setattr(measures, "_RULE_CACHE", {})
+
+        def tilt(s):
+            return CustomLogWeight(
+                lambda p: -0.5 * s * np.sum(p ** 2, axis=1),
+                lambda p: -s * p,
+                lambda p: np.broadcast_to(-s * np.eye(p.shape[1]),
+                                          (len(p), p.shape[1], p.shape[1])),
+                name="tilt")
+
+        for spec in (tilt(0.2), tilt(0.4)):
+            measures.build_rule(make_weight(spec, 2, certify=False),
+                                mc_samples=512)
+        assert len(measures._RULE_CACHE) == 2
+
+    def test_make_weight_analytic(self):
+        w = make_weight(Monomial((1.0, 0.5)), 2)
+        assert (w.curvature, w.certificate.kind, w.certificate.detail) == (
+            0.0, "analytic", "analytic: homogeneous log-concave")
+
+    def test_make_weight_no_bound_exists(self):
+        # the spec proves that no K > -1 exists: a sampler does not override it
+        w = make_weight(Radial(1.0), 2,
+                        sampler=CurvatureSampler(num_points=2 ** 8))
+        assert w.curvature is None
+        assert w.certificate.kind == "uncertified"
+        assert w.certificate.detail == (
+            "log-Hessian unbounded below near the vertex (dim >= 2)")
+
+    def test_make_weight_custom_sampled(self):
+        spec = CustomLogWeight(
+            lambda p: -0.15 * np.sum(p ** 2, axis=1),
+            lambda p: -0.3 * p,
+            lambda p: np.broadcast_to(-0.3 * np.eye(p.shape[1]),
+                                      (len(p), p.shape[1], p.shape[1])).copy())
+        w = make_weight(spec, 2, sampler=CurvatureSampler(num_points=2 ** 8))
+        assert w.certificate.kind == "sampled"
+        assert w.certificate.num_points > 0
+        assert w.curvature == pytest.approx(0.3, rel=1e-12)
+
+    def test_make_weight_certify_false(self):
+        w = make_weight(Monomial((1.0, 0.5)), 2, certify=False)
+        assert w.curvature is None
+        assert w.certificate.kind == "uncertified"
+        assert w.certificate.detail == "analytic: homogeneous log-concave"
+        with pytest.raises(UncertifiedCurvatureError, match="Monomial"):
+            _ = w.kw
 
 
 class TestBoundaryNormal:
