@@ -4,11 +4,14 @@ boundary behavior on the cone.
 Each field carries one exact analytic derivative callable, its jet:
 `jet(pts, order)` takes an (N, n) point batch and order 0, 1 or 2 and
 returns (value,), (value, grad) or (value, grad, hess) with shapes (N,),
-(N, n) and (N, n, n).  A jet shares its work across orders (a Gaussian bump,
-an exponential, a monomial table), and a lower order is a prefix of a higher
-one bit for bit: jet(pts, 2)[:k + 1] equals jet(pts, k).  The `value`,
-`grad` and `hess` methods and calling the field index one jet; they also
-accept a single point of shape (n,), which they treat as a batch of one.
+(N, n) and (N, n, n).  Like the nodes of a rule, grad and hess are stored
+axis-first, as the transposed views of (n, N) and (n, n, N) buffers, and a
+jet takes a batch in either layout to the same values.  A jet shares its
+work across orders (a Gaussian bump, an exponential, a monomial table), and
+a lower order is a prefix of a higher one bit for bit: jet(pts, 2)[:k + 1]
+equals jet(pts, k).  The `value`, `grad` and `hess` methods and calling the
+field index one jet; they also accept a single point of shape (n,), which
+they treat as a batch of one.
 
 A field also carries a decay envelope used by the unnormalized-measure
 integration contract, and parity tags.  Parity tags are what admit a field
@@ -160,8 +163,8 @@ def affine(a, b: float, dim: int | None = None) -> ScalarField:
 def exp_axis(b: float, axis: int, dim: int) -> ScalarField:
     def jet(x, order):
         e = np.exp(b * x[:, axis])
-        out = (e, np.zeros((len(x), dim)),
-               np.zeros((len(x), dim, dim)))[:order + 1]
+        out = (e, np.zeros((dim, len(x))).T,
+               np.zeros((dim, dim, len(x))).transpose(2, 0, 1))[:order + 1]
         if order >= 1:
             out[1][:, axis] = b * e
         if order == 2:
@@ -226,14 +229,16 @@ def shifted(f: ScalarField, c: float) -> ScalarField:
 
 
 def _leibniz(fj: tuple, gj: tuple) -> tuple:
-    """Jet of the product from the factors' jets of the same order."""
+    """Jet of the product from the factors' jets of the same order, formed
+    axis-first."""
     out = [fj[0] * gj[0]]
     if len(fj) > 1:
-        out.append(fj[1] * gj[0][:, None] + gj[1] * fj[0][:, None])
+        out.append((fj[1].T * gj[0] + gj[1].T * fj[0]).T)
     if len(fj) > 2:
-        fg = fj[1][:, :, None] * gj[1][:, None, :]
-        out.append(fj[2] * gj[0][:, None, None] + gj[2] * fj[0][:, None, None]
-                   + fg + np.swapaxes(fg, 1, 2))
+        fg = fj[1].T[:, None] * gj[1].T[None]
+        hess = (fj[2].transpose(1, 2, 0) * gj[0] + gj[2].transpose(1, 2, 0) * fj[0]
+                + fg + fg.transpose(1, 0, 2))
+        out.append(hess.transpose(2, 0, 1))
     return tuple(out)
 
 

@@ -5,7 +5,9 @@ uncertainty scale lambda* and the Heisenberg deficit delta_w.
 Each mu-functional has one formula, a private function of the field's values
 or gradients at the measure's nodes that integrates through
 `measures.integrate`.  The public functions evaluate the field and call it;
-the checkers of `inequalities` call it on the one jet they take per check.
+the checkers of `inequalities` call it on the measure's jet of the field
+(`Measure.node_jet`).  Stacked integrands are built axis-first, component
+rows of a C-contiguous buffer passed as its `.T` view, as the nodes are.
 
 The weighted-Lebesgue (nu = w dx) functionals take the run's measure for its
 weight and rule settings, are restricted to fields with Gaussian decay
@@ -47,7 +49,7 @@ def _mean_variance(measure: Measure, vals: np.ndarray) -> tuple[float, float]:
     # sum to 1 only up to round-off
     shift = vals[np.argmax(measure.norm_weights)]
     dev = vals - shift
-    m1, m2 = integrate(measure, np.stack([dev, dev ** 2], axis=1))
+    m1, m2 = integrate(measure, np.stack([dev, dev ** 2]).T)
     return float(shift + m1), max(float(m2 - m1 ** 2), 0.0)
 
 
@@ -59,7 +61,7 @@ def _entropy(measure: Measure, vals: np.ndarray) -> tuple[float, float]:
     vals = np.maximum(vals, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         glogg = np.where(vals > 0.0, vals * np.log(vals), 0.0)
-    total, glogg_total = integrate(measure, np.stack([vals, glogg], axis=1))
+    total, glogg_total = integrate(measure, np.stack([vals, glogg]).T)
     if total <= 0.0:
         raise DegenerateInputError("entropy of the zero field")
     return float(glogg_total - total * math.log(total)), float(total)
@@ -128,7 +130,7 @@ def _nu_moments(measure: Measure, f: ScalarField) -> NuMoments:
             sq_log_sq = np.where(sq > 0, sq * np.log(sq), 0.0)
         return np.stack([sq, np.sum(grad ** 2, axis=1),
                          sq * np.sum(pts ** 2, axis=1),
-                         vals * np.sum(pts * grad, axis=1), sq_log_sq], axis=1)
+                         vals * np.sum(pts * grad, axis=1), sq_log_sq]).T
 
     return NuMoments(*(float(v) for v in nu_integral(measure, integrand, 2.0 * rate)))
 

@@ -165,19 +165,19 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
     def integrand(pts):
         # f's jet is taken before anything else is held and only its
         # gradient and Laplacian are kept, g's jet only once L_w f is formed,
-        # and both sides fill one array, so on a large Monte Carlo rule the
-        # peak memory is that of f's jet
-        sides = np.empty((len(pts), 2))
+        # and both sides fill the rows of one axis-first array, so on a large
+        # Monte Carlo rule the peak memory is that of f's jet
+        sides = np.empty((2, len(pts)))
         grad, hess = f.jet(pts, 2)[1:]
         lap = np.trace(hess, axis1=1, axis2=2)
         del hess
-        sides[:, 0] = generator(weight, pts, grad, lap, lam)
+        sides[0] = generator(weight, pts, grad, lap, lam)
         del lap
         g_value, g_grad = g.jet(pts, 1)
-        sides[:, 0] *= g_value
-        sides[:, 1] = -np.sum(grad * g_grad, axis=1)
-        sides *= np.exp(-damp * np.sum(pts ** 2, axis=1))[:, None]
-        return sides
+        sides[0] *= g_value
+        sides[1] = -np.sum(grad * g_grad, axis=1)
+        sides *= np.exp(-damp * np.sum(pts ** 2, axis=1))
+        return sides.T
 
     lhs, rhs = (float(v) for v in nu_integral(measure, integrand, rate))
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))

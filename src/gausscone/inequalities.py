@@ -8,10 +8,13 @@ theory-limited.  Checks outside the range the proofs cover (q < 2 in the
 Beckner/Poincare family, whose Hoelder step uses q/(q-2)) still run but carry
 an informational flag and never fail a suite.
 
-Each check under mu_{w,lambda} takes one order-1 jet of its field at the
-measure's nodes and gets every integral from it through the formulas of
-`functionals`, so a checker's norms, variance, entropy and energy are the
-ones `lq_norm`, `variance`, `entropy` and `dirichlet_energy` return.
+Each check under mu_{w,lambda} reads the order-1 jet of its field at the
+measure's nodes from the measure (`Measure.node_jet`), which keeps the last
+field's jet, so the Beckner pairs, the three Poincare levels and the LSI on
+one field share one jet per measure.  Every integral comes from that jet
+through the formulas of `functionals`, so a checker's norms, variance,
+entropy and energy are the ones `lq_norm`, `variance`, `entropy` and
+`dirichlet_energy` return.
 
 Every checker takes the run's `Measure` first, including the ones stated
 under nu = w dx (Euclidean LSI, HUP) and the scale-dependent Poincare check
@@ -81,7 +84,7 @@ def check_beckner(measure: Measure, f: ScalarField, p: float,
     if not (1.0 <= p < q):
         raise ParameterError("need 1 <= p < q")
     kw = measure.weight.kw
-    vals, grad = f.jet(measure.nodes, 1)
+    vals, grad = measure.node_jet(f)
     nq = _lq_norm(measure, vals, q)
     np_ = _lq_norm(measure, vals, p)
     lhs = (nq ** 2 - np_ ** 2) / (q - p)
@@ -106,7 +109,7 @@ def check_poincare(measure: Measure, f: ScalarField, q: float = 2.0,
     elif q != 2.0:
         raise ParameterError("stability levels are stated at q = 2 only")
     pts = measure.nodes
-    vals, grad = f.jet(pts, 1)
+    vals, grad = measure.node_jet(f)
     mean, var = _mean_variance(measure, vals)
     energy = _energy(measure, grad, q)
     if level == "basic":
@@ -116,8 +119,8 @@ def check_poincare(measure: Measure, f: ScalarField, q: float = 2.0,
                       diagnostics={"variance": var, "energy_q": energy})
     rhs = energy - c * var
     # v = int (f - mean) x dmu and the barycenter mx = int x dmu
-    v, mx = integrate(measure, np.stack([(vals - mean)[:, None] * pts, pts],
-                                        axis=1))
+    v, mx = integrate(measure, np.stack([(vals - mean) * pts.T, pts.T])
+                      .transpose(2, 0, 1))
     if level == "gradient_stability":
         # lhs = (1/2) int |grad f - c v|^2 dmu
         lhs = 0.5 * _energy(measure, grad - c * v, 2.0)
@@ -145,9 +148,9 @@ def _least_squares_affine_gap(measure: Measure, centered: np.ndarray) -> float:
     """inf over (c, d) of int |f - (c + d.x)|^2 dmu, exact via least squares
     in the basis 1, x_1..x_n, from the values of f minus its mean at the
     nodes (the infimum is the same for f)."""
-    basis = np.hstack([np.ones((len(centered), 1)), measure.nodes])
-    gram = integrate(measure, basis[:, :, None] * basis[:, None, :])
-    b = integrate(measure, basis * centered[:, None])
+    basis = np.vstack([np.ones(len(centered)), measure.nodes.T])
+    gram = integrate(measure, (basis[:, None] * basis[None]).transpose(2, 0, 1))
+    b = integrate(measure, (basis * centered).T)
     coef = np.linalg.solve(gram, b)
     return max(integrate(measure, centered ** 2) - float(b @ coef), 0.0)
 
@@ -163,7 +166,7 @@ def check_scale_poincare(measure: Measure, f: ScalarField, lam: float,
         raise ParameterError(f"unknown scale level {level!r}")
     c = 1.0 + measure.weight.kw
     measure = measure.at_scale(lam)
-    vals, grad = f.jet(measure.nodes, 1)
+    vals, grad = measure.node_jet(f)
     energy = _energy(measure, grad, 2.0)
     mean, var = _mean_variance(measure, vals)
     if level == "basic":
@@ -192,7 +195,7 @@ def check_lsi(measure: Measure, f: ScalarField, q: float = 2.0) -> InequalityChe
     if q < 2.0:
         raise ParameterError("the LSI family is stated for q >= 2")
     kw = measure.weight.kw
-    vals, grad = f.jet(measure.nodes, 1)
+    vals, grad = measure.node_jet(f)
     ent_q, iq = _entropy(measure, np.abs(vals) ** q)
     energy = _energy(measure, grad, q)
     lhs_gen = (2.0 / q ** 2) * iq ** (2.0 / q - 1.0) * ent_q
@@ -268,8 +271,8 @@ def check_lsi_equivalence(measure: Measure, big_f: ScalarField) -> dict:
         v = big_v ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             vlogv = np.where(v > 0, v * np.log(v), 0.0)
-        return (np.stack([v, vlogv, np.sum(big_grad ** 2, axis=1)], axis=1)
-                * np.exp(-0.5 * np.sum(pts ** 2, axis=1))[:, None])
+        return (np.stack([v, vlogv, np.sum(big_grad ** 2, axis=1)])
+                * np.exp(-0.5 * np.sum(pts ** 2, axis=1))).T
 
     mass_mu, vlogv_mu, energy_mu = (c_w * float(v) for v in nu_integral(
         measure, mu_integrand, 2.0 * big_f.decay.rate + 0.5))

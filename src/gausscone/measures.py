@@ -27,12 +27,21 @@ measure's own scale plays no part), so polynomial-times-Gaussian integrands
 are integrated exactly.  For a homogeneous weight `nu_monomials` gives the
 integrals of monomials times a Gaussian of any rate from one cached table
 of the lambda = 1 rule's moments, `Measure.moments`.
+
+Point batches are stored axis-first: a rule's (N, n) `nodes` is the `.T`
+view of a C-contiguous (n, N) buffer, so each coordinate is one contiguous
+row and a reduction over the short axis (|x|^2, a dot product, a trace)
+runs along the nodes.  Every (N, ...) array built at the nodes (field jets,
+weight derivatives, the stacked integrands of the checkers) follows the
+same rule, so `integrate` and `nu_integral` move the node axis last with a
+view, not a copy.  Every function still accepts any layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,7 +78,7 @@ class McInfo:
 class QuadratureRule:
     """Nodes and weights integrating against w(x) exp(-|x|^2/(2 lambda^2)) dx."""
 
-    nodes: np.ndarray          # (N, n), strictly interior to the cone
+    nodes: np.ndarray          # (N, n) axis-first, strictly interior to the cone
     weights: np.ndarray        # (N,), positive
     kind: str                  # "tensor_generalized_hermite" | "monte_carlo"
     scale: float               # lambda of the Gaussian factor
@@ -143,10 +152,10 @@ def axis_rules(weight: Weight, lam: float, order: int) -> list[AxisRule] | None:
 
 def tensor_grid(axis_nodes: Sequence[np.ndarray],
                 axis_weights: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n) nodes and (N,) weights of the tensor product of 1-D rules;
-    the last axis varies fastest."""
+    """(N, n) axis-first nodes and (N,) weights of the tensor product of
+    1-D rules; the last axis varies fastest."""
     grids = np.meshgrid(*axis_nodes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
+    nodes = np.stack([g.ravel() for g in grids]).T
     wgrids = np.meshgrid(*axis_weights, indexing="ij")
     weights = np.ones(len(nodes))
     for g in wgrids:
@@ -177,7 +186,7 @@ def _polar_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None
     theta = (np.arange(m_theta) + 0.5) * (2.0 * np.pi / m_theta)
     qt = np.full(m_theta, 2.0 * np.pi / m_theta)
     nodes = np.stack([np.outer(r, np.cos(theta)).ravel(),
-                      np.outer(r, np.sin(theta)).ravel()], axis=1)
+                      np.outer(r, np.sin(theta)).ravel()]).T
     weights = np.outer(qr, qt).ravel()
     mass = 2.0 * np.pi * lam ** (alpha + 2.0) * gamma_moment(alpha + 1.0, 0)
     return QuadratureRule(nodes, weights, "tensor_generalized_hermite",
@@ -185,11 +194,12 @@ def _polar_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None
 
 
 def _fold_to_cone(cone: Cone, z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Reflect standard-normal draws into the cone; return copies and the
-    fold multiplicity (number of preimages, so proposal density = mult * phi)."""
+    """Reflect standard-normal draws into the cone; return copies in the
+    layout of z and the fold multiplicity (number of preimages, so proposal
+    density = mult * phi)."""
     sig = cone.axis_signature()
     if sig is not None:
-        x = z.copy()
+        x = z.copy(order="K")
         mult = 1.0
         for i, kind in enumerate(sig):
             if kind == "half+":
@@ -213,12 +223,14 @@ def _mc_rule(weight: Weight, lam: float, samples: int, seed: int) -> QuadratureR
     alpha = weight.degree if weight.degree is not None else 0.0
     sigma = lam * math.sqrt((dim + alpha) / dim) * 1.1
     rng = np.random.Generator(np.random.Philox(key=seed))
-    z = sigma * rng.standard_normal((samples, dim))
+    # the (samples, dim) draws of the stream, stored axis-first
+    z = np.asfortranarray(sigma * rng.standard_normal((samples, dim)))
     x, mult = _fold_to_cone(weight.cone, z)
-    log_prop = (-0.5 * np.sum(x ** 2, axis=1) / sigma ** 2
+    r2 = np.sum(x ** 2, axis=1)
+    log_prop = (-0.5 * r2 / sigma ** 2
                 - dim * math.log(sigma * math.sqrt(2.0 * math.pi))
                 + math.log(mult))
-    log_target = weight.spec.log_w(x) - 0.5 * np.sum(x ** 2, axis=1) / lam ** 2
+    log_target = weight.spec.log_w(x) - 0.5 * r2 / lam ** 2
     log_ratio = log_target - log_prop
     good = np.isfinite(log_ratio)  # zero-set hits carry zero weight
     w = np.zeros(samples)
@@ -290,7 +302,9 @@ class Measure:
     """mu_{w,lambda} on its quadrature rule; normalization = 1 / Z.
 
     order, mc_samples and seed are the rule settings exactly as make_measure
-    received them; every other rule of the run is built from them."""
+    received them; every other rule of the run is built from them.  Like
+    the moment table, the measure keeps one order-1 field jet at its nodes:
+    the last field's, so the checks on one field share it."""
 
     weight: Weight
     scale: float
@@ -300,6 +314,7 @@ class Measure:
     mc_samples: int | None
     seed: int
     _moments: list = field(default_factory=list, init=False, compare=False)
+    _jet: list = field(default_factory=list, init=False, compare=False)
 
     @property
     def cone(self) -> Cone:
@@ -313,10 +328,24 @@ class Measure:
     def nodes(self) -> np.ndarray:
         return self.rule.nodes
 
-    @property
+    @cached_property
     def norm_weights(self) -> np.ndarray:
-        """Quadrature weights of the probability measure (sum to one)."""
-        return self.rule.weights * self.normalization
+        """Quadrature weights of the probability measure (sum to one);
+        computed once, read-only."""
+        w = self.rule.weights * self.normalization
+        w.setflags(write=False)
+        return w
+
+    def node_jet(self, f) -> tuple[np.ndarray, np.ndarray]:
+        """f.jet(nodes, 1), the (N,) values and (N, n) gradients of f at the
+        nodes, read-only.  The last field's jet is kept, keyed by the field
+        object itself, so memory stays bounded by one field's jet."""
+        if not self._jet or self._jet[0] is not f:
+            jet = f.jet(self.nodes, 1)
+            for arr in jet:
+                arr.setflags(write=False)
+            self._jet[:] = [f, jet]
+        return self._jet[1]
 
     def rule_at(self, lam: float) -> QuadratureRule:
         """The rule of this measure's settings for w exp(-|x|^2/(2 lam^2)) dx."""
@@ -359,25 +388,30 @@ def partition_function(measure: Measure) -> float:
     return measure.rule_at(1.0).mass
 
 
+def _node_values(measure: Measure, f) -> np.ndarray:
+    """The finite values of f at the nodes with the node axis last and
+    contiguous (a view for axis-first values), so every component is summed
+    pairwise exactly as the same integrand alone would be."""
+    vals = np.asarray(f(measure.nodes) if callable(f) else f, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("integrand is not finite at a quadrature node")
+    return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+
+
 def integrate(measure: Measure, f) -> float | np.ndarray:
     """Integral of f against mu: f is a callable on the (N, n) nodes or the
     array of its values there.  (N,) values give a float; (N, ...) values
     give the (...) array of the integrals of their components."""
-    value, _ = integrate_with_error(measure, f)
-    return value
+    est = np.sum(_node_values(measure, f) * measure.norm_weights, axis=-1)
+    return float(est) if est.ndim == 0 else est
 
 
 def integrate_with_error(measure: Measure, f
                          ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Integral plus the standard-error estimate of each component (zero
-    for deterministic rules)."""
-    vals = np.asarray(f(measure.nodes) if callable(f) else f, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("integrand is not finite at a quadrature node")
+    """The integral of `integrate` plus the standard-error estimate of each
+    component (Monte Carlo rules; zero for deterministic rules)."""
+    vals = _node_values(measure, f)
     w = measure.norm_weights
-    # node axis last and contiguous, so every component is summed pairwise
-    # exactly as the same integrand alone would be
-    vals = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
     est = np.sum(vals * w, axis=-1)
     if measure.rule.kind == "monte_carlo":
         se = np.sqrt(np.sum((w * (vals - est[..., None])) ** 2, axis=-1))

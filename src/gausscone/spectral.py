@@ -140,8 +140,8 @@ class GalerkinSystem:
         """L_w sum_k c_k p_k at the nodes, from node derivatives of the
         expansion through `gamma.generator`."""
         dim = self.measure.dim
-        grad = np.stack([self.node_values(coeffs, ax, 1) for ax in range(dim)],
-                        axis=1)
+        grad = np.moveaxis(np.stack([self.node_values(coeffs, ax, 1)
+                                     for ax in range(dim)]), 0, 1)
         lap = sum(self.node_values(coeffs, ax, 2) for ax in range(dim))
         return generator(self.measure.weight, self.nodes, grad, lap,
                          self.measure.scale)

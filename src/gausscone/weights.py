@@ -15,6 +15,9 @@ private base `_Spec` holds the protocol defaults (no dimension hint, zero
 Gaussian tilts, the full space as natural cone, no analytic curvature
 argument); each spec overrides only what differs.  The axes on which w
 vanishes are read off the per-axis exponents (`Weight.singular_axes`).
+On axis-first points (see `measures`) the built-in specs return grad(log w)
+and hess(log w) axis-first, as the (N, n) and (N, n, n) transposed views of
+(n, N) and (n, n, N) buffers.
 """
 
 from __future__ import annotations
@@ -87,19 +90,19 @@ class Monomial(_Spec):
         return out
 
     def grad_log(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(pts)
+        out = np.zeros(pts.shape[::-1])
         for i, a in enumerate(self.exponents):
             if a > 0:
-                out[:, i] = a / pts[:, i]
-        return out
+                out[i] = a / pts[:, i]
+        return out.T
 
     def hess_log(self, pts: np.ndarray) -> np.ndarray:
         n = pts.shape[1]
-        out = np.zeros((len(pts), n, n))
+        out = np.zeros((n, n, len(pts)))
         for i, a in enumerate(self.exponents):
             if a > 0:
-                out[:, i, i] = -a / pts[:, i] ** 2
-        return out
+                out[i, i] = -a / pts[:, i] ** 2
+        return out.transpose(2, 0, 1)
 
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         return self.exponents
@@ -131,15 +134,14 @@ class Radial(_Spec):
 
     def grad_log(self, pts: np.ndarray) -> np.ndarray:
         r2 = np.sum(pts ** 2, axis=1)
-        return self.alpha * pts / r2[:, None]
+        return (self.alpha * pts.T / r2).T
 
     def hess_log(self, pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[1]
+        x = pts.T
         r2 = np.sum(pts ** 2, axis=1)
-        eye = np.eye(n)[None, :, :]
-        outer = pts[:, :, None] * pts[:, None, :]
-        return self.alpha * (eye / r2[:, None, None]
-                             - 2.0 * outer / (r2 ** 2)[:, None, None])
+        eye = np.eye(len(x))[:, :, None]
+        outer = x[:, None, :] * x[None, :, :]
+        return (self.alpha * (eye / r2 - 2.0 * outer / r2 ** 2)).transpose(2, 0, 1)
 
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         return (self.alpha,) if dim == 1 else None
@@ -184,27 +186,25 @@ class DunklProduct(_Spec):
         return 2.0 * sum(self.multiplicities)
 
     def _dots(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ np.asarray(self.roots).T  # (N, n_roots)
+        return np.asarray(self.roots) @ pts.T  # (n_roots, N)
+
+    def _ks(self) -> np.ndarray:
+        return np.asarray(self.multiplicities)[:, None]
 
     def log_w(self, pts: np.ndarray) -> np.ndarray:
         dots = self._dots(pts)
-        ks = np.asarray(self.multiplicities)
         with np.errstate(divide="ignore"):
-            return (2.0 * ks * np.log(np.abs(dots))).sum(axis=1)
+            return (2.0 * self._ks() * np.log(np.abs(dots))).sum(axis=0)
 
     def grad_log(self, pts: np.ndarray) -> np.ndarray:
-        dots = self._dots(pts)
-        ks = np.asarray(self.multiplicities)
         betas = np.asarray(self.roots)
-        return (2.0 * ks / dots) @ betas
+        return (betas.T @ (2.0 * self._ks() / self._dots(pts))).T
 
     def hess_log(self, pts: np.ndarray) -> np.ndarray:
-        dots = self._dots(pts)
-        ks = np.asarray(self.multiplicities)
         betas = np.asarray(self.roots)
         outer = betas[:, :, None] * betas[:, None, :]  # (n_roots, n, n)
-        coef = -2.0 * ks / dots ** 2  # (N, n_roots)
-        return np.einsum("Nr,rij->Nij", coef, outer)
+        coef = -2.0 * self._ks() / self._dots(pts) ** 2  # (n_roots, N)
+        return np.einsum("rN,rij->ijN", coef, outer).transpose(2, 0, 1)
 
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         exps = [0.0] * dim
@@ -246,11 +246,12 @@ class GaussianTilt(_Spec):
         return -0.5 * self.s * np.sum(pts ** 2, axis=1)
 
     def grad_log(self, pts: np.ndarray) -> np.ndarray:
-        return -self.s * pts
+        return (-self.s * pts.T).T
 
     def hess_log(self, pts: np.ndarray) -> np.ndarray:
         n = pts.shape[1]
-        return np.broadcast_to(-self.s * np.eye(n), (len(pts), n, n)).copy()
+        hess = np.broadcast_to((-self.s * np.eye(n))[:, :, None], (n, n, len(pts)))
+        return hess.copy().transpose(2, 0, 1)
 
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         return tuple(0.0 for _ in range(dim))
@@ -273,7 +274,7 @@ class PartialProduct(_Spec):
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
 
     def _sub(self, pts: np.ndarray) -> np.ndarray:
-        return pts[:, list(self.coords)]
+        return pts.T[list(self.coords)].T
 
     def degree(self, dim: int) -> float | None:
         return self.inner.degree(len(self.coords))
@@ -282,17 +283,17 @@ class PartialProduct(_Spec):
         return self.inner.log_w(self._sub(pts))
 
     def grad_log(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(pts)
-        out[:, list(self.coords)] = self.inner.grad_log(self._sub(pts))
-        return out
+        out = np.zeros(pts.shape[::-1])
+        out[list(self.coords)] = self.inner.grad_log(self._sub(pts)).T
+        return out.T
 
     def hess_log(self, pts: np.ndarray) -> np.ndarray:
         n = pts.shape[1]
-        out = np.zeros((len(pts), n, n))
+        out = np.zeros((n, n, len(pts)))
         sub = self.inner.hess_log(self._sub(pts))
         ix = np.asarray(self.coords)
-        out[:, ix[:, None], ix[None, :]] = sub
-        return out
+        out[ix[:, None], ix[None, :]] = sub.transpose(1, 2, 0)
+        return out.transpose(2, 0, 1)
 
     def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
         sub = self.inner.axis_exponents(len(self.coords))

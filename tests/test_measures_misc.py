@@ -1,5 +1,6 @@
 """Measure plumbing: descriptors, error paths, cones and serializer edges."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +24,13 @@ from gausscone.measures import (
     nu_integral,
 )
 from gausscone.report import _clean, _emit_json
-from gausscone.weights import CustomLogWeight, Monomial, make_weight
+from gausscone.weights import (
+    CustomLogWeight,
+    DunklProduct,
+    Monomial,
+    Radial,
+    make_weight,
+)
 
 
 class TestMeasurePlumbing:
@@ -136,6 +143,112 @@ class TestMeasurePlumbing:
         from gausscone.errors import DecayContractError
         with pytest.raises(DecayContractError):
             nu_integral(mu_one_2d, lambda x: np.ones(len(x)), 0.0)
+
+
+def _axis_first(arr):
+    """Whether an (N, ...) array is the transposed view of a C-contiguous
+    buffer with the node axis last."""
+    return np.moveaxis(arr, 0, -1).flags.c_contiguous
+
+
+# one rule of each family: tensor, polar and Monte Carlo
+RULE_FAMILIES = {
+    "tensor": (lambda: make_weight(Monomial((1.5, 0.0)), 2), {"order": 8}),
+    "polar": (lambda: make_weight(Radial(1.0), 2), {"order": 8}),
+    "mc": (lambda: make_weight(DunklProduct(((0.6, 0.8),), (0.5,)), 2),
+           {"mc_samples": 512, "seed": 2}),
+}
+
+
+class TestAxisFirstLayout:
+    @pytest.mark.parametrize("family", list(RULE_FAMILIES))
+    def test_build_rule_nodes_are_axis_first(self, family):
+        make, settings = RULE_FAMILIES[family]
+        w = make()
+        base = build_rule(w, 1.0, **settings)
+        rescaled = build_rule(w, 1.7, **settings)
+        assert base.scale == 1.0 and rescaled.scale == 1.7
+        for rule in (base, rescaled):
+            assert rule.nodes.shape == (len(rule.weights), 2)
+            assert _axis_first(rule.nodes)
+        np.testing.assert_array_equal(rescaled.nodes, base.nodes * 1.7)
+
+    @pytest.mark.parametrize("mc_samples", [None, 2 ** 12], ids=["tensor", "mc"])
+    def test_integrate_is_the_estimate_of_integrate_with_error(
+            self, w_partial, mc_samples):
+        mu = make_measure(w_partial, 1.0, order=12, mc_samples=mc_samples,
+                          seed=3)
+        vals, grad = poly_gauss(4, 2, even_axes=frozenset({0})).jet(mu.nodes, 1)
+        stacked = np.stack([vals, vals ** 2, grad[:, 1]]).T
+        assert type(integrate(mu, vals)) is float
+        assert integrate(mu, vals) == integrate_with_error(mu, vals)[0]
+        for values in (stacked, np.ascontiguousarray(stacked), grad):
+            est = integrate(mu, values)
+            assert est.shape == (values.shape[1],)
+            np.testing.assert_array_equal(est, integrate_with_error(mu, values)[0])
+
+    def test_norm_weights_computed_once(self, w_partial):
+        mu = make_measure(w_partial, 1.3, order=8)
+        w = mu.norm_weights
+        assert mu.norm_weights is w
+        np.testing.assert_array_equal(w, mu.rule.weights * mu.normalization)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
+def _counting(f):
+    """f with a jet that records the order of every call."""
+    calls = []
+
+    def jet(x, order):
+        calls.append(order)
+        return f.jet(x, order)
+
+    return dataclasses.replace(f, jet=jet), calls
+
+
+class TestNodeJet:
+    @pytest.mark.parametrize("mc_samples", [None, 2 ** 12], ids=["tensor", "mc"])
+    def test_checks_on_one_field_share_one_jet(self, w_partial, mc_samples):
+        mu = make_measure(w_partial, 1.0, order=12, mc_samples=mc_samples,
+                          seed=1)
+        f, calls = _counting(poly_gauss(4, 2, even_axes=frozenset({0})))
+        for level in ("basic", "gradient_stability", "l2_stability"):
+            check_poincare(mu, f, 2.0, level)
+        for p in (1.0, 1.5):
+            check_beckner(mu, f, p, 2.0)
+        check_lsi(mu, f, 2.0)
+        assert calls == [1]
+
+    def test_second_field_recomputes(self, w_partial):
+        mu = make_measure(w_partial, 1.0, order=12)
+        f, f_calls = _counting(poly_gauss(4, 2, even_axes=frozenset({0})))
+        g, g_calls = _counting(gaussian(1.3, 1.2, 2))
+        check_poincare(mu, f)
+        check_poincare(mu, g)
+        check_beckner(mu, g, 1.0, 2.0)
+        check_poincare(mu, f)
+        assert f_calls == [1, 1] and g_calls == [1]
+
+    def test_at_scale_measure_takes_its_own_jet(self, w_partial):
+        mu = make_measure(w_partial, 1.0, order=12)
+        base = poly_gauss(4, 2, even_axes=frozenset({0}))
+        f, calls = _counting(base)
+        check_poincare(mu, f)
+        other = mu.at_scale(1.5)
+        check_poincare(other, f)
+        assert calls == [1, 1]
+        np.testing.assert_array_equal(other.node_jet(f)[0],
+                                      base.value(other.nodes))
+        assert calls == [1, 1]
+
+    def test_kept_jet_is_read_only(self, w_partial):
+        mu = make_measure(w_partial, 1.0, order=8)
+        vals, grad = mu.node_jet(poly_gauss(4, 2))
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+        with pytest.raises(ValueError):
+            grad[0, 1] = 0.0
 
 
 class TestCones:

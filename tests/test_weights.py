@@ -88,6 +88,22 @@ class TestLogDerivatives:
                 np.testing.assert_allclose(hess[ax], fd, rtol=1e-6, atol=1e-7)
 
 
+    @pytest.mark.parametrize("spec", [
+        Monomial((1.5, 0.7)), Radial(1.2), GaussianTilt(0.3),
+        DunklProduct(((0.6, 0.8), (np.sqrt(0.5), -np.sqrt(0.5))), (0.8, 0.25)),
+        PartialProduct(Monomial((1.5,)), (1,)),
+    ], ids=lambda s: type(s).__name__)
+    def test_spec_derivatives_are_axis_first(self, spec):
+        # grad(log w) and hess(log w) are equal on a row-major batch and its
+        # axis-first copy, and axis-first on the latter
+        rows = np.random.default_rng(3).uniform(0.2, 2.0, size=(40, 2))
+        cols = np.asfortranarray(rows)
+        for name in ("grad_log", "hess_log"):
+            a, b = getattr(spec, name)(rows), getattr(spec, name)(cols)
+            np.testing.assert_array_equal(a, b)
+            assert np.moveaxis(b, 0, -1).flags.c_contiguous
+
+
 class TestCurvature:
     def test_monomial_analytic_zero(self):
         for exps in [(1.0,), (1.0, 2.0), (0.5, 0.0, 3.0)]:
