@@ -12,7 +12,7 @@ Galerkin spectral solver realizing the generator and its semigroup.
 
 __version__ = "0.1.0"
 
-from .cones import Cone, FullSpace, Halfspace, Orthant, ProductCone, boundary_normal
+from .cones import Cone, FullSpace, Halfspace, Orthant
 from .fields import (
     Decay,
     ScalarField,

@@ -139,13 +139,8 @@ def neumann_residual(f: ScalarField, cone: Cone,
 
 
 def is_neumann_admissible(f: ScalarField, cone: Cone, tol: float = 1e-8) -> bool:
-    """Admission gate for orthant-cone inequality checks."""
-    if not cone.has_boundary:
-        return True
-    try:
-        return neumann_residual(f, cone) <= tol
-    except NoBoundaryError:
-        return True
+    """Admission gate for inequality checks on a cone with facets."""
+    return not cone.has_boundary or neumann_residual(f, cone) <= tol
 
 
 def integration_by_parts_residual(measure: Measure, f: ScalarField,

@@ -4,16 +4,18 @@ on quadrature rules, and rate-matched integrals against nu = w dx.
 Rule families:
 
 * tensor rules of generalized Gauss-Hermite factors whenever the weight
-  factorizes per axis and the cone is an axis-aligned product of half-lines
-  and full lines (monomial, axis-aligned Dunkl, one-dimensional radial,
-  Gaussian tilts, and partial products of these);
-* a polar tensor rule (generalized half-line Hermite in r, trapezoid in the
-  angle) for radial weights on the full plane, which is exact for
-  polynomial-times-Gaussian integrands just like the axis-aligned rules;
+  factorizes per axis and every normal of the cone is a signed axis vector
+  (monomial, axis-aligned Dunkl, one-dimensional radial, Gaussian tilts,
+  and partial products of these);
+* a polar rule (generalized half-line Hermite in r, trapezoid in the angle)
+  for radial weights on the full plane, the cone without normals, which is
+  exact for polynomial-times-Gaussian integrands just like the tensor rules;
 * a seeded self-normalized importance-sampling rule targeting the density
   w exp(-|x|^2/(2 lambda^2)) for everything else (general Dunkl weights,
   custom weights).  Sampling uses the counter-based Philox generator, so a
-  (seed, samples) pair reproduces the rule exactly.
+  (seed, samples) pair reproduces the rule exactly.  Gaussian draws are
+  folded into the cone: |.| per axis when every normal is a signed axis
+  vector, a point reflection when the cone has one tilted normal.
 
 A `Measure` holds the weight together with the rule settings it was made
 with (the order, or the Monte Carlo sample count and seed), and every rule
@@ -46,7 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cones import Cone, FullSpace, Halfspace
+from .cones import Cone
 from .errors import (
     DecayContractError,
     EvaluationError,
@@ -80,7 +82,8 @@ class QuadratureRule:
 
     nodes: np.ndarray          # (N, n) axis-first, strictly interior to the cone
     weights: np.ndarray        # (N,), positive
-    kind: str                  # "tensor_generalized_hermite" | "monte_carlo"
+    kind: str                  # "tensor_generalized_hermite" | "polar"
+                               # | "monte_carlo"
     scale: float               # lambda of the Gaussian factor
     mass: float                # exact for tensor rules, sum of weights for MC
     order: Optional[tuple[int, ...]] = None  # per-axis order for tensor rules
@@ -175,8 +178,7 @@ def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | Non
 
 
 def _polar_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
-    if not (weight.is_radial and weight.dim == 2
-            and isinstance(weight.cone, FullSpace)):
+    if not (weight.is_radial and weight.dim == 2 and not weight.cone.normals):
         return None
     alpha = weight.degree
     r, qr = halfline_rule(float(alpha) + 1.0, order)
@@ -189,8 +191,8 @@ def _polar_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None
                       np.outer(r, np.sin(theta)).ravel()]).T
     weights = np.outer(qr, qt).ravel()
     mass = 2.0 * np.pi * lam ** (alpha + 2.0) * gamma_moment(alpha + 1.0, 0)
-    return QuadratureRule(nodes, weights, "tensor_generalized_hermite",
-                          lam, mass, order=(order, m_theta))
+    return QuadratureRule(nodes, weights, "polar", lam, mass,
+                          order=(order, m_theta))
 
 
 def _fold_to_cone(cone: Cone, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -209,13 +211,15 @@ def _fold_to_cone(cone: Cone, z: np.ndarray) -> tuple[np.ndarray, float]:
                 x[:, i] = -np.abs(x[:, i])
                 mult *= 2.0
         return x, mult
-    if isinstance(cone, Halfspace):
-        nu = np.asarray(cone.normal)
-        dots = z @ nu
+    if len(cone.normals) == 1:
+        # point reflection through the origin maps the open halfspace
+        # opposite the normal onto the cone
+        dots = z @ np.asarray(cone.normals[0])
         x = np.where((dots < 0)[:, None], -z, z)
         return x, 2.0
     raise UnsupportedRuleError(
-        f"no Monte Carlo proposal for cone {type(cone).__name__}")
+        f"no Monte Carlo proposal for a cone with {len(cone.normals)} "
+        "facets that are not all axis hyperplanes")
 
 
 def _mc_rule(weight: Weight, lam: float, samples: int, seed: int) -> QuadratureRule:

@@ -332,7 +332,8 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
     out = []
     if w.free_axes():
         wit = hermite_witness(ctx.free_axis, ctx.dim)
-        rep = check_hup_stability(ctx.measure, wit, improved=True)
+        rep = check_hup_stability(ctx.measure, wit, improved=True,
+                                  tolerance=ctx.tolerance)
         eq_gap = abs(rep.delta - (1.0 + rep.kw) * rep.distance_sq)
         out.append({
             "theorem": "hup_stability_witness", "field": wit.name,

@@ -14,7 +14,11 @@ spec, the dimension and the cone are the rule-cache key of a weight.  The
 private base `_Spec` holds the protocol defaults (no dimension hint, zero
 Gaussian tilts, the full space as natural cone, no analytic curvature
 argument); each spec overrides only what differs.  The axes on which w
-vanishes are read off the per-axis exponents (`Weight.singular_axes`).
+vanishes are read off the per-axis exponents (`Weight.singular_axes`).  A
+spec's natural cone is a list of facet normals (see `cones`): the orthant
+of the axes where w vanishes, the halfspace of a single tilted Dunkl root,
+or, for a partial product, the inner cone's normals embedded into its
+coordinates.
 On axis-first points (see `measures`) the built-in specs return grad(log w)
 and hess(log w) axis-first, as the (N, n) and (N, n, n) transposed views of
 (n, N) and (n, n, N) buffers.
@@ -325,12 +329,11 @@ class PartialProduct(_Spec):
         return res
 
     def natural_cone(self, dim: int) -> Cone:
-        inner_cone = self.inner.natural_cone(len(self.coords))
-        if isinstance(inner_cone, Orthant):
-            return Orthant(dim, frozenset(self.coords[a] for a in inner_cone.axes))
-        if isinstance(inner_cone, FullSpace):
-            return FullSpace(dim)
-        raise ValueError("partial product of this inner cone is not supported")
+        # the inner cone's normals, embedded into the coordinates it acts on
+        inner = self.inner.natural_cone(len(self.coords)).matrix
+        normals = np.zeros((len(inner), dim))
+        normals[:, list(self.coords)] = inner
+        return Cone(dim, tuple(normals))
 
 
 @dataclass(frozen=True)

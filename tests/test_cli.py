@@ -171,15 +171,16 @@ class TestCliExitCodes:
         assert r1.stdout == r2.stdout
 
 
-@pytest.mark.parametrize("flag, expected", [
-    ([], 2.0 * 1e-7),
-    (["--tolerance", "3e-6"], 2.0 * 3e-6),
+@pytest.mark.parametrize("flag, tol", [
+    ([], 1e-7),
+    (["--tolerance", "3e-6"], 3e-6),
 ], ids=["default", "override"])
 def test_tolerance_reaches_seeded_hup_stability(tmp_path, monkeypatch, flag,
-                                                expected):
-    # the seeded HUP-stability checks are judged at twice the run tolerance;
-    # the half-line weight has no free axis, so the first stability check
-    # is the first seeded one
+                                                tol):
+    # the seeded HUP-stability checks are judged at twice the run tolerance
+    # and the witness on a free axis at the run tolerance; each run stops at
+    # its first stability check, which is the first seeded one on the
+    # half-line weight (no free axis) and the witness on the half-plane one
     seen = []
 
     def first_check(measure, f, improved=False, **kwargs):
@@ -188,11 +189,15 @@ def test_tolerance_reaches_seeded_hup_stability(tmp_path, monkeypatch, flag,
 
     monkeypatch.setattr(suites, "check_hup_stability", first_check)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(
-        BASE_CONFIG, weight={"kind": "monomial", "exponents": [1.0]},
-        suites=["hup_stability"])))
-    assert cli.main(["verify", "--config", str(path), *flag]) == 1
-    assert seen == [{"tolerance": expected}]
+    for exponents, expected in (([1.0], 2.0 * tol), ([1.0, 0.0], tol)):
+        cfg = dict(BASE_CONFIG, dim=len(exponents),
+                   weight={"kind": "monomial", "exponents": exponents},
+                   suites=["hup_stability"])
+        del cfg["fields"]
+        path.write_text(json.dumps(cfg))
+        seen.clear()
+        assert cli.main(["verify", "--config", str(path), *flag]) == 1
+        assert seen == [{"tolerance": expected}]
 
 
 def test_replication_byte_identical_across_processes(tmp_path):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gausscone.cones import FullSpace, Halfspace, Orthant, ProductCone
+from gausscone.cones import Cone, Halfspace, Orthant
 from gausscone.errors import EvaluationError, UnsupportedRuleError
 from gausscone.fields import constant, exp_axis, gaussian, poly_gauss
 from gausscone.inequalities import (
@@ -119,17 +119,17 @@ class TestMeasurePlumbing:
             del w, got
 
     def test_mc_axis_aligned_product_cone_supported(self):
-        # axis-aligned product cones fold like orthants
-        cone = ProductCone(2, ((Orthant(1, frozenset({0})), (0,)),
-                               (FullSpace(1), (1,))))
+        # a half-line times a line: its normal is an axis vector, so the
+        # cone folds per axis like an orthant
+        cone = Cone(2, ((1.0, 0.0),))
         w = make_weight(Monomial((1.0, 0.0)), 2, cone=cone)
         rule = build_rule(w, 1.0, mc_samples=2 ** 12, seed=0)
         assert np.all(rule.nodes[rule.weights > 0, 0] > 0)
 
     def test_mc_unsupported_cone(self):
-        # a product with a tilted halfspace factor has no folded proposal
-        cone = ProductCone(3, ((Halfspace(2, (0.6, 0.8)), (0, 1)),
-                               (FullSpace(1), (2,))))
+        # two tilted facets have no folded proposal (one folds by point
+        # reflection)
+        cone = Cone(3, ((0.6, 0.8, 0.0), (-0.8, 0.6, 0.0)))
         spec = CustomLogWeight(
             lambda p: np.zeros(len(p)),
             lambda p: np.zeros_like(p),
@@ -253,15 +253,14 @@ class TestNodeJet:
 
 class TestCones:
     def test_product_cone_membership(self):
-        cone = ProductCone(3, ((Orthant(1, frozenset({0})), (0,)),
-                               (FullSpace(2), (1, 2))))
+        # a half-line times a plane
+        cone = Cone(3, ((1.0, 0.0, 0.0),))
         assert cone.contains([1.0, -5.0, 2.0])
         assert not cone.contains([-1.0, 0.0, 0.0])
         assert cone.axis_signature() == ("half+", "full", "full")
 
     def test_product_cone_normal(self):
-        cone = ProductCone(2, ((Orthant(1, frozenset({0})), (0,)),
-                               (FullSpace(1), (1,))))
+        cone = Cone(2, ((1.0, 0.0),))
         np.testing.assert_allclose(cone.boundary_normal([0.0, 3.0]), [-1.0, 0.0])
 
     def test_negative_halfspace_signature(self):
