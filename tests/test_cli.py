@@ -141,6 +141,20 @@ class TestCliExitCodes:
                     "--out", "/nonexistent-dir/report.json"])
         assert res.returncode == 3
 
+    # the axis mass 2^((a-1)/2) Gamma((a+1)/2) is finite at a = 200 and
+    # beyond the double range at a = 400
+    @pytest.mark.parametrize("exponent, code", [(200.0, 0), (400.0, 2)])
+    def test_large_monomial_exponent(self, tmp_path, exponent, code):
+        cfg = {"dim": 1, "weight": {"kind": "monomial", "exponents": [exponent]},
+               "quadrature": {"order": 8}, "suites": ["poincare"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = _cli(["verify", "--config", str(path)])
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+        if code == 2:
+            assert "normalization is not positive/finite" in res.stderr
+
     def test_spectrum_subcommand(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(BASE_CONFIG))
@@ -198,6 +212,16 @@ def test_tolerance_reaches_seeded_hup_stability(tmp_path, monkeypatch, flag,
         seen.clear()
         assert cli.main(["verify", "--config", str(path), *flag]) == 1
         assert seen == [{"tolerance": expected}]
+
+
+def test_cli_import_loads_neither_mpmath_nor_scipy():
+    # mpmath is a test dependency only, and scipy serves only sampled
+    # curvature certification, imported when that runs
+    code = ("import sys, gausscone.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('mpmath', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_replication_byte_identical_across_processes(tmp_path):

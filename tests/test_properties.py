@@ -17,9 +17,10 @@ from gausscone.fields import gaussian, poly_gauss
 from gausscone.functionals import hup_deficit
 from gausscone.inequalities import check_beckner, check_lsi, check_poincare
 from gausscone.measures import build_rule, make_measure
-from gausscone.quad1d import gamma_moment
 from gausscone.stability import distance_to_family
 from gausscone.weights import Monomial, make_weight
+
+from oracles import gamma_moment
 
 exponents_2d = st.tuples(
     st.floats(min_value=0.0, max_value=4.0, allow_nan=False),

@@ -2,12 +2,18 @@
 
 Oracle for the 1-D factors: the Gamma-function closed form of the moments
     int_0^inf t^(a+k) e^(-t^2/2) dt = 2^((a+k-1)/2) Gamma((a+k+1)/2),
-which each rule of order m must reproduce for k = 0..2m-1.
+which each rule of order m must reproduce for k = 0..2m-1, evaluated in
+mpmath by `oracles.gamma_moment`; the half-line recurrence is checked
+against the mpmath Chebyshev algorithm of `oracles.halfline_recurrence`.
 """
+
+import math
+import time
 
 import numpy as np
 import pytest
 
+from gausscone import quad1d
 from gausscone.cones import Halfspace
 from gausscone.errors import (
     ContractError,
@@ -32,8 +38,22 @@ from gausscone.measures import (
     special_moments,
 )
 from gausscone.polys import exponent_table
-from gausscone.quad1d import fullline_rule, gamma_moment, halfline_rule
+from gausscone.quad1d import fullline_rule, halfline_recurrence, halfline_rule
 from gausscone.weights import DunklProduct, GaussianTilt, Monomial, Radial, make_weight
+
+import oracles
+from oracles import gamma_moment
+
+# exponents of the half-line recurrence check: the paper's 1.5, small and
+# fractional ones, and the large ones of high monomial powers
+ORACLE_EXPONENTS = [0.0, 0.25, 1.5, 3.0, 4.5, 12.0, 30.0, 60.0, 100.0]
+
+
+def _assert_recurrence_matches(a, order, ref_alpha, ref_beta):
+    alpha, beta = halfline_recurrence(a, order)
+    # alpha_k > 0 on (0, inf), so both compare relative to the reference
+    np.testing.assert_allclose(alpha, ref_alpha[:order], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(beta, ref_beta[:order], rtol=1e-13, atol=0)
 
 
 class TestRules1D:
@@ -74,6 +94,46 @@ class TestRules1D:
     def test_order_cap(self):
         with pytest.raises(ResourceError):
             halfline_rule(1.0, 201)
+
+    @pytest.mark.parametrize("a", ORACLE_EXPONENTS)
+    def test_halfline_recurrence_matches_oracle(self, a):
+        # (alpha_k, beta_k) do not depend on the order they are computed at,
+        # so the order-64 reference holds every lower order's as a prefix;
+        # the library's discretization does depend on the order
+        ref_alpha, ref_beta = oracles.halfline_recurrence(a, 64)
+        for order in range(1, 65):
+            _assert_recurrence_matches(a, order, ref_alpha, ref_beta)
+
+    def test_halfline_recurrence_order_100(self):
+        # the last beta of a high order is the first to go wrong when the
+        # discretization interval stops short of the integrands' tails
+        _assert_recurrence_matches(1.5, 100,
+                                   *oracles.halfline_recurrence(1.5, 100))
+
+    def test_halfline_rule_at_max_order_builds_fast(self):
+        # a loose bound: the build takes well under 0.1 s, the former
+        # high-precision moment algorithm took seconds
+        start = time.perf_counter()
+        x, w = halfline_rule(0.75, quad1d.MAX_ORDER)
+        assert time.perf_counter() - start < 2.0
+        assert np.all(x > 0) and np.all(w >= 0)
+        assert np.sum(w) == pytest.approx(gamma_moment(0.75, 0), rel=1e-13)
+
+    def test_gamma_moment_closed_form(self):
+        for a in (0.0, 0.25, 1.5, 4.5, 30.0, 100.0, 200.0):
+            for k in (0, 1, 2, 7, 40, 95):
+                assert quad1d.gamma_moment(a, k) == pytest.approx(
+                    gamma_moment(a, k), rel=2e-13)
+
+    def test_gamma_moment_overflow_is_inf(self):
+        for a, k in ((400.0, 0), (350.0, 0), (0.0, 400), (1e6, 3)):
+            assert gamma_moment(a, k) == math.inf
+            assert quad1d.gamma_moment(a, k) == math.inf
+
+    def test_halfline_mass_overflow_raises(self):
+        with pytest.raises(IntegrationFailureError,
+                           match="normalization is not positive/finite"):
+            halfline_recurrence(400.0, 8)
 
 
 class TestTensorRules:
