@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cones import Cone, FullSpace, Halfspace, Orthant
 from .errors import ConfigError, ToolkitError
 from .fields import (
@@ -161,15 +163,69 @@ def _build_spec(spec: dict, dim: int):
     raise ConfigError(f"unknown weight kind {kind!r}")
 
 
+def _dunkl_roots(spec, dim: int) -> list[np.ndarray]:
+    """The roots beta, embedded into R^dim, of the Dunkl factors with k > 0."""
+    if isinstance(spec, DunklProduct):
+        return [np.asarray(r) for r, k in zip(spec.roots, spec.multiplicities)
+                if k > 0]
+    if isinstance(spec, PartialProduct):
+        roots = []
+        for r in _dunkl_roots(spec.inner, len(spec.coords)):
+            beta = np.zeros(dim)
+            beta[list(spec.coords)] = r
+            roots.append(beta)
+        return roots
+    return []
+
+
+def _meets_open_cone(cone: Cone, beta: np.ndarray) -> bool:
+    """Whether the hyperplane <beta, x> = 0 meets the open cone.  It misses
+    it exactly when beta or -beta is a nonnegative combination of the
+    normals; the normals are orthonormal, so the coefficients are N beta."""
+    coef = cone.matrix @ beta
+    in_span = np.allclose(cone.matrix.T @ coef, beta, rtol=0, atol=1e-12)
+    return not (in_span and (np.all(coef >= 0) or np.all(coef <= 0)))
+
+
+def _cone_spec(cone: Cone) -> dict:
+    """The config entry of a config or natural cone."""
+    sig = cone.axis_signature()
+    if not cone.normals:
+        return {"kind": "full_space"}
+    if sig is not None and "half-" not in sig:
+        return {"kind": "orthant", "axes": sorted(cone.constrained_axes())}
+    return {"kind": "halfspace", "normal": list(cone.normals[0])}
+
+
+def _check_positive_on_cone(spec, weight: Weight):
+    """Refuse a weight whose zero set meets the open cone: a singular axis
+    or a Dunkl root hyperplane that the cone does not keep out."""
+    hyperplanes = [np.eye(weight.dim)[i] for i in weight.singular_axes()]
+    for beta in hyperplanes + _dunkl_roots(spec, weight.dim):
+        if _meets_open_cone(weight.cone, beta):
+            try:
+                hint = f"its natural cone is {_cone_spec(spec.natural_cone(weight.dim))}"
+            except ValueError as exc:
+                hint = str(exc)
+            raise ConfigError(
+                f"the weight vanishes on the hyperplane <{beta.tolist()}, x> = 0 "
+                f"inside the cone {_cone_spec(weight.cone)}, but the theorems "
+                f"need w > 0 on the open cone; {hint}")
+
+
 def build_weight(config: RunConfig) -> Weight:
+    """The config's weight on its cone; refused when w vanishes inside the
+    open cone (`make_weight` itself admits such weights)."""
     spec = _build_spec(config.weight, config.dim)
     cone = build_cone(config.cone, config.dim)
     try:
-        return make_weight(spec, config.dim, cone=cone)
+        weight = make_weight(spec, config.dim, cone=cone)
     except ToolkitError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_positive_on_cone(spec, weight)
+    return weight
 
 
 def build_field(spec: dict, dim: int) -> ScalarField:

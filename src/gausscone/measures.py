@@ -3,19 +3,25 @@ on quadrature rules, and rate-matched integrals against nu = w dx.
 
 Rule families:
 
-* tensor rules of generalized Gauss-Hermite factors whenever the weight
-  factorizes per axis and every normal of the cone is a signed axis vector
-  (monomial, axis-aligned Dunkl, one-dimensional radial, Gaussian tilts,
-  and partial products of these);
-* a polar rule (generalized half-line Hermite in r, trapezoid in the angle)
-  for radial weights on the full plane, the cone without normals, which is
-  exact for polynomial-times-Gaussian integrands just like the tensor rules;
+* product rules: the product of one rule per block of `Weight.spec.blocks`,
+  the last block varying fastest.  A 1-D block |t|^a e^(-s t^2/2) gets a
+  generalized Gauss-Hermite rule on the full line or on the half line of
+  the cone's axis signature; a radial block on two coordinates the cone
+  leaves free gets the polar rule (generalized half-line Hermite in r,
+  trapezoid in the angle).  With 1-D blocks only it is a tensor rule
+  (monomial, axis-aligned Dunkl, 1-D radial, Gaussian tilts and partial
+  products of these), with a polar block a polar rule.  Both are exact for
+  polynomial-times-Gaussian integrands;
 * a seeded self-normalized importance-sampling rule targeting the density
-  w exp(-|x|^2/(2 lambda^2)) for everything else (general Dunkl weights,
-  custom weights).  Sampling uses the counter-based Philox generator, so a
-  (seed, samples) pair reproduces the rule exactly.  Gaussian draws are
-  folded into the cone: |.| per axis when every normal is a signed axis
-  vector, a point reflection when the cone has one tilted normal.
+  w exp(-|x|^2/(2 lambda^2)), when the settings ask for it (`mc_samples`).
+  Sampling uses the counter-based Philox generator, so a (seed, samples)
+  pair reproduces the rule exactly.  Gaussian draws are folded into the
+  cone: |.| per axis when every normal is a signed axis vector, a point
+  reflection when the cone has one tilted normal.
+
+Without `mc_samples`, a weight with no product rule on its cone (general
+Dunkl and custom weights, radial weights past the plane) is refused with
+UnsupportedRuleError; there is no silent Monte Carlo fallback.
 
 A `Measure` holds the weight together with the rule settings it was made
 with (the order, or the Monte Carlo sample count and seed), and every rule
@@ -60,10 +66,9 @@ from .errors import (
 )
 from .polys import monomial_index, monomial_table
 from .quad1d import fullline_rule, gamma_moment, halfline_rule
-from .weights import Weight
+from .weights import Block, Weight
 
 DEFAULT_ORDER = 32
-DEFAULT_MC_SAMPLES = 1_000_000
 MAX_TENSOR_NODES = 4_000_000
 # nodes per block of the monomial table of Measure.moments: bounds its memory
 MOMENT_CHUNK = 2 ** 12
@@ -83,104 +88,51 @@ class QuadratureRule:
     nodes: np.ndarray          # (N, n) axis-first, strictly interior to the cone
     weights: np.ndarray        # (N,), positive
     kind: str                  # "tensor_generalized_hermite" | "polar"
-                               # | "monte_carlo"
+                               # (a product with a polar block) | "monte_carlo"
     scale: float               # lambda of the Gaussian factor
-    mass: float                # exact for tensor rules, sum of weights for MC
-    order: Optional[tuple[int, ...]] = None  # per-axis order for tensor rules
+    mass: float                # exact for product rules, sum of weights for MC
     mc: Optional[McInfo] = None
 
 
-def _axis_scales(weight: Weight, lam: float) -> list[float] | None:
-    """Per-axis effective Gaussian scales with any axis tilts folded in."""
-    tilts = weight.axis_tilts()
-    if tilts is None:
-        return None
-    scales = []
-    for s in tilts:
-        gamma = 1.0 / (lam * lam) + s
-        if gamma <= 0:
-            raise IntegrationFailureError(
-                f"density w exp(-|x|^2/(2*{lam}^2)) has infinite mass "
-                f"(axis tilt {s})")
-        scales.append(1.0 / math.sqrt(gamma))
-    return scales
+@dataclass(frozen=True)
+class BlockRule:
+    """The rule of one block of a product rule: (k, m) nodes on the block's
+    k coordinates, (m,) weights and the exact mass of the block's factor;
+    for a 1-D block also its exponent a and effective Gaussian scale."""
+
+    coords: tuple[int, ...]
+    nodes: np.ndarray
+    weights: np.ndarray
+    mass: float
+    a: float
+    scale: float
 
 
-def axis_factors(weight: Weight, lam: float
-                 ) -> list[tuple[float, str, float]] | None:
-    """Per-axis (exponent a, axis kind, scale s) when the density
-    w exp(-|x|^2/(2 lambda^2)) is the product over axes of
-    |t|^a e^(-t^2/(2 s^2)) on a full line ("full") or a half line
-    ("half+"/"half-"); None when it does not factor that way."""
-    exps = weight.axis_exponents()
-    sig = weight.cone.axis_signature()
-    scales = _axis_scales(weight, lam)
-    if exps is None or sig is None or scales is None:
-        return None
-    # weight must vanish only on constrained axes, otherwise the support is
-    # not a convex cone and the tensor factorization is wrong
-    for a, kind in zip(exps, sig):
-        if a > 0 and kind == "full":
-            return None
-    return list(zip(exps, sig, scales))
+def _axis_block(block: Block, kind: str, lam: float, order: int) -> BlockRule:
+    """|t|^a e^(-s t^2/2) e^(-t^2/(2 lam^2)) on a full or a half line."""
+    a = float(block.a)
+    gamma = 1.0 / (lam * lam) + block.s
+    if gamma <= 0:
+        raise IntegrationFailureError(
+            f"density w exp(-|x|^2/(2*{lam}^2)) has infinite mass "
+            f"(axis tilt {block.s})")
+    lam_eff = 1.0 / math.sqrt(gamma)
+    if kind == "full":
+        t, q = fullline_rule(a, order)
+    else:
+        t, q = halfline_rule(a, order)
+        if kind == "half-":
+            t = -t
+    s = lam_eff ** (a + 1.0)
+    m0 = gamma_moment(a, 0) * s
+    return BlockRule(block.coords, (lam_eff * t)[None, :], s * q,
+                     2.0 * m0 if kind == "full" else m0, a, lam_eff)
 
 
-# per axis: 1-D rule nodes, weights and the exact mass of the axis factor
-AxisRule = tuple[np.ndarray, np.ndarray, float]
-
-
-def axis_rules(weight: Weight, lam: float, order: int) -> list[AxisRule] | None:
-    """Per-axis 1-D rules of the given order whose tensor product is the
-    tensor rule for w exp(-|x|^2/(2 lambda^2)) dx; None when the density
-    does not factor per axis (`axis_factors`)."""
-    factors = axis_factors(weight, lam)
-    if factors is None:
-        return None
-    if order ** weight.dim > MAX_TENSOR_NODES:
-        raise ResourceError(
-            f"tensor rule would need {order ** weight.dim} nodes; use Monte Carlo")
-    rules = []
-    for a, kind, lam_eff in factors:
-        if kind == "full":
-            t, q = fullline_rule(float(a), order)
-        else:
-            t, q = halfline_rule(float(a), order)
-            if kind == "half-":
-                t = -t
-        s = lam_eff ** (a + 1.0)
-        m0 = gamma_moment(float(a), 0) * s
-        rules.append((lam_eff * t, s * q, 2.0 * m0 if kind == "full" else m0))
-    return rules
-
-
-def tensor_grid(axis_nodes: Sequence[np.ndarray],
-                axis_weights: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n) axis-first nodes and (N,) weights of the tensor product of
-    1-D rules; the last axis varies fastest."""
-    grids = np.meshgrid(*axis_nodes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids]).T
-    wgrids = np.meshgrid(*axis_weights, indexing="ij")
-    weights = np.ones(len(nodes))
-    for g in wgrids:
-        weights = weights * g.ravel()
-    return nodes, weights
-
-
-def _tensor_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
-    rules = axis_rules(weight, lam, order)
-    if rules is None:
-        return None
-    nodes, weights = tensor_grid([t for t, _, _ in rules],
-                                 [q for _, q, _ in rules])
-    mass = math.prod(m for _, _, m in rules)
-    return QuadratureRule(nodes, weights, "tensor_generalized_hermite",
-                          lam, mass, order=tuple([order] * weight.dim))
-
-
-def _polar_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
-    if not (weight.is_radial and weight.dim == 2 and not weight.cone.normals):
-        return None
-    alpha = weight.degree
+def _polar_block(block: Block, lam: float, order: int) -> BlockRule:
+    """|x_B|^a e^(-|x_B|^2/(2 lam^2)) on a plane: the half-line rule in r
+    for r^(a+1), times a (2 order + 2)-point trapezoid in the angle."""
+    alpha = block.a
     r, qr = halfline_rule(float(alpha) + 1.0, order)
     r = lam * r
     qr = lam ** (alpha + 2.0) * qr
@@ -188,11 +140,66 @@ def _polar_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None
     theta = (np.arange(m_theta) + 0.5) * (2.0 * np.pi / m_theta)
     qt = np.full(m_theta, 2.0 * np.pi / m_theta)
     nodes = np.stack([np.outer(r, np.cos(theta)).ravel(),
-                      np.outer(r, np.sin(theta)).ravel()]).T
-    weights = np.outer(qr, qt).ravel()
+                      np.outer(r, np.sin(theta)).ravel()])
     mass = 2.0 * np.pi * lam ** (alpha + 2.0) * gamma_moment(alpha + 1.0, 0)
-    return QuadratureRule(nodes, weights, "polar", lam, mass,
-                          order=(order, m_theta))
+    return BlockRule(block.coords, nodes, np.outer(qr, qt).ravel(), mass,
+                     alpha, lam)
+
+
+def block_rules(weight: Weight, lam: float, order: int) -> list[BlockRule] | None:
+    """The rules of the blocks of `Weight.spec.blocks`, in block order, whose
+    product is the rule for w exp(-|x|^2/(2 lambda^2)) dx; None when a block
+    has no rule on the cone.  A 1-D block gets the half- or full-line rule
+    of the cone's axis signature, unless w vanishes on an axis the cone
+    leaves free (the support would not be a convex cone); a radial block on
+    two free coordinates gets the polar rule."""
+    blocks = weight.spec.blocks(weight.dim)
+    sig = weight.cone.axis_signature()
+    if sig is None:
+        return None
+    size = 1
+    for b in blocks:
+        kinds = {sig[c] for c in b.coords}
+        if b.kind == "axis" and not (b.a > 0 and kinds == {"full"}):
+            size *= order
+        elif b.kind == "radial" and len(b.coords) == 2 and kinds == {"full"}:
+            size *= order * (2 * order + 2)
+        else:
+            return None
+    if size > MAX_TENSOR_NODES:
+        raise ResourceError(
+            f"product rule would need {size} nodes; use Monte Carlo")
+    return [_axis_block(b, sig[b.coords[0]], lam, order) if b.kind == "axis"
+            else _polar_block(b, lam, order) for b in blocks]
+
+
+def product_grid(blocks: Sequence[BlockRule], weights: Sequence[np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(N, n) axis-first nodes and (N,) weights of the product of the block
+    rules, with `weights` in place of the blocks' own: the last block varies
+    fastest and the weights multiply in block order."""
+    sizes = [len(q) for q in weights]
+    dim = sum(len(b.coords) for b in blocks)
+    nodes = np.empty((dim, *sizes))
+    prod = np.ones(())
+    for i, (b, q) in enumerate(zip(blocks, weights)):
+        shape = [1] * len(sizes)
+        shape[i] = sizes[i]
+        for c, row in zip(b.coords, b.nodes):
+            nodes[c] = row.reshape(shape)
+        prod = prod * q.reshape(shape)
+    return nodes.reshape(dim, -1).T, prod.ravel()
+
+
+def _product_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
+    blocks = block_rules(weight, lam, order)
+    if blocks is None:
+        return None
+    nodes, weights = product_grid(blocks, [b.weights for b in blocks])
+    kind = ("polar" if any(len(b.coords) == 2 for b in blocks)
+            else "tensor_generalized_hermite")
+    return QuadratureRule(nodes, weights, kind, lam,
+                          math.prod(b.mass for b in blocks))
 
 
 def _fold_to_cone(cone: Cone, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -267,10 +274,9 @@ def _cached(key: tuple, make: Callable[[], QuadratureRule | None]
 
 def build_rule(weight: Weight, lam: float = 1.0, order: int | None = None,
                mc_samples: int | None = None, seed: int = 0) -> QuadratureRule:
-    """Quadrature rule for the density w(x) exp(-|x|^2/(2 lambda^2)) dx.
-
-    Tensor and polar rules are used where they apply; otherwise, or when
-    `mc_samples` is given, a Monte Carlo rule."""
+    """Quadrature rule for the density w(x) exp(-|x|^2/(2 lambda^2)) dx: the
+    Monte Carlo rule when `mc_samples` is given, otherwise the product rule
+    of the weight's blocks, or UnsupportedRuleError when it has none."""
     if lam <= 0:
         raise ParameterError("scale lambda must be positive")
     # homogeneous weights rescale exactly: nodes -> lam t, weights ->
@@ -278,16 +284,19 @@ def build_rule(weight: Weight, lam: float = 1.0, order: int | None = None,
     # rule per weight and settings serves every scale at O(N) per call
     base_lam = 1.0 if weight.degree is not None else lam
     key = (weight.spec, weight.dim, weight.cone)
-    base = None
-    if mc_samples is None:
-        order = DEFAULT_ORDER if order is None else order
-        base = _cached((key, base_lam, order, "det"),
-                       lambda: _tensor_rule(weight, base_lam, order)
-                       or _polar_rule(weight, base_lam, order))
-        mc_samples = DEFAULT_MC_SAMPLES
-    if base is None:
+    if mc_samples is not None:
         base = _cached((key, base_lam, mc_samples, seed, "mc"),
                        lambda: _mc_rule(weight, base_lam, mc_samples, seed))
+    else:
+        order = DEFAULT_ORDER if order is None else order
+        base = _cached((key, base_lam, order, "det"),
+                       lambda: _product_rule(weight, base_lam, order))
+        if base is None:
+            raise UnsupportedRuleError(
+                f"no deterministic rule for {weight.spec!r} on the cone with "
+                f"normals {weight.cone.normals}: its density is not a product "
+                "of 1-D and planar radial blocks that the cone admits; set "
+                "quadrature.mc_samples to integrate by Monte Carlo")
     if lam == base.scale:
         return base
     factor = lam ** (weight.dim + weight.degree)

@@ -3,7 +3,8 @@ mu_w: spectral gap, Poisson solves for the duality-based stability argument,
 and the spectral realization of the semigroup P_t.
 
 The measure must factor per axis into |t|^a e^(-t^2/(2 s^2)) on full and
-half lines (`measures.axis_factors`).  Basis function k is the tensor product
+half lines, 1-D blocks whose exponent a and scale s come with their rules
+(`measures.block_rules`).  Basis function k is the tensor product
 prod_ax p_(expo[k, ax])(x_ax / s_ax) of the orthonormal polynomials of the
 axis factor, evaluated with their derivatives from the three-term recurrence
 of `quad1d.fullline_recurrence`.  On cone-constrained axes only even indices
@@ -12,7 +13,7 @@ t^a on the half line and span exactly the polynomials with Neumann boundary
 behavior.
 
 Everything is sum-factorized (Orszag 1980): the quadrature rule is the
-tensor product of the 1-D axis rules of `measures.axis_rules`, and each axis
+product of the 1-D block rules of `measures.block_rules`, and each axis
 carries one (N_ax, d + 1) table of its polynomials and their first two
 derivatives at its nodes.  The Gram matrix is the product over axes of the
 1-D Grams taken by quadrature on each axis rule, and the stiffness is the
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .fields import ScalarField
 from .gamma import generator
-from .measures import Measure, axis_factors, axis_rules, tensor_grid
+from .measures import Measure, block_rules, product_grid
 from .polys import exponent_table
 from .quad1d import fullline_recurrence, orthonormal_polys
 
@@ -172,16 +173,15 @@ def build_galerkin(measure: Measure,
     if max_degree is None:
         max_degree = default_degree(weight.dim)
 
-    axes = tuple((*fullline_recurrence(float(a), max_degree + 1), scale)
-                 for a, _, scale in axis_factors(weight, measure.scale))
-
     # the rule must integrate products of two basis gradients exactly
     order = max(measure.order, max_degree + 8)
-    rules = axis_rules(weight, measure.scale, order)
-    axis_weights = tuple(q / mass for _, q, mass in rules)
-    nodes, node_weights = tensor_grid([t for t, _, _ in rules], axis_weights)
-    tables = tuple(axis_jet(basis, t, max_degree)
-                   for basis, (t, _, _) in zip(axes, rules))
+    blocks = block_rules(weight, measure.scale, order)
+    axes = tuple((*fullline_recurrence(b.a, max_degree + 1), b.scale)
+                 for b in blocks)
+    axis_weights = tuple(b.weights / b.mass for b in blocks)
+    nodes, node_weights = product_grid(blocks, axis_weights)
+    tables = tuple(axis_jet(basis, b.nodes[0], max_degree)
+                   for basis, b in zip(axes, blocks))
 
     # 1-D Gram and derivative Gram per axis, restricted to the index set;
     # the full Gram is their product and the stiffness the sum over axes of

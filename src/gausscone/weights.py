@@ -11,10 +11,14 @@ bound can hold on an unbounded cone.
 
 A spec is a frozen dataclass, so it is hashable and compares by value: the
 spec, the dimension and the cone are the rule-cache key of a weight.  The
-private base `_Spec` holds the protocol defaults (no dimension hint, zero
-Gaussian tilts, the full space as natural cone, no analytic curvature
-argument); each spec overrides only what differs.  The axes on which w
-vanishes are read off the per-axis exponents (`Weight.singular_axes`).  A
+private base `_Spec` holds the protocol defaults (no dimension hint, one
+opaque block, the full space as natural cone, no analytic curvature
+argument); each spec overrides only what differs.  `blocks(dim)` says how
+the density factors: in coordinate order, a `Block` is a 1-D factor
+|t|^a e^(-s t^2/2), a radial factor |x_B|^a on a coordinate set B, or an
+opaque factor with no structure a rule can use.  The rule builder of
+`measures` turns the blocks into a product rule, and the axes on which w
+vanishes (`Weight.singular_axes`) and the free axes are read off them.  A
 spec's natural cone is a list of facet normals (see `cones`): the orthant
 of the axes where w vanishes, the halfspace of a single tilted Dunkl root,
 or, for a partial product, the inner cone's normals embedded into its
@@ -26,7 +30,7 @@ and hess(log w) axis-first, as the (N, n) and (N, n, n) transposed views of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,8 +51,25 @@ _ZERO_TOL = 1e-12
 # weight specs
 # ---------------------------------------------------------------------------
 
-def _positive_axes(exps) -> tuple[int, ...]:
-    return tuple(i for i, a in enumerate(exps) if a > 0)
+@dataclass(frozen=True)
+class Block:
+    """One factor of a density on the coordinates `coords`: "axis" is
+    |t|^a e^(-s t^2/2) on one coordinate, "radial" is |x_B|^a on the
+    coordinate set B, "opaque" has no structure a rule can use."""
+
+    kind: str
+    coords: tuple[int, ...]
+    a: float = 0.0
+    s: float = 0.0
+
+
+def _axis_blocks(exps) -> tuple[Block, ...]:
+    return tuple(Block("axis", (i,), a) for i, a in enumerate(exps))
+
+
+def _singular(blocks) -> tuple[int, ...]:
+    """Coordinates of the 1-D blocks that vanish at t = 0."""
+    return tuple(b.coords[0] for b in blocks if b.kind == "axis" and b.a > 0)
 
 
 class _Spec:
@@ -57,8 +78,8 @@ class _Spec:
     def dim_hint(self) -> int | None:
         return None
 
-    def axis_tilts(self, dim: int) -> tuple[float, ...] | None:
-        return (0.0,) * dim
+    def blocks(self, dim: int) -> tuple[Block, ...]:
+        return (Block("opaque", tuple(range(dim))),)
 
     def analytic_curvature(self, dim: int):
         return NotImplemented
@@ -108,15 +129,15 @@ class Monomial(_Spec):
                 out[i, i] = -a / pts[:, i] ** 2
         return out.transpose(2, 0, 1)
 
-    def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
-        return self.exponents
+    def blocks(self, dim: int) -> tuple[Block, ...]:
+        return _axis_blocks(self.exponents)
 
     def analytic_curvature(self, dim: int):
         # log-concave (hess_log diagonal <= 0) and homogeneous
         return 0.0, "analytic: homogeneous log-concave"
 
     def natural_cone(self, dim: int) -> Cone:
-        return Orthant(dim, _positive_axes(self.exponents))
+        return Orthant(dim, _singular(self.blocks(dim)))
 
 
 @dataclass(frozen=True)
@@ -147,8 +168,10 @@ class Radial(_Spec):
         outer = x[:, None, :] * x[None, :, :]
         return (self.alpha * (eye / r2 - 2.0 * outer / r2 ** 2)).transpose(2, 0, 1)
 
-    def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
-        return (self.alpha,) if dim == 1 else None
+    def blocks(self, dim: int) -> tuple[Block, ...]:
+        if dim == 1:
+            return _axis_blocks((self.alpha,))
+        return (Block("radial", tuple(range(dim)), self.alpha),)
 
     def analytic_curvature(self, dim: int):
         if dim == 1:
@@ -210,23 +233,23 @@ class DunklProduct(_Spec):
         coef = -2.0 * self._ks() / self._dots(pts) ** 2  # (n_roots, N)
         return np.einsum("rN,rij->ijN", coef, outer).transpose(2, 0, 1)
 
-    def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
+    def blocks(self, dim: int) -> tuple[Block, ...]:
         exps = [0.0] * dim
         for r, k in zip(self.roots, self.multiplicities):
             hits = [i for i, c in enumerate(r) if abs(abs(c) - 1.0) < 1e-14]
             if len(hits) != 1 or sum(abs(c) > 1e-14 for c in r) != 1:
-                return None
+                return super().blocks(dim)
             exps[hits[0]] += 2.0 * k
-        return tuple(exps)
+        return _axis_blocks(exps)
 
     def analytic_curvature(self, dim: int):
         # each factor contributes +2k beta beta^T / <beta,x>^2 to -hess(log w)
         return 0.0, "analytic: homogeneous log-concave"
 
     def natural_cone(self, dim: int) -> Cone:
-        exps = self.axis_exponents(dim)
-        if exps is not None:
-            return Orthant(dim, _positive_axes(exps))
+        blocks = self.blocks(dim)
+        if blocks[0].kind == "axis":
+            return Orthant(dim, _singular(blocks))
         if len(self.roots) == 1:
             return Halfspace(dim, self.roots[0])
         raise ValueError(
@@ -257,11 +280,8 @@ class GaussianTilt(_Spec):
         hess = np.broadcast_to((-self.s * np.eye(n))[:, :, None], (n, n, len(pts)))
         return hess.copy().transpose(2, 0, 1)
 
-    def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
-        return tuple(0.0 for _ in range(dim))
-
-    def axis_tilts(self, dim: int) -> tuple[float, ...] | None:
-        return tuple(self.s for _ in range(dim))
+    def blocks(self, dim: int) -> tuple[Block, ...]:
+        return tuple(Block("axis", (i,), 0.0, self.s) for i in range(dim))
 
     def analytic_curvature(self, dim: int):
         return float(self.s), "analytic: constant log-Hessian"
@@ -299,23 +319,13 @@ class PartialProduct(_Spec):
         out[ix[:, None], ix[None, :]] = sub.transpose(1, 2, 0)
         return out.transpose(2, 0, 1)
 
-    def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
-        sub = self.inner.axis_exponents(len(self.coords))
-        if sub is None:
-            return None
-        exps = [0.0] * dim
-        for c, a in zip(self.coords, sub):
-            exps[c] = a
-        return tuple(exps)
-
-    def axis_tilts(self, dim: int) -> tuple[float, ...] | None:
-        sub = self.inner.axis_tilts(len(self.coords))
-        if sub is None:
-            return None
-        tilts = [0.0] * dim
-        for c, t in zip(self.coords, sub):
-            tilts[c] = t
-        return tuple(tilts)
+    def blocks(self, dim: int) -> tuple[Block, ...]:
+        # the inner blocks on the coordinates they act on, a constant 1-D
+        # block on every other one, sorted: the coords may be unsorted
+        inner = [replace(b, coords=tuple(sorted(self.coords[c] for c in b.coords)))
+                 for b in self.inner.blocks(len(self.coords))]
+        free = [Block("axis", (c,)) for c in range(dim) if c not in self.coords]
+        return tuple(sorted(inner + free, key=lambda b: b.coords))
 
     def analytic_curvature(self, dim: int):
         res = self.inner.analytic_curvature(len(self.coords))
@@ -361,12 +371,6 @@ class CustomLogWeight(_Spec):
 
     def hess_log(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.hess(pts), dtype=float)
-
-    def axis_exponents(self, dim: int) -> tuple[float, ...] | None:
-        return None
-
-    def axis_tilts(self, dim: int) -> tuple[float, ...] | None:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -502,38 +506,18 @@ class Weight:
                 f"weight {self.spec!r} carries no curvature certificate")
         return self.curvature
 
-    def axis_exponents(self) -> tuple[float, ...] | None:
-        return self.spec.axis_exponents(self.dim)
-
     def singular_axes(self) -> tuple[int, ...]:
         """Axes whose hyperplane x_i = 0 carries the zero set of w."""
-        return _positive_axes(self.axis_exponents() or ())
-
-    def axis_tilts(self) -> tuple[float, ...] | None:
-        """Per-axis Gaussian tilt rates s_i (w carries e^{-s_i x_i^2 / 2})."""
-        return self.spec.axis_tilts(self.dim)
-
-    @property
-    def is_radial(self) -> bool:
-        return isinstance(self.spec, Radial)
+        return _singular(self.spec.blocks(self.dim))
 
     def free_axes(self) -> tuple[int, ...]:
         """Axes the weight does not depend on and the cone does not constrain."""
-        exps = self.axis_exponents()
-        tilts = self.axis_tilts()
         sig = self.cone.axis_signature()
         if sig is None:
             return ()
-        free = []
-        for i in range(self.dim):
-            unconstrained = sig[i] == "full"
-            independent = (exps is not None and exps[i] == 0.0
-                           and tilts is not None and tilts[i] == 0.0)
-            if isinstance(self.spec, PartialProduct) and i not in self.spec.coords:
-                independent = True
-            if unconstrained and independent:
-                free.append(i)
-        return tuple(free)
+        return tuple(b.coords[0] for b in self.spec.blocks(self.dim)
+                     if b.kind == "axis" and b.a == 0.0 and b.s == 0.0
+                     and sig[b.coords[0]] == "full")
 
     def euler_residual(self, x) -> float | np.ndarray:
         """x . grad(w) - alpha w; vanishes to round-off for homogeneous weights."""

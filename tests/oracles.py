@@ -1,16 +1,25 @@
-"""Reference values computed independently of `gausscone.quad1d`, in mpmath.
+"""Reference values computed independently of `gausscone.quad1d`, in mpmath,
+and reference assemblies of product rules independent of `gausscone.measures`.
 
 `gamma_moment` is the Gamma closed form of the half-line moments at 30
 digits, and `halfline_recurrence` is the Chebyshev algorithm on those
 moments in working precision 40 + 4 order digits (the moment map loses
 roughly two digits per level), so neither shares arithmetic with the
 float64 discretized Lanczos of the library.
+
+`axis_rule`, `tensor_grid` and `polar_rule` assemble tensor and polar rules
+from the 1-D rules of `quad1d` with a meshgrid and an r x theta outer
+product, in the same floating-point operations as the block product of
+`measures`, so the two must agree bit for bit.
 """
 
+import math
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+
+from gausscone.quad1d import fullline_rule, halfline_rule
 
 
 def gamma_moment(a: float, k: int) -> float:
@@ -45,3 +54,39 @@ def halfline_recurrence(a: float, order: int) -> tuple[np.ndarray, np.ndarray]:
             sig_prev, sig = sig, sig_new
         return (np.array([float(x) for x in alpha]),
                 np.array([float(x) for x in beta]))
+
+
+def axis_rule(a: float, kind: str, tilt: float, lam: float, order: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of |t|^a e^(-tilt t^2/2) e^(-t^2/(2 lam^2)) on the
+    full line ("full") or the half line ("half+", or "half-" mirrored)."""
+    lam_eff = 1.0 / math.sqrt(1.0 / (lam * lam) + tilt)
+    t, q = (fullline_rule if kind == "full" else halfline_rule)(float(a), order)
+    if kind == "half-":
+        t = -t
+    return lam_eff * t, lam_eff ** (a + 1.0) * q
+
+
+def tensor_grid(axis_nodes, axis_weights) -> tuple[np.ndarray, np.ndarray]:
+    """(N, n) nodes and (N,) weights of the tensor product of 1-D rules;
+    the last axis varies fastest."""
+    grids = np.meshgrid(*axis_nodes, indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids]).T
+    weights = np.ones(len(nodes))
+    for g in np.meshgrid(*axis_weights, indexing="ij"):
+        weights = weights * g.ravel()
+    return nodes, weights
+
+
+def polar_rule(alpha: float, lam: float, order: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """|x|^alpha e^(-|x|^2/(2 lam^2)) on the plane: the half-line rule in r
+    for r^(alpha+1) times a (2 order + 2)-point trapezoid in theta."""
+    r, qr = halfline_rule(float(alpha) + 1.0, order)
+    r, qr = lam * r, lam ** (alpha + 2.0) * qr
+    m_theta = 2 * order + 2
+    theta = (np.arange(m_theta) + 0.5) * (2.0 * np.pi / m_theta)
+    nodes = np.stack([np.outer(r, np.cos(theta)).ravel(),
+                      np.outer(r, np.sin(theta)).ravel()]).T
+    weights = np.outer(qr, np.full(m_theta, 2.0 * np.pi / m_theta)).ravel()
+    return nodes, weights

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -249,3 +250,49 @@ def test_partial_3d_spectral_suite(tmp_path):
               for c in s["checks"]]
     assert len(checks) == 14
     assert all(c["pass"] for c in checks)
+
+
+def _timed_cli(tmp_path, cfg, *args):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    proc = _cli(["verify", "--config", str(path), *args])
+    return proc, time.perf_counter() - start
+
+
+def test_order_without_a_product_rule_exits_two_fast(tmp_path):
+    # a tilted Dunkl root has no product rule; `order` must not fall back to
+    # Monte Carlo, the config is refused and names the knob that asks for it
+    cfg = {"dim": 2, "weight": {"kind": "dunkl", "roots": [[0.6, 0.8]],
+                                "multiplicities": [0.5]},
+           "quadrature": {"order": 16},
+           "suites": ["gamma_calculus", "beckner", "poincare", "lsi", "hup",
+                      "spectral"]}
+    proc, wall = _timed_cli(tmp_path, cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert "mc_samples" in proc.stderr and "Traceback" not in proc.stderr
+    assert wall < 2.0
+
+
+def test_weight_vanishing_inside_the_cone_exits_two_fast(tmp_path):
+    # |x_0|^1.5 vanishes on x_0 = 0, inside the full space
+    cfg = {"dim": 2, "weight": {"kind": "monomial", "exponents": [1.5, 0]},
+           "cone": {"kind": "full_space"}, "quadrature": {"order": 8},
+           "suites": ["poincare", "hup"]}
+    proc, wall = _timed_cli(tmp_path, cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert "'kind': 'orthant'" in proc.stderr
+    assert wall < 2.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_partial_radial_product_runs_exactly(tmp_path, seed):
+    # a planar radial block times a free Hermite axis: an exact polar rule
+    cfg = {"dim": 3, "weight": {"kind": "partial_product", "coords": [0, 1],
+                                "inner": {"kind": "radial", "alpha": 1.0}},
+           "quadrature": {"order": 12},
+           "suites": ["gamma_calculus", "beckner", "poincare", "lsi", "hup",
+                      "spectral"]}
+    proc, wall = _timed_cli(tmp_path, cfg, "--seed", str(seed))
+    assert proc.returncode == 0, proc.stderr
+    assert wall < 5.0

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from gausscone.config import parse_config
+from gausscone.config import build_weight, parse_config
 from gausscone.report import report_payload, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,6 +38,16 @@ def _perfbench_module(name: str):
 
 harness = _perfbench_module("harness")
 workloads = _perfbench_module("workloads")
+
+
+def test_every_shipped_config_passes_the_hypothesis_gate():
+    # `build_weight` refuses a weight that vanishes inside the open cone;
+    # no workload config and no config under configs/ may be refused
+    configs = [json.loads(p.read_text()) for p in (ROOT / "configs").glob("*.json")]
+    configs += [workloads.PARTIAL_3D, workloads.DUNKL_MC]
+    configs += [c for pool in workloads.sweep_pool().values() for c in pool]
+    for config in configs:
+        build_weight(parse_config(config))
 
 
 def test_traced_cli_runs_and_writes_spans(tmp_path):

@@ -325,23 +325,25 @@ class TestIntegrate:
         val = nu_integral(mu_one_2d, lambda x: np.exp(-np.sum(x ** 2, axis=1)), 1.0)
         assert val == pytest.approx(np.pi, rel=1e-12)
 
-    @pytest.mark.parametrize("spec, cone, kind", [
-        (Monomial((1.0, 2.0)), None, "tensor_generalized_hermite"),
-        (Radial(1.0), None, "polar"),
+    @pytest.mark.parametrize("spec, cone, mc_samples, kind", [
+        (Monomial((1.0, 2.0)), None, None, "tensor_generalized_hermite"),
+        (Radial(1.0), None, None, "polar"),
         (DunklProduct(((0.6, 0.8),), (0.5,)), Halfspace(2, (0.6, 0.8)),
-         "monte_carlo"),
+         2 ** 14, "monte_carlo"),
     ], ids=["tensor", "polar", "monte_carlo"])
-    def test_nu_integral_vector_matches_scalar_calls(self, spec, cone, kind):
+    def test_nu_integral_vector_matches_scalar_calls(self, spec, cone,
+                                                     mc_samples, kind):
         w = make_weight(spec, 2, cone=cone, certify=False)
         rate = 0.8
-        assert build_rule(w, 1.0 / np.sqrt(2.0 * rate)).kind == kind
+        assert build_rule(w, 1.0 / np.sqrt(2.0 * rate),
+                          mc_samples=mc_samples).kind == kind
 
         def components(x):
             r2 = np.sum(x ** 2, axis=1)
             polys = [np.ones(len(x)), x[:, 0] ** 2, 1.0 + x[:, 1] ** 2, r2 ** 2]
             return [p * np.exp(-rate * r2) for p in polys]
 
-        mu = make_measure(w)
+        mu = make_measure(w, mc_samples=mc_samples)
         vec = nu_integral(mu, lambda x: np.stack(components(x), axis=1)
                           .reshape(len(x), 2, 2), rate)
         assert vec.shape == (2, 2)

@@ -144,13 +144,14 @@ class TestBasis:
 
 
 # one config weight of every kind the schema lists; the radial weight on the
-# plane gets the polar rule, in 3-D and for the dunkl_mc root a Monte Carlo one
+# plane gets the polar rule; in 3-D it has no product rule, so it and the
+# dunkl_mc root ask for a Monte Carlo one
 GALERKIN_CASES = [
     ({"kind": "one"}, 2, None, True),
     ({"kind": "monomial", "exponents": [1.5, 0.0]}, 2, None, True),
     ({"kind": "radial", "alpha": 1.0}, 1, None, True),
     ({"kind": "radial", "alpha": 1.0}, 2, None, False),
-    ({"kind": "radial", "alpha": 1.0}, 3, None, False),
+    ({"kind": "radial", "alpha": 1.0}, 3, 4096, False),
     ({"kind": "dunkl", "roots": [[1.0, 0.0]], "multiplicities": [0.75]}, 2,
      None, True),
     ({"kind": "dunkl", "roots": [[0.6, 0.8]], "multiplicities": [0.5]}, 2,
