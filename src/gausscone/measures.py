@@ -43,6 +43,22 @@ runs along the nodes.  Every (N, ...) array built at the nodes (field jets,
 weight derivatives, the stacked integrands of the checkers) follows the
 same rule, so `integrate` and `nu_integral` move the node axis last with a
 view, not a copy.  Every function still accepts any layout.
+
+Passes over a rule's nodes run NODE_BLOCK nodes at a time.  `nu_integral`
+calls its integrand on one axis-first block of nodes at a time and writes
+the block, times e^(rate |x|^2), into its columns of one (..., N) buffer;
+`Measure.node_jet` fills a field's order-1 jet block by block into (N,) and
+axis-first (N, n) outputs.  The finiteness check, the weights and the sums
+still run once over all N nodes, so an integral is the whole-array one bit
+for bit whenever the integrand's value at a node does not depend on the
+batch around it.  (A dense polynomial field contracts its monomial table
+with BLAS, whose rounding at a node can move by an ulp or a few with the
+batch size, in whole arrays as in blocks.)  A block's temporaries stay in
+cache, and a pass holds the buffer and one block's temporaries, not a
+multiple of the rule; a rule of at most NODE_BLOCK nodes is one block.
+`Measure.moments` keeps its own MOMENT_CHUNK: its monomial table has up to
+924 rows (6-D at degree 6), so one chunk of NODE_BLOCK nodes would double
+from 30 to 60 MB.
 """
 
 from __future__ import annotations
@@ -56,6 +72,7 @@ import numpy as np
 
 from .cones import Cone
 from .errors import (
+    ContractError,
     DecayContractError,
     EvaluationError,
     IntegrationFailureError,
@@ -70,7 +87,12 @@ from .weights import Block, Weight
 
 DEFAULT_ORDER = 32
 MAX_TENSOR_NODES = 4_000_000
-# nodes per block of the monomial table of Measure.moments: bounds its memory
+# nodes per block of a pass over a rule's nodes (the integrand calls of
+# nu_integral, the field jets of node_jet): a block's temporaries stay in
+# cache and their memory does not grow with the rule
+NODE_BLOCK = 2 ** 13
+# nodes per block of the monomial table of Measure.moments, whose rows
+# (up to 924 in 6-D at degree 6) make a block far wider than a NODE_BLOCK one
 MOMENT_CHUNK = 2 ** 12
 
 
@@ -351,10 +373,11 @@ class Measure:
 
     def node_jet(self, f) -> tuple[np.ndarray, np.ndarray]:
         """f.jet(nodes, 1), the (N,) values and (N, n) gradients of f at the
-        nodes, read-only.  The last field's jet is kept, keyed by the field
-        object itself, so memory stays bounded by one field's jet."""
+        nodes, taken NODE_BLOCK nodes at a time, read-only.  The last
+        field's jet is kept, keyed by the field object itself, so memory
+        stays bounded by one field's jet."""
         if not self._jet or self._jet[0] is not f:
-            jet = f.jet(self.nodes, 1)
+            jet = _blocked_jet(f, self.nodes)
             for arr in jet:
                 arr.setflags(write=False)
             self._jet[:] = [f, jet]
@@ -385,6 +408,18 @@ class Measure:
         return self._moments[0][:size]
 
 
+def _blocked_jet(f, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f.jet(nodes, 1), the (N,) values and axis-first (N, n) gradients,
+    filled NODE_BLOCK nodes at a time."""
+    size, dim = nodes.shape
+    vals = np.empty(size)
+    grad = np.empty((dim, size)).T
+    for k in range(0, size, NODE_BLOCK):
+        block = slice(k, k + NODE_BLOCK)
+        vals[block], grad[block] = f.jet(nodes[block], 1)
+    return vals, grad
+
+
 def make_measure(weight: Weight, scale: float = 1.0,
                  order: int = DEFAULT_ORDER, mc_samples: int | None = None,
                  seed: int = 0) -> Measure:
@@ -401,11 +436,25 @@ def partition_function(measure: Measure) -> float:
     return measure.rule_at(1.0).mass
 
 
+def _per_node(vals, count: int, tail: tuple | None = None) -> np.ndarray:
+    """vals as a float array of one value (or one (...) array of the shape
+    `tail`) per node of `count` nodes, else ContractError."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.ndim == 0 or vals.shape[0] != count or (
+            tail is not None and vals.shape[1:] != tail):
+        want = f"({count}, ...)" if tail is None else str((count, *tail))
+        raise ContractError(
+            f"integrand must give one value per node, shape {want} at "
+            f"{count} nodes; got shape {vals.shape}")
+    return vals
+
+
 def _node_values(measure: Measure, f) -> np.ndarray:
     """The finite values of f at the nodes with the node axis last and
     contiguous (a view for axis-first values), so every component is summed
     pairwise exactly as the same integrand alone would be."""
-    vals = np.asarray(f(measure.nodes) if callable(f) else f, dtype=float)
+    vals = _per_node(f(measure.nodes) if callable(f) else f,
+                     len(measure.rule.weights))
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("integrand is not finite at a quadrature node")
     return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
@@ -454,16 +503,30 @@ def nu_integral(measure: Measure, integrand: Callable[[np.ndarray], np.ndarray],
     exp(-rate |x|^2), on the rule of the measure's settings whose Gaussian
     factor matches the rate exactly; the measure's own scale plays no part.
 
-    An integrand returning (N, ...) at the N nodes gives the (...) array of
-    the integrals of its components; (N,) gives a float."""
+    An integrand returning (N, ...) at the N nodes it is called on gives
+    the (...) array of the integrals of its components; (N,) gives a float.
+    It is called on the axis-first nodes NODE_BLOCK at a time, and each
+    block, times e^(rate |x|^2), fills its columns of one (..., N) buffer;
+    the weights and the sums then run once over all N nodes, as on the
+    whole array (see the module notes)."""
     if not rate > 0:
         raise DecayContractError("nu-integration needs a positive Gaussian rate")
     rule = measure.rule_at(1.0 / math.sqrt(2.0 * rate))
-    vals = np.asarray(integrand(rule.nodes), dtype=float)
-    # node axis last and contiguous, so every component is summed pairwise
-    # exactly as the same integrand alone would be
-    gauss = np.exp(rate * np.sum(rule.nodes ** 2, axis=1))
-    folded = np.multiply(np.moveaxis(vals, 0, -1), gauss, order="C")
+    size = len(rule.weights)
+    folded = None
+    for k in range(0, size, NODE_BLOCK):
+        pts = rule.nodes[k:k + NODE_BLOCK]
+        vals = _per_node(integrand(pts), len(pts),
+                         None if folded is None else folded.shape[:-1])
+        gauss = np.exp(rate * np.sum(pts ** 2, axis=1))
+        if folded is None:
+            # node axis last and contiguous, so every component is summed
+            # pairwise exactly as the same integrand alone would be; taken
+            # after the first block's values, so a one-block rule holds no
+            # more at once than a whole-array fold
+            folded = np.empty((*vals.shape[1:], size))
+        np.multiply(np.moveaxis(vals, 0, -1), gauss,
+                    out=folded[..., k:k + len(pts)])
     if not np.all(np.isfinite(folded)):
         raise EvaluationError("folded integrand is not finite at a node")
     folded *= rule.weights

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .fields import ScalarField
 from .gamma import generator
-from .measures import Measure, block_rules, product_grid
+from .measures import Measure, _blocked_jet, block_rules, product_grid
 from .polys import exponent_table
 from .quad1d import fullline_recurrence, orthonormal_polys
 
@@ -366,7 +366,7 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
     pts = system.nodes
     w = system.node_weights
 
-    fv, grad = f.jet(pts, 1)
+    fv, grad = _blocked_jet(f, pts)
     shift = 0.0
     fmin = float(np.min(fv))
     if fmin < 0:

@@ -11,6 +11,10 @@ float64 discretized Lanczos of the library.
 from the 1-D rules of `quad1d` with a meshgrid and an r x theta outer
 product, in the same floating-point operations as the block product of
 `measures`, so the two must agree bit for bit.
+
+`nu_fold` is the rate-matched fold of `measures.nu_integral` on the whole
+node array at once, in the same floating-point operations as its node
+blocks, so the two must agree bit for bit.
 """
 
 import math
@@ -90,3 +94,14 @@ def polar_rule(alpha: float, lam: float, order: int
                       np.outer(r, np.sin(theta)).ravel()]).T
     weights = np.outer(qr, np.full(m_theta, 2.0 * np.pi / m_theta)).ravel()
     return nodes, weights
+
+
+def nu_fold(rule, integrand, rate: float) -> np.ndarray:
+    """sum_i q_i integrand(x_i) e^(rate |x_i|^2) over the rule (x_i, q_i),
+    with the integrand called once on all N nodes: the (...) array of the
+    integrals of an (N, ...) integrand."""
+    vals = np.asarray(integrand(rule.nodes), dtype=float)
+    gauss = np.exp(rate * np.sum(rule.nodes ** 2, axis=1))
+    folded = np.multiply(np.moveaxis(vals, 0, -1), gauss, order="C")
+    folded *= rule.weights
+    return np.sum(folded, axis=-1)

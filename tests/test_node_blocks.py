@@ -1,0 +1,178 @@
+"""Passes over a rule's nodes run NODE_BLOCK nodes at a time.
+
+`nu_integral` calls its integrand on one node block at a time and sums once
+over all nodes, and `Measure.node_jet` fills a field's order-1 jet block by
+block, so both must equal their whole-array forms bit for bit: on a Monte
+Carlo rule whose last block is ragged and on a tensor rule smaller than one
+block.  Their memory must not grow with the rule beyond the rule and the
+folded buffer, and a mis-shaped integrand is a ContractError.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gausscone.cones import Halfspace
+from gausscone.errors import ContractError
+from gausscone.fields import exp_axis, gaussian, hermite_witness, poly_gauss, product
+from gausscone.gamma import integration_by_parts_residual
+from gausscone.measures import (
+    NODE_BLOCK,
+    integrate,
+    integrate_with_error,
+    make_measure,
+    nu_integral,
+)
+from gausscone.weights import DunklProduct, Monomial, make_weight
+
+from oracles import nu_fold
+
+RAGGED = 3 * NODE_BLOCK + 17
+RATE = 0.8
+
+
+def _dunkl_weight():
+    return make_weight(DunklProduct(((0.6, 0.8),), (0.5,)), 2,
+                       cone=Halfspace(2, (0.6, 0.8)), certify=False)
+
+
+@pytest.fixture(scope="module", params=["monte_carlo", "tensor"])
+def measure(request):
+    if request.param == "monte_carlo":
+        mu = make_measure(_dunkl_weight(), 1.0, mc_samples=RAGGED, seed=5)
+        assert len(mu.nodes) == RAGGED
+    else:
+        mu = make_measure(make_weight(Monomial((1.0, 2.0)), 2), 1.0, order=16)
+        assert len(mu.nodes) < NODE_BLOCK
+    return mu
+
+
+def _scalar(x):
+    r2 = np.sum(x ** 2, axis=1)
+    return (1.0 + x[:, 0] ** 2 - x[:, 0] * x[:, 1]) * np.exp(-RATE * r2)
+
+
+def _vector(x):
+    # (N, 2, 2), built axis-first like the checkers' integrands
+    r2 = np.sum(x ** 2, axis=1)
+    rows = np.stack([np.ones(len(x)), x[:, 0] ** 2, 1.0 + x[:, 1] ** 2, r2 ** 2])
+    return (rows * np.exp(-RATE * r2)).T.reshape(len(x), 2, 2)
+
+
+@pytest.mark.parametrize("integrand", [_scalar, _vector], ids=["scalar", "vector"])
+def test_nu_integral_equals_whole_array_fold(measure, integrand):
+    rule = measure.rule_at(1.0 / math.sqrt(2.0 * RATE))
+    expected = nu_fold(rule, integrand, RATE)
+    got = nu_integral(measure, integrand, RATE)
+    assert np.shape(got) == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_integrand_sees_axis_first_blocks_in_order(measure):
+    rule = measure.rule_at(1.0 / math.sqrt(2.0 * RATE))
+    seen = []
+
+    def counting(x):
+        # every coordinate is one contiguous row of the block
+        assert x.strides[0] == x.itemsize
+        seen.append(x.copy())
+        return _scalar(x)
+
+    nu_integral(measure, counting, RATE)
+    sizes = [len(x) for x in seen]
+    assert max(sizes) <= NODE_BLOCK
+    assert sum(sizes) == len(rule.weights)
+    assert np.array_equal(np.concatenate(seen), rule.nodes)
+
+
+# fields whose jet at a node does not depend on the batch around it: the
+# contraction of the monomial table has one nonzero term per row or none
+EXACT_FIELDS = [gaussian(1.3, 0.9, 2), hermite_witness(1, 2), exp_axis(0.7, 0, 2),
+                product(gaussian(1.3, 0.9, 2), exp_axis(-0.4, 1, 2))]
+# fields with a dense polynomial: OpenBLAS rounds the contraction of the
+# monomial table by kernels it picks from the batch size (its thread split
+# of the columns, its small-matrix path), so a node's jet may move by an ulp
+# or a few with the batch it is evaluated in, in whole arrays as in blocks
+DENSE_FIELDS = [poly_gauss(3, 2), poly_gauss(8, 2, degree=5),
+                product(gaussian(1.3, 0.9, 2), poly_gauss(4, 2))]
+
+
+@pytest.mark.parametrize("field", EXACT_FIELDS + DENSE_FIELDS,
+                         ids=["gaussian", "hermite", "exp_axis", "product",
+                              "poly_gauss", "poly_gauss_deg5", "poly_product"])
+def test_node_jet_equals_whole_array_jet(measure, field):
+    vals, grad = measure.node_jet(field)
+    ref_vals, ref_grad = field.jet(measure.nodes, 1)
+    assert grad.T.flags.c_contiguous
+    if any(field is f for f in EXACT_FIELDS):
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(grad, ref_grad)
+    else:
+        for got, ref in ((vals, ref_vals), (grad, ref_grad)):
+            np.testing.assert_allclose(got, ref, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("call", ["nu_integral", "integrate",
+                                  "integrate_with_error"])
+@pytest.mark.parametrize("shape", ["scalar", "one_more_node", "transposed"])
+def test_misshaped_integrand_is_contract_error(measure, call, shape):
+    # nu_integral calls its integrand on one block, integrate on every node
+    size = len(measure.nodes)
+    if call == "nu_integral":
+        size = min(size, NODE_BLOCK)
+
+    def integrand(x):
+        n = len(x)
+        return {"scalar": 1.0, "one_more_node": np.ones(n + 1),
+                "transposed": np.ones((3, n))}[shape]
+
+    with pytest.raises(ContractError) as err:
+        if call == "nu_integral":
+            nu_integral(measure, integrand, RATE)
+        else:
+            {"integrate": integrate,
+             "integrate_with_error": integrate_with_error}[call](measure, integrand)
+    message = str(err.value)
+    assert f"{size} nodes" in message
+    received = {"scalar": "()", "one_more_node": f"({size + 1},)",
+                "transposed": f"(3, {size})"}[shape]
+    assert received in message
+
+
+def test_integrand_shape_must_not_change_between_blocks():
+    mu = make_measure(_dunkl_weight(), 1.0, mc_samples=RAGGED, seed=5)
+    calls = []
+
+    def changing(x):
+        calls.append(len(x))
+        return np.ones((len(x), 2 if len(calls) == 1 else 3))
+
+    with pytest.raises(ContractError) as err:
+        nu_integral(mu, changing, RATE)
+    assert f"({NODE_BLOCK}, 2)" in str(err.value)
+    assert f"({NODE_BLOCK}, 3)" in str(err.value)
+
+
+def _ibp_peak(samples: int) -> int:
+    mu = make_measure(_dunkl_weight(), 1.0, mc_samples=samples, seed=2)
+    f, g = poly_gauss(1, 2), poly_gauss(2, 2)
+    integration_by_parts_residual(mu, f, g)  # warm every lazy table
+    tracemalloc.start()
+    try:
+        integration_by_parts_residual(mu, f, g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_integration_by_parts_memory_is_bounded():
+    # doubling N may add only the folded (2, N) buffer and the rate-matched
+    # rule held during the pass (its (N, 2) nodes and (N,) weights), 40 bytes
+    # a node, plus a fixed slack; whole-array jets would add several times that
+    small, large = 2 ** 16, 2 ** 17
+    growth = _ibp_peak(large) - _ibp_peak(small)
+    allowed = (2 + 3) * 8 * (large - small) + 2 ** 18
+    assert growth <= allowed, (growth, allowed)
