@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .config import parse_config
 from .errors import ConfigError, ToolkitError
@@ -54,15 +53,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = parse_config(args.config)
-        if args.tolerance is not None:
-            config = replace(config, tolerance=args.tolerance)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
+        # overrides pass the file's checks and show in the report's config
+        overrides = {"tolerance": args.tolerance, "seed": args.seed}
+        overrides = {k: v for k, v in overrides.items() if v is not None}
         if args.command == "spectrum":
-            config = replace(config, suites=("spectral",))
+            overrides["suites"] = ["spectral"]
         elif args.command == "sharpness":
-            kept = tuple(s for s in config.suites if s in _SWEEP_SUITES)
-            config = replace(config, suites=kept or _SWEEP_SUITES)
+            kept = [s for s in config.suites if s in _SWEEP_SUITES]
+            overrides["suites"] = kept or list(_SWEEP_SUITES)
+        if overrides:
+            config = parse_config({**config.raw, **overrides})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

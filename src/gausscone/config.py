@@ -18,7 +18,9 @@ Schema (all extra keys rejected):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -73,6 +75,11 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _number(value, kind=Integral) -> bool:
+    """A number of the kind, but not a JSON true/false."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def parse_config(source) -> RunConfig:
     """Parse and validate a config from a dict, JSON string or file path."""
     if isinstance(source, dict):
@@ -96,7 +103,7 @@ def parse_config(source) -> RunConfig:
     _require(not extra, f"unknown config keys: {sorted(extra)}")
 
     dim = raw.get("dim")
-    _require(isinstance(dim, int) and 1 <= dim <= 6,
+    _require(_number(dim) and 1 <= dim <= 6,
              "dim must be an integer in [1, 6]")
     weight = raw.get("weight")
     _require(isinstance(weight, dict) and weight.get("kind") in _WEIGHT_KINDS,
@@ -106,9 +113,12 @@ def parse_config(source) -> RunConfig:
         _require(isinstance(cone, dict) and cone.get("kind") in _CONE_KINDS,
                  f"cone.kind must be one of {_CONE_KINDS}")
     quadrature = raw.get("quadrature", {"order": DEFAULT_ORDER})
-    _require(isinstance(quadrature, dict)
-             and ("order" in quadrature) != ("mc_samples" in quadrature),
-             "quadrature needs exactly one of order / mc_samples")
+    _require(isinstance(quadrature, dict) and len(quadrature) == 1
+             and set(quadrature) <= {"order", "mc_samples"},
+             f"quadrature needs one key, order or mc_samples: {quadrature!r}")
+    ((key, value),) = quadrature.items()
+    _require(_number(value) and value >= 1,
+             f"quadrature.{key} must be a positive integer")
     fields = raw.get("fields")
     if fields is not None:
         _require(isinstance(fields, list) and all(
@@ -118,14 +128,18 @@ def parse_config(source) -> RunConfig:
     _require(isinstance(suites, list)
              and all(s in SUITE_NAMES for s in suites),
              f"suites must be a list drawn from {SUITE_NAMES}")
-    tolerance = float(raw.get("tolerance", TOLERANCE_SCALE))
-    _require(tolerance > 0, "tolerance must be positive")
-    seed = int(raw.get("seed", 0))
+    tolerance = raw.get("tolerance", TOLERANCE_SCALE)
+    _require(_number(tolerance, Real) and 0 < tolerance < math.inf,
+             "tolerance must be a positive finite number")
+    seed = raw.get("seed", 0)
+    # the Monte Carlo rules key Philox by the seed, a 128-bit unsigned value
+    _require(_number(seed) and 0 <= seed < 2 ** 128,
+             "seed must be an integer in [0, 2^128)")
     output = raw.get("output")
     return RunConfig(dim=dim, weight=weight, cone=cone, quadrature=quadrature,
                      fields=tuple(fields) if fields is not None else None,
-                     suites=tuple(suites), tolerance=tolerance, seed=seed,
-                     output=output, raw=raw)
+                     suites=tuple(suites), tolerance=float(tolerance),
+                     seed=int(seed), output=output, raw=raw)
 
 
 def build_cone(spec: dict | None, dim: int) -> Cone | None:

@@ -11,7 +11,8 @@ Rule families:
   trapezoid in the angle).  With 1-D blocks only it is a tensor rule
   (monomial, axis-aligned Dunkl, 1-D radial, Gaussian tilts and partial
   products of these), with a polar block a polar rule.  Both are exact for
-  polynomial-times-Gaussian integrands;
+  polynomial-times-Gaussian integrands, and keep their factors as
+  `QuadratureRule.blocks` for sum-factorized code (`spectral`);
 * a seeded self-normalized importance-sampling rule targeting the density
   w exp(-|x|^2/(2 lambda^2)), when the settings ask for it (`mc_samples`).
   Sampling uses the counter-based Philox generator, so a (seed, samples)
@@ -66,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -104,19 +105,6 @@ class McInfo:
 
 
 @dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights integrating against w(x) exp(-|x|^2/(2 lambda^2)) dx."""
-
-    nodes: np.ndarray          # (N, n) axis-first, strictly interior to the cone
-    weights: np.ndarray        # (N,), positive
-    kind: str                  # "tensor_generalized_hermite" | "polar"
-                               # (a product with a polar block) | "monte_carlo"
-    scale: float               # lambda of the Gaussian factor
-    mass: float                # exact for product rules, sum of weights for MC
-    mc: Optional[McInfo] = None
-
-
-@dataclass(frozen=True)
 class BlockRule:
     """The rule of one block of a product rule: (k, m) nodes on the block's
     k coordinates, (m,) weights and the exact mass of the block's factor;
@@ -128,6 +116,22 @@ class BlockRule:
     mass: float
     a: float
     scale: float
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Nodes and weights integrating against w(x) exp(-|x|^2/(2 lambda^2)) dx."""
+
+    nodes: np.ndarray          # (N, n) axis-first, strictly interior to the cone
+    weights: np.ndarray        # (N,), positive
+    kind: str                  # "tensor_generalized_hermite" | "polar"
+                               # (a product with a polar block) | "monte_carlo"
+    scale: float               # lambda of the Gaussian factor
+    mass: float                # exact for product rules, sum of weights for MC
+    mc: Optional[McInfo] = None
+    # a product rule's factors, in block order (nodes and weights are their
+    # product, the last block varying fastest); empty for Monte Carlo rules
+    blocks: tuple[BlockRule, ...] = ()
 
 
 def _axis_block(block: Block, kind: str, lam: float, order: int) -> BlockRule:
@@ -168,13 +172,14 @@ def _polar_block(block: Block, lam: float, order: int) -> BlockRule:
                      alpha, lam)
 
 
-def block_rules(weight: Weight, lam: float, order: int) -> list[BlockRule] | None:
-    """The rules of the blocks of `Weight.spec.blocks`, in block order, whose
-    product is the rule for w exp(-|x|^2/(2 lambda^2)) dx; None when a block
-    has no rule on the cone.  A 1-D block gets the half- or full-line rule
-    of the cone's axis signature, unless w vanishes on an axis the cone
-    leaves free (the support would not be a convex cone); a radial block on
-    two free coordinates gets the polar rule."""
+def _product_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
+    """The product of one rule per block of `Weight.spec.blocks` for
+    w exp(-|x|^2/(2 lambda^2)) dx, the last block varying fastest and the
+    weights multiplied in block order; None when a block has no rule on the
+    cone.  A 1-D block gets the half- or full-line rule of the cone's axis
+    signature, unless w vanishes on an axis the cone leaves free (the
+    support would not be a convex cone); a radial block on two free
+    coordinates gets the polar rule."""
     blocks = weight.spec.blocks(weight.dim)
     sig = weight.cone.axis_signature()
     if sig is None:
@@ -191,37 +196,21 @@ def block_rules(weight: Weight, lam: float, order: int) -> list[BlockRule] | Non
     if size > MAX_TENSOR_NODES:
         raise ResourceError(
             f"product rule would need {size} nodes; use Monte Carlo")
-    return [_axis_block(b, sig[b.coords[0]], lam, order) if b.kind == "axis"
-            else _polar_block(b, lam, order) for b in blocks]
-
-
-def product_grid(blocks: Sequence[BlockRule], weights: Sequence[np.ndarray]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N, n) axis-first nodes and (N,) weights of the product of the block
-    rules, with `weights` in place of the blocks' own: the last block varies
-    fastest and the weights multiply in block order."""
-    sizes = [len(q) for q in weights]
-    dim = sum(len(b.coords) for b in blocks)
-    nodes = np.empty((dim, *sizes))
-    prod = np.ones(())
-    for i, (b, q) in enumerate(zip(blocks, weights)):
-        shape = [1] * len(sizes)
-        shape[i] = sizes[i]
-        for c, row in zip(b.coords, b.nodes):
-            nodes[c] = row.reshape(shape)
-        prod = prod * q.reshape(shape)
-    return nodes.reshape(dim, -1).T, prod.ravel()
-
-
-def _product_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | None:
-    blocks = block_rules(weight, lam, order)
-    if blocks is None:
-        return None
-    nodes, weights = product_grid(blocks, [b.weights for b in blocks])
-    kind = ("polar" if any(len(b.coords) == 2 for b in blocks)
+    rules = tuple(_axis_block(b, sig[b.coords[0]], lam, order)
+                  if b.kind == "axis" else _polar_block(b, lam, order)
+                  for b in blocks)
+    sizes = [len(b.weights) for b in rules]
+    nodes = np.empty((weight.dim, *sizes))
+    weights = np.ones(())
+    for i, b in enumerate(rules):
+        shape = [-1 if j == i else 1 for j in range(len(rules))]
+        nodes[list(b.coords)] = b.nodes.reshape(len(b.coords), *shape)
+        weights = weights * b.weights.reshape(shape)
+    kind = ("polar" if any(len(b.coords) == 2 for b in rules)
             else "tensor_generalized_hermite")
-    return QuadratureRule(nodes, weights, kind, lam,
-                          math.prod(b.mass for b in blocks))
+    return QuadratureRule(nodes.reshape(weight.dim, -1).T, weights.ravel(),
+                          kind, lam, math.prod(b.mass for b in rules),
+                          blocks=rules)
 
 
 def _fold_to_cone(cone: Cone, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -302,8 +291,9 @@ def build_rule(weight: Weight, lam: float = 1.0, order: int | None = None,
     if lam <= 0:
         raise ParameterError("scale lambda must be positive")
     # homogeneous weights rescale exactly: nodes -> lam t, weights ->
-    # lam^{n+alpha} q (the MC proposal scales with lam too), so one lam = 1
-    # rule per weight and settings serves every scale at O(N) per call
+    # lam^{n+alpha} q (the MC proposal and each block scale with lam too),
+    # so one lam = 1 rule per weight and settings serves every scale at
+    # O(N) per call
     base_lam = 1.0 if weight.degree is not None else lam
     key = (weight.spec, weight.dim, weight.cone)
     if mc_samples is not None:
@@ -324,8 +314,14 @@ def build_rule(weight: Weight, lam: float = 1.0, order: int | None = None,
     factor = lam ** (weight.dim + weight.degree)
     mc = None if base.mc is None else replace(
         base.mc, proposal_sigma=base.mc.proposal_sigma * lam)
+    # a block of exponent a on k coordinates scales by lam^(k + a)
+    blocks = tuple(replace(b, nodes=b.nodes * lam,
+                           weights=b.weights * lam ** (len(b.coords) + b.a),
+                           mass=b.mass * lam ** (len(b.coords) + b.a),
+                           scale=b.scale * lam)
+                   for b in base.blocks)
     return replace(base, nodes=base.nodes * lam, weights=base.weights * factor,
-                   scale=lam, mass=base.mass * factor, mc=mc)
+                   scale=lam, mass=base.mass * factor, mc=mc, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +373,15 @@ class Measure:
         field's jet is kept, keyed by the field object itself, so memory
         stays bounded by one field's jet."""
         if not self._jet or self._jet[0] is not f:
-            jet = _blocked_jet(f, self.nodes)
-            for arr in jet:
+            size, dim = self.nodes.shape
+            vals = np.empty(size)
+            grad = np.empty((dim, size)).T
+            for k in range(0, size, NODE_BLOCK):
+                block = slice(k, k + NODE_BLOCK)
+                vals[block], grad[block] = f.jet(self.nodes[block], 1)
+            for arr in (vals, grad):
                 arr.setflags(write=False)
-            self._jet[:] = [f, jet]
+            self._jet[:] = [f, (vals, grad)]
         return self._jet[1]
 
     def rule_at(self, lam: float) -> QuadratureRule:
@@ -406,18 +407,6 @@ class Measure:
                 table += monomial_table(rule.nodes[chunk], degree) @ rule.weights[chunk]
             self._moments[:] = [table]
         return self._moments[0][:size]
-
-
-def _blocked_jet(f, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f.jet(nodes, 1), the (N,) values and axis-first (N, n) gradients,
-    filled NODE_BLOCK nodes at a time."""
-    size, dim = nodes.shape
-    vals = np.empty(size)
-    grad = np.empty((dim, size)).T
-    for k in range(0, size, NODE_BLOCK):
-        block = slice(k, k + NODE_BLOCK)
-        vals[block], grad[block] = f.jet(nodes[block], 1)
-    return vals, grad
 
 
 def make_measure(weight: Weight, scale: float = 1.0,

@@ -2,31 +2,32 @@
 mu_w: spectral gap, Poisson solves for the duality-based stability argument,
 and the spectral realization of the semigroup P_t.
 
-The measure must factor per axis into |t|^a e^(-t^2/(2 s^2)) on full and
-half lines, 1-D blocks whose exponent a and scale s come with their rules
-(`measures.block_rules`).  Basis function k is the tensor product
-prod_ax p_(expo[k, ax])(x_ax / s_ax) of the orthonormal polynomials of the
-axis factor, evaluated with their derivatives from the three-term recurrence
-of `quad1d.fullline_recurrence`.  On cone-constrained axes only even indices
-enter: the full-line weight is even, so its even members are orthonormal for
-t^a on the half line and span exactly the polynomials with Neumann boundary
-behavior.
+The system lives on mu_{w,lambda} at the Galerkin order, built by
+`measures.make_measure`; its rule must be a tensor rule, whose 1-D blocks
+|t|^a e^(-t^2/(2 s^2)) on full and half lines (`QuadratureRule.blocks`)
+carry their exponent a and scale s.  Basis function k is the tensor
+product prod_ax p_(expo[k, ax])(x_ax / s_ax) of the orthonormal
+polynomials of the axis factor, evaluated with their derivatives from the
+three-term recurrence of `quad1d.fullline_recurrence`.  On cone-constrained
+axes only even indices enter: the full-line weight is even, so its even
+members are orthonormal for t^a on the half line and span exactly the
+polynomials with Neumann boundary behavior.
 
-Everything is sum-factorized (Orszag 1980): the quadrature rule is the
-product of the 1-D block rules of `measures.block_rules`, and each axis
-carries one (N_ax, d + 1) table of its polynomials and their first two
-derivatives at its nodes.  The Gram matrix is the product over axes of the
-1-D Grams taken by quadrature on each axis rule, and the stiffness is the
-sum over axes of that axis's derivative Gram times the other axes' Grams;
-no table over the full grid and the whole basis is ever formed.  The basis
-is built independently of the rule's construction, so `gram_residual`
-checks rule and basis against each other.  Node values of an expansion (and
-of its derivatives) and projections onto the basis are one contraction per
-axis on the tensor grid.  Analytic Hermite and Laguerre families are
+Everything is sum-factorized (Orszag 1980): each axis carries one
+(N_ax, d + 1) table of its polynomials and their first two derivatives at
+its block's nodes.  The Gram matrix is the product over axes of the 1-D
+Grams taken on each block (weights b.weights / b.mass), and the stiffness
+is the sum over axes of that axis's derivative Gram times the other axes'
+Grams; no table over the full grid and the whole basis is ever formed.
+The basis is built independently of the rule, so `gram_residual` checks
+rule and basis against each other.  Node values of an expansion (and of
+its derivatives) and projections onto the basis are one contraction per
+axis on the tensor grid; every other integral goes through
+`measures.integrate`.  Analytic Hermite and Laguerre families are
 deliberately not used as the code path; they reappear in the tests as
 oracles.  The generator itself comes from `gamma.generator`, which the
-Poisson residual applies to node derivatives of the solution, so that check
-never goes through the stiffness.
+Poisson residual applies to node derivatives of the solution, so that
+check never goes through the stiffness.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ from .errors import (
     ParameterError,
 )
 from .fields import ScalarField
+from .functionals import _energy, _lq_norm
 from .gamma import generator
-from .measures import Measure, _blocked_jet, block_rules, product_grid
+from .measures import Measure, integrate, make_measure
 from .polys import exponent_table
 from .quad1d import fullline_recurrence, orthonormal_polys
 
@@ -86,14 +88,12 @@ def _sweep(block: np.ndarray, mats) -> np.ndarray:
 
 @dataclass
 class GalerkinSystem:
-    measure: Measure
+    measure: Measure            # mu_{w,lambda} on the rule at the Galerkin order
     max_degree: int
     expo: np.ndarray            # (m, n) parity-filtered exponent table
     axes: tuple[AxisBasis, ...]  # per-axis recurrence and scale of the basis
     stiffness: np.ndarray       # (m, m) <grad p_i, grad p_j>_mu
     gram_residual: float
-    nodes: np.ndarray           # (N, n) tensor grid of the axis rules
-    node_weights: np.ndarray    # (N,) normalized quadrature weights
     axis_weights: tuple[np.ndarray, ...]  # per axis: normalized 1-D weights
     axis_tables: tuple[np.ndarray, ...]   # per axis: axis_jet at its 1-D nodes
     _eig: Optional[tuple[np.ndarray, np.ndarray]] = dc_field(default=None, repr=False)
@@ -101,6 +101,11 @@ class GalerkinSystem:
     @property
     def size(self) -> int:
         return self.expo.shape[0]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """(N, n) tensor grid of the measure's rule."""
+        return self.measure.nodes
 
     # -- evaluation ---------------------------------------------------------
     def values(self, pts: np.ndarray) -> np.ndarray:
@@ -164,7 +169,9 @@ def galerkin_applies(measure: Measure) -> bool:
 def build_galerkin(measure: Measure,
                    max_degree: int | None = None) -> GalerkinSystem:
     """Orthonormal tensor polynomial Galerkin system for the Dirichlet form
-    of mu_w, with only even indices on cone-constrained axes."""
+    of mu_w, with only even indices on cone-constrained axes.  It lives on
+    mu_{w,lambda} at order max(measure.order, max_degree + 8), whose rule
+    integrates products of two basis gradients exactly."""
     weight = measure.weight
     if not galerkin_applies(measure):
         raise ContractError(
@@ -172,22 +179,28 @@ def build_galerkin(measure: Measure,
             "density factors per axis")
     if max_degree is None:
         max_degree = default_degree(weight.dim)
+    even = weight.cone.constrained_axes()
+    # spectral_gap needs two functions in the degree-(d - 2) block: the
+    # second has degree 1 on a free axis, else 2
+    lowest = CONVERGENCE_STEP + (1 if len(even) < weight.dim else 2)
+    if max_degree < lowest:
+        raise ParameterError(f"max_degree {max_degree} is too low for the "
+                             f"gap check; the smallest degree is {lowest}")
 
-    # the rule must integrate products of two basis gradients exactly
-    order = max(measure.order, max_degree + 8)
-    blocks = block_rules(weight, measure.scale, order)
+    galerkin = make_measure(weight, measure.scale,
+                            order=max(measure.order, max_degree + 8),
+                            seed=measure.seed)
+    blocks = galerkin.rule.blocks
     axes = tuple((*fullline_recurrence(b.a, max_degree + 1), b.scale)
                  for b in blocks)
     axis_weights = tuple(b.weights / b.mass for b in blocks)
-    nodes, node_weights = product_grid(blocks, axis_weights)
     tables = tuple(axis_jet(basis, b.nodes[0], max_degree)
                    for basis, b in zip(axes, blocks))
 
     # 1-D Gram and derivative Gram per axis, restricted to the index set;
     # the full Gram is their product and the stiffness the sum over axes of
     # the derivative Gram of that axis times the Grams of the others
-    expo = exponent_table(weight.dim, max_degree,
-                          even_axes=weight.cone.constrained_axes())
+    expo = exponent_table(weight.dim, max_degree, even_axes=even)
     grams, derivs = [], []
     for w, table, e in zip(axis_weights, tables, expo.T):
         idx = np.ix_(e, e)
@@ -203,10 +216,9 @@ def build_galerkin(measure: Measure,
     stiffness = 0.5 * (stiffness + stiffness.T)
 
     return GalerkinSystem(
-        measure=measure, max_degree=max_degree, expo=expo, axes=axes,
+        measure=galerkin, max_degree=max_degree, expo=expo, axes=axes,
         stiffness=stiffness, gram_residual=gram_residual,
-        nodes=nodes, node_weights=node_weights, axis_weights=axis_weights,
-        axis_tables=tables)
+        axis_weights=axis_weights, axis_tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +287,8 @@ def poisson_solve(system: GalerkinSystem, f) -> PoissonSolution:
     uh[1:] = np.linalg.solve(system.stiffness[1:, 1:], fh[1:])
     lu = system.generator_at_nodes(uh)
     proj = system.node_values(fh)
-    res = float(np.sqrt(np.sum(system.node_weights * (-lu - proj) ** 2)))
-    perr = float(np.sqrt(np.sum(system.node_weights * (fv - proj) ** 2)))
+    res = math.sqrt(integrate(system.measure, (-lu - proj) ** 2))
+    perr = math.sqrt(integrate(system.measure, (fv - proj) ** 2))
     return PoissonSolution(coeffs=uh, residual=res, projection_error=perr,
                            rhs_coeffs=fh)
 
@@ -290,9 +302,8 @@ def duality_stability_residual(system: GalerkinSystem, f) -> dict:
     kw = system.measure.weight.kw
     fh = system.project(f)
     fh[0] = 0.0  # enforce mean zero on the projected representative
-    sol_rhs = fh
     uh = np.zeros_like(fh)
-    uh[1:] = np.linalg.solve(system.stiffness[1:, 1:], sol_rhs[1:])
+    uh[1:] = np.linalg.solve(system.stiffness[1:, 1:], fh[1:])
     s = system.stiffness
     c = 1.0 + kw
     energy_f = float(fh @ s @ fh)
@@ -362,11 +373,9 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if len(t_grid) < 2 or t_grid[0] != 0.0:
         raise ParameterError("time grid must start at 0 with at least two points")
-    kw = system.measure.weight.kw
-    pts = system.nodes
-    w = system.node_weights
-
-    fv, grad = _blocked_jet(f, pts)
+    measure = system.measure
+    kw = measure.weight.kw
+    fv, grad = measure.node_jet(f)
     shift = 0.0
     fmin = float(np.min(fv))
     if fmin < 0:
@@ -375,16 +384,13 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
         shift = -fmin + 1e-6
         fv = fv + shift
 
-    fp = fv ** p
-    coeffs = system.project(fp)
+    coeffs = system.project(fv ** p)
 
-    # direct-quadrature reference values for phi(0) and the t->inf limit
-    phi0_expected = float(np.sum(w * fv ** q)) ** (2.0 / q)
-    phi_limit_expected = float(np.sum(w * fp)) ** (2.0 / p)
-
-    # gradient energy of the (shifted) field
-    grad_norm = np.linalg.norm(grad, axis=1)
-    energy_q = float(np.sum(w * grad_norm ** q)) ** (2.0 / q)
+    # direct-quadrature reference values for phi(0) and the t->inf limit,
+    # and the gradient energy of the field
+    phi0_expected = _lq_norm(measure, fv, q) ** 2
+    phi_limit_expected = _lq_norm(measure, fv, p) ** 2
+    energy_q = _energy(measure, grad, q) ** (2.0 / q)
 
     # every time of the grid and the t -> inf limit in one block: the limit
     # is the projection onto the kernel of -L_w (the constants), the
@@ -393,33 +399,25 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
     block = np.stack([semigroup_apply(system, coeffs, float(t)) for t in t_grid]
                      + [kernel * (kernel @ coeffs)], axis=1)
     values = system.node_values(block)
+    phis = [integrate(measure, np.maximum(vt, 0.0) ** (q / p)) ** (2.0 / q)
+            for vt in values.T]
+    phi_limit = phis.pop()
+
     rows = []
-    phis = []
-    clamps = []
-    for vt in values[:, :-1].T:
-        clamped = int(np.count_nonzero(vt < 0))
-        vt = np.maximum(vt, 0.0)
-        phis.append(float(np.sum(w * vt ** (q / p))) ** (2.0 / q))
-        clamps.append(clamped)
-
-    decreasing = all(phis[i + 1] < phis[i] for i in range(len(phis) - 1))
-    quotient_ok = True
-    for i in range(len(t_grid)):
+    for i, t in enumerate(t_grid):
+        quot = bound = float("nan")
         if i + 1 < len(t_grid):
-            dt = t_grid[i + 1] - t_grid[i]
-            quot = -(phis[i + 1] - phis[i]) / dt
-            bound = 2.0 * math.exp(-2.0 * (1.0 + kw) * t_grid[i]) * (q - p) * energy_q
-            if quot > bound * (1.0 + slack) + 1e-12:
-                quotient_ok = False
-        else:
-            quot, bound = float("nan"), float("nan")
-        rows.append(DecayRow(t=float(t_grid[i]), phi=phis[i], quotient=quot,
-                             bound=bound, clamped_nodes=clamps[i]))
-
-    v_inf = np.maximum(values[:, -1], 0.0)
-    phi_limit = float(np.sum(w * v_inf ** (q / p))) ** (2.0 / q)
-    return DecayCheck(rows=tuple(rows), decreasing=decreasing,
-                      quotient_bounded=quotient_ok, phi0=phis[0],
+            quot = -(phis[i + 1] - phis[i]) / (t_grid[i + 1] - t)
+            bound = 2.0 * math.exp(-2.0 * (1.0 + kw) * t) * (q - p) * energy_q
+        rows.append(DecayRow(t=float(t), phi=phis[i], quotient=quot,
+                             bound=bound,
+                             clamped_nodes=int(np.count_nonzero(values[:, i] < 0))))
+    return DecayCheck(rows=tuple(rows),
+                      decreasing=all(b < a for a, b in zip(phis, phis[1:])),
+                      quotient_bounded=not any(
+                          r.quotient > r.bound * (1.0 + slack) + 1e-12
+                          for r in rows[:-1]),
+                      phi0=phis[0],
                       phi0_expected=phi0_expected, phi_limit=phi_limit,
                       phi_limit_expected=phi_limit_expected, shift=shift,
                       p=p, q=q)

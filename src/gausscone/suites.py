@@ -48,7 +48,7 @@ from .inequalities import (
     euclidean_lsi_rescaling_invariance,
     sharpness_sweep,
 )
-from .measures import Measure
+from .measures import Measure, integrate
 from .spectral import (
     build_galerkin,
     duality_stability_residual,
@@ -401,7 +401,7 @@ def suite_spectral(ctx: RunContext) -> list[dict]:
                     "informational": False, "rayleigh": rayleigh,
                     "residual": resid})
     g = poly_gauss(ctx.seed + 11, ctx.dim, even_axes=ctx.constrained)
-    sol = poisson_solve(system, _mean_zero_projection(system, g))
+    sol = poisson_solve(system, shifted(g, -integrate(system.measure, g.value)))
     out.append({"theorem": "poisson_solve", "pass": bool(sol.residual <= 1e-6),
                 "informational": False, "residual": sol.residual,
                 "projection_error": sol.projection_error})
@@ -422,11 +422,6 @@ def suite_spectral(ctx: RunContext) -> list[dict]:
                 "phi_limit_expected": dc.phi_limit_expected,
                 "shift": dc.shift})
     return out
-
-
-def _mean_zero_projection(system, f: ScalarField) -> ScalarField:
-    mean = float(np.sum(system.node_weights * f.value(system.nodes)))
-    return shifted(f, -mean)
 
 
 def _nonneg_decay_fields(ctx: RunContext) -> list[ScalarField]:

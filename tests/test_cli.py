@@ -186,6 +186,57 @@ class TestCliExitCodes:
         assert r1.stdout == r2.stdout
 
 
+# every malformed value exits 2 with a config error naming its key, in the
+# file and as a CLI override alike
+MALFORMED = [
+    ({"dim": True}, [], "dim"),
+    ({"quadrature": {"order": "8"}}, [], "quadrature.order"),
+    ({"quadrature": {"order": 0}}, [], "quadrature.order"),
+    ({"quadrature": {"order": 8.5}}, [], "quadrature.order"),
+    ({"quadrature": {"order": True}}, [], "quadrature.order"),
+    ({"quadrature": {"mc_samples": -5}}, [], "quadrature.mc_samples"),
+    ({"quadrature": {"order": 8, "mc_sample": 100}}, [], "mc_sample"),
+    ({"seed": "x"}, [], "seed"),
+    ({"seed": -1}, [], "seed"),
+    ({"seed": 1.7}, [], "seed"),
+    ({"seed": 2 ** 128}, [], "seed"),
+    ({"tolerance": "abc"}, [], "tolerance"),
+    ({"tolerance": True}, [], "tolerance"),
+    ({}, ["--seed", "-1"], "seed"),
+    ({}, ["--tolerance", "0"], "tolerance"),
+    ({}, ["--tolerance", "-1"], "tolerance"),
+    ({}, ["--tolerance", "nan"], "tolerance"),
+]
+
+
+@pytest.mark.parametrize("change, flags, key", MALFORMED, ids=[
+    "_".join(flags) or json.dumps(change, separators=(",", ":"))
+    for change, flags, _ in MALFORMED])
+def test_malformed_value_exits_two(tmp_path, capsys, change, flags, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, **change)))
+    assert cli.main(["verify", "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
+def test_report_config_is_the_effective_config(tmp_path):
+    # overrides show in the report's config, and the report is the one the
+    # config file with those values gives
+    effective = dict(BASE_CONFIG, seed=4, tolerance=3e-6)
+    reports = []
+    for cfg, flags in ((BASE_CONFIG, ["--seed", "4", "--tolerance", "3e-6"]),
+                       (effective, [])):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"report{len(reports)}.json"
+        assert cli.main(["verify", "--config", str(path), "--out", str(out),
+                         *flags]) == 0
+        reports.append(out.read_bytes())
+    assert json.loads(reports[0])["config"] == effective
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("flag, tol", [
     ([], 1e-7),
     (["--tolerance", "3e-6"], 3e-6),

@@ -9,6 +9,8 @@ reaches the rule.
 * Tensor and polar rules equal the meshgrid and r x theta assemblies of
   `oracles` bit for bit, and the polar x Hermite rule of a partial product
   integrates to the Gamma closed form.
+* A product rule keeps its blocks, at the cached scale and rescaled: their
+  product is the rule; Monte Carlo rules have none.
 """
 
 import numpy as np
@@ -17,7 +19,12 @@ import pytest
 from gausscone.cones import Halfspace
 from gausscone.config import build_weight, parse_config
 from gausscone.errors import ConfigError, ResourceError, UnsupportedRuleError
-from gausscone.measures import MAX_TENSOR_NODES, _product_rule, make_measure
+from gausscone.measures import (
+    MAX_TENSOR_NODES,
+    _product_rule,
+    build_rule,
+    make_measure,
+)
 from gausscone.weights import (
     DunklProduct,
     GaussianTilt,
@@ -362,3 +369,49 @@ def test_node_cap_applies_to_the_product_size():
     with pytest.raises(ResourceError, match=str(12 * 26 * 12 ** 4)):
         _product_rule(weight, 1.0, 12)
     assert _product_rule(weight, 1.0, 6).weights.size == 6 * 14 * 6 ** 4
+
+
+def _product_of_blocks(rule):
+    """(N, n) nodes and (N,) weights of the product of rule.blocks, the
+    last block varying fastest, assembled from an index grid."""
+    sizes = [len(b.weights) for b in rule.blocks]
+    index = np.indices(sizes).reshape(len(sizes), -1)
+    nodes = np.empty((index.shape[1], rule.nodes.shape[1]))
+    weights = np.ones(index.shape[1])
+    for b, i in zip(rule.blocks, index):
+        nodes[:, list(b.coords)] = b.nodes[:, i].T
+        weights *= b.weights[i]
+    return nodes, weights
+
+
+# tensor, negative half-line, Gaussian-tilt (not homogeneous: built at every
+# scale), planar polar, and a 3-D partial product with a polar block
+BLOCK_CASES = [
+    make_weight(Monomial((1.5, 0.0)), 2),
+    make_weight(Monomial((1.5, 0.0)), 2, cone=Halfspace(2, (-1.0, 0.0))),
+    make_weight(GaussianTilt(0.5), 2),
+    make_weight(Radial(1.0), 2, certify=False),
+    make_weight(PartialProduct(Radial(1.0), (0, 1)), 3, certify=False),
+]
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+@pytest.mark.parametrize("weight", BLOCK_CASES,
+                         ids=["tensor", "negative_half_line", "tilt", "polar",
+                              "partial_polar_3d"])
+def test_rule_is_the_product_of_its_blocks(weight, lam):
+    rule = build_rule(weight, lam, order=10)
+    assert len(rule.blocks) == len(weight.spec.blocks(weight.dim))
+    nodes, weights = _product_of_blocks(rule)
+    assert np.array_equal(rule.nodes, nodes)
+    np.testing.assert_allclose(weights, rule.weights, rtol=1e-15, atol=0)
+    assert np.prod([b.mass for b in rule.blocks]) == pytest.approx(
+        rule.mass, rel=1e-15, abs=0)
+    assert all(b.scale == pytest.approx(lam, rel=1e-15)
+               for b in rule.blocks if weight.degree is not None)
+
+
+def test_monte_carlo_rules_have_no_blocks():
+    weight = make_weight(Monomial((1.5, 0.0)), 2)
+    for lam in (1.0, 1.7):
+        assert build_rule(weight, lam, mc_samples=1000, seed=0).blocks == ()

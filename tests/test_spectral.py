@@ -31,7 +31,12 @@ import pytest
 
 from gausscone.cones import Halfspace
 from gausscone.config import build_weight, parse_config
-from gausscone.errors import ContractError, DomainError, MeanZeroViolationError
+from gausscone.errors import (
+    ContractError,
+    DomainError,
+    MeanZeroViolationError,
+    ParameterError,
+)
 from gausscone.fields import (
     affine,
     constant,
@@ -41,7 +46,7 @@ from gausscone.fields import (
     squared,
 )
 from gausscone.gamma import generator
-from gausscone.measures import build_rule, make_measure
+from gausscone.measures import build_rule, integrate, make_measure
 from gausscone.quad1d import orthonormal_polys
 from gausscone.report import run
 from gausscone.spectral import (
@@ -160,6 +165,37 @@ GALERKIN_CASES = [
     ({"kind": "partial_product", "coords": [0],
       "inner": {"kind": "monomial", "exponents": [1.5]}}, 3, None, True),
 ]
+
+
+class TestGalerkinMeasure:
+    @pytest.mark.parametrize("order, degree", [(32, 16), (16, 10), (8, 12)],
+                             ids=["run_order", "run_order_higher",
+                                  "galerkin_order_higher"])
+    def test_measure_is_the_one_rule_at_the_galerkin_order(self, order,
+                                                           degree):
+        weight = make_weight(Monomial((1.5, 0.0)), 2)
+        mu = make_measure(weight, 1.0, order=order)
+        system = build_galerkin(mu, degree)
+        rule = build_rule(weight, mu.scale, order=max(mu.order, degree + 8))
+        assert system.measure.rule is rule
+        assert (rule is mu.rule) == (order >= degree + 8)
+        assert system.nodes is rule.nodes
+
+    # the degree-(d - 2) block needs a second basis function: x^2 on the
+    # half line, x_1 on the free axis of the half-plane
+    @pytest.mark.parametrize("exponents, degree, lowest", [
+        ((1.0,), 1, 4), ((1.0,), 2, 4), ((1.0,), 3, 4),
+        ((1.0, 0.0), 0, 3), ((1.0, 0.0), 1, 3), ((1.0, 0.0), 2, 3)])
+    def test_degree_too_low_for_the_gap_is_refused(self, exponents, degree,
+                                                   lowest):
+        mu = make_measure(make_weight(Monomial(exponents), len(exponents)),
+                          1.0, order=8)
+        with pytest.raises(ParameterError,
+                           match=f"smallest degree is {lowest}$"):
+            build_galerkin(mu, degree)
+        res = spectral_gap(build_galerkin(mu, lowest))
+        assert res.gap == pytest.approx(2.0 if len(exponents) == 1 else 1.0,
+                                        abs=1e-8)
 
 
 class TestGalerkinApplies:
@@ -463,8 +499,7 @@ def test_poisson_residual_does_not_read_the_stiffness(mu_partial):
     # corrupted stiffness gives a wrong solution and the residual shows it
     system = build_galerkin(mu_partial, 12)
     f = poly_gauss(11, 2, even_axes=frozenset({0}))
-    mean = float(np.sum(system.node_weights * f.value(system.nodes)))
-    g = shifted(f, -mean)
+    g = shifted(f, -integrate(system.measure, f.value))
     assert poisson_solve(system, g).residual <= 1e-6
     bad = system.stiffness.copy()
     bad[1, 2] += 1e-3
