@@ -13,6 +13,8 @@ Schema (all extra keys rejected):
       "seed": 0,                                            # optional
       "output": "report.json"                               # optional
     }
+
+`build_weight` refuses a weight whose spec's `zero_set` meets the open cone.
 """
 
 from __future__ import annotations
@@ -165,31 +167,25 @@ def _build_spec(spec: dict, dim: int):
         if kind == "radial":
             return Radial(float(spec["alpha"]))
         if kind == "dunkl":
-            return DunklProduct(tuple(tuple(r) for r in spec["roots"]),
+            roots = spec["roots"]
+            _require(len({len(r) for r in roots}) <= 1,
+                     f"weight.roots must all have one length: {roots!r}")
+            return DunklProduct(tuple(tuple(r) for r in roots),
                                 tuple(spec["multiplicities"]))
         if kind == "gaussian_tilt":
             return GaussianTilt(float(spec["s"]))
         if kind == "partial_product":
-            inner = _build_spec(spec["inner"], len(spec["coords"]))
-            return PartialProduct(inner, tuple(spec["coords"]))
+            coords = spec["coords"]
+            inner = _build_spec(spec["inner"], len(coords))
+            _require(isinstance(coords, list) and len(set(coords)) == len(coords)
+                     and all(_number(c) and 0 <= c < dim for c in coords)
+                     and inner.dim_hint() in (None, len(coords)),
+                     f"weight.coords must be distinct integers in [0, {dim}), one "
+                     f"per dimension of the inner weight: {coords!r}")
+            return PartialProduct(inner, tuple(coords))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad weight spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown weight kind {kind!r}")
-
-
-def _dunkl_roots(spec, dim: int) -> list[np.ndarray]:
-    """The roots beta, embedded into R^dim, of the Dunkl factors with k > 0."""
-    if isinstance(spec, DunklProduct):
-        return [np.asarray(r) for r, k in zip(spec.roots, spec.multiplicities)
-                if k > 0]
-    if isinstance(spec, PartialProduct):
-        roots = []
-        for r in _dunkl_roots(spec.inner, len(spec.coords)):
-            beta = np.zeros(dim)
-            beta[list(spec.coords)] = r
-            roots.append(beta)
-        return roots
-    return []
 
 
 def _meets_open_cone(cone: Cone, beta: np.ndarray) -> bool:
@@ -211,14 +207,13 @@ def _cone_spec(cone: Cone) -> dict:
     return {"kind": "halfspace", "normal": list(cone.normals[0])}
 
 
-def _check_positive_on_cone(spec, weight: Weight):
-    """Refuse a weight whose zero set meets the open cone: a singular axis
-    or a Dunkl root hyperplane that the cone does not keep out."""
-    hyperplanes = [np.eye(weight.dim)[i] for i in weight.singular_axes()]
-    for beta in hyperplanes + _dunkl_roots(spec, weight.dim):
+def _check_positive_on_cone(weight: Weight):
+    """Refuse a weight whose zero set meets the open cone: a hyperplane of
+    its zero set that the cone does not keep out."""
+    for beta in weight.spec.zero_set(weight.dim):
         if _meets_open_cone(weight.cone, beta):
             try:
-                hint = f"its natural cone is {_cone_spec(spec.natural_cone(weight.dim))}"
+                hint = f"its natural cone is {_cone_spec(weight.spec.natural_cone(weight.dim))}"
             except ValueError as exc:
                 hint = str(exc)
             raise ConfigError(
@@ -238,7 +233,7 @@ def build_weight(config: RunConfig) -> Weight:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_positive_on_cone(spec, weight)
+    _check_positive_on_cone(weight)
     return weight
 
 

@@ -149,6 +149,17 @@ def _mu_admissible(ctx: RunContext, f: ScalarField) -> bool:
     return is_neumann_admissible(f, ctx.weight.cone, tol=1e-8)
 
 
+def _gated(ctx: RunContext, theorem: str, out: list[dict]):
+    """The fields that pass the Neumann gate; each one that fails it leaves
+    an informational record in `out` instead."""
+    for f in ctx.fields:
+        if _mu_admissible(ctx, f):
+            yield f
+        else:
+            out.append(_info(theorem, "skipped: field violates the Neumann gate",
+                             field=f.name))
+
+
 def _needs_kw(ctx: RunContext, theorem: str) -> dict | None:
     if ctx.weight.curvature is None:
         return _info(theorem, "skipped: weight carries no curvature certificate")
@@ -162,11 +173,7 @@ def suite_beckner(ctx: RunContext) -> list[dict]:
     if skip:
         return [skip]
     out = []
-    for f in ctx.fields:
-        if not _mu_admissible(ctx, f):
-            out.append(_info("beckner", "skipped: field violates the Neumann gate",
-                             field=f.name))
-            continue
+    for f in _gated(ctx, "beckner", out):
         for (p, q) in ((1.0, 2.0), (1.5, 2.0)):
             out.append(record_of(check_beckner(ctx.measure, f, p, q), f.name,
                                  ctx.tolerance))
@@ -188,11 +195,7 @@ def suite_poincare(ctx: RunContext) -> list[dict]:
     if skip:
         return [skip]
     out = []
-    for f in ctx.fields:
-        if not _mu_admissible(ctx, f):
-            out.append(_info("poincare", "skipped: field violates the Neumann gate",
-                             field=f.name))
-            continue
+    for f in _gated(ctx, "poincare", out):
         out.append(record_of(check_poincare(ctx.measure, f, 2.0, "basic"), f.name,
                              ctx.tolerance))
         out.append(record_of(
@@ -220,9 +223,7 @@ def suite_scale_poincare(ctx: RunContext) -> list[dict]:
     if not ctx.weight.is_homogeneous:
         return [_info("scale_poincare", "skipped: weight is not homogeneous")]
     out = []
-    for f in ctx.fields:
-        if not _mu_admissible(ctx, f):
-            continue
+    for f in _gated(ctx, "scale_poincare", out):
         for lam in (0.5, 1.0, 2.0):
             out.append(record_of(
                 check_scale_poincare(ctx.measure, f, lam, "basic"), f.name,
@@ -238,11 +239,7 @@ def suite_lsi(ctx: RunContext) -> list[dict]:
     if skip:
         return [skip]
     out = []
-    for f in ctx.fields:
-        if not _mu_admissible(ctx, f):
-            out.append(_info("lsi", "skipped: field violates the Neumann gate",
-                             field=f.name))
-            continue
+    for f in _gated(ctx, "lsi", out):
         out.append(record_of(check_lsi(ctx.measure, f, 2.0), f.name,
                              ctx.tolerance))
     if ctx.weight.free_axes():

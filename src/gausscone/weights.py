@@ -10,7 +10,8 @@ second derivative of log w along rays is exactly -alpha/t^2, so no positive
 bound can hold on an unbounded cone.
 
 A spec is a frozen dataclass, so it is hashable and compares by value: the
-spec, the dimension and the cone are the rule-cache key of a weight.  The
+spec, the dimension and the cone are the rule-cache key of a weight.  A
+monomial prod |x_i|^a_i is the `DunklProduct` of the coordinate roots.  The
 private base `_Spec` holds the protocol defaults (no dimension hint, one
 opaque block, the full space as natural cone, no analytic curvature
 argument); each spec overrides only what differs.  `blocks(dim)` says how
@@ -18,11 +19,11 @@ the density factors: in coordinate order, a `Block` is a 1-D factor
 |t|^a e^(-s t^2/2), a radial factor |x_B|^a on a coordinate set B, or an
 opaque factor with no structure a rule can use.  The rule builder of
 `measures` turns the blocks into a product rule, and the axes on which w
-vanishes (`Weight.singular_axes`) and the free axes are read off them.  A
-spec's natural cone is a list of facet normals (see `cones`): the orthant
-of the axes where w vanishes, the halfspace of a single tilted Dunkl root,
-or, for a partial product, the inner cone's normals embedded into its
-coordinates.
+vanishes (`Weight.singular_axes`) and the free axes are read off them.
+`zero_set(dim)` lists the hyperplanes on which w vanishes.  A spec's
+natural cone is a list of facet normals (see `cones`): the orthant of the
+axes where w vanishes, the halfspace of a single tilted Dunkl root, or, for
+a partial product, the inner cone's normals embedded into its coordinates.
 On axis-first points (see `measures`) the built-in specs return grad(log w)
 and hess(log w) axis-first, as the (N, n) and (N, n, n) transposed views of
 (n, N) and (n, n, N) buffers.
@@ -30,7 +31,8 @@ and hess(log w) axis-first, as the (N, n) and (N, n, n) transposed views of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,63 +83,16 @@ class _Spec:
     def blocks(self, dim: int) -> tuple[Block, ...]:
         return (Block("opaque", tuple(range(dim))),)
 
+    def zero_set(self, dim: int) -> np.ndarray:
+        """The normals beta, as rows, of the hyperplanes <beta, x> = 0 on
+        which w vanishes: by default the axes of the vanishing 1-D blocks."""
+        return np.eye(dim)[list(_singular(self.blocks(dim)))]
+
     def analytic_curvature(self, dim: int):
         return NotImplemented
 
     def natural_cone(self, dim: int) -> Cone:
         return FullSpace(dim)
-
-
-@dataclass(frozen=True)
-class Monomial(_Spec):
-    """w(x) = prod |x_i|^a_i, homogeneous of degree sum(a_i)."""
-
-    exponents: tuple[float, ...]
-
-    def __post_init__(self):
-        exps = tuple(float(a) for a in self.exponents)
-        if any(a < 0 for a in exps):
-            raise ValueError("monomial exponents must be nonnegative")
-        object.__setattr__(self, "exponents", exps)
-
-    def dim_hint(self) -> int | None:
-        return len(self.exponents)
-
-    def degree(self, dim: int) -> float | None:
-        return float(sum(self.exponents))
-
-    def log_w(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(pts))
-        with np.errstate(divide="ignore"):
-            for i, a in enumerate(self.exponents):
-                if a > 0:
-                    out += a * np.log(np.abs(pts[:, i]))
-        return out
-
-    def grad_log(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[::-1])
-        for i, a in enumerate(self.exponents):
-            if a > 0:
-                out[i] = a / pts[:, i]
-        return out.T
-
-    def hess_log(self, pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[1]
-        out = np.zeros((n, n, len(pts)))
-        for i, a in enumerate(self.exponents):
-            if a > 0:
-                out[i, i] = -a / pts[:, i] ** 2
-        return out.transpose(2, 0, 1)
-
-    def blocks(self, dim: int) -> tuple[Block, ...]:
-        return _axis_blocks(self.exponents)
-
-    def analytic_curvature(self, dim: int):
-        # log-concave (hess_log diagonal <= 0) and homogeneous
-        return 0.0, "analytic: homogeneous log-concave"
-
-    def natural_cone(self, dim: int) -> Cone:
-        return Orthant(dim, _singular(self.blocks(dim)))
 
 
 @dataclass(frozen=True)
@@ -188,62 +143,78 @@ class Radial(_Spec):
 
 @dataclass(frozen=True)
 class DunklProduct(_Spec):
-    """w(x) = prod_beta |<beta, x>|^(2 k_beta) over unit roots beta."""
+    """w(x) = prod_beta |<beta, x>|^(a_beta) over unit roots beta, given by
+    the multiplicities k_beta = a_beta / 2 or by the exponents, which the
+    spec holds exactly.  Roots with a_beta = 0 are dropped (w does not
+    depend on them); `dim` gives the dimension when no root is left."""
 
     roots: tuple[tuple[float, ...], ...]
-    multiplicities: tuple[float, ...]
+    multiplicities: InitVar[Optional[tuple[float, ...]]] = None
+    dim: Optional[int] = None
+    exponents: Optional[tuple[float, ...]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, multiplicities):
         roots = tuple(tuple(float(c) for c in r) for r in self.roots)
-        mults = tuple(float(k) for k in self.multiplicities)
-        if len(roots) != len(mults):
+        if (multiplicities is None) == (self.exponents is None):
+            raise ValueError("give the multiplicities or the exponents of the roots")
+        exps = tuple(map(float, self.exponents if multiplicities is None
+                         else (2.0 * k for k in multiplicities)))
+        if len(roots) != len(exps):
             raise ValueError("roots/multiplicities length mismatch")
-        if any(k < 0 for k in mults):
+        if any(a < 0 for a in exps):
             raise ValueError("multiplicities must be nonnegative")
+        dims = {len(r) for r in roots} | ({self.dim} - {None})
+        if len(dims) > 1:
+            raise ValueError(f"Dunkl roots must share one dimension, got {sorted(dims)}")
         for r in roots:
             if abs(np.linalg.norm(r) - 1.0) > 1e-10:
                 raise ValueError("Dunkl roots must be unit vectors")
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "multiplicities", mults)
+        kept = [i for i, a in enumerate(exps) if a > 0]
+        object.__setattr__(self, "roots", tuple(roots[i] for i in kept))
+        object.__setattr__(self, "exponents", tuple(exps[i] for i in kept))
+        object.__setattr__(self, "dim", dims.pop() if dims else None)
 
     def dim_hint(self) -> int | None:
-        return len(self.roots[0]) if self.roots else None
+        return self.dim
 
     def degree(self, dim: int) -> float | None:
-        return 2.0 * sum(self.multiplicities)
+        return float(sum(self.exponents))
+
+    def zero_set(self, dim: int) -> np.ndarray:
+        return np.reshape(self.roots, (len(self.roots), dim))
 
     def _dots(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.roots) @ pts.T  # (n_roots, N)
+        return self.zero_set(pts.shape[1]) @ pts.T  # (n_roots, N)
 
-    def _ks(self) -> np.ndarray:
-        return np.asarray(self.multiplicities)[:, None]
+    def _exps(self) -> np.ndarray:
+        return np.asarray(self.exponents)[:, None]
 
     def log_w(self, pts: np.ndarray) -> np.ndarray:
         dots = self._dots(pts)
         with np.errstate(divide="ignore"):
-            return (2.0 * self._ks() * np.log(np.abs(dots))).sum(axis=0)
+            return (self._exps() * np.log(np.abs(dots))).sum(axis=0)
 
     def grad_log(self, pts: np.ndarray) -> np.ndarray:
-        betas = np.asarray(self.roots)
-        return (betas.T @ (2.0 * self._ks() / self._dots(pts))).T
+        betas = self.zero_set(pts.shape[1])
+        return (betas.T @ (self._exps() / self._dots(pts))).T
 
     def hess_log(self, pts: np.ndarray) -> np.ndarray:
-        betas = np.asarray(self.roots)
+        betas = self.zero_set(pts.shape[1])
         outer = betas[:, :, None] * betas[:, None, :]  # (n_roots, n, n)
-        coef = -2.0 * self._ks() / self._dots(pts) ** 2  # (n_roots, N)
+        coef = -self._exps() / self._dots(pts) ** 2  # (n_roots, N)
         return np.einsum("rN,rij->ijN", coef, outer).transpose(2, 0, 1)
 
     def blocks(self, dim: int) -> tuple[Block, ...]:
         exps = [0.0] * dim
-        for r, k in zip(self.roots, self.multiplicities):
+        for r, a in zip(self.roots, self.exponents):
             hits = [i for i, c in enumerate(r) if abs(abs(c) - 1.0) < 1e-14]
             if len(hits) != 1 or sum(abs(c) > 1e-14 for c in r) != 1:
                 return super().blocks(dim)
-            exps[hits[0]] += 2.0 * k
+            exps[hits[0]] += a
         return _axis_blocks(exps)
 
     def analytic_curvature(self, dim: int):
-        # each factor contributes +2k beta beta^T / <beta,x>^2 to -hess(log w)
+        # each factor contributes +a beta beta^T / <beta,x>^2 to -hess(log w)
         return 0.0, "analytic: homogeneous log-concave"
 
     def natural_cone(self, dim: int) -> Cone:
@@ -254,6 +225,16 @@ class DunklProduct(_Spec):
             return Halfspace(dim, self.roots[0])
         raise ValueError(
             "no built-in cone variant bounds this root system; pass one explicitly")
+
+
+def Monomial(exponents) -> DunklProduct:
+    """w(x) = prod |x_i|^a_i, homogeneous of degree sum(a_i): the Dunkl
+    product of the coordinate roots e_i with the exponents a_i."""
+    exps = tuple(float(a) for a in exponents)
+    if any(a < 0 for a in exps):
+        raise ValueError("monomial exponents must be nonnegative")
+    return DunklProduct(tuple(map(tuple, np.eye(len(exps)))), dim=len(exps),
+                        exponents=exps)
 
 
 @dataclass(frozen=True)
@@ -295,7 +276,16 @@ class PartialProduct(_Spec):
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        coords = tuple(map(operator.index, self.coords))
+        if len(set(coords)) != len(coords) or min(coords, default=0) < 0:
+            raise ValueError(f"coords {coords} are not distinct nonnegative integers")
+        object.__setattr__(self, "coords", coords)
+
+    def _lift(self, vectors, dim: int) -> np.ndarray:
+        """Inner vectors, as rows, embedded into R^dim on the coords."""
+        out = np.zeros((len(vectors), dim))
+        out[:, list(self.coords)] = vectors
+        return out
 
     def _sub(self, pts: np.ndarray) -> np.ndarray:
         return pts.T[list(self.coords)].T
@@ -327,6 +317,9 @@ class PartialProduct(_Spec):
         free = [Block("axis", (c,)) for c in range(dim) if c not in self.coords]
         return tuple(sorted(inner + free, key=lambda b: b.coords))
 
+    def zero_set(self, dim: int) -> np.ndarray:
+        return self._lift(self.inner.zero_set(len(self.coords)), dim)
+
     def analytic_curvature(self, dim: int):
         res = self.inner.analytic_curvature(len(self.coords))
         if res is NotImplemented or res[0] is None:
@@ -339,11 +332,8 @@ class PartialProduct(_Spec):
         return res
 
     def natural_cone(self, dim: int) -> Cone:
-        # the inner cone's normals, embedded into the coordinates it acts on
-        inner = self.inner.natural_cone(len(self.coords)).matrix
-        normals = np.zeros((len(inner), dim))
-        normals[:, list(self.coords)] = inner
-        return Cone(dim, tuple(normals))
+        inner = self.inner.natural_cone(len(self.coords))
+        return Cone(dim, tuple(self._lift(inner.matrix, dim)))
 
 
 @dataclass(frozen=True)

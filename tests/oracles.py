@@ -12,6 +12,11 @@ from the 1-D rules of `quad1d` with a meshgrid and an r x theta outer
 product, in the same floating-point operations as the block product of
 `measures`, so the two must agree bit for bit.
 
+`monomial_log_w`, `monomial_grad_log` and `monomial_hess_log` are the
+per-axis formulas of a monomial weight prod |x_i|^a_i, axis by axis with
+the zero exponents skipped; the Dunkl product of the coordinate roots must
+reproduce them bit for bit.
+
 `nu_fold` is the rate-matched fold of `measures.nu_integral` on the whole
 node array at once, in the same floating-point operations as its node
 blocks, so the two must agree bit for bit.
@@ -105,3 +110,32 @@ def nu_fold(rule, integrand, rate: float) -> np.ndarray:
     folded = np.multiply(np.moveaxis(vals, 0, -1), gauss, order="C")
     folded *= rule.weights
     return np.sum(folded, axis=-1)
+
+
+def monomial_log_w(exps, pts: np.ndarray) -> np.ndarray:
+    """sum_i a_i log|x_i| over the positive exponents."""
+    out = np.zeros(len(pts))
+    with np.errstate(divide="ignore"):
+        for i, a in enumerate(exps):
+            if a > 0:
+                out += a * np.log(np.abs(pts[:, i]))
+    return out
+
+
+def monomial_grad_log(exps, pts: np.ndarray) -> np.ndarray:
+    """(N, n): a_i / x_i on the axes with a positive exponent, 0 elsewhere."""
+    out = np.zeros(pts.shape[::-1])
+    for i, a in enumerate(exps):
+        if a > 0:
+            out[i] = a / pts[:, i]
+    return out.T
+
+
+def monomial_hess_log(exps, pts: np.ndarray) -> np.ndarray:
+    """(N, n, n): diagonal -a_i / x_i^2 on the axes with a positive exponent."""
+    n = pts.shape[1]
+    out = np.zeros((n, n, len(pts)))
+    for i, a in enumerate(exps):
+        if a > 0:
+            out[i, i] = -a / pts[:, i] ** 2
+    return out.transpose(2, 0, 1)

@@ -336,6 +336,33 @@ def test_weight_vanishing_inside_the_cone_exits_two_fast(tmp_path):
     assert wall < 2.0
 
 
+def _partial(coords, inner):
+    return {"kind": "partial_product", "coords": coords, "inner": inner}
+
+
+_MONO_1 = {"kind": "monomial", "exponents": [1.0]}
+_MONO_11 = {"kind": "monomial", "exponents": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("weight, key", [
+    (_partial([-1], _MONO_1), "weight.coords"),
+    (_partial([0, 5], _MONO_11), "weight.coords"),
+    (_partial([1.5], _MONO_1), "weight.coords"),
+    (_partial([0, 0], _MONO_11), "weight.coords"),
+    (_partial([0], _MONO_11), "weight.coords"),
+    (_partial([0, 1, 0], {"kind": "radial", "alpha": 1.0}), "weight.coords"),
+    ({"kind": "dunkl", "roots": [[1.0, 0.0], [0.0, 0.0, 1.0]],
+      "multiplicities": [0.5, 0.5]}, "weight.roots"),
+], ids=["negative", "out-of-range", "fractional", "repeated", "too-few",
+        "repeated-radial", "ragged-roots"])
+def test_malformed_weight_spec_exits_two(tmp_path, weight, key):
+    cfg = {"dim": 2, "weight": weight, "quadrature": {"order": 8},
+           "suites": ["poincare"]}
+    proc, _ = _timed_cli(tmp_path, cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert key in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_partial_radial_product_runs_exactly(tmp_path, seed):
     # a planar radial block times a free Hermite axis: an exact polar rule

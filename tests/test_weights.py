@@ -27,6 +27,13 @@ from gausscone.weights import (
     make_weight,
 )
 
+from oracles import (
+    gamma_moment,
+    monomial_grad_log,
+    monomial_hess_log,
+    monomial_log_w,
+)
+
 
 class TestEval:
     def test_monomial_unit_point(self, w_mono_12):
@@ -333,7 +340,7 @@ class TestSpecProtocol:
         assert w.curvature is None
         assert w.certificate.kind == "uncertified"
         assert w.certificate.detail == "analytic: homogeneous log-concave"
-        with pytest.raises(UncertifiedCurvatureError, match="Monomial"):
+        with pytest.raises(UncertifiedCurvatureError, match="DunklProduct"):
             _ = w.kw
 
 
@@ -358,6 +365,77 @@ class TestBoundaryNormal:
             assert np.max(np.abs(np.sum(pts * etas, axis=1))) < 1e-12
             norms = np.linalg.norm(etas, axis=1)
             np.testing.assert_allclose(norms, 1.0)
+
+
+class TestMonomialIsDunklProduct:
+    """A monomial is the Dunkl product of the coordinate roots: the same
+    spec, the same rule, and the per-axis formulas bit for bit."""
+
+    @staticmethod
+    def _cases(dim, seed):
+        rng = np.random.default_rng(seed)
+        exps = rng.choice([0.0, 0.5, 1.5, 3.0], size=dim) * rng.uniform(0.5, 2.0, dim)
+        if dim > 1:
+            exps[rng.integers(dim)] = 0.0  # at least one free axis
+        pts = rng.normal(size=(64, dim)) * rng.uniform(0.1, 5.0)
+        return tuple(exps), pts
+
+    @staticmethod
+    def _assert_formulas(exps, pts):
+        spec = Monomial(exps)
+        for got, expect in ((spec.log_w(pts), monomial_log_w(exps, pts)),
+                            (spec.grad_log(pts), monomial_grad_log(exps, pts)),
+                            (spec.hess_log(pts), monomial_hess_log(exps, pts))):
+            assert got.shape == expect.shape
+            assert got.tobytes() == np.ascontiguousarray(expect).tobytes()
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_derivatives_at_interior_points(self, dim, seed):
+        self._assert_formulas(*self._cases(dim, seed))
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_derivatives_on_zero_exponent_axes(self, dim, seed):
+        # x_i = 0 where a_i = 0: w does not depend on x_i, and every
+        # derivative stays finite there
+        exps, pts = self._cases(dim, seed)
+        pts[:, np.asarray(exps) == 0.0] = 0.0
+        spec = Monomial(exps)
+        assert np.all(np.isfinite(spec.grad_log(pts)))
+        assert np.all(np.isfinite(spec.hess_log(pts)))
+        self._assert_formulas(exps, pts)
+
+    def test_single_point_with_a_zero_coordinate(self):
+        w = make_weight(Monomial((1.5, 0.0)), 2)
+        np.testing.assert_array_equal(w.grad_log([1.0, 0.0]), [1.5, 0.0])
+        np.testing.assert_array_equal(w.hess_log([1.0, 0.0]),
+                                      [[-1.5, 0.0], [0.0, 0.0]])
+
+    def test_coordinate_dunkl_product_is_the_same_spec_and_rule(self, monkeypatch):
+        monkeypatch.setattr(measures, "_RULE_CACHE", {})
+        mono = Monomial((1.5, 0.0, 2.0))
+        dunkl = DunklProduct(tuple(map(tuple, np.eye(3))), (0.75, 0.0, 1.0))
+        assert mono == dunkl and hash(mono) == hash(dunkl)
+        first = measures.build_rule(make_weight(mono, 3), order=6)
+        assert measures.build_rule(make_weight(dunkl, 3), order=6) is first
+        assert len(measures._RULE_CACHE) == 1
+
+    def test_constant_monomial_keeps_its_dimension(self):
+        assert Monomial((0.0,)).dim_hint() == 1
+        assert Monomial((0.0, 0.0, 0.0)).dim_hint() == 3
+        with pytest.raises(ValueError, match="monomial exponents"):
+            Monomial((1.0, -0.5))
+
+    def test_subnormal_exponent_is_held_exactly(self):
+        # k = a/2 underflows to zero for a = 5e-324; the exponent must not,
+        # or the axis loses its half-line and the mass doubles
+        exps = (0.0, 5e-324)
+        assert Monomial(exps).exponents == (5e-324,)
+        rule = measures.build_rule(make_weight(Monomial(exps), 2), 1.0, order=16)
+        expect = 2.0 * gamma_moment(0.0, 0) * gamma_moment(5e-324, 0)
+        assert rule.mass == pytest.approx(expect, rel=1e-11)
+        assert rule.mass == pytest.approx(np.pi, rel=1e-11)
 
 
 def test_import_leaves_sampling_scipy_unloaded():
