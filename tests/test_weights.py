@@ -99,7 +99,7 @@ class TestLogDerivatives:
         Monomial((1.5, 0.7)), Radial(1.2), GaussianTilt(0.3),
         DunklProduct(((0.6, 0.8), (np.sqrt(0.5), -np.sqrt(0.5))), (0.8, 0.25)),
         PartialProduct(Monomial((1.5,)), (1,)),
-    ], ids=lambda s: type(s).__name__)
+    ], ids=["Monomial", "Radial", "GaussianTilt", "DunklProduct", "PartialProduct"])
     def test_spec_derivatives_are_axis_first(self, spec):
         # grad(log w) and hess(log w) are equal on a row-major batch and its
         # axis-first copy, and axis-first on the latter
