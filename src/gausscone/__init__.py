@@ -70,7 +70,6 @@ from .spectral import (
 )
 from .stability import check_hup_stability, distance_to_family
 from .weights import (
-    CurvatureSampler,
     CustomLogWeight,
     DunklProduct,
     GaussianTilt,

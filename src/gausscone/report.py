@@ -1,14 +1,16 @@
 """Run reports: suite execution and deterministic serialization.
 
-JSON serialization is hand-rolled so floats always print with 17 significant
-digits (round-trip exact for regression diffs) and keys are emitted sorted:
-two runs with the same config, seed and version produce byte-identical
-output.  Wall-clock timings are collected but kept out of the serialized
-bytes by default for exactly that reason.
+JSON is `json.dumps` with sorted keys and no whitespace; floats print as
+their shortest round-trip repr (exact for regression diffs, and an integral
+float keeps its ".0"), and nan and infinities as the strings "nan", "inf"
+and "-inf".  Two runs with the same config, seed and version produce
+byte-identical output.  Wall-clock timings are collected but kept out of
+the serialized bytes by default for exactly that reason.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -79,9 +81,11 @@ def run(config: RunConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def _clean(value):
-    """Normalize to plain JSON-serializable python values."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    """Normalize to plain JSON-serializable python values; nan and the
+    infinities become the strings "nan", "inf" and "-inf"."""
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else str(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.bool_,)):
@@ -94,46 +98,6 @@ def _clean(value):
         seq = sorted(value) if isinstance(value, (set, frozenset)) else value
         return [_clean(v) for v in seq]
     return value
-
-
-def _emit_json(value, parts: list[str]):
-    if value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(str(value))
-    elif isinstance(value, float):
-        if math.isnan(value):
-            parts.append('"nan"')
-        elif math.isinf(value):
-            parts.append('"inf"' if value > 0 else '"-inf"')
-        else:
-            parts.append(format(value, ".17g"))
-    elif isinstance(value, str):
-        escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\t", "\\t"))
-        parts.append(f'"{escaped}"')
-    elif isinstance(value, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(value)):
-            if i:
-                parts.append(",")
-            _emit_json(str(key), parts)
-            parts.append(":")
-            _emit_json(value[key], parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(value):
-            if i:
-                parts.append(",")
-            _emit_json(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def report_payload(report: RunReport, include_timing: bool = False) -> dict:
@@ -151,9 +115,9 @@ def emit(report: RunReport, format: str = "json",
          include_timing: bool = False) -> bytes:
     """Serialize the report; json is byte-deterministic given (config, seed)."""
     if format == "json":
-        parts: list[str] = []
-        _emit_json(report_payload(report, include_timing), parts)
-        return ("".join(parts) + "\n").encode()
+        text = json.dumps(report_payload(report, include_timing), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
+        return (text + "\n").encode()
     if format == "csv":
         def cells_of(theorem, record):
             cells = [str(theorem)]

@@ -2,24 +2,28 @@
 degree and the curvature lower bound K_w of the convexity condition
 -hess(log w) >= K I.
 
-Built-in variants carry exact analytic derivatives.  Curvature is certified
-analytically where a closed argument exists (Gaussian tilts, log-concave
-homogeneous families) and by quasi-random sampling plus local descent
-otherwise.  Homogeneous log-concave weights always get K_w = 0: the radial
-second derivative of log w along rays is exactly -alpha/t^2, so no positive
-bound can hold on an unbounded cone.
+Built-in variants carry exact analytic derivatives and an analytic
+curvature argument where one exists (Gaussian tilts, log-concave
+homogeneous families).  Homogeneous log-concave weights always get K_w = 0:
+the radial second derivative of log w along rays is exactly -alpha/t^2, so
+no positive bound can hold on an unbounded cone.  A `CustomLogWeight`
+carries the K_w its caller claims, as it carries the claimed homogeneity
+degree.  `curvature_lower_bound` checks a claim on a fixed, seeded sample of
+the cone and refutes it where -hess(log w) has a smaller eigenvalue; a
+sample never establishes a bound, so the certificate stays "claimed".
 
 A spec is a frozen dataclass, so it is hashable and compares by value: the
 spec, the dimension and the cone are the rule-cache key of a weight.  A
 monomial prod |x_i|^a_i is the `DunklProduct` of the coordinate roots.  The
 private base `_Spec` holds the protocol defaults (no dimension hint, one
-opaque block, the full space as natural cone, no analytic curvature
-argument); each spec overrides only what differs.  `blocks(dim)` says how
-the density factors: in coordinate order, a `Block` is a 1-D factor
-|t|^a e^(-s t^2/2), a radial factor |x_B|^a on a coordinate set B, or an
-opaque factor with no structure a rule can use.  The rule builder of
-`measures` turns the blocks into a product rule, and the axes on which w
-vanishes (`Weight.singular_axes`) and the free axes are read off them.
+opaque block, the orthant of the vanishing 1-D blocks as natural cone);
+each spec overrides only what differs, and each answers
+`curvature_bound(dim)`.  `blocks(dim)` says how the density factors: in
+coordinate order, a `Block` is a 1-D factor |t|^a e^(-s t^2/2), a radial
+factor |x_B|^a on a coordinate set B, or an opaque factor with no structure
+a rule can use.  The rule builder of `measures` turns the blocks into a
+product rule, and the axes on which w vanishes (`Weight.singular_axes`),
+the free axes and the default natural cone are read off them.
 `zero_set(dim)` lists the hyperplanes on which w vanishes.  A spec's
 natural cone is a list of facet normals (see `cones`): the orthant of the
 axes where w vanishes, the halfspace of a single tilted Dunkl root, or, for
@@ -37,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cones import Cone, FullSpace, Halfspace, Orthant, _as_points
+from .cones import Cone, Halfspace, Orthant, _as_points
 from .errors import (
     DomainError,
     InadmissibleWeightError,
@@ -75,10 +79,20 @@ def _singular(blocks) -> tuple[int, ...]:
 
 
 class _Spec:
-    """Protocol defaults of a weight spec; each spec overrides what differs."""
+    """Protocol defaults of a weight spec; each spec overrides what differs.
+
+    Every spec answers `curvature_bound(dim)` with (K, kind, detail): K_w
+    with its kind, "analytic" (proven) or "claimed" (sampling may refute
+    it), or K None with kind "uncertified" and the reason as detail."""
 
     def dim_hint(self) -> int | None:
         return None
+
+    def check_dim(self, dim: int) -> None:
+        """Refuse a dimension the spec cannot live in."""
+        hint = self.dim_hint()
+        if hint is not None and hint != dim:
+            raise ValueError(f"spec dimension {hint} != requested dim {dim}")
 
     def blocks(self, dim: int) -> tuple[Block, ...]:
         return (Block("opaque", tuple(range(dim))),)
@@ -88,11 +102,9 @@ class _Spec:
         which w vanishes: by default the axes of the vanishing 1-D blocks."""
         return np.eye(dim)[list(_singular(self.blocks(dim)))]
 
-    def analytic_curvature(self, dim: int):
-        return NotImplemented
-
     def natural_cone(self, dim: int) -> Cone:
-        return FullSpace(dim)
+        """The orthant of the axes where a 1-D block vanishes."""
+        return Orthant(dim, _singular(self.blocks(dim)))
 
 
 @dataclass(frozen=True)
@@ -128,17 +140,15 @@ class Radial(_Spec):
             return _axis_blocks((self.alpha,))
         return (Block("radial", tuple(range(dim)), self.alpha),)
 
-    def analytic_curvature(self, dim: int):
+    def curvature_bound(self, dim: int):
         if dim == 1:
-            return 0.0, "analytic: homogeneous log-concave (1-d)"
+            return 0.0, "analytic", "analytic: homogeneous log-concave (1-d)"
         if self.alpha == 0:
-            return 0.0, "analytic: constant weight"
+            return 0.0, "analytic", "analytic: constant weight"
         # -hess(log w) has eigenvalue -alpha/|x|^2 orthogonal to x, unbounded
         # below near the vertex: no K > -1 exists.
-        return None, "log-Hessian unbounded below near the vertex (dim >= 2)"
-
-    def natural_cone(self, dim: int) -> Cone:
-        return Orthant(1, frozenset({0})) if dim == 1 else FullSpace(dim)
+        return (None, "uncertified",
+                "log-Hessian unbounded below near the vertex (dim >= 2)")
 
 
 @dataclass(frozen=True)
@@ -213,14 +223,13 @@ class DunklProduct(_Spec):
             exps[hits[0]] += a
         return _axis_blocks(exps)
 
-    def analytic_curvature(self, dim: int):
+    def curvature_bound(self, dim: int):
         # each factor contributes +a beta beta^T / <beta,x>^2 to -hess(log w)
-        return 0.0, "analytic: homogeneous log-concave"
+        return 0.0, "analytic", "analytic: homogeneous log-concave"
 
     def natural_cone(self, dim: int) -> Cone:
-        blocks = self.blocks(dim)
-        if blocks[0].kind == "axis":
-            return Orthant(dim, _singular(blocks))
+        if self.blocks(dim)[0].kind == "axis":
+            return super().natural_cone(dim)
         if len(self.roots) == 1:
             return Halfspace(dim, self.roots[0])
         raise ValueError(
@@ -264,8 +273,8 @@ class GaussianTilt(_Spec):
     def blocks(self, dim: int) -> tuple[Block, ...]:
         return tuple(Block("axis", (i,), 0.0, self.s) for i in range(dim))
 
-    def analytic_curvature(self, dim: int):
-        return float(self.s), "analytic: constant log-Hessian"
+    def curvature_bound(self, dim: int):
+        return float(self.s), "analytic", "analytic: constant log-Hessian"
 
 
 @dataclass(frozen=True)
@@ -280,6 +289,14 @@ class PartialProduct(_Spec):
         if len(set(coords)) != len(coords) or min(coords, default=0) < 0:
             raise ValueError(f"coords {coords} are not distinct nonnegative integers")
         object.__setattr__(self, "coords", coords)
+
+    def check_dim(self, dim: int) -> None:
+        if (max(self.coords, default=-1) >= dim
+                or self.inner.dim_hint() not in (None, len(self.coords))):
+            raise ValueError(
+                f"coords {self.coords} must lie in [0, {dim}), one per "
+                f"dimension of the inner weight")
+        self.inner.check_dim(len(self.coords))
 
     def _lift(self, vectors, dim: int) -> np.ndarray:
         """Inner vectors, as rows, embedded into R^dim on the coords."""
@@ -320,16 +337,13 @@ class PartialProduct(_Spec):
     def zero_set(self, dim: int) -> np.ndarray:
         return self._lift(self.inner.zero_set(len(self.coords)), dim)
 
-    def analytic_curvature(self, dim: int):
-        res = self.inner.analytic_curvature(len(self.coords))
-        if res is NotImplemented or res[0] is None:
-            return res
-        k, detail = res
-        if len(self.coords) < dim and k > 0:
+    def curvature_bound(self, dim: int):
+        k, kind, detail = self.inner.curvature_bound(len(self.coords))
+        if k is not None and k > 0 and len(self.coords) < dim:
             # free coordinates contribute zero rows to hess(log w), so the
             # smallest eigenvalue of -hess(log w) cannot exceed zero
-            return 0.0, detail + "; capped at zero by the free coordinates"
-        return res
+            return 0.0, kind, detail + "; capped at zero by the free coordinates"
+        return k, kind, detail
 
     def natural_cone(self, dim: int) -> Cone:
         inner = self.inner.natural_cone(len(self.coords))
@@ -341,7 +355,10 @@ class CustomLogWeight(_Spec):
     """User-supplied log-weight with first and second derivatives.
 
     Callables receive an (N, dim) batch; `log_value` must return -inf outside
-    the support.  `degree` may be given when the weight is homogeneous.
+    the support.  `homogeneity_degree` may be given when the weight is
+    homogeneous, and `claimed_kw` when the caller knows a bound
+    -hess(log w) >= K_w I; sampling may refute the claim but never
+    establishes it.  With no claim the weight stays uncertified.
     """
 
     log_value: Callable[[np.ndarray], np.ndarray]
@@ -349,9 +366,15 @@ class CustomLogWeight(_Spec):
     hess: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
     homogeneity_degree: Optional[float] = None
+    claimed_kw: Optional[float] = None
 
     def degree(self, dim: int) -> float | None:
         return self.homogeneity_degree
+
+    def curvature_bound(self, dim: int):
+        if self.claimed_kw is None:
+            return None, "uncertified", "custom weight claims no curvature bound"
+        return float(self.claimed_kw), "claimed", "claimed by the caller"
 
     def log_w(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.log_value(pts), dtype=float)
@@ -369,65 +392,38 @@ class CustomLogWeight(_Spec):
 
 @dataclass(frozen=True)
 class CurvatureCertificate:
-    kind: str  # "analytic" | "sampled" | "uncertified"
+    kind: str  # "analytic" | "claimed" | "uncertified"
     detail: str = ""
     num_points: int = 0
     min_eigenvalue_found: float = np.inf
     argmin: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class CurvatureSampler:
-    """Quasi-random certification sample: Sobol ball points plus local descent."""
-
-    num_points: int = 2 ** 17  # Sobol wants powers of two
-    radius: float = 10.0
-    descent_from: int = 10
-    seed: int = 0
+# the fixed sample on which a claimed K_w is checked, and the slack of the check
+CLAIM_SAMPLE = 2 ** 14
+CLAIM_RADIUS = 10.0
+CLAIM_GATE = 1e-9
 
 
-def _min_eig_neg_hess(weight: "Weight", pts: np.ndarray) -> np.ndarray:
-    h = -weight.spec.hess_log(pts)
-    return np.linalg.eigvalsh(h)[:, 0]
-
-
-def _sampled_curvature(weight: "Weight", sampler: CurvatureSampler) -> CurvatureCertificate:
-    # imported here: scipy.stats dominates `import gausscone` otherwise
-    from scipy.optimize import minimize
-    from scipy.stats import qmc
-
-    dim = weight.dim
-    eng = qmc.Sobol(d=dim, scramble=True, seed=sampler.seed)
-    raw = eng.random(sampler.num_points)
-    pts = (2.0 * raw - 1.0) * sampler.radius
-    inside = weight.cone.is_interior(pts, tol=1e-9)
-    inside &= np.linalg.norm(pts, axis=1) <= sampler.radius
-    inside &= np.isfinite(weight.spec.log_w(pts))
-    pts = pts[inside]
+def _sampled_curvature(weight: "Weight", claim: float,
+                       detail: str) -> CurvatureCertificate:
+    """Check a claimed K_w at seeded interior points of the cone where
+    log w is finite; refuted where the smallest eigenvalue of -hess(log w)
+    falls below the claim.  The claim is never raised to the minimum found."""
+    pts = weight.cone.sample_interior(np.random.default_rng(0), CLAIM_SAMPLE,
+                                      radius=CLAIM_RADIUS)
+    pts = pts[np.isfinite(weight.spec.log_w(pts))]
     if len(pts) == 0:
-        raise InadmissibleWeightError("no interior sample points found")
-    eigs = _min_eig_neg_hess(weight, pts)
-    order = np.argsort(eigs)
-    best = float(eigs[order[0]])
-    arg = pts[order[0]]
-
-    def objective(x):
-        x = np.asarray(x)[None, :]
-        if not weight.cone.is_interior(x, tol=1e-12)[0]:
-            return np.inf
-        if not np.isfinite(weight.spec.log_w(x))[0]:
-            return np.inf
-        return float(_min_eig_neg_hess(weight, x)[0])
-
-    for idx in order[: sampler.descent_from]:
-        res = minimize(objective, pts[idx], method="Nelder-Mead",
-                       options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-12})
-        if res.fun < best:
-            best = float(res.fun)
-            arg = np.asarray(res.x)
-    return CurvatureCertificate("sampled", "Sobol ball + Nelder-Mead descent",
-                                num_points=len(pts), min_eigenvalue_found=best,
-                                argmin=tuple(float(v) for v in arg))
+        raise InadmissibleWeightError("w vanishes at every sample point")
+    eigs = np.linalg.eigvalsh(-weight.spec.hess_log(pts))[:, 0]
+    i = int(np.argmin(eigs))
+    found, arg = float(eigs[i]), tuple(float(v) for v in pts[i])
+    if not found >= claim - CLAIM_GATE * (1.0 + abs(claim)):  # nan refutes too
+        raise InadmissibleWeightError(
+            f"claimed K_w = {claim:.6g} is refuted at x = {arg}: the smallest "
+            f"eigenvalue of -hess(log w) there is {found:.6g}")
+    return CurvatureCertificate("claimed", detail, num_points=len(pts),
+                                min_eigenvalue_found=found, argmin=arg)
 
 
 # ---------------------------------------------------------------------------
@@ -521,54 +517,45 @@ class Weight:
         return float(res[0]) if single else res
 
 
-def make_weight(spec, dim: int, cone: Cone | None = None, certify: bool = True,
-                sampler: CurvatureSampler | None = None) -> Weight:
+def make_weight(spec, dim: int, cone: Cone | None = None,
+                certify: bool = True) -> Weight:
     """Bind a spec to its cone (the spec's natural cone by default) and
     certify the curvature bound.
 
-    With certify=True the weight takes the spec's analytic bound; it stays
+    With certify=True the weight takes the spec's bound as
+    `curvature_lower_bound` certifies it: an analytic bound as it is, a
+    claimed one after the sample has failed to refute it.  It stays
     uncertified, with the spec's reason as the certificate detail, when the
-    spec shows that no bound exists; and a spec with no analytic argument is
-    sampled (`sampler`, or the default sampler).  certify=False leaves the
-    weight uncertified: usable for homogeneity identities, not for
-    inequality constants.  Certification is `curvature_lower_bound`.
+    spec gives no bound.  certify=False leaves the weight uncertified:
+    usable for homogeneity identities, not for inequality constants.
     """
-    hint = spec.dim_hint()
-    if hint is not None and hint != dim:
-        raise ValueError(f"spec dimension {hint} != requested dim {dim}")
+    spec.check_dim(dim)
     if cone is None:
         cone = spec.natural_cone(dim)
     if cone.dim != dim:
         raise ValueError("cone dimension mismatch")
-
-    degree = spec.degree(dim)
-    analytic = spec.analytic_curvature(dim)
-    detail = "" if analytic is NotImplemented else analytic[1]
-
-    weight = Weight(spec, dim, cone, degree, None,
+    bound, _, detail = spec.curvature_bound(dim)
+    weight = Weight(spec, dim, cone, spec.degree(dim), None,
                     CurvatureCertificate("uncertified", detail))
-    if not certify or (analytic is not NotImplemented and analytic[0] is None):
-        # uncertified on request, or because no admissible bound exists; the
+    if not certify or bound is None:
+        # uncertified on request, or because the spec gives no bound; the
         # weight stays usable for the homogeneity identities that never touch K_w
         return weight
-    curvature, cert = curvature_lower_bound(weight, sampler or CurvatureSampler())
-    return Weight(spec, dim, cone, degree, curvature, cert)
+    curvature, cert = curvature_lower_bound(weight)
+    return replace(weight, curvature=curvature, certificate=cert)
 
 
-def curvature_lower_bound(weight: Weight,
-                          sampler: CurvatureSampler | None = None) -> tuple[float, CurvatureCertificate]:
-    """K_w with its certificate; analytic when available, sampled otherwise.
-    The one place a bound K_w <= -1 is refused."""
-    analytic = weight.spec.analytic_curvature(weight.dim)
-    if analytic is not NotImplemented and analytic[0] is not None:
-        curvature = float(analytic[0])
-        cert = CurvatureCertificate("analytic", analytic[1])
-    elif analytic is not NotImplemented and sampler is None:
-        raise InadmissibleWeightError(analytic[1])
-    else:
-        cert = _sampled_curvature(weight, sampler or CurvatureSampler())
-        curvature = cert.min_eigenvalue_found
-    if curvature <= -1.0:
+def curvature_lower_bound(weight: Weight) -> tuple[float, CurvatureCertificate]:
+    """K_w with its certificate, the one place a bound is certified: an
+    analytic bound is taken as it is, never sampled; a claimed one is
+    checked by `_sampled_curvature`, which may refute it.  Refuses a spec
+    with no bound and a bound outside (-1, inf)."""
+    bound, kind, detail = weight.spec.curvature_bound(weight.dim)
+    if bound is None:
+        raise InadmissibleWeightError(detail)
+    if not -1.0 < bound < np.inf:
         raise InadmissibleWeightError(
-            f"{cert.kind} curvature {curvature:.6g} <= -1")
-    return curvature, cert
+            f"{kind} curvature {bound:.6g} violates -1 < K_w < inf")
+    if kind == "analytic":
+        return float(bound), CurvatureCertificate("analytic", detail)
+    return float(bound), _sampled_curvature(weight, float(bound), detail)

@@ -267,8 +267,7 @@ def test_tolerance_reaches_seeded_hup_stability(tmp_path, monkeypatch, flag,
 
 
 def test_cli_import_loads_neither_mpmath_nor_scipy():
-    # mpmath is a test dependency only, and scipy serves only sampled
-    # curvature certification, imported when that runs
+    # mpmath is a test dependency only, and the library does not use scipy
     code = ("import sys, gausscone.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('mpmath', 'scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

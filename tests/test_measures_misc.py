@@ -23,7 +23,7 @@ from gausscone.measures import (
     make_measure,
     nu_integral,
 )
-from gausscone.report import _clean, _emit_json
+from gausscone.report import RunReport, _clean, emit
 from gausscone.weights import (
     CustomLogWeight,
     DunklProduct,
@@ -286,13 +286,30 @@ class TestSerializer:
                       "e": frozenset({3, 1})})
         assert out == {"a": 1.5, "b": 2, "c": True, "d": [0, 1, 2], "e": [1, 3]}
 
+    @staticmethod
+    def _emit_config(config):
+        return emit(RunReport(config=config, version="0"), "json")
+
     def test_emit_json_specials(self):
-        parts = []
-        _emit_json({"nan": float("nan"), "inf": float("inf"), "x": 1.25}, parts)
-        payload = json.loads("".join(parts))
-        assert payload == {"nan": "nan", "inf": "inf", "x": 1.25}
+        raw = self._emit_config({"nan": float("nan"), "inf": float("inf"),
+                                 "-inf": np.float64(-np.inf), "x": 1.25})
+        assert json.loads(raw)["config"] == {"nan": "nan", "inf": "inf",
+                                             "-inf": "-inf", "x": 1.25}
 
     def test_emit_json_sorted_keys(self):
-        parts = []
-        _emit_json({"b": 1, "a": 2}, parts)
-        assert "".join(parts) == '{"a":2,"b":1}'
+        raw = self._emit_config({"b": 1, "a": 2})
+        assert raw == b'{"config":{"a":2,"b":1},"pass":true,"suites":[],"version":"0"}\n'
+
+    def test_emit_json_control_characters(self):
+        # every control character is escaped, so the report stays valid JSON
+        key = "extra\u0001\x1f\u2028"
+        raw = self._emit_config({key: "a\tb\x00"})
+        assert json.loads(raw)["config"] == {key: "a\tb\x00"}
+
+    def test_emit_json_integral_floats_stay_floats(self):
+        payload = json.loads(self._emit_config(
+            {"constant": 1.0, "big": 1e16, "n": np.int64(3), "tiny": 5e-324}))
+        assert payload["config"] == {"constant": 1.0, "big": 1e16, "n": 3,
+                                     "tiny": 5e-324}
+        assert [type(payload["config"][k]) for k in ("constant", "big", "n")] == [
+            float, float, int]

@@ -1,11 +1,15 @@
+import ast
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausscone import measures
+from gausscone import measures, weights
+from gausscone.config import build_weight, parse_config
 from gausscone.cones import FullSpace, Halfspace, Orthant
 from gausscone.errors import (
     AmbiguousNormalError,
@@ -16,7 +20,8 @@ from gausscone.errors import (
     UncertifiedCurvatureError,
 )
 from gausscone.weights import (
-    CurvatureSampler,
+    CLAIM_SAMPLE,
+    CurvatureCertificate,
     CustomLogWeight,
     DunklProduct,
     GaussianTilt,
@@ -162,37 +167,122 @@ class TestCurvature:
 
     def test_custom_quartic_sampled(self):
         # w = e^{-|x|^4}: -hess(log w) = 4|x|^2 I + 8 x x^T, infimum 0 at the
-        # origin.  Oracle: the closed form evaluated on the certification
-        # sample has min eigenvalue 4 r^2 -> 0.
-        def log_value(pts):
-            return -np.sum(pts ** 2, axis=1) ** 2
-
-        def grad(pts):
-            r2 = np.sum(pts ** 2, axis=1)
-            return -4.0 * pts * r2[:, None]
-
-        def hess(pts):
-            n = pts.shape[1]
-            r2 = np.sum(pts ** 2, axis=1)
-            outer = pts[:, :, None] * pts[:, None, :]
-            return -(4.0 * r2[:, None, None] * np.eye(n)[None] + 8.0 * outer)
-
-        spec = CustomLogWeight(log_value, grad, hess, name="quartic")
-        w = make_weight(spec, 2, sampler=CurvatureSampler(num_points=2 ** 14, seed=3))
-        assert w.certificate.kind == "sampled"
-        assert w.certificate.num_points > 0
-        assert 0.0 <= w.curvature <= 1e-3
+        # origin, so the claim K_w = 0 holds; the sample finds its minimum
+        # 4 r^2 near the origin and keeps the claim as it is
+        w = make_weight(_quartic(0.0), 2)
+        assert w.certificate.kind == "claimed"
+        assert w.certificate.num_points == CLAIM_SAMPLE
+        assert w.curvature == 0.0
+        assert 0.0 <= w.certificate.min_eigenvalue_found <= 1e-2
 
     def test_custom_inadmissible(self):
-        # log w = |x|^2 /2 * 3 => -hess log w = -3 I < -I everywhere
-        spec = CustomLogWeight(
-            lambda p: 1.5 * np.sum(p ** 2, axis=1),
-            lambda p: 3.0 * p,
-            lambda p: np.broadcast_to(3.0 * np.eye(p.shape[1]),
-                                      (len(p), p.shape[1], p.shape[1])).copy(),
-            name="anti-concave")
-        with pytest.raises(InadmissibleWeightError):
-            make_weight(spec, 2, sampler=CurvatureSampler(num_points=2 ** 11, seed=0))
+        # log w = |x|^2 /2 * 3 => -hess log w = -3 I < -I everywhere: the
+        # claim K_w = 0 is refuted, naming the point and the eigenvalue
+        with pytest.raises(InadmissibleWeightError,
+                           match=r"refuted at x = .*there is -3"):
+            make_weight(_tilt(-3.0, claimed_kw=0.0), 2)
+
+    def test_false_claim_refuted_near_the_origin(self):
+        # the quartic's -hess(log w) has eigenvalue 4 r^2 < 0.5 for r < 0.35
+        with pytest.raises(InadmissibleWeightError, match="claimed K_w = 0.5"):
+            make_weight(_quartic(0.5), 2)
+
+    def test_claim_at_or_below_minus_one_refused_unsampled(self, monkeypatch):
+        monkeypatch.setattr(weights, "_sampled_curvature", _never_sampled)
+        for claim in (-1.0, -2.5, float("nan"), float("inf")):
+            with pytest.raises(InadmissibleWeightError, match="violates -1 < K_w"):
+                make_weight(_tilt(0.3, claimed_kw=claim), 2)
+
+    def test_non_finite_hessian_refutes(self):
+        spec = CustomLogWeight(lambda p: np.zeros(len(p)),
+                               lambda p: np.zeros_like(p),
+                               lambda p: np.full((len(p), 2, 2), np.nan),
+                               claimed_kw=0.0)
+        with pytest.raises(InadmissibleWeightError, match="there is nan"):
+            make_weight(spec, 2)
+
+    def test_custom_without_claim_stays_uncertified(self, monkeypatch):
+        monkeypatch.setattr(weights, "_sampled_curvature", _never_sampled)
+        w = make_weight(_tilt(0.3), 2)
+        assert w.curvature is None
+        assert w.certificate == CurvatureCertificate(
+            "uncertified", "custom weight claims no curvature bound")
+        with pytest.raises(UncertifiedCurvatureError):
+            _ = w.kw
+        with pytest.raises(InadmissibleWeightError, match="claims no curvature"):
+            curvature_lower_bound(w)
+
+    def test_claim_on_partial_inner_capped_and_sampled_lifted(self, monkeypatch):
+        seen = []
+
+        def spy(weight, claim, detail):
+            seen.append((weight.dim, claim))
+            return sample(weight, claim, detail)
+
+        sample = weights._sampled_curvature
+        monkeypatch.setattr(weights, "_sampled_curvature", spy)
+        w = make_weight(PartialProduct(_tilt(0.3, claimed_kw=0.3), (0,)), 3)
+        assert seen == [(3, 0.0)]
+        assert w.curvature == 0.0
+        assert w.certificate.kind == "claimed"
+        assert w.certificate.detail == (
+            "claimed by the caller; capped at zero by the free coordinates")
+        # the free coordinates' zero rows put the minimum found at zero
+        assert w.certificate.min_eigenvalue_found == 0.0
+
+    def test_claim_never_raised_to_the_sampled_minimum(self):
+        w = make_weight(_tilt(0.3, claimed_kw=0.1), 2)
+        assert w.curvature == 0.1
+        assert w.certificate.min_eigenvalue_found == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("config_weight, dim", [
+        ({"kind": "monomial", "exponents": [1.5, 0.0]}, 2),
+        ({"kind": "radial", "alpha": 1.5}, 1),
+        ({"kind": "radial", "alpha": 1.0}, 2),
+        ({"kind": "radial", "alpha": 0.0}, 3),
+        ({"kind": "dunkl", "roots": [[0.6, 0.8]], "multiplicities": [0.5]}, 2),
+        ({"kind": "gaussian_tilt", "s": 0.4}, 2),
+        ({"kind": "partial_product", "coords": [0],
+          "inner": {"kind": "gaussian_tilt", "s": 0.4}}, 2),
+        ({"kind": "one"}, 2),
+    ], ids=["monomial", "radial-1d", "radial-2d", "radial-const",
+            "dunkl", "gaussian_tilt", "partial_product", "one"])
+    def test_schema_weights_certify_unsampled(self, monkeypatch, config_weight,
+                                              dim):
+        # analytic bounds are taken as they are, never sampled
+        monkeypatch.setattr(weights, "_sampled_curvature", _never_sampled)
+        cfg = parse_config({"dim": dim, "weight": config_weight, "suites": []})
+        w = build_weight(cfg)
+        assert w.certificate.kind in ("analytic", "uncertified")
+        assert (w.curvature is None) == (w.certificate.kind == "uncertified")
+
+
+def _never_sampled(*args):
+    raise AssertionError("a curvature bound was sampled")
+
+
+def _tilt(s, **kw):
+    """A custom weight e^{-s|x|^2/2}: -hess(log w) = s I."""
+    return CustomLogWeight(
+        lambda p: -0.5 * s * np.sum(p ** 2, axis=1),
+        lambda p: -s * p,
+        lambda p: np.broadcast_to(-s * np.eye(p.shape[1]),
+                                  (len(p), p.shape[1], p.shape[1])).copy(),
+        name="tilt", **kw)
+
+
+def _quartic(claim):
+    """A custom weight e^{-|x|^4} with the claim K_w = claim."""
+    def hess(pts):
+        n = pts.shape[1]
+        r2 = np.sum(pts ** 2, axis=1)
+        outer = pts[:, :, None] * pts[:, None, :]
+        return -(4.0 * r2[:, None, None] * np.eye(n)[None] + 8.0 * outer)
+
+    return CustomLogWeight(
+        lambda p: -np.sum(p ** 2, axis=1) ** 2,
+        lambda p: -4.0 * p * np.sum(p ** 2, axis=1)[:, None],
+        hess, name="quartic", claimed_kw=claim)
 
 
 class TestEuler:
@@ -316,24 +406,40 @@ class TestSpecProtocol:
             0.0, "analytic", "analytic: homogeneous log-concave")
 
     def test_make_weight_no_bound_exists(self):
-        # the spec proves that no K > -1 exists: a sampler does not override it
-        w = make_weight(Radial(1.0), 2,
-                        sampler=CurvatureSampler(num_points=2 ** 8))
+        # the spec proves that no K > -1 exists: the weight stays uncertified
+        w = make_weight(Radial(1.0), 2)
         assert w.curvature is None
         assert w.certificate.kind == "uncertified"
         assert w.certificate.detail == (
             "log-Hessian unbounded below near the vertex (dim >= 2)")
 
     def test_make_weight_custom_sampled(self):
-        spec = CustomLogWeight(
-            lambda p: -0.15 * np.sum(p ** 2, axis=1),
-            lambda p: -0.3 * p,
-            lambda p: np.broadcast_to(-0.3 * np.eye(p.shape[1]),
-                                      (len(p), p.shape[1], p.shape[1])).copy())
-        w = make_weight(spec, 2, sampler=CurvatureSampler(num_points=2 ** 8))
-        assert w.certificate.kind == "sampled"
-        assert w.certificate.num_points > 0
-        assert w.curvature == pytest.approx(0.3, rel=1e-12)
+        # a true claim is kept, with the sample size and the minimum found
+        w = make_weight(_tilt(0.3, claimed_kw=0.3), 2)
+        assert w.certificate.kind == "claimed"
+        assert w.certificate.detail == "claimed by the caller"
+        assert w.certificate.num_points == CLAIM_SAMPLE
+        assert w.curvature == 0.3
+        assert w.certificate.min_eigenvalue_found == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [Radial(0.0), Monomial((0.0,))],
+                             ids=["radial", "monomial"])
+    def test_constant_1d_weight_gets_the_full_line(self, spec):
+        # one natural-cone rule: the orthant of the vanishing 1-D blocks
+        w = make_weight(spec, 1)
+        assert w.cone == FullSpace(1)
+        assert measures.build_rule(w, order=8).mass == pytest.approx(
+            np.sqrt(2.0 * np.pi), rel=1e-13)
+
+    def test_vanishing_1d_radial_gets_the_half_line(self):
+        assert make_weight(Radial(1.5), 1).cone == Orthant(1, {0})
+
+    @pytest.mark.parametrize("coords", [(0, 5), (0,)], ids=["beyond-dim", "too-few"])
+    @pytest.mark.parametrize("cone", [None, FullSpace(2)], ids=["natural", "given"])
+    def test_partial_product_coords_refused_by_name(self, coords, cone):
+        spec = PartialProduct(Monomial((1.0, 1.0)), coords)
+        with pytest.raises(ValueError, match=re.escape(f"coords {coords}")):
+            make_weight(spec, 2, cone=cone)
 
     def test_make_weight_certify_false(self):
         w = make_weight(Monomial((1.0, 0.5)), 2, certify=False)
@@ -439,10 +545,30 @@ class TestMonomialIsDunklProduct:
 
 
 def test_import_leaves_sampling_scipy_unloaded():
-    # scipy serves only sampled curvature certification, so
-    # `import gausscone` must not pay for any of it
-    code = ("import sys, gausscone; print(sorted(m for m in sys.modules "
+    # the library does not use scipy: neither `import gausscone` nor
+    # certifying a claimed curvature bound may load any of it
+    code = ("import sys, numpy as np, gausscone as g\n"
+            "w = g.make_weight(g.CustomLogWeight(lambda p: -0.15 * (p ** 2).sum(1),"
+            " lambda p: -0.3 * p, lambda p: np.broadcast_to(-0.3 * np.eye(2),"
+            " (len(p), 2, 2)).copy(), claimed_kw=0.3), 2)\n"
+            "assert w.certificate.kind == 'claimed'\n"
+            "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    # the run path and the library use numpy only; scipy is not a dependency
+    src = Path(weights.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (
+                f"{path.name}:{node.lineno} imports scipy")
