@@ -7,16 +7,26 @@
     gausscone report    --config cfg.json ...   # run and print, never fails
 
 Exit codes: 0 success, 1 suite failure, 2 invalid config, 3 unwritable output.
+
+The process runs BLAS and OpenMP on one thread, whatever the caller's
+environment says: the thread count moves the last digits of `matmul`,
+`tensordot` and `eigh`, and a report must not depend on it.  The variables
+are set before the package imports below first load numpy (the package
+`__init__` loads nothing), so the setting holds for the whole run.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .config import parse_config
-from .errors import ConfigError, ToolkitError
-from .report import emit, run
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from .config import parse_config  # noqa: E402
+from .errors import ConfigError, ToolkitError  # noqa: E402
+from .report import emit, run  # noqa: E402
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1

@@ -43,7 +43,13 @@ from .functionals import (
     _nu_moments,
     hup_deficit,
 )
-from .measures import Measure, integrate, nu_integral, partition_function
+from .measures import (
+    NODE_BLOCK,
+    Measure,
+    integrate,
+    nu_integral,
+    partition_function,
+)
 
 TOLERANCE_SCALE = 1e-7
 
@@ -118,20 +124,33 @@ def check_poincare(measure: Measure, f: ScalarField, q: float = 2.0,
                       informational=q < 2.0,
                       diagnostics={"variance": var, "energy_q": energy})
     rhs = energy - c * var
-    # v = int (f - mean) x dmu and the barycenter mx = int x dmu
-    v, mx = integrate(measure, np.stack([(vals - mean) * pts.T, pts.T])
-                      .transpose(2, 0, 1))
+    # v = int (f - mean) x dmu and the barycenter mx = int x dmu, each
+    # component summed over one contiguous row of the axis-first nodes
+    v = integrate(measure, ((vals - mean) * pts.T).T)
+    mx = integrate(measure, pts)
     if level == "gradient_stability":
-        # lhs = (1/2) int |grad f - c v|^2 dmu
-        lhs = 0.5 * _energy(measure, grad - c * v, 2.0)
+        # lhs = (1/2) int |grad f - c v|^2 dmu, the squares added one axis at
+        # a time in the order np.sum(..., axis=1) adds them
+        sq = np.zeros(len(vals))
+        for g, cv in zip(grad.T, c * v):
+            d = g - cv
+            d *= d
+            sq += d
+        lhs = 0.5 * integrate(measure, sq)
         return _check("poincare_gradient_stability", None, 2.0, lhs, rhs, c,
                       diagnostics={"projection_vector": v.tolist(),
                                    "variance": var, "energy": energy})
-    # lhs = (c/2) int pi^2 dmu with pi = f - mean - c (x - mx).v; expanding
-    # (x - mx).v with v = vf - mean mx, vf = int f x dmu, gives the terms
-    # reported below, which sum to pi
-    pi = vals - mean - c * ((pts - mx) @ v)
-    lhs = 0.5 * c * integrate(measure, pi ** 2)
+    # lhs = (c/2) int pi^2 dmu with pi = f - mean - c (x - mx).v, formed
+    # NODE_BLOCK nodes at a time (a node's dot product reads its own row
+    # only, as on the whole array); expanding (x - mx).v with
+    # v = vf - mean mx, vf = int f x dmu, gives the terms reported below,
+    # which sum to pi
+    pi = np.empty(len(vals))
+    for k in range(0, len(pi), NODE_BLOCK):
+        block = slice(k, k + NODE_BLOCK)
+        pi[block] = vals[block] - mean - c * ((pts[block] - mx) @ v)
+    pi *= pi
+    lhs = 0.5 * c * integrate(measure, pi)
     vf = v + mean * mx
     return _check("poincare_l2_stability", None, 2.0, lhs, rhs, c,
                   diagnostics={

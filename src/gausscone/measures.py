@@ -54,9 +54,11 @@ still run once over all N nodes, so an integral is the whole-array one bit
 for bit whenever the integrand's value at a node does not depend on the
 batch around it.  (A dense polynomial field contracts its monomial table
 with BLAS, whose rounding at a node can move by an ulp or a few with the
-batch size, in whole arrays as in blocks.)  A block's temporaries stay in
-cache, and a pass holds the buffer and one block's temporaries, not a
-multiple of the rule; a rule of at most NODE_BLOCK nodes is one block.
+batch size and the thread count, in whole arrays as in blocks.  The CLI
+runs BLAS on one thread, so there only the batch size can move a jet's
+last ulp.)  A block's temporaries stay in cache, and a pass holds the
+buffer and one block's temporaries, not a multiple of the rule; a rule of
+at most NODE_BLOCK nodes is one block.
 `Measure.moments` keeps its own MOMENT_CHUNK: its monomial table has up to
 924 rows (6-D at degree 6), so one chunk of NODE_BLOCK nodes would double
 from 30 to 60 MB.

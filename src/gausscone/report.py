@@ -6,6 +6,13 @@ float keeps its ".0"), and nan and infinities as the strings "nan", "inf"
 and "-inf".  Two runs with the same config, seed and version produce
 byte-identical output.  Wall-clock timings are collected but kept out of
 the serialized bytes by default for exactly that reason.
+
+The thread count of BLAS moves the last digits of `matmul`, `tensordot` and
+`eigh`, so the command line (`gausscone.cli`) pins BLAS and OpenMP to one
+thread before numpy loads: its reports are byte-identical across reruns and
+across the caller's thread settings.  A library caller who imports numpy
+first owns the thread count, and `run` then reproduces bytes only at a
+fixed thread count.
 """
 
 from __future__ import annotations

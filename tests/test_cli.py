@@ -1,6 +1,8 @@
 """Config parsing, report schema, determinism and the exit-code contract."""
 
+import importlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -284,6 +286,89 @@ def test_replication_byte_identical_across_processes(tmp_path):
                      "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env_without_thread_settings():
+    return {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+
+
+def test_report_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    # the 4-D Galerkin eigensolve rounds differently on two BLAS threads
+    # (`gap` 0.9999999999999951 against 0.9999999999999979 on one); the CLI
+    # pins one thread before numpy loads, whatever the caller set
+    cfg = {"dim": 4, "weight": {"kind": "monomial", "exponents": [1.5, 0, 0, 0]},
+           "quadrature": {"order": 8}, "suites": ["spectral"]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    reports = []
+    for threads in (None, "1", "2"):
+        env = _env_without_thread_settings()
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"report-{threads}.json"
+        proc = subprocess.run([sys.executable, "-m", "gausscone.cli", "verify",
+                               "--config", str(path), "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+# the package's public names, by the submodule that defines each
+PUBLIC_NAMES = {
+    "cones": ["Cone", "FullSpace", "Halfspace", "Orthant"],
+    "fields": ["Decay", "ScalarField", "affine", "constant", "exp_axis",
+               "gaussian", "gaussian_quarter", "hermite_witness", "poly_gauss"],
+    "functionals": ["dirichlet_energy", "entropy", "hup_deficit", "lq_norm",
+                    "optimal_scale", "variance"],
+    "gamma": ["apply_generator", "bochner_residual", "carre_du_champ",
+              "cd_margin", "gamma2", "neumann_residual"],
+    "inequalities": ["InequalityCheck", "check_beckner", "check_euclidean_lsi",
+                     "check_hup", "check_lsi", "check_lsi_equivalence",
+                     "check_poincare", "check_scale_poincare",
+                     "sharpness_sweep"],
+    "measures": ["Measure", "QuadratureRule", "build_rule", "integrate",
+                 "make_measure", "special_moments"],
+    "spectral": ["GalerkinSystem", "SpectralResult", "build_galerkin",
+                 "poisson_solve", "semigroup_apply", "semigroup_decay_check",
+                 "spectral_gap"],
+    "stability": ["check_hup_stability", "distance_to_family"],
+    "weights": ["CustomLogWeight", "DunklProduct", "GaussianTilt", "Monomial",
+                "PartialProduct", "Radial", "Weight", "curvature_lower_bound",
+                "make_weight"],
+}
+
+
+def test_package_import_loads_nothing_and_sets_no_thread_count():
+    # a library caller keeps its own thread settings: neither the import nor
+    # a public name pins anything; numpy loads only with the first name
+    code = ("import os, sys, gausscone\n"
+            "print('numpy' in sys.modules, gausscone.__version__)\n"
+            "gausscone.make_measure\n"
+            "print('numpy' in sys.modules, sorted(v for v in os.environ "
+            f"if v in {THREAD_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=_env_without_thread_settings())
+    assert out.stdout.split("\n")[:2] == ["False 0.1.0", "True []"]
+
+
+def test_public_names_are_their_submodules_objects():
+    import gausscone
+
+    names = sorted(n for group in PUBLIC_NAMES.values() for n in group)
+    assert gausscone.__all__ == names
+    assert set(names) <= set(dir(gausscone))
+    for module, group in PUBLIC_NAMES.items():
+        source = importlib.import_module(f"gausscone.{module}")
+        for name in group:
+            assert getattr(gausscone, name) is getattr(source, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gausscone.no_such_name
 
 
 def test_partial_3d_spectral_suite(tmp_path):

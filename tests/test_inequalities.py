@@ -29,7 +29,14 @@ from gausscone.fields import (
     scaled,
     squared,
 )
-from gausscone.functionals import dirichlet_energy, entropy, lq_norm, variance
+from gausscone.functionals import (
+    _energy,
+    _mean_variance,
+    dirichlet_energy,
+    entropy,
+    lq_norm,
+    variance,
+)
 from gausscone.inequalities import (
     check_beckner,
     check_euclidean_lsi,
@@ -41,7 +48,7 @@ from gausscone.inequalities import (
     euclidean_lsi_rescaling_invariance,
     sharpness_sweep,
 )
-from gausscone.measures import make_measure
+from gausscone.measures import integrate, make_measure
 from gausscone.weights import GaussianTilt, Monomial, make_weight
 
 SHARED_FORMULA_FIELDS = [
@@ -179,6 +186,34 @@ class TestPoincare:
             assert grad.rhs == pytest.approx(basic.rhs - basic.lhs, rel=1e-9,
                                              abs=1e-12)
             assert grad.rhs >= grad.lhs >= -1e-12
+
+    @pytest.mark.parametrize("exponents, settings", [
+        ((1.5, 0.5), {"order": 24}), ((1.5, 0.5, 1.0), {"order": 12}),
+        ((1.5, 0.5), {"mc_samples": 20001, "seed": 4}),  # 3 node blocks
+    ], ids=["tensor2d", "tensor3d", "mc"])
+    def test_stability_terms_equal_whole_array_formulas(self, exponents,
+                                                        settings):
+        # the per-axis and per-block forms add and multiply in the order of
+        # the whole-array expressions they replace, so they agree bit for
+        # bit; on the orthant no barycenter component is zero
+        dim = len(exponents)
+        mu = make_measure(make_weight(Monomial(exponents), dim), 1.0,
+                          **settings)
+        c = 1.0 + mu.weight.kw
+        for seed in range(3):
+            f = poly_gauss(seed, dim)
+            vals, grad = mu.node_jet(f)
+            mean, _ = _mean_variance(mu, vals)
+            pts = mu.nodes
+            v, mx = integrate(mu, np.stack([(vals - mean) * pts.T, pts.T])
+                              .transpose(2, 0, 1))
+            grad_chk = check_poincare(mu, f, level="gradient_stability")
+            assert grad_chk.diagnostics["projection_vector"] == v.tolist()
+            assert grad_chk.lhs == 0.5 * _energy(mu, grad - c * v, 2.0)
+            l2_chk = check_poincare(mu, f, level="l2_stability")
+            assert l2_chk.diagnostics["measure_barycenter"] == mx.tolist()
+            pi = vals - mean - c * ((pts - mx) @ v)
+            assert l2_chk.lhs == 0.5 * c * integrate(mu, pi ** 2)
 
     def test_shift_and_sign_invariance(self, mu_one_2d):
         f = poly_gauss(3, 2)
