@@ -138,6 +138,8 @@ def parse_config(source) -> RunConfig:
     _require(_number(seed) and 0 <= seed < 2 ** 128,
              "seed must be an integer in [0, 2^128)")
     output = raw.get("output")
+    _require(output is None or isinstance(output, str),
+             f"output must be a path string: {output!r}")
     return RunConfig(dim=dim, weight=weight, cone=cone, quadrature=quadrature,
                      fields=tuple(fields) if fields is not None else None,
                      suites=tuple(suites), tolerance=float(tolerance),
@@ -151,9 +153,19 @@ def build_cone(spec: dict | None, dim: int) -> Cone | None:
     if kind == "full_space":
         return FullSpace(dim)
     if kind == "orthant":
-        return Orthant(dim, frozenset(spec.get("axes", range(dim))))
+        axes = spec.get("axes", list(range(dim)))
+        _require(isinstance(axes, list)
+                 and all(_number(a) and 0 <= a < dim for a in axes),
+                 f"cone.axes must be a list of integers in [0, {dim}): {axes!r}")
+        return Orthant(dim, frozenset(axes))
     if kind == "halfspace":
-        return Halfspace(dim, tuple(spec["normal"]))
+        normal = spec.get("normal")
+        _require(isinstance(normal, list) and len(normal) == dim
+                 and all(_number(c, Real) and math.isfinite(c) for c in normal)
+                 and any(normal),
+                 f"cone.normal must be {dim} finite numbers, not all zero: "
+                 f"{normal!r}")
+        return Halfspace(dim, tuple(normal))
     raise ConfigError(f"unknown cone kind {kind!r}")
 
 
@@ -237,6 +249,13 @@ def build_weight(config: RunConfig) -> Weight:
     return weight
 
 
+def _field_axis(spec: dict, dim: int) -> int:
+    axis = int(spec["axis"])
+    _require(0 <= axis < dim,
+             f"field {spec['kind']} needs an axis in [0, {dim}): {spec!r}")
+    return axis
+
+
 def build_field(spec: dict, dim: int) -> ScalarField:
     kind = spec["kind"]
     try:
@@ -245,12 +264,13 @@ def build_field(spec: dict, dim: int) -> ScalarField:
         if kind == "affine":
             return affine(list(spec["a"]), float(spec.get("b", 0.0)), dim)
         if kind == "exp_axis":
-            return exp_axis(float(spec["b"]), int(spec["axis"]), dim)
+            return exp_axis(float(spec["b"]), _field_axis(spec, dim), dim)
         if kind == "hermite_witness":
-            return hermite_witness(int(spec["axis"]), dim)
+            return hermite_witness(_field_axis(spec, dim), dim)
         if kind == "gaussian":
-            return gaussian(float(spec.get("amplitude", 1.0)),
-                            float(spec["lam"]), dim)
+            lam = float(spec["lam"])
+            _require(lam > 0, f"field gaussian needs lam > 0: {spec!r}")
+            return gaussian(float(spec.get("amplitude", 1.0)), lam, dim)
         if kind == "gaussian_quarter":
             return gaussian_quarter(float(spec.get("amplitude", 1.0)), dim)
         if kind == "poly_gauss":

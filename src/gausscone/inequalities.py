@@ -1,10 +1,12 @@
 """Both sides of every inequality theorem, with deficits, pass verdicts and
 the sharpness sweeps the proofs prescribe.
 
-Conventions: every check is stored as lhs <= rhs with deficit = rhs - lhs and
-pass iff deficit >= -tolerance, with tolerance TOLERANCE_SCALE (1 + |lhs| +
-|rhs|) and TOLERANCE_SCALE = 1e-7: quadrature-limited rather than
-theory-limited.  Checks outside the range the proofs cover (q < 2 in the
+Conventions: every check is stored as lhs <= rhs with deficit = rhs - lhs.
+`verdict` judges it: pass iff deficit >= -scale (1 + |lhs| + |rhs|), scale
+the run tolerance (TOLERANCE_SCALE = 1e-7 by default: quadrature-limited,
+not theory-limited), and a failed conjugation identity fails at any scale.
+`GATES` holds that scale and every other limit that decides a report
+record's `pass`.  Checks outside the range the proofs cover (q < 2 in the
 Beckner/Poincare family, whose Hoelder step uses q/(q-2)) still run but carry
 an informational flag and never fail a suite.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +57,54 @@ from .measures import (
 TOLERANCE_SCALE = 1e-7
 
 
+class Gate(NamedTuple):
+    value: float | tuple[float, float]
+    scale: str  # "run": value times the run tolerance; "fixed": value itself
+    kind: str   # "relative" to the size of what it compares, or "absolute"
+
+
+# Every limit that decides a report record's `pass`, under the theorem of the
+# record it gates (a record with several limits has one entry per limit);
+# "per_field" gates every record built from an InequalityCheck.
+GATES = {
+    "per_field": Gate(1.0, "run", "relative"),
+    "cd_margin": Gate(1e-9, "fixed", "absolute"),
+    "bochner_convergence": Gate((3.5, 4.5), "fixed", "relative"),
+    "bochner_convergence_floor": Gate(1e-13, "fixed", "absolute"),
+    "bochner_convergence_min_ratios": Gate(5, "fixed", "absolute"),
+    "integration_by_parts": Gate(1e-7, "fixed", "relative"),
+    "euler_identity": Gate(1e-10, "fixed", "relative"),
+    "neumann_admission": Gate(1e-8, "fixed", "absolute"),
+    "beckner_sharpness": Gate(1e-3, "fixed", "relative"),
+    "poincare_extremal": Gate(1e-9, "fixed", "absolute"),
+    "lsi_extremal": Gate(1e-8, "fixed", "relative"),
+    "euclidean_lsi_equality": Gate(1e-7, "fixed", "relative"),
+    "euclidean_lsi_rescaling": Gate(1e-7, "fixed", "relative"),
+    "lsi_equivalence": Gate(1e-7, "fixed", "relative"),
+    "lsi_equivalence_log_slack": Gate(1e-12, "fixed", "absolute"),
+    "hup_identity": Gate(1e-8, "fixed", "relative"),
+    "hup_stability_witness": Gate(1.0, "run", "absolute"),
+    "hup_stability_witness_equality_gap": Gate(1e-6, "fixed", "relative"),
+    "hup_stability_seeded": Gate(2.0, "run", "absolute"),
+    "hup_stability_oracle": Gate(1e-6, "fixed", "relative"),
+    "spectral_gap": Gate(1e-6, "fixed", "absolute"),
+    "spectral_gap_convergence": Gate(1e-4, "fixed", "relative"),
+    "spectral_free_axis_eigenfunction": Gate(1e-8, "fixed", "absolute"),
+    "poisson_solve": Gate(1e-6, "fixed", "absolute"),
+    "poincare_duality": Gate(1e-7, "fixed", "relative"),
+    "poincare_duality_middle": Gate(1e-9, "fixed", "relative"),
+    "semigroup_decay": Gate(1e-3, "fixed", "relative"),
+    "semigroup_decay_floor": Gate(1e-12, "fixed", "absolute"),
+}
+
+
+def limit(name: str, run_tolerance: float = TOLERANCE_SCALE):
+    """The limit of gate `name`, read from GATES when called: its value,
+    times the run tolerance if the gate scales with it."""
+    gate = GATES[name]
+    return gate.value * run_tolerance if gate.scale == "run" else gate.value
+
+
 @dataclass(frozen=True)
 class InequalityCheck:
     theorem: str
@@ -63,21 +114,30 @@ class InequalityCheck:
     rhs: float
     constant: float
     deficit: float
-    tolerance: float
-    passed: bool
     informational: bool = False
     diagnostics: dict = dc_field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return verdict(self)[0]
+
+
+def verdict(check: InequalityCheck, scale: float = TOLERANCE_SCALE,
+            equality: bool = False) -> tuple[bool, float]:
+    """A per-field check's verdict and its tolerance, scale (1 + |lhs| + |rhs|):
+    deficit >= -tolerance (and <= tolerance for an equality case), failed at
+    every scale by a failed conjugation identity (`identity_ok`, `check_hup`)."""
+    tol = scale * (1.0 + abs(check.lhs) + abs(check.rhs))
+    ok = check.deficit >= -tol and (not equality or check.deficit <= tol)
+    return bool(ok and check.diagnostics.get("identity_ok", True)), tol
 
 
 def _check(theorem, p, q, lhs, rhs, constant, informational=False,
            diagnostics=None) -> InequalityCheck:
-    tol = TOLERANCE_SCALE * (1.0 + abs(lhs) + abs(rhs))
-    deficit = rhs - lhs
     return InequalityCheck(
         theorem=theorem, p=p, q=q, lhs=float(lhs), rhs=float(rhs),
-        constant=float(constant), deficit=float(deficit), tolerance=float(tol),
-        passed=bool(deficit >= -tol), informational=informational,
-        diagnostics=diagnostics or {})
+        constant=float(constant), deficit=float(rhs - lhs),
+        informational=informational, diagnostics=diagnostics or {})
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +381,7 @@ def check_lsi_equivalence(measure: Measure, big_f: ScalarField) -> dict:
     s_arg = math.e / c_w ** (2.0 / n_alpha)
     log_slack = s_arg * t_arg - math.log(s_arg) - 1.0 - math.log(t_arg)
 
-    tol = 1e-7
+    tol = limit("lsi_equivalence")
     return {
         "forward_residual": max(res_entropy, res_energy),
         "backward_residual": res_backward,
@@ -336,7 +396,7 @@ def check_lsi_equivalence(measure: Measure, big_f: ScalarField) -> dict:
         "pass": bool(max(res_entropy, res_energy) <= tol
                      and res_backward <= tol
                      and d_coefficient == 0.0
-                     and log_slack >= -1e-12),
+                     and log_slack >= -limit("lsi_equivalence_log_slack")),
     }
 
 
@@ -367,15 +427,12 @@ def check_hup(measure: Measure, f: ScalarField) -> InequalityCheck:
     n_alpha = measure.weight.dim + measure.weight.degree
     lhs = 0.5 * n_alpha * res.norm_sq
     rhs = math.sqrt(res.energy) * math.sqrt(res.moment)
-    identity_ok = res.identity_residual <= 1e-8 * (1.0 + abs(res.delta))
-    check = _check("hup", None, 2.0, lhs, rhs, 0.5 * n_alpha,
-                   diagnostics={"delta": res.delta,
-                                "identity_residual": res.identity_residual,
-                                "lambda_star": res.lambda_star,
-                                "identity_ok": identity_ok})
-    if not identity_ok:
-        check = InequalityCheck(**{**check.__dict__, "passed": False})
-    return check
+    identity_ok = res.identity_residual <= limit("hup_identity") * (1.0 + abs(res.delta))
+    return _check("hup", None, 2.0, lhs, rhs, 0.5 * n_alpha,
+                  diagnostics={"delta": res.delta,
+                               "identity_residual": res.identity_residual,
+                               "lambda_star": res.lambda_star,
+                               "identity_ok": identity_ok})
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .errors import (
 from .fields import ScalarField
 from .functionals import _energy, _lq_norm
 from .gamma import generator
+from .inequalities import limit
 from .measures import Measure, integrate, make_measure
 from .polys import exponent_table
 from .quad1d import fullline_recurrence, orthonormal_polys
@@ -251,7 +252,7 @@ def spectral_gap(system: GalerkinSystem) -> SpectralResult:
     return SpectralResult(
         eigenvalues=vals, gap=gap, eigenvectors=vecs,
         gap_at_lower_degree=gap_lower, convergence_delta=delta,
-        converged=bool(delta <= 1e-4 * max(gap, 1e-300)),
+        converged=bool(delta <= limit("spectral_gap_convergence") * max(gap, 1e-300)),
         max_degree=system.max_degree)
 
 
@@ -315,8 +316,9 @@ def duality_stability_residual(system: GalerkinSystem, f) -> dict:
     return {
         "upper": lhs,
         "middle": middle,
-        "chain_holds": bool(lhs >= middle - 1e-7 * (1.0 + abs(lhs))
-                            and middle >= -1e-9 * (1.0 + energy_f)),
+        "chain_holds": bool(
+            lhs >= middle - limit("poincare_duality") * (1.0 + abs(lhs))
+            and middle >= -limit("poincare_duality_middle") * (1.0 + energy_f)),
         "kw": kw,
     }
 
@@ -362,12 +364,12 @@ class DecayCheck:
 
 
 def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
-                          q: float, t_grid, slack: float = 1e-3,
+                          q: float, t_grid, slack: float | None = None,
                           allow_shift: bool = True) -> DecayCheck:
     """phi(t) = (int (P_t f^p)^(q/p) dmu)^(2/q) along the grid, with the
-    monotonicity and difference-quotient bounds from the semigroup proof of
-    the Beckner inequality.  Sign-changing f is shifted nonnegative (recorded
-    in the result) unless allow_shift is False."""
+    monotonicity and difference-quotient bounds (slack by default from the
+    gate table) of the semigroup proof of the Beckner inequality; a
+    sign-changing f is shifted nonnegative (recorded) unless allow_shift is False."""
     if not (1.0 <= p < q):
         raise ParameterError("need 1 <= p < q")
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
@@ -375,6 +377,7 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
         raise ParameterError("time grid must start at 0 with at least two points")
     measure = system.measure
     kw = measure.weight.kw
+    slack = limit("semigroup_decay") if slack is None else slack
     fv, grad = measure.node_jet(f)
     shift = 0.0
     fmin = float(np.min(fv))
@@ -415,7 +418,8 @@ def semigroup_decay_check(system: GalerkinSystem, f: ScalarField, p: float,
     return DecayCheck(rows=tuple(rows),
                       decreasing=all(b < a for a, b in zip(phis, phis[1:])),
                       quotient_bounded=not any(
-                          r.quotient > r.bound * (1.0 + slack) + 1e-12
+                          r.quotient > r.bound * (1.0 + slack)
+                          + limit("semigroup_decay_floor")
                           for r in rows[:-1]),
                       phi0=phis[0],
                       phi0_expected=phi0_expected, phi_limit=phi_limit,

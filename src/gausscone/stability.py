@@ -204,8 +204,9 @@ class StabilityReport:
 def check_hup_stability(measure: Measure, f: ScalarField, improved: bool = False,
                         tolerance: float | None = None) -> StabilityReport:
     """delta_w(f) >= (1+K_w) d^2(f, E); improved version subtracts the basic
-    bound and compares against the affine-Gaussian distance.  Without a
-    tolerance the verdict is judged at TOLERANCE_SCALE (1 + |delta|); a
+    bound and compares against the affine-Gaussian distance.  Each deficit
+    passes at >= -tolerance, an absolute limit (the suites pass theirs from
+    `inequalities.GATES`), by default TOLERANCE_SCALE (1 + |delta|); a
     weight without a degree raises NotHomogeneousError."""
     kw = measure.weight.kw
     dres = hup_deficit(measure, f)

@@ -9,6 +9,7 @@ order, seeded randomness only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -46,7 +47,9 @@ from .inequalities import (
     check_poincare,
     check_scale_poincare,
     euclidean_lsi_rescaling_invariance,
+    limit,
     sharpness_sweep,
+    verdict,
 )
 from .measures import Measure, integrate
 from .spectral import (
@@ -99,6 +102,10 @@ class RunContext:
         """Unit vector along free_axis."""
         return np.eye(self.dim)[self.free_axis]
 
+    def judged(self, check: InequalityCheck, field_name: str) -> dict:
+        """The record of a per-field check at the run tolerance."""
+        return record_of(check, field_name, limit("per_field", self.tolerance))
+
 
 def _free_axis(weight: Weight) -> int:
     """First free axis of the weight, or the last axis if none is free."""
@@ -123,30 +130,29 @@ def default_library(weight: Weight, seed: int = 0) -> list[ScalarField]:
     ]
 
 
+def record(theorem: str, passed, informational: bool = False, **data) -> dict:
+    """A report record; an informational one never fails a suite."""
+    return {"theorem": theorem, "pass": bool(passed),
+            "informational": informational, **data}
+
+
 def record_of(check: InequalityCheck, field_name: str | None = None,
-              tol_scale: float | None = None) -> dict:
-    rec = asdict(check)
-    rec["pass"] = rec.pop("passed")
-    if tol_scale is not None:
-        # re-judge the deficit at the run-level tolerance scale; a failed
-        # conjugation identity (`check_hup`) fails at every tolerance
-        tol = tol_scale * (1.0 + abs(check.lhs) + abs(check.rhs))
-        rec["tolerance"] = tol
-        rec["pass"] = bool(check.deficit >= -tol
-                           and check.diagnostics.get("identity_ok", True))
+              scale: float = TOLERANCE_SCALE, equality: bool = False) -> dict:
+    """The record of a per-field check, judged by `verdict` at the scale."""
+    passed, tol = verdict(check, scale, equality)
+    data = asdict(check)
     if field_name is not None:
-        rec["field"] = field_name
-    rec.setdefault("informational", False)
-    return rec
+        data["field"] = field_name
+    return record(data.pop("theorem"), passed, data.pop("informational"),
+                  tolerance=tol, **data)
 
 
 def _info(theorem: str, note: str, **extra) -> dict:
-    return {"theorem": theorem, "pass": True, "informational": True,
-            "note": note, **extra}
+    return record(theorem, True, True, note=note, **extra)
 
 
 def _mu_admissible(ctx: RunContext, f: ScalarField) -> bool:
-    return is_neumann_admissible(f, ctx.weight.cone, tol=1e-8)
+    return is_neumann_admissible(f, ctx.weight.cone, limit("neumann_admission"))
 
 
 def _gated(ctx: RunContext, theorem: str, out: list[dict]):
@@ -160,151 +166,141 @@ def _gated(ctx: RunContext, theorem: str, out: list[dict]):
                              field=f.name))
 
 
-def _needs_kw(ctx: RunContext, theorem: str) -> dict | None:
-    if ctx.weight.curvature is None:
-        return _info(theorem, "skipped: weight carries no curvature certificate")
-    return None
+# what a suite needs of its measure; without it, the suite skips with a note
+_PRECONDITIONS = {
+    "kw": (lambda m: m.weight.curvature is not None,
+           "weight carries no curvature certificate"),
+    "homogeneous": (lambda m: m.weight.is_homogeneous,
+                    "weight is not homogeneous"),
+    "log_concave": (lambda m: m.weight.is_homogeneous and m.weight.curvature == 0.0,
+                    "requires a log-concave homogeneous weight"),
+    "tensor": (galerkin_applies, "needs an axis-aligned tensor rule"),
+}
+
+
+def _requires(*needs: str):
+    """Run the suite only where its measure meets every precondition named,
+    checked in order; the first unmet one makes the suite's one record."""
+    def wrap(suite):
+        @functools.wraps(suite)
+        def run(ctx: RunContext) -> list[dict]:
+            for need in needs:
+                holds, note = _PRECONDITIONS[need]
+                if not holds(ctx.measure):
+                    return [_info(suite.__name__.removeprefix("suite_"),
+                                  f"skipped: {note}")]
+            return suite(ctx)
+        return run
+    return wrap
 
 
 # ---------------------------------------------------------------------------
 
+@_requires("kw")
 def suite_beckner(ctx: RunContext) -> list[dict]:
-    skip = _needs_kw(ctx, "beckner")
-    if skip:
-        return [skip]
     out = []
     for f in _gated(ctx, "beckner", out):
         for (p, q) in ((1.0, 2.0), (1.5, 2.0)):
-            out.append(record_of(check_beckner(ctx.measure, f, p, q), f.name,
-                                 ctx.tolerance))
+            out.append(ctx.judged(check_beckner(ctx.measure, f, p, q), f.name))
     if ctx.weight.free_axes():
         u = affine(ctx.free_unit, 0.0)
         sweep = sharpness_sweep(
             lambda g: check_beckner(ctx.measure, g, 1.0, 2.0),
             "perturbation", u=u, eps_list=[0.1, 0.05, 0.025])
         ratio = sweep.extrapolated_ratio
-        out.append({
-            "theorem": "beckner_sharpness", "pass": bool(abs(ratio - 1.0) <= 1e-3),
-            "informational": False, "extrapolated_ratio": ratio,
-            "rows": [asdict(r) for r in sweep.rows]})
+        out.append(record(
+            "beckner_sharpness", abs(ratio - 1.0) <= limit("beckner_sharpness"),
+            extrapolated_ratio=ratio, rows=[asdict(r) for r in sweep.rows]))
     return out
 
 
+@_requires("kw")
 def suite_poincare(ctx: RunContext) -> list[dict]:
-    skip = _needs_kw(ctx, "poincare")
-    if skip:
-        return [skip]
     out = []
     for f in _gated(ctx, "poincare", out):
-        out.append(record_of(check_poincare(ctx.measure, f, 2.0, "basic"), f.name,
-                             ctx.tolerance))
-        out.append(record_of(
-            check_poincare(ctx.measure, f, 2.0, "gradient_stability"), f.name,
-            ctx.tolerance))
-        out.append(record_of(
-            check_poincare(ctx.measure, f, 2.0, "l2_stability"), f.name,
-            ctx.tolerance))
+        for level in ("basic", "gradient_stability", "l2_stability"):
+            out.append(ctx.judged(check_poincare(ctx.measure, f, 2.0, level),
+                                  f.name))
     if ctx.weight.free_axes():
         members = [affine(3.0 * ctx.free_unit, 1.0)]
         sweep = sharpness_sweep(
             lambda g: check_poincare(ctx.measure, g, 2.0, "basic"),
             "extremal", members=members)
         worst = max(abs(r.deficit) for r in sweep.rows)
-        out.append({"theorem": "poincare_extremal", "pass": bool(worst <= 1e-9),
-                    "informational": False, "max_abs_deficit": worst,
-                    "rows": [asdict(r) for r in sweep.rows]})
+        out.append(record("poincare_extremal", worst <= limit("poincare_extremal"),
+                          max_abs_deficit=worst,
+                          rows=[asdict(r) for r in sweep.rows]))
     return out
 
 
+@_requires("kw", "homogeneous")
 def suite_scale_poincare(ctx: RunContext) -> list[dict]:
-    skip = _needs_kw(ctx, "scale_poincare")
-    if skip:
-        return [skip]
-    if not ctx.weight.is_homogeneous:
-        return [_info("scale_poincare", "skipped: weight is not homogeneous")]
     out = []
     for f in _gated(ctx, "scale_poincare", out):
-        for lam in (0.5, 1.0, 2.0):
-            out.append(record_of(
-                check_scale_poincare(ctx.measure, f, lam, "basic"), f.name,
-                ctx.tolerance))
-        out.append(record_of(
-            check_scale_poincare(ctx.measure, f, 1.3, "improved"), f.name,
-            ctx.tolerance))
+        for lam, level in ((0.5, "basic"), (1.0, "basic"), (2.0, "basic"),
+                           (1.3, "improved")):
+            out.append(ctx.judged(
+                check_scale_poincare(ctx.measure, f, lam, level), f.name))
     return out
 
 
+@_requires("kw")
 def suite_lsi(ctx: RunContext) -> list[dict]:
-    skip = _needs_kw(ctx, "lsi")
-    if skip:
-        return [skip]
     out = []
     for f in _gated(ctx, "lsi", out):
-        out.append(record_of(check_lsi(ctx.measure, f, 2.0), f.name,
-                             ctx.tolerance))
+        out.append(ctx.judged(check_lsi(ctx.measure, f, 2.0), f.name))
     if ctx.weight.free_axes():
         members = [exp_axis(b, ctx.free_axis, ctx.dim) for b in (0.25, 0.5, 1.0)]
         sweep = sharpness_sweep(
             lambda g: check_lsi(ctx.measure, g, 2.0), "extremal", members=members)
         worst = max(abs(r.deficit) / (1.0 + abs(r.rhs)) for r in sweep.rows)
-        out.append({"theorem": "lsi_extremal", "pass": bool(worst <= 1e-8),
-                    "informational": False, "max_relative_deficit": worst,
-                    "rows": [asdict(r) for r in sweep.rows]})
+        out.append(record("lsi_extremal", worst <= limit("lsi_extremal"),
+                          max_relative_deficit=worst,
+                          rows=[asdict(r) for r in sweep.rows]))
     return out
 
 
+@_requires("log_concave")
 def suite_euclidean_lsi(ctx: RunContext) -> list[dict]:
-    w = ctx.weight
-    if not w.is_homogeneous or w.curvature != 0.0:
-        return [_info("euclidean_lsi",
-                      "skipped: requires a log-concave homogeneous weight")]
     out = []
+    # the equality cases: |deficit| itself must vanish
     for amp in (1.0, 2.0):
         chk = check_euclidean_lsi(ctx.measure, gaussian_quarter(amp, ctx.dim))
-        rec = record_of(chk, f"gaussian_quarter(A={amp})")
-        rec["pass"] = bool(rec["pass"] and abs(chk.deficit)
-                           <= 1e-7 * (1.0 + abs(chk.lhs) + abs(chk.rhs)))
-        out.append(rec)
+        out.append(record_of(chk, f"gaussian_quarter(A={amp})",
+                             limit("euclidean_lsi_equality"), equality=True))
     for f in ctx.fields:
         if f.decay.is_gaussian:
-            out.append(record_of(check_euclidean_lsi(ctx.measure, f), f.name,
-                                 ctx.tolerance))
+            out.append(ctx.judged(check_euclidean_lsi(ctx.measure, f), f.name))
     probe = gaussian(1.0, 1.1, ctx.dim)
     inv = euclidean_lsi_rescaling_invariance(ctx.measure, probe, lam=2.0)
-    out.append({"theorem": "euclidean_lsi_rescaling",
-                "pass": bool(inv["relative_change"] <= 1e-7),
-                "informational": False, **inv})
+    out.append(record("euclidean_lsi_rescaling", inv["relative_change"]
+                      <= limit("euclidean_lsi_rescaling"), **inv))
     return out
 
 
+@_requires("log_concave")
 def suite_lsi_equivalence(ctx: RunContext) -> list[dict]:
-    w = ctx.weight
-    if not w.is_homogeneous or w.curvature != 0.0:
-        return [_info("lsi_equivalence",
-                      "skipped: requires a log-concave homogeneous weight")]
     candidates = [constant(1.0, ctx.dim)]
-    if w.free_axes():
+    if ctx.weight.free_axes():
         candidates.append(exp_axis(0.25, ctx.free_axis, ctx.dim))
     candidates.append(poly_gauss(ctx.seed + 7, ctx.dim, even_axes=ctx.constrained))
     out = []
     for big_f in candidates:
         res = check_lsi_equivalence(ctx.measure, big_f)
-        out.append({"theorem": "lsi_equivalence", "field": big_f.name,
-                    "informational": False, **res})
+        out.append(record("lsi_equivalence", res.pop("pass"), field=big_f.name,
+                          **res))
     return out
 
 
+@_requires("homogeneous")
 def suite_hup(ctx: RunContext) -> list[dict]:
-    w = ctx.weight
-    if not w.is_homogeneous:
-        return [_info("hup", "skipped: weight is not homogeneous")]
     out = []
     for f in ctx.fields:
         if not f.decay.is_gaussian:
             out.append(_info("hup", "skipped: no Gaussian decay envelope",
                              field=f.name))
             continue
-        out.append(record_of(check_hup(ctx.measure, f), f.name, ctx.tolerance))
+        out.append(ctx.judged(check_hup(ctx.measure, f), f.name))
     # UNP identity on seeded fields
     worst = 0.0
     for k in range(IDENTITY_SEEDS):
@@ -313,49 +309,43 @@ def suite_hup(ctx: RunContext) -> list[dict]:
         rel = chk.diagnostics["identity_residual"] / (
             1.0 + abs(chk.diagnostics["delta"]))
         worst = max(worst, rel)
-    out.append({"theorem": "hup_identity", "pass": bool(worst <= 1e-8),
-                "informational": False, "seeds": IDENTITY_SEEDS,
-                "max_relative_residual": worst})
+    out.append(record("hup_identity", worst <= limit("hup_identity"),
+                      seeds=IDENTITY_SEEDS, max_relative_residual=worst))
     return out
 
 
+@_requires("kw", "homogeneous")
 def suite_hup_stability(ctx: RunContext) -> list[dict]:
-    w = ctx.weight
-    skip = _needs_kw(ctx, "hup_stability")
-    if skip:
-        return [skip]
-    if not w.is_homogeneous:
-        return [_info("hup_stability", "skipped: weight is not homogeneous")]
     out = []
-    if w.free_axes():
+    if ctx.weight.free_axes():
         wit = hermite_witness(ctx.free_axis, ctx.dim)
-        rep = check_hup_stability(ctx.measure, wit, improved=True,
-                                  tolerance=ctx.tolerance)
+        rep = check_hup_stability(
+            ctx.measure, wit, improved=True,
+            tolerance=limit("hup_stability_witness", ctx.tolerance))
         eq_gap = abs(rep.delta - (1.0 + rep.kw) * rep.distance_sq)
-        out.append({
-            "theorem": "hup_stability_witness", "field": wit.name,
-            "pass": bool(rep.passed and eq_gap <= 1e-6 * (1.0 + rep.delta)),
-            "informational": False, "delta": rep.delta,
-            "distance_sq": rep.distance_sq,
-            "improved_distance_sq": rep.improved_distance_sq,
-            "equality_gap": eq_gap, "argmin": rep.argmin,
-            "diagnostics": rep.diagnostics})
+        gap_gate = limit("hup_stability_witness_equality_gap") * (1.0 + rep.delta)
+        out.append(record(
+            "hup_stability_witness", rep.passed and eq_gap <= gap_gate,
+            field=wit.name, delta=rep.delta, distance_sq=rep.distance_sq,
+            improved_distance_sq=rep.improved_distance_sq,
+            equality_gap=eq_gap, argmin=rep.argmin,
+            diagnostics=rep.diagnostics))
     fails = 0
     worst_basic = math.inf
     worst_improved = math.inf
     for k in range(STABILITY_SEEDS):
         g = poly_gauss(ctx.seed + 300 + k, ctx.dim, even_axes=ctx.constrained)
-        rep = check_hup_stability(ctx.measure, g, improved=True,
-                                  tolerance=2.0 * ctx.tolerance)
+        rep = check_hup_stability(
+            ctx.measure, g, improved=True,
+            tolerance=limit("hup_stability_seeded", ctx.tolerance))
         worst_basic = min(worst_basic, rep.basic_deficit)
         worst_improved = min(worst_improved, rep.improved_deficit)
         if not rep.passed:
             fails += 1
-    out.append({"theorem": "hup_stability_seeded",
-                "pass": bool(fails == 0), "informational": False,
-                "seeds": STABILITY_SEEDS, "failures": fails,
-                "min_basic_deficit": worst_basic,
-                "min_improved_deficit": worst_improved})
+    out.append(record("hup_stability_seeded", fails == 0,
+                      seeds=STABILITY_SEEDS, failures=fails,
+                      min_basic_deficit=worst_basic,
+                      min_improved_deficit=worst_improved))
     # optimizer oracle on one seeded field
     g = poly_gauss(ctx.seed + 301, ctx.dim, even_axes=ctx.constrained)
     fast = distance_to_family(ctx.measure, g)
@@ -363,61 +353,51 @@ def suite_hup_stability(ctx: RunContext) -> list[dict]:
     lam_rel = (0.0 if fast.degenerate or oracle.degenerate
                else abs(fast.lam - oracle.lam) / oracle.lam)
     dist_rel = abs(fast.distance - oracle.distance) / (1.0 + oracle.distance)
-    out.append({"theorem": "hup_stability_oracle",
-                "pass": bool(lam_rel <= 1e-6 and dist_rel <= 1e-6),
-                "informational": False, "lambda_rel_err": lam_rel,
-                "distance_rel_err": dist_rel})
+    gate = limit("hup_stability_oracle")
+    out.append(record("hup_stability_oracle", lam_rel <= gate and dist_rel <= gate,
+                      lambda_rel_err=lam_rel, distance_rel_err=dist_rel))
     return out
 
 
+@_requires("kw", "tensor")
 def suite_spectral(ctx: RunContext) -> list[dict]:
-    skip = _needs_kw(ctx, "spectral")
-    if skip:
-        return [skip]
-    if not galerkin_applies(ctx.measure):
-        return [_info("spectral", "skipped: needs an axis-aligned tensor rule")]
     out = []
     system = build_galerkin(ctx.measure)
     res = spectral_gap(system)
     kw = ctx.weight.kw
-    gap_ok = res.gap >= (1.0 + kw) - 1e-6
-    out.append({
-        "theorem": "spectral_gap", "pass": bool(gap_ok and res.converged),
-        "informational": False, "gap": res.gap,
-        "convergence_delta": res.convergence_delta,
-        "gram_residual": system.gram_residual,
-        "eigenvalues": [float(v) for v in res.eigenvalues[:8]],
-        "lower_bound": 1.0 + kw, "max_degree": system.max_degree})
+    gap_ok = res.gap >= (1.0 + kw) - limit("spectral_gap")
+    out.append(record(
+        "spectral_gap", gap_ok and res.converged, gap=res.gap,
+        convergence_delta=res.convergence_delta,
+        gram_residual=system.gram_residual,
+        eigenvalues=[float(v) for v in res.eigenvalues[:8]],
+        lower_bound=1.0 + kw, max_degree=system.max_degree))
     if ctx.weight.free_axes():
         coeffs = system.project(affine(ctx.free_unit, 0.0))
         s_c = system.stiffness @ coeffs
         rayleigh = float(coeffs @ s_c) / float(coeffs @ coeffs)
         resid = float(np.linalg.norm(s_c - rayleigh * coeffs))
-        out.append({"theorem": "spectral_free_axis_eigenfunction",
-                    "pass": bool(abs(rayleigh - 1.0) <= 1e-8 and resid <= 1e-8),
-                    "informational": False, "rayleigh": rayleigh,
-                    "residual": resid})
+        gate = limit("spectral_free_axis_eigenfunction")
+        out.append(record("spectral_free_axis_eigenfunction",
+                          abs(rayleigh - 1.0) <= gate and resid <= gate,
+                          rayleigh=rayleigh, residual=resid))
     g = poly_gauss(ctx.seed + 11, ctx.dim, even_axes=ctx.constrained)
     sol = poisson_solve(system, shifted(g, -integrate(system.measure, g.value)))
-    out.append({"theorem": "poisson_solve", "pass": bool(sol.residual <= 1e-6),
-                "informational": False, "residual": sol.residual,
-                "projection_error": sol.projection_error})
+    out.append(record("poisson_solve", sol.residual <= limit("poisson_solve"),
+                      residual=sol.residual,
+                      projection_error=sol.projection_error))
     dual = duality_stability_residual(system, g)
-    out.append({"theorem": "poincare_duality", "pass": bool(dual["chain_holds"]),
-                "informational": False, **{k: v for k, v in dual.items()
-                                           if k != "chain_holds"}})
+    out.append(record("poincare_duality", dual.pop("chain_holds"), **dual))
     grid = np.arange(0.0, 3.25, 0.25)
     for f in _nonneg_decay_fields(ctx):
         for (p, q) in ((1.0, 2.0), (1.5, 2.0)):
             dc = semigroup_decay_check(system, f, p, q, grid)
-            out.append({
-                "theorem": "semigroup_decay", "field": f.name, "p": p, "q": q,
-                "pass": bool(dc.passed), "informational": False,
-                "decreasing": dc.decreasing, "quotient_bounded": dc.quotient_bounded,
-                "phi0": dc.phi0, "phi0_expected": dc.phi0_expected,
-                "phi_limit": dc.phi_limit,
-                "phi_limit_expected": dc.phi_limit_expected,
-                "shift": dc.shift})
+            out.append(record(
+                "semigroup_decay", dc.passed, field=f.name, p=p, q=q,
+                decreasing=dc.decreasing, quotient_bounded=dc.quotient_bounded,
+                phi0=dc.phi0, phi0_expected=dc.phi0_expected,
+                phi_limit=dc.phi_limit,
+                phi_limit_expected=dc.phi_limit_expected, shift=dc.shift))
     return out
 
 
@@ -449,9 +429,8 @@ def suite_gamma_calculus(ctx: RunContext) -> list[dict]:
         worst = math.inf
         for f in ctx.fields:
             worst = min(worst, cd_margin(w, f, sample=sample))
-        out.append({"theorem": "cd_margin", "pass": bool(worst >= -1e-9),
-                    "informational": False, "min_margin": worst,
-                    "sample_size": len(sample)})
+        out.append(record("cd_margin", worst >= -limit("cd_margin"),
+                          min_margin=worst, sample_size=len(sample)))
     else:
         out.append(_info("cd_margin", "skipped: no curvature certificate"))
     # Bochner O(h^2) convergence on seeded fields; points kept well clear of
@@ -466,11 +445,12 @@ def suite_gamma_calculus(ctx: RunContext) -> list[dict]:
         x = pts[k % len(pts)]
         r1 = bochner_residual(w, g, x, h=2e-2)
         r2 = bochner_residual(w, g, x, h=1e-2)
-        if r2 > 1e-13:
+        if r2 > limit("bochner_convergence_floor"):
             ratios.append(r1 / r2)
-    ok = all(3.5 <= r <= 4.5 for r in ratios) and len(ratios) >= 5
-    out.append({"theorem": "bochner_convergence", "pass": bool(ok),
-                "informational": False, "ratios": ratios})
+    low, high = limit("bochner_convergence")
+    ok = all(low <= r <= high for r in ratios) and len(ratios) >= limit(
+        "bochner_convergence_min_ratios")
+    out.append(record("bochner_convergence", ok, ratios=ratios))
     # integration by parts on Neumann-compatible pairs
     pairs = []
     admissible = [f for f in ctx.fields if _mu_admissible(ctx, f)]
@@ -480,23 +460,21 @@ def suite_gamma_calculus(ctx: RunContext) -> list[dict]:
     worst = 0.0
     for f, g in pairs[:12]:
         worst = max(worst, integration_by_parts_residual(ctx.measure, f, g))
-    out.append({"theorem": "integration_by_parts", "pass": bool(worst <= 1e-7),
-                "informational": False, "max_relative_residual": worst,
-                "pairs": len(pairs[:12])})
+    out.append(record("integration_by_parts", worst <= limit("integration_by_parts"),
+                      max_relative_residual=worst, pairs=len(pairs[:12])))
     if w.cone.has_boundary:
         recs = []
         for f in ctx.fields:
             recs.append({"field": f.name,
                          "residual": neumann_residual(f, w.cone, seed=ctx.seed)})
-        out.append({"theorem": "neumann_residuals", "pass": True,
-                    "informational": True, "residuals": recs})
+        out.append(record("neumann_residuals", True, True, residuals=recs))
     if w.is_homogeneous:
         pts2 = w.cone.sample_interior(rng, 1000, radius=8.0)
         res = np.abs(w.euler_residual(pts2))
         scale = w.eval(pts2) * (1.0 + np.linalg.norm(pts2, axis=1))
         worst = float(np.max(res / np.maximum(scale, 1e-300)))
-        out.append({"theorem": "euler_identity", "pass": bool(worst <= 1e-10),
-                    "informational": False, "max_scaled_residual": worst})
+        out.append(record("euler_identity", worst <= limit("euler_identity"),
+                          max_scaled_residual=worst))
     return out
 
 

@@ -208,6 +208,21 @@ MALFORMED = [
     ({}, ["--tolerance", "0"], "tolerance"),
     ({}, ["--tolerance", "-1"], "tolerance"),
     ({}, ["--tolerance", "nan"], "tolerance"),
+    ({"output": ["a"]}, [], "output"),
+    ({"dim": 2, "fields": None, "cone": {"kind": "orthant", "axes": 5}}, [],
+     "cone.axes"),
+    ({"dim": 2, "fields": None, "cone": {"kind": "orthant", "axes": [7]}}, [],
+     "cone.axes"),
+    ({"dim": 2, "fields": None, "cone": {"kind": "halfspace"}}, [],
+     "cone.normal"),
+    ({"dim": 2, "fields": None, "cone": {"kind": "halfspace", "normal": [1]}},
+     [], "cone.normal"),
+    ({"dim": 2, "fields": [{"kind": "exp_axis", "b": 0.5, "axis": 5}]}, [],
+     "exp_axis"),
+    ({"dim": 2, "fields": [{"kind": "hermite_witness", "axis": 5}]}, [],
+     "hermite_witness"),
+    ({"fields": [{"kind": "exp_axis", "b": 0.5, "axis": -1}]}, [], "exp_axis"),
+    ({"fields": [{"kind": "gaussian", "lam": 0}]}, [], "gaussian"),
 ]
 
 
