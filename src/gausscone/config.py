@@ -82,6 +82,11 @@ def _number(value, kind=Integral) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _indices(value, dim: int) -> bool:
+    """Whether value is a list of integers in [0, dim)."""
+    return isinstance(value, list) and all(_number(a) and 0 <= a < dim for a in value)
+
+
 def parse_config(source) -> RunConfig:
     """Parse and validate a config from a dict, JSON string or file path."""
     if isinstance(source, dict):
@@ -154,8 +159,7 @@ def build_cone(spec: dict | None, dim: int) -> Cone | None:
         return FullSpace(dim)
     if kind == "orthant":
         axes = spec.get("axes", list(range(dim)))
-        _require(isinstance(axes, list)
-                 and all(_number(a) and 0 <= a < dim for a in axes),
+        _require(_indices(axes, dim),
                  f"cone.axes must be a list of integers in [0, {dim}): {axes!r}")
         return Orthant(dim, frozenset(axes))
     if kind == "halfspace":
@@ -189,8 +193,7 @@ def _build_spec(spec: dict, dim: int):
         if kind == "partial_product":
             coords = spec["coords"]
             inner = _build_spec(spec["inner"], len(coords))
-            _require(isinstance(coords, list) and len(set(coords)) == len(coords)
-                     and all(_number(c) and 0 <= c < dim for c in coords)
+            _require(_indices(coords, dim) and len(set(coords)) == len(coords)
                      and inner.dim_hint() in (None, len(coords)),
                      f"weight.coords must be distinct integers in [0, {dim}), one "
                      f"per dimension of the inner weight: {coords!r}")
@@ -249,34 +252,46 @@ def build_weight(config: RunConfig) -> Weight:
     return weight
 
 
-def _field_axis(spec: dict, dim: int) -> int:
-    axis = int(spec["axis"])
-    _require(0 <= axis < dim,
-             f"field {spec['kind']} needs an axis in [0, {dim}): {spec!r}")
-    return axis
+def _field_param(spec: dict, key: str, default=None, kind=Real,
+                 below=math.inf):
+    """spec[key], or the default when the key is absent: a finite number,
+    or for kind Integral (an index, a degree, a seed) an integer in
+    [0, below); else a ConfigError naming the field."""
+    value = spec.get(key, default)
+    want = f"an integer in [0, {below})" if kind is Integral else "a finite number"
+    _require(_number(value, kind) and (0 <= value < below if kind is Integral
+                                       else math.isfinite(value)),
+             f"field {spec['kind']} needs {key} to be {want}: {spec!r}")
+    return value
 
 
 def build_field(spec: dict, dim: int) -> ScalarField:
     kind = spec["kind"]
-    try:
-        if kind == "constant":
-            return constant(float(spec["c"]), dim)
-        if kind == "affine":
-            return affine(list(spec["a"]), float(spec.get("b", 0.0)), dim)
-        if kind == "exp_axis":
-            return exp_axis(float(spec["b"]), _field_axis(spec, dim), dim)
-        if kind == "hermite_witness":
-            return hermite_witness(_field_axis(spec, dim), dim)
-        if kind == "gaussian":
-            lam = float(spec["lam"])
-            _require(lam > 0, f"field gaussian needs lam > 0: {spec!r}")
-            return gaussian(float(spec.get("amplitude", 1.0)), lam, dim)
-        if kind == "gaussian_quarter":
-            return gaussian_quarter(float(spec.get("amplitude", 1.0)), dim)
-        if kind == "poly_gauss":
-            return poly_gauss(int(spec.get("seed", 0)), dim,
-                              degree=int(spec.get("degree", 3)),
-                              even_axes=frozenset(spec.get("even_axes", ())))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad field spec {spec!r}: {exc}") from exc
+    if kind == "constant":
+        return constant(_field_param(spec, "c"), dim)
+    if kind == "affine":
+        slope = spec.get("a")
+        _require(isinstance(slope, list) and len(slope) == dim and all(
+            _number(c, Real) and math.isfinite(c) for c in slope),
+            f"field affine needs a to be {dim} finite numbers: {spec!r}")
+        return affine(slope, _field_param(spec, "b", 0.0), dim)
+    if kind == "exp_axis":
+        return exp_axis(_field_param(spec, "b"),
+                        _field_param(spec, "axis", kind=Integral, below=dim), dim)
+    if kind == "hermite_witness":
+        return hermite_witness(_field_param(spec, "axis", kind=Integral, below=dim), dim)
+    if kind == "gaussian":
+        lam = _field_param(spec, "lam")
+        _require(lam > 0 and lam * lam > 0 and math.isfinite(0.5 / (lam * lam)),
+                 f"field gaussian needs lam > 0 with 1/(2 lam^2) finite: {spec!r}")
+        return gaussian(_field_param(spec, "amplitude", 1.0), lam, dim)
+    if kind == "gaussian_quarter":
+        return gaussian_quarter(_field_param(spec, "amplitude", 1.0), dim)
+    if kind == "poly_gauss":
+        even = spec.get("even_axes", [])
+        _require(_indices(even, dim),
+                 f"field poly_gauss needs even_axes in [0, {dim}): {spec!r}")
+        return poly_gauss(_field_param(spec, "seed", 0, Integral), dim,
+                          degree=_field_param(spec, "degree", 3, Integral),
+                          even_axes=frozenset(even))
     raise ConfigError(f"unknown field kind {kind!r}")

@@ -47,7 +47,7 @@ def _mean_variance(measure: Measure, vals: np.ndarray) -> tuple[float, float]:
     # c the value at the heaviest node cancel only the spread of f, not its
     # size, and a constant has variance exactly 0 even though the weights
     # sum to 1 only up to round-off
-    shift = vals[np.argmax(measure.norm_weights)]
+    shift = vals[np.argmax(measure.rule.weights)]
     dev = vals - shift
     m1, m2 = integrate(measure, np.stack([dev, dev ** 2]).T)
     return float(shift + m1), max(float(m2 - m1 ** 2), 0.0)

@@ -27,11 +27,11 @@ UnsupportedRuleError; there is no silent Monte Carlo fallback.
 A `Measure` holds the weight together with the rule settings it was made
 with (the order, or the Monte Carlo sample count and seed), and every rule
 of a run comes from those settings: `Measure.rule_at` is the rule of the
-same family at any scale.  Every integral against mu goes through
-`integrate`, which takes a vector integrand and checks that it is finite at
-every node.  Integrals of Gaussian-decay fields against nu = w dx go through
-`nu_integral(measure, ...)`, which takes the measure's rule at the scale
-whose Gaussian factor matches the integrand's envelope rate exactly (the
+same family at any scale.  A rule stores its weights once; 1/Z is applied
+after a sum.  Every integral against mu goes through `integrate`; integrals
+of Gaussian-decay fields against nu = w dx go through
+`nu_integral(measure, ...)`, on the rule of the measure's settings whose
+Gaussian factor matches the integrand's envelope rate exactly (the
 measure's own scale plays no part), so polynomial-times-Gaussian integrands
 are integrated exactly.  For a homogeneous weight `nu_monomials` gives the
 integrals of monomials times a Gaussian of any rate from one cached table
@@ -41,24 +41,20 @@ Point batches are stored axis-first: a rule's (N, n) `nodes` is the `.T`
 view of a C-contiguous (n, N) buffer, so each coordinate is one contiguous
 row and a reduction over the short axis (|x|^2, a dot product, a trace)
 runs along the nodes.  Every (N, ...) array built at the nodes (field jets,
-weight derivatives, the stacked integrands of the checkers) follows the
-same rule, so `integrate` and `nu_integral` move the node axis last with a
-view, not a copy.  Every function still accepts any layout.
+weight derivatives, the checkers' stacked integrands) follows the same rule,
+so moving its node axis last is a contiguous copy; any layout is accepted.
 
-Passes over a rule's nodes run NODE_BLOCK nodes at a time.  `nu_integral`
-calls its integrand on one axis-first block of nodes at a time and writes
-the block, times e^(rate |x|^2), into its columns of one (..., N) buffer;
-`Measure.node_jet` fills a field's order-1 jet block by block into (N,) and
-axis-first (N, n) outputs.  The finiteness check, the weights and the sums
-still run once over all N nodes, so an integral is the whole-array one bit
-for bit whenever the integrand's value at a node does not depend on the
-batch around it.  (A dense polynomial field contracts its monomial table
-with BLAS, whose rounding at a node can move by an ulp or a few with the
-batch size and the thread count, in whole arrays as in blocks.  The CLI
-runs BLAS on one thread, so there only the batch size can move a jet's
-last ulp.)  A block's temporaries stay in cache, and a pass holds the
-buffer and one block's temporaries, not a multiple of the rule; a rule of
-at most NODE_BLOCK nodes is one block.
+Passes over a rule's nodes run NODE_BLOCK nodes at a time: the one
+weighted sum behind `integrate`, `integrate_with_error` and `nu_integral`
+calls a callable integrand on one block at a time, and `Measure.node_jet`
+fills a field's order-1 jet block by block.  The finiteness check, the
+weights and the sums run once over all N nodes, so an integral is the
+whole-array one bit for bit whenever the integrand's value at a node does
+not depend on the batch around it.  (A dense polynomial field contracts its
+monomial table with BLAS, whose rounding at a node can move by an ulp or a
+few with the batch size and the thread count.  The CLI runs BLAS on one
+thread, so there only the batch size can move a jet's last ulp.)  A pass
+holds its buffer and one block's temporaries, not a multiple of the rule.
 `Measure.moments` keeps its own MOMENT_CHUNK: its monomial table has up to
 924 rows (6-D at degree 6), so one chunk of NODE_BLOCK nodes would double
 from 30 to 60 MB.
@@ -68,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,7 +86,7 @@ from .weights import Block, Weight
 DEFAULT_ORDER = 32
 MAX_TENSOR_NODES = 4_000_000
 # nodes per block of a pass over a rule's nodes (the integrand calls of
-# nu_integral, the field jets of node_jet): a block's temporaries stay in
+# the weighted sum, the field jets of node_jet): a block's temporaries stay in
 # cache and their memory does not grow with the rule
 NODE_BLOCK = 2 ** 13
 # nodes per block of the monomial table of Measure.moments, whose rows
@@ -197,7 +192,9 @@ def _product_rule(weight: Weight, lam: float, order: int) -> QuadratureRule | No
             return None
     if size > MAX_TENSOR_NODES:
         raise ResourceError(
-            f"product rule would need {size} nodes; use Monte Carlo")
+            f"product rule would need {size} nodes, more than "
+            f"{MAX_TENSOR_NODES}; lower quadrature.order or set "
+            "quadrature.mc_samples to integrate by Monte Carlo")
     rules = tuple(_axis_block(b, sig[b.coords[0]], lam, order)
                   if b.kind == "axis" else _polar_block(b, lam, order)
                   for b in blocks)
@@ -299,6 +296,10 @@ def build_rule(weight: Weight, lam: float = 1.0, order: int | None = None,
     base_lam = 1.0 if weight.degree is not None else lam
     key = (weight.spec, weight.dim, weight.cone)
     if mc_samples is not None:
+        if mc_samples > MAX_TENSOR_NODES:
+            raise ResourceError(
+                f"quadrature.mc_samples {mc_samples} exceeds the cap of "
+                f"{MAX_TENSOR_NODES} nodes")
         base = _cached((key, base_lam, mc_samples, seed, "mc"),
                        lambda: _mc_rule(weight, base_lam, mc_samples, seed))
     else:
@@ -361,14 +362,6 @@ class Measure:
     def nodes(self) -> np.ndarray:
         return self.rule.nodes
 
-    @cached_property
-    def norm_weights(self) -> np.ndarray:
-        """Quadrature weights of the probability measure (sum to one);
-        computed once, read-only."""
-        w = self.rule.weights * self.normalization
-        w.setflags(write=False)
-        return w
-
     def node_jet(self, f) -> tuple[np.ndarray, np.ndarray]:
         """f.jet(nodes, 1), the (N,) values and (N, n) gradients of f at the
         nodes, taken NODE_BLOCK nodes at a time, read-only.  The last
@@ -427,50 +420,60 @@ def partition_function(measure: Measure) -> float:
     return measure.rule_at(1.0).mass
 
 
-def _per_node(vals, count: int, tail: tuple | None = None) -> np.ndarray:
-    """vals as a float array of one value (or one (...) array of the shape
-    `tail`) per node of `count` nodes, else ContractError."""
-    vals = np.asarray(vals, dtype=float)
-    if vals.ndim == 0 or vals.shape[0] != count or (
-            tail is not None and vals.shape[1:] != tail):
-        want = f"({count}, ...)" if tail is None else str((count, *tail))
-        raise ContractError(
-            f"integrand must give one value per node, shape {want} at "
-            f"{count} nodes; got shape {vals.shape}")
-    return vals
-
-
-def _node_values(measure: Measure, f) -> np.ndarray:
-    """The finite values of f at the nodes with the node axis last and
-    contiguous (a view for axis-first values), so every component is summed
-    pairwise exactly as the same integrand alone would be."""
-    vals = _per_node(f(measure.nodes) if callable(f) else f,
-                     len(measure.rule.weights))
-    if not np.all(np.isfinite(vals)):
+def _weighted_sum(rule: QuadratureRule, f, rate: float = 0.0,
+                  scale: float = 1.0) -> tuple[float | np.ndarray, np.ndarray]:
+    """(scale * sum_i q_i g(x_i), the (..., N) terms q_i g(x_i)) on the rule,
+    g = f e^(rate |x|^2): f is a callable, called on the axis-first nodes
+    NODE_BLOCK at a time, or the (N, ...) array of its values, one block;
+    (N,) values give a float.  The blocks fill one buffer, node axis last
+    and contiguous, checked finite and summed pairwise once over all N
+    nodes, so each component sums exactly as that integrand alone would."""
+    size = len(rule.weights)
+    step = NODE_BLOCK if callable(f) else size
+    terms = None
+    for k in range(0, size, step):
+        pts = rule.nodes[k:k + step]
+        vals = np.asarray(f(pts) if callable(f) else f, dtype=float)
+        tail = None if terms is None else terms.shape[:-1]
+        if vals.ndim == 0 or len(vals) != len(pts) or tail not in (
+                None, vals.shape[1:]):
+            want = f"({len(pts)}, ...)" if tail is None else str((len(pts), *tail))
+            raise ContractError(
+                f"integrand must give one value per node, shape {want} at "
+                f"{len(pts)} nodes; got shape {vals.shape}")
+        if terms is None:
+            # taken after the first block's values, so a one-block rule
+            # holds no more at once than a whole-array sum
+            terms = np.empty((*vals.shape[1:], size))
+        block = terms[..., k:k + len(pts)]
+        block[...] = np.moveaxis(vals, 0, -1)
+        if rate:
+            block *= np.exp(rate * np.sum(pts ** 2, axis=1))
+    if not np.all(np.isfinite(terms)):
         raise EvaluationError("integrand is not finite at a quadrature node")
-    return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+    terms *= rule.weights
+    total = np.sum(terms, axis=-1) * scale
+    return (float(total) if total.ndim == 0 else total), terms
 
 
 def integrate(measure: Measure, f) -> float | np.ndarray:
-    """Integral of f against mu: f is a callable on the (N, n) nodes or the
-    array of its values there.  (N,) values give a float; (N, ...) values
-    give the (...) array of the integrals of their components."""
-    est = np.sum(_node_values(measure, f) * measure.norm_weights, axis=-1)
-    return float(est) if est.ndim == 0 else est
+    """Integral of f against mu: f is a callable on (N, n) nodes or the
+    array of its values at the nodes.  (N,) values give a float; (N, ...)
+    values give the (...) array of the integrals of their components."""
+    return _weighted_sum(measure.rule, f, scale=measure.normalization)[0]
 
 
 def integrate_with_error(measure: Measure, f
                          ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """The integral of `integrate` plus the standard-error estimate of each
     component (Monte Carlo rules; zero for deterministic rules)."""
-    vals = _node_values(measure, f)
-    w = measure.norm_weights
-    est = np.sum(vals * w, axis=-1)
-    if measure.rule.kind == "monte_carlo":
-        se = np.sqrt(np.sum((w * (vals - est[..., None])) ** 2, axis=-1))
-    else:
-        se = np.zeros_like(est)
-    return (float(est), float(se)) if est.ndim == 0 else (est, se)
+    est, terms = _weighted_sum(measure.rule, f, scale=measure.normalization)
+    if measure.rule.kind != "monte_carlo":
+        return est, (0.0 if np.ndim(est) == 0 else np.zeros_like(est))
+    # the terms are q_i f_i, so q_i (f_i - est) = terms - q_i est
+    dev = terms - measure.rule.weights * np.expand_dims(est, -1)
+    se = np.sqrt(np.sum(dev ** 2, axis=-1)) * measure.normalization
+    return est, (float(se) if se.ndim == 0 else se)
 
 
 @dataclass(frozen=True)
@@ -496,33 +499,11 @@ def nu_integral(measure: Measure, integrand: Callable[[np.ndarray], np.ndarray],
 
     An integrand returning (N, ...) at the N nodes it is called on gives
     the (...) array of the integrals of its components; (N,) gives a float.
-    It is called on the axis-first nodes NODE_BLOCK at a time, and each
-    block, times e^(rate |x|^2), fills its columns of one (..., N) buffer;
-    the weights and the sums then run once over all N nodes, as on the
-    whole array (see the module notes)."""
+    It is called NODE_BLOCK nodes at a time (see `_weighted_sum`)."""
     if not rate > 0:
         raise DecayContractError("nu-integration needs a positive Gaussian rate")
-    rule = measure.rule_at(1.0 / math.sqrt(2.0 * rate))
-    size = len(rule.weights)
-    folded = None
-    for k in range(0, size, NODE_BLOCK):
-        pts = rule.nodes[k:k + NODE_BLOCK]
-        vals = _per_node(integrand(pts), len(pts),
-                         None if folded is None else folded.shape[:-1])
-        gauss = np.exp(rate * np.sum(pts ** 2, axis=1))
-        if folded is None:
-            # node axis last and contiguous, so every component is summed
-            # pairwise exactly as the same integrand alone would be; taken
-            # after the first block's values, so a one-block rule holds no
-            # more at once than a whole-array fold
-            folded = np.empty((*vals.shape[1:], size))
-        np.multiply(np.moveaxis(vals, 0, -1), gauss,
-                    out=folded[..., k:k + len(pts)])
-    if not np.all(np.isfinite(folded)):
-        raise EvaluationError("folded integrand is not finite at a node")
-    folded *= rule.weights
-    total = np.sum(folded, axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return _weighted_sum(measure.rule_at(1.0 / math.sqrt(2.0 * rate)),
+                         integrand, rate)[0]
 
 
 def nu_monomials(measure: Measure, left: np.ndarray, right: np.ndarray,

@@ -2,23 +2,24 @@
 mu_w: spectral gap, Poisson solves for the duality-based stability argument,
 and the spectral realization of the semigroup P_t.
 
-The system lives on mu_{w,lambda} at the Galerkin order, built by
-`measures.make_measure`; its rule must be a tensor rule, whose 1-D blocks
-|t|^a e^(-t^2/(2 s^2)) on full and half lines (`QuadratureRule.blocks`)
-carry their exponent a and scale s.  Basis function k is the tensor
-product prod_ax p_(expo[k, ax])(x_ax / s_ax) of the orthonormal
-polynomials of the axis factor, evaluated with their derivatives from the
-three-term recurrence of `quad1d.fullline_recurrence`.  On cone-constrained
-axes only even indices enter: the full-line weight is even, so its even
-members are orthonormal for t^a on the half line and span exactly the
-polynomials with Neumann boundary behavior.
+The system lives on mu_{w,lambda} at the Galerkin order (see
+`build_galerkin`), built by `measures.make_measure`; its rule must be a
+tensor rule, whose 1-D blocks |t|^a e^(-t^2/(2 s^2)) on full and half lines
+(`QuadratureRule.blocks`) carry their exponent a and scale s.  Basis
+function k is the tensor product prod_ax p_(expo[k, ax])(x_ax / s_ax) of
+the orthonormal polynomials of the axis factor, evaluated with their
+derivatives from the three-term recurrence of `quad1d.fullline_recurrence`.
+On cone-constrained axes only even indices enter: the full-line weight is
+even, so its even members are orthonormal for t^a on the half line and span
+exactly the polynomials with Neumann boundary behavior.
 
 Everything is sum-factorized (Orszag 1980): each axis carries one
 (N_ax, d + 1) table of its polynomials and their first two derivatives at
 its block's nodes.  The Gram matrix is the product over axes of the 1-D
-Grams taken on each block (weights b.weights / b.mass), and the stiffness
-is the sum over axes of that axis's derivative Gram times the other axes'
-Grams; no table over the full grid and the whole basis is ever formed.
+Grams, each summed with its block's weights and then divided by the block's
+mass, and the stiffness is the sum over axes of that axis's derivative Gram
+times the other axes' Grams; no table over the full grid and the whole
+basis is ever formed.
 The basis is built independently of the rule, so `gram_residual` checks
 rule and basis against each other.  Node values of an expansion (and of
 its derivatives) and projections onto the basis are one contraction per
@@ -95,7 +96,6 @@ class GalerkinSystem:
     axes: tuple[AxisBasis, ...]  # per-axis recurrence and scale of the basis
     stiffness: np.ndarray       # (m, m) <grad p_i, grad p_j>_mu
     gram_residual: float
-    axis_weights: tuple[np.ndarray, ...]  # per axis: normalized 1-D weights
     axis_tables: tuple[np.ndarray, ...]   # per axis: axis_jet at its 1-D nodes
     _eig: Optional[tuple[np.ndarray, np.ndarray]] = dc_field(default=None, repr=False)
 
@@ -137,11 +137,11 @@ class GalerkinSystem:
         (N, n) nodes or the (N,) or (N, K) array of its values there."""
         vals = np.asarray(f(self.nodes) if callable(f) else f, dtype=float)
         block = vals.reshape(len(vals), -1).T
-        grid = block.reshape((len(block),) + tuple(len(w) for w in self.axis_weights))
-        mats = [w[:, None] * t[0]
-                for w, t in zip(self.axis_weights, self.axis_tables)]
+        grid = block.reshape((len(block),) + tuple(t.shape[1] for t in self.axis_tables))
+        mats = [b.weights[:, None] * t[0]
+                for b, t in zip(self.measure.rule.blocks, self.axis_tables)]
         coeffs = _sweep(grid, mats)[(slice(None), *self.expo.T)].T
-        return coeffs.reshape((self.size,) + vals.shape[1:])
+        return coeffs.reshape((self.size,) + vals.shape[1:]) * self.measure.normalization
 
     def generator_at_nodes(self, coeffs: np.ndarray) -> np.ndarray:
         """L_w sum_k c_k p_k at the nodes, from node derivatives of the
@@ -171,8 +171,13 @@ def build_galerkin(measure: Measure,
                    max_degree: int | None = None) -> GalerkinSystem:
     """Orthonormal tensor polynomial Galerkin system for the Dirichlet form
     of mu_w, with only even indices on cone-constrained axes.  It lives on
-    mu_{w,lambda} at order max(measure.order, max_degree + 8), whose rule
-    integrates products of two basis gradients exactly."""
+    mu_{w,lambda} at order max(measure.order, max_degree + 1): an n-point
+    Gauss rule is exact to degree 2n - 1 (Gautschi 2004, ch. 1), so each
+    axis's rule integrates both 1-D Grams (degree <= 2 max_degree) exactly
+    and the spectrum is the Rayleigh-Ritz one of the span (Babuska and
+    Osborn 1991); at a run order of at least max_degree + 1 it is the run's
+    own cached rule.  The full grid serves only projections, node values
+    and non-polynomial integrands, which no order makes exact."""
     weight = measure.weight
     if not galerkin_applies(measure):
         raise ContractError(
@@ -189,12 +194,11 @@ def build_galerkin(measure: Measure,
                              f"gap check; the smallest degree is {lowest}")
 
     galerkin = make_measure(weight, measure.scale,
-                            order=max(measure.order, max_degree + 8),
+                            order=max(measure.order, max_degree + 1),
                             seed=measure.seed)
     blocks = galerkin.rule.blocks
     axes = tuple((*fullline_recurrence(b.a, max_degree + 1), b.scale)
                  for b in blocks)
-    axis_weights = tuple(b.weights / b.mass for b in blocks)
     tables = tuple(axis_jet(basis, b.nodes[0], max_degree)
                    for basis, b in zip(axes, blocks))
 
@@ -203,10 +207,10 @@ def build_galerkin(measure: Measure,
     # the derivative Gram of that axis times the Grams of the others
     expo = exponent_table(weight.dim, max_degree, even_axes=even)
     grams, derivs = [], []
-    for w, table, e in zip(axis_weights, tables, expo.T):
+    for b, table, e in zip(blocks, tables, expo.T):
         idx = np.ix_(e, e)
-        grams.append((table[0].T @ (w[:, None] * table[0]))[idx])
-        derivs.append((table[1].T @ (w[:, None] * table[1]))[idx])
+        grams.append((table[0].T @ (b.weights[:, None] * table[0]))[idx] / b.mass)
+        derivs.append((table[1].T @ (b.weights[:, None] * table[1]))[idx] / b.mass)
     gram = math.prod(grams)
     gram_residual = float(np.max(np.abs(gram - np.eye(len(expo)))))
     if gram_residual > GRAM_TOL:
@@ -218,8 +222,7 @@ def build_galerkin(measure: Measure,
 
     return GalerkinSystem(
         measure=galerkin, max_degree=max_degree, expo=expo, axes=axes,
-        stiffness=stiffness, gram_residual=gram_residual,
-        axis_weights=axis_weights, axis_tables=tables)
+        stiffness=stiffness, gram_residual=gram_residual, axis_tables=tables)
 
 
 # ---------------------------------------------------------------------------

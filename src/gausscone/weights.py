@@ -114,8 +114,8 @@ class Radial(_Spec):
     alpha: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("radial exponent must be nonnegative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError("radial exponent must be finite and nonnegative")
 
     def degree(self, dim: int) -> float | None:
         return float(self.alpha)
@@ -171,8 +171,8 @@ class DunklProduct(_Spec):
                          else (2.0 * k for k in multiplicities)))
         if len(roots) != len(exps):
             raise ValueError("roots/multiplicities length mismatch")
-        if any(a < 0 for a in exps):
-            raise ValueError("multiplicities must be nonnegative")
+        if not all(0.0 <= a < np.inf for a in exps):  # a NaN passes "a < 0"
+            raise ValueError("multiplicities/exponents must be finite and nonnegative")
         dims = {len(r) for r in roots} | ({self.dim} - {None})
         if len(dims) > 1:
             raise ValueError(f"Dunkl roots must share one dimension, got {sorted(dims)}")
@@ -240,8 +240,8 @@ def Monomial(exponents) -> DunklProduct:
     """w(x) = prod |x_i|^a_i, homogeneous of degree sum(a_i): the Dunkl
     product of the coordinate roots e_i with the exponents a_i."""
     exps = tuple(float(a) for a in exponents)
-    if any(a < 0 for a in exps):
-        raise ValueError("monomial exponents must be nonnegative")
+    if not all(0.0 <= a < np.inf for a in exps):
+        raise ValueError("monomial exponents must be finite and nonnegative")
     return DunklProduct(tuple(map(tuple, np.eye(len(exps)))), dim=len(exps),
                         exponents=exps)
 

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -190,6 +191,8 @@ class TestCliExitCodes:
 
 # every malformed value exits 2 with a config error naming its key, in the
 # file and as a CLI override alike
+NAN = float("nan")
+
 MALFORMED = [
     ({"dim": True}, [], "dim"),
     ({"quadrature": {"order": "8"}}, [], "quadrature.order"),
@@ -223,6 +226,31 @@ MALFORMED = [
      "hermite_witness"),
     ({"fields": [{"kind": "exp_axis", "b": 0.5, "axis": -1}]}, [], "exp_axis"),
     ({"fields": [{"kind": "gaussian", "lam": 0}]}, [], "gaussian"),
+    # a NaN exponent passes a test for a < 0 and would run as w = 1
+    ({"dim": 2, "fields": None, "weight": {
+        "kind": "dunkl", "roots": [[1.0, 0.0]], "multiplicities": [NAN]}}, [],
+     "multiplicities"),
+    ({"weight": {"kind": "monomial", "exponents": [NAN]}}, [], "exponents"),
+    ({"dim": 2, "fields": None, "weight": {
+        "kind": "partial_product", "coords": [0],
+        "inner": {"kind": "monomial", "exponents": [NAN]}}}, [], "exponents"),
+    ({"weight": {"kind": "radial", "alpha": NAN}}, [], "radial exponent"),
+    ({"fields": [{"kind": "gaussian", "lam": 1e-200}]}, [], "gaussian"),
+    ({"fields": [{"kind": "affine", "a": [NAN]}]}, [], "affine"),
+    ({"fields": [{"kind": "affine", "a": [math.inf]}]}, [], "affine"),
+    ({"fields": [{"kind": "constant", "c": NAN}]}, [], "constant"),
+    ({"fields": [{"kind": "exp_axis", "b": -math.inf, "axis": 0}]}, [],
+     "exp_axis"),
+    ({"fields": [{"kind": "exp_axis", "b": 0.5, "axis": 0.7}]}, [], "exp_axis"),
+    ({"fields": [{"kind": "poly_gauss", "degree": 2.7}]}, [], "poly_gauss"),
+    ({"dim": 2, "fields": [{"kind": "poly_gauss", "even_axes": [5]}]}, [],
+     "even_axes"),
+    ({"dim": 2, "fields": [{"kind": "poly_gauss", "even_axes": "ab"}]}, [],
+     "even_axes"),
+    # every rule kind has one node cap
+    ({"quadrature": {"mc_samples": 10 ** 13}}, [], "quadrature.mc_samples"),
+    ({"dim": 6, "fields": None, "quadrature": {"order": 13}}, [],
+     "quadrature.order"),
 ]
 
 

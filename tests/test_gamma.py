@@ -233,5 +233,5 @@ class TestIntegrationByParts:
         for f in (exp_axis(0.4, 1, 2), gaussian(1.0, 1.0, 2),
                   poly_gauss(5, 2, even_axes=frozenset({0}))):
             vals = apply_generator(mu_partial.weight, f, mu_partial.nodes)
-            mean = float(np.sum(mu_partial.norm_weights * vals))
+            mean = float(np.sum(mu_partial.rule.weights * mu_partial.normalization * vals))
             assert abs(mean) < 1e-8

@@ -139,7 +139,8 @@ class TestBeckner:
         f = one_plus(0.2, affine([1.0], 0.0))
         lsi = check_lsi(mu_one_1d, f, 2.0)
         norm = math.sqrt(float(np.sum(
-            mu_one_1d.norm_weights * f.value(mu_one_1d.nodes) ** 2)))
+            mu_one_1d.rule.weights * mu_one_1d.normalization
+            * f.value(mu_one_1d.nodes) ** 2)))
         fn = scaled(f, 1.0 / norm)
         chk = check_beckner(mu_one_1d, fn, 2.0 - 1e-5, 2.0)
         # lsi lhs is reported as Ent(f^2); the Beckner limit gives half of it
@@ -289,7 +290,7 @@ class TestLsi:
         fn = scaled(f, 1.0 / lq_norm(mu_partial, f, q))
         chk = check_lsi(mu_partial, fn, q)
         pts = mu_partial.nodes
-        w = mu_partial.norm_weights
+        w = mu_partial.rule.weights * mu_partial.normalization
         absf = np.abs(fn.value(pts))
         direct = (2.0 / q) * float(np.sum(w * absf ** q * np.log(absf)))
         assert chk.lhs == pytest.approx(direct, rel=1e-10)

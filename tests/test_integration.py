@@ -33,7 +33,7 @@ class TestL2StabilityAsymmetric:
         f = poly_gauss(3, 2, even_axes=frozenset({0, 1}))
         chk = check_poincare(mu_quadrant, f, level="l2_stability")
         pts = mu_quadrant.nodes
-        w = mu_quadrant.norm_weights
+        w = mu_quadrant.rule.weights * mu_quadrant.normalization
         vals = f.value(pts)
         c = 1.0  # K_w = 0
         mean = float(np.sum(w * vals))
@@ -44,7 +44,8 @@ class TestL2StabilityAsymmetric:
         assert chk.lhs == pytest.approx(lhs_direct, rel=1e-12, abs=1e-14)
 
     def test_barycenter_terms_are_active(self, mu_quadrant):
-        mx = (mu_quadrant.norm_weights[:, None] * mu_quadrant.nodes).sum(axis=0)
+        w = mu_quadrant.rule.weights * mu_quadrant.normalization
+        mx = (w[:, None] * mu_quadrant.nodes).sum(axis=0)
         assert np.all(mx > 0.1)
         f = poly_gauss(5, 2, even_axes=frozenset({0, 1}))
         chk = check_poincare(mu_quadrant, f, level="l2_stability")

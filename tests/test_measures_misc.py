@@ -187,14 +187,6 @@ class TestAxisFirstLayout:
             assert est.shape == (values.shape[1],)
             np.testing.assert_array_equal(est, integrate_with_error(mu, values)[0])
 
-    def test_norm_weights_computed_once(self, w_partial):
-        mu = make_measure(w_partial, 1.3, order=8)
-        w = mu.norm_weights
-        assert mu.norm_weights is w
-        np.testing.assert_array_equal(w, mu.rule.weights * mu.normalization)
-        with pytest.raises(ValueError):
-            w[0] = 0.0
-
 
 def _counting(f):
     """f with a jet that records the order of every call."""

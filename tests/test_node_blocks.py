@@ -1,11 +1,12 @@
 """Passes over a rule's nodes run NODE_BLOCK nodes at a time.
 
-`nu_integral` calls its integrand on one node block at a time and sums once
-over all nodes, and `Measure.node_jet` fills a field's order-1 jet block by
-block, so both must equal their whole-array forms bit for bit: on a Monte
-Carlo rule whose last block is ragged and on a tensor rule smaller than one
-block.  Their memory must not grow with the rule beyond the rule and the
-folded buffer, and a mis-shaped integrand is a ContractError.
+`integrate`, `integrate_with_error` and `nu_integral` call a callable
+integrand on one node block at a time and sum once over all nodes, and
+`Measure.node_jet` fills a field's order-1 jet block by block, so each must
+equal its whole-array form bit for bit: on a Monte Carlo rule whose last
+block is ragged and on a tensor rule smaller than one block.  Their memory
+must not grow with the rule beyond the rule and the folded buffer, and a
+mis-shaped integrand is a ContractError.
 """
 
 import math
@@ -70,6 +71,37 @@ def test_nu_integral_equals_whole_array_fold(measure, integrand):
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("integrand", [_scalar, _vector], ids=["scalar", "vector"])
+def test_integrate_callable_equals_its_values(measure, integrand):
+    # the callable is called block by block, the array of its values is
+    # taken whole; both are summed once, so they agree bit for bit
+    vals = integrand(measure.nodes)
+    for call in (integrate, integrate_with_error):
+        got, ref = call(measure, integrand), call(measure, vals)
+        assert np.array_equal(got, ref)
+    expected = np.sum(np.moveaxis(vals, 0, -1) * measure.rule.weights, axis=-1)
+    got = integrate(measure, integrand)
+    np.testing.assert_allclose(got, expected * measure.normalization,
+                               rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("call", ["integrate", "integrate_with_error"])
+def test_integrate_calls_the_integrand_on_blocks(measure, call):
+    seen = []
+
+    def counting(x):
+        assert x.strides[0] == x.itemsize
+        seen.append(x.copy())
+        return _scalar(x)
+
+    {"integrate": integrate,
+     "integrate_with_error": integrate_with_error}[call](measure, counting)
+    sizes = [len(x) for x in seen]
+    assert max(sizes) <= NODE_BLOCK
+    assert sum(sizes) == len(measure.rule.weights)
+    assert np.array_equal(np.concatenate(seen), measure.nodes)
+
+
 def test_integrand_sees_axis_first_blocks_in_order(measure):
     rule = measure.rule_at(1.0 / math.sqrt(2.0 * RATE))
     seen = []
@@ -119,10 +151,8 @@ def test_node_jet_equals_whole_array_jet(measure, field):
                                   "integrate_with_error"])
 @pytest.mark.parametrize("shape", ["scalar", "one_more_node", "transposed"])
 def test_misshaped_integrand_is_contract_error(measure, call, shape):
-    # nu_integral calls its integrand on one block, integrate on every node
-    size = len(measure.nodes)
-    if call == "nu_integral":
-        size = min(size, NODE_BLOCK)
+    # every call takes the integrand one block of nodes at a time
+    size = min(len(measure.nodes), NODE_BLOCK)
 
     def integrand(x):
         n = len(x)

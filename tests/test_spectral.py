@@ -29,7 +29,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gausscone.cones import Halfspace
+from gausscone.cones import Halfspace, Orthant
 from gausscone.config import build_weight, parse_config
 from gausscone.errors import (
     ContractError,
@@ -168,18 +168,52 @@ GALERKIN_CASES = [
 
 
 class TestGalerkinMeasure:
-    @pytest.mark.parametrize("order, degree", [(32, 16), (16, 10), (8, 12)],
-                             ids=["run_order", "run_order_higher",
-                                  "galerkin_order_higher"])
+    # the Galerkin order is max(order, degree + 1): the run's own rule once
+    # its order reaches degree + 1
+    @pytest.mark.parametrize("order, degree", [
+        (32, 16), (16, 10), (11, 10), (10, 10), (8, 12)],
+        ids=["run_order", "run_order_higher", "run_order_at_the_bound",
+             "galerkin_order_one_higher", "galerkin_order_higher"])
     def test_measure_is_the_one_rule_at_the_galerkin_order(self, order,
                                                            degree):
         weight = make_weight(Monomial((1.5, 0.0)), 2)
         mu = make_measure(weight, 1.0, order=order)
         system = build_galerkin(mu, degree)
-        rule = build_rule(weight, mu.scale, order=max(mu.order, degree + 8))
+        rule = build_rule(weight, mu.scale, order=max(mu.order, degree + 1))
         assert system.measure.rule is rule
-        assert (rule is mu.rule) == (order >= degree + 8)
+        assert (rule is mu.rule) == (order >= degree + 1)
         assert system.nodes is rule.nodes
+        assert len(rule.weights) == max(order, degree + 1) ** 2
+
+    # an n-point Gauss rule is exact to degree 2n - 1, so at the Galerkin
+    # order d + 1 both 1-D Grams (degree <= 2d) are exact on every axis kind:
+    # a half line (of either sign) with exponent a, the free full line, and
+    # a Gaussian tilt; at order d they are not (residual 1.0)
+    @pytest.mark.parametrize("weight", [
+        make_weight(Monomial((0.0, 0.0)), 2, cone=Orthant(2, frozenset({0}))),
+        *[make_weight(Monomial((a, 0.0)), 2) for a in (0.5, 1.5, 3.0, 5.0)],
+        make_weight(Monomial((1.5, 0.0)), 2, cone=Halfspace(2, (-1.0, 0.0))),
+        make_weight(GaussianTilt(0.5), 2, cone=Orthant(2, frozenset({0}))),
+    ], ids=["a0", "a0.5", "a1.5", "a3", "a5", "negative_half_line", "tilt"])
+    @pytest.mark.parametrize("lam", [1.0, 1.7])
+    def test_gram_is_exact_at_the_galerkin_order(self, weight, lam):
+        mu = make_measure(weight, lam, order=2)
+        for degree in range(4, 17):
+            system = build_galerkin(mu, degree)
+            assert all(len(b.weights) == degree + 1
+                       for b in system.measure.rule.blocks)
+            assert system.gram_residual <= 1e-13, (degree,
+                                                   system.gram_residual)
+
+    def test_six_dim_order_8_builds_on_9_to_the_6_nodes(self):
+        # 9^6 nodes at the default degree 8; a margin of 8 would ask for
+        # 16^6 > MAX_TENSOR_NODES and be refused
+        mu = make_measure(make_weight(Monomial((1.5,) + (0.0,) * 5), 6), 1.0,
+                          order=8)
+        system = build_galerkin(mu)
+        assert system.measure.rule is build_rule(mu.weight, 1.0, order=9)
+        assert len(system.nodes) == 9 ** 6
+        assert system.gram_residual <= 1e-13
 
     # the degree-(d - 2) block needs a second basis function: x^2 on the
     # half line, x_1 on the free axis of the half-plane
@@ -449,7 +483,7 @@ class TestSumFactorization:
         weight, lam, order, degree = request.param
         mu = make_measure(weight, lam, order=order)
         system = build_galerkin(mu, degree)
-        rule = build_rule(weight, lam, order=max(order, degree + 8))
+        rule = build_rule(weight, lam, order=max(order, degree + 1))
         np.testing.assert_allclose(system.nodes, rule.nodes, rtol=1e-15,
                                    atol=0)
         qw = rule.weights / rule.mass
