@@ -230,7 +230,12 @@ def _least_squares_affine_gap(measure: Measure, centered: np.ndarray) -> float:
     basis = np.vstack([np.ones(len(centered)), measure.nodes.T])
     gram = integrate(measure, (basis[:, None] * basis[None]).transpose(2, 0, 1))
     b = integrate(measure, (basis * centered).T)
-    coef = np.linalg.solve(gram, b)
+    try:
+        coef = np.linalg.solve(gram, b)
+    except np.linalg.LinAlgError:
+        raise DegenerateInputError(
+            f"singular affine Gram matrix on a {len(centered)}-node rule"
+        ) from None
     return max(integrate(measure, centered ** 2) - float(b @ coef), 0.0)
 
 

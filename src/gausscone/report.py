@@ -17,6 +17,7 @@ fixed thread count.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import time
@@ -126,24 +127,28 @@ def emit(report: RunReport, format: str = "json",
                           separators=(",", ":"), allow_nan=False)
         return (text + "\n").encode()
     if format == "csv":
+        import csv  # only here: a JSON run does not pay for loading it
+
         def cells_of(theorem, record):
             cells = [str(theorem)]
             for key in ("lhs", "rhs", "deficit"):
                 v = record.get(key, "")
                 cells.append(format_float(v) if isinstance(v, float) else str(v))
             cells.append(str(bool(record.get("pass", ""))).lower())
-            return ",".join(cells)
+            return cells
 
-        lines = ["theorem,lhs,rhs,deficit,pass"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["theorem", "lhs", "rhs", "deficit", "pass"])
         for s in report.suites:
             for c in s.checks:
                 theorem = c.get("theorem", s.name)
-                lines.append(cells_of(theorem, c))
+                writer.writerow(cells_of(theorem, c))
                 # sweep tables expand to one row per parameter for plotting
                 for row in c.get("rows", ()):
                     tag = f"{theorem}[{row.get('parameter')}]"
-                    lines.append(cells_of(tag, dict(row, **{"pass": c.get("pass", "")})))
-        return ("\n".join(lines) + "\n").encode()
+                    writer.writerow(cells_of(tag, dict(row, **{"pass": c.get("pass", "")})))
+        return buf.getvalue().encode()
     raise ValueError(f"unknown format {format!r}")
 
 

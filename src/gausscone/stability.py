@@ -10,9 +10,11 @@ the run's `Measure` for its weight and rule settings.  The field must carry
 its structure p(x) exp(-r |x|^2) (`ScalarField.poly_gauss`), so its norm,
 its projections on the family basis and the basis Gram matrix are sums of
 monomial nu-integrals, which `measures.nu_monomials` takes from the
-measure's one moment table at any rate.  A pre-scan evaluates the objective
-on a grid of lambda at once, and Brent's method (Brent 1973) refines the
-best grid bracket, which keeps the search deterministic and auditable.
+measure's one moment table at any rate.  The search is a grid in
+log(lambda), evaluated at once, that zooms onto the bracket around its
+argmin until the bracket is sqrt(eps) wide, the resolution of a smooth
+minimum (Brent 1973, ch. 5; Numerical Recipes, sec. 10.1); it is
+deterministic, and every value it reports was computed on a grid.
 """
 
 from __future__ import annotations
@@ -23,16 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError, DegenerateInputError, ParameterError
 from .fields import ScalarField
 from .functionals import hup_deficit
 from .inequalities import TOLERANCE_SCALE
 from .measures import Measure, nu_monomials
 
-GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-EPS = float(np.finfo(float).eps)
-
 LOG_LAMBDA_BRACKET = (math.log(1e-2), math.log(1e2))
+LOG_LAMBDA_TOL = math.sqrt(float(np.finfo(float).eps))
 PRESCAN_POINTS = 16
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_AFFINE_GAUSSIAN = "affine_gaussian"
@@ -47,7 +47,7 @@ class DistanceResult:
     lam: Optional[float]
     degenerate: bool
     prescan_best: float
-    iterations: int           # objective evaluations of the refinement
+    iterations: int           # objective evaluations of the zoom
 
 
 def _objective(measure: Measure, f: ScalarField, lams: np.ndarray, affine: bool,
@@ -66,77 +66,34 @@ def _objective(measure: Measure, f: ScalarField, lams: np.ndarray, affine: bool,
     rate_g = 0.5 / (lams * lams)
     gram = nu_monomials(measure, basis, basis, 2.0 * rate_g)
     b = pg.poly.coeffs @ nu_monomials(measure, pg.poly.expo, basis, pg.rate + rate_g)
-    coef = np.linalg.solve(gram, b[..., None])[..., 0]
+    try:
+        coef = np.linalg.solve(gram, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise DegenerateInputError(
+            f"singular family Gram matrix on a {len(measure.nodes)}-node rule"
+        ) from None
     return np.maximum(norm_sq - np.sum(b * coef, axis=1), 0.0), coef
-
-
-def _brent(fn, lo: float, x: float, fx: float, hi: float,
-           tol: float = 1e-10) -> tuple[float, float, int]:
-    """Brent's minimization (Brent 1973, ch. 5) of fn on [lo, hi] from the
-    point x with value fx, to absolute tolerance tol in the argument: golden
-    steps, replaced by parabolic ones where those converge.  Returns the
-    argmin, its value and the number of evaluations of fn."""
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
-    evals = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        # the relative term keeps a step of tol1 from vanishing in x + tol1
-        tol1 = tol + 4.0 * EPS * abs(x)
-        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (hi - lo):
-            return x, fx, evals
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
-                e, d = d, p / q
-                parabolic = True
-                if (x + d) - lo < 2.0 * tol1 or hi - (x + d) < 2.0 * tol1:
-                    d = tol1 if x < mid else -tol1
-        if not parabolic:
-            e = (hi if x < mid else lo) - x
-            d = GOLDEN_STEP * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = fn(u)
-        evals += 1
-        if fu <= fx:
-            if u < x:
-                hi = x
-            else:
-                lo = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
 
 
 def distance_to_family(measure: Measure, f: ScalarField,
                        family: str = FAMILY_GAUSSIAN,
-                       prescan_points: int = PRESCAN_POINTS,
-                       bracket: tuple[float, float] = LOG_LAMBDA_BRACKET) -> DistanceResult:
+                       prescan_points: int = PRESCAN_POINTS) -> DistanceResult:
     """inf over the family of ||f - member||_{L2(w dx)} with its argmin.
 
     f must carry its polynomial-times-Gaussian structure, and the weight a
     degree; ||f||^2 comes from the same moment table as the projections.
-    A flat pre-scan (the field is orthogonal to the family at every lambda,
-    e.g. odd witnesses against the pure Gaussian family) short-circuits to
-    distance = ||f|| with the argmin flagged degenerate.
+    While the neighbours of the grid argmin lie more than LOG_LAMBDA_TOL
+    apart, PRESCAN_POINTS more points span them (at most 2/15 of the last
+    bracket); the result is the lowest value evaluated, with its lambda and
+    coefficients.  A flat pre-scan (the field is orthogonal to the family at
+    every lambda, e.g. odd witnesses against the pure Gaussian family)
+    short-circuits to distance = ||f|| with the argmin flagged degenerate.
     """
     if family not in (FAMILY_GAUSSIAN, FAMILY_AFFINE_GAUSSIAN):
         raise ContractError(f"unknown family {family!r}")
+    if prescan_points < 3:
+        raise ParameterError(
+            f"prescan_points = {prescan_points}: the pre-scan needs at least 3")
     pg = f.poly_gauss
     if pg is None:
         raise ContractError(
@@ -148,43 +105,42 @@ def distance_to_family(measure: Measure, f: ScalarField,
         raise DegenerateInputError("zero field")
     affine = family == FAMILY_AFFINE_GAUSSIAN
 
-    def objective(loglam: float) -> float:
-        return float(_objective(measure, f, np.array([math.exp(loglam)]),
-                                affine, norm_sq)[0][0])
-
-    grid = np.linspace(bracket[0], bracket[1], prescan_points)
-    vals = _objective(measure, f, np.exp(grid), affine, norm_sq)[0]
-    spread = float(np.max(vals) - np.min(vals))
-    if spread <= 1e-12 * (1.0 + norm_sq):
+    grid = np.linspace(*LOG_LAMBDA_BRACKET, prescan_points)
+    lams = np.exp(grid)
+    vals, coefs = _objective(measure, f, lams, affine, norm_sq)
+    prescan_best = float(np.min(vals))
+    if float(np.max(vals)) - prescan_best <= 1e-12 * (1.0 + norm_sq):
         return DistanceResult(
             distance=math.sqrt(norm_sq), family=family, c=0.0,
             d=tuple(0.0 for _ in range(measure.dim)) if affine else None,
-            lam=None, degenerate=True, prescan_best=float(np.min(vals)),
+            lam=None, degenerate=True, prescan_best=prescan_best,
             iterations=0)
 
-    best = int(np.argmin(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    loglam, _, evals = _brent(objective, float(lo), float(grid[best]),
-                              float(vals[best]), float(hi))
-    lam = math.exp(loglam)
-    objs, coefs = _objective(measure, f, np.array([lam]), affine, norm_sq)
-    coef = coefs[0]
+    best, rounds = math.inf, 0
+    while True:
+        i = int(np.argmin(vals))
+        if vals[i] <= best:
+            best, coef, lam = float(vals[i]), coefs[i], float(lams[i])
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        if hi - lo <= LOG_LAMBDA_TOL:
+            break
+        grid = np.linspace(lo, hi, PRESCAN_POINTS)
+        lams = np.exp(grid)
+        vals, coefs = _objective(measure, f, lams, affine, norm_sq)
+        rounds += 1
     return DistanceResult(
-        distance=math.sqrt(objs[0]), family=family, c=float(coef[0]),
+        distance=math.sqrt(best), family=family, c=float(coef[0]),
         d=tuple(float(v) for v in coef[1:]) if affine else None,
-        lam=lam, degenerate=False, prescan_best=float(vals[best]),
-        iterations=evals)
+        lam=lam, degenerate=False, prescan_best=prescan_best,
+        iterations=rounds * PRESCAN_POINTS)
 
 
 def brute_force_lambda_scan(measure: Measure, f: ScalarField,
                             family: str = FAMILY_GAUSSIAN,
-                            num: int = 2001,
-                            bracket: tuple[float, float] = LOG_LAMBDA_BRACKET) -> DistanceResult:
+                            num: int = 2001) -> DistanceResult:
     """Optimizer oracle: the same search behind a dense num-point pre-scan,
     which checks that the coarse pre-scan brackets the global minimum."""
-    return distance_to_family(measure, f, family, prescan_points=num,
-                              bracket=bracket)
+    return distance_to_family(measure, f, family, prescan_points=num)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Config parsing, report schema, determinism and the exit-code contract."""
 
+import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -116,6 +118,22 @@ class TestReport:
         assert len(csv_rows) == 1 + n_rows
         first = csv_rows[1].split(",")
         assert first[0] == payload["suites"][0]["checks"][0]["theorem"]
+        # sweep parameters such as affine([0.0, 3.0],1.0) hold commas: every
+        # row of the README's CSV example parses to 5 cells, tags whole
+        args = ["sharpness", "--config", str(REPLICATION_CONFIG)]
+        res = _cli([*args, "--format", "csv"])
+        assert res.returncode == 0, res.stderr
+        rows = list(csv.reader(io.StringIO(res.stdout)))
+        assert all(len(row) == 5 for row in rows)
+        payload = json.loads(_cli(args).stdout)
+        tags = []
+        for suite in payload["suites"]:
+            for check in suite["checks"]:
+                tags.append(check["theorem"])
+                tags += [f"{check['theorem']}[{row['parameter']}]"
+                         for row in check.get("rows", [])]
+        assert any("," in tag for tag in tags)
+        assert [row[0] for row in rows[1:]] == tags
 
 
 class TestCliExitCodes:
@@ -461,6 +479,20 @@ def test_weight_vanishing_inside_the_cone_exits_two_fast(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "'kind': 'orthant'" in proc.stderr
     assert wall < 2.0
+
+
+# a one-node rule makes the Gram matrix of a least-squares fit singular
+@pytest.mark.parametrize("quadrature, suite", [
+    ({"order": 1}, "scale_poincare"),
+    ({"mc_samples": 1}, "hup_stability"),
+])
+def test_singular_gram_is_a_run_failure(tmp_path, quadrature, suite):
+    cfg = {"dim": 2, "weight": {"kind": "monomial", "exponents": [1.5, 0]},
+           "quadrature": quadrature, "suites": [suite]}
+    proc, _ = _timed_cli(tmp_path, cfg)
+    assert proc.returncode == 1, proc.stderr
+    assert "run failed" in proc.stderr and "1-node rule" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _partial(coords, inner):

@@ -1,12 +1,15 @@
 """Distances to the Gaussian optimizer families and the stability theorems.
 
-Oracles: family members have zero distance by construction; the odd witness
-x_n e^{-|x|^2/2} under a partial weight is orthogonal to every pure Gaussian,
-so its squared distance is its norm, sqrt(pi)/4 (frozen from the 1-D
-integrals); the refined argmin is checked against the brute-force grid-scan
-oracle, the batched objective against one quadrature per integral and per
-lambda on tensor, polar and Monte Carlo rules, and Brent's method against
-functions with known minimizers.
+Oracles: family members have zero distance by construction, and the search
+recovers their lambda from either end of the bracket to 1e-7; the odd
+witness x_n e^{-|x|^2/2} under a partial weight is orthogonal to every pure
+Gaussian, so its squared distance is its norm, sqrt(pi)/4 (frozen from the
+1-D integrals), and it is itself a member of the affine family at lambda = 1;
+the zoomed argmin is checked against the brute-force grid-scan oracle, the
+batched objective against one quadrature per integral and per lambda on
+tensor, polar and Monte Carlo rules, and the search's own bookkeeping (at
+most 11 objective calls, the reported distance the lowest value evaluated)
+by wrapping the objective.
 """
 
 import math
@@ -14,8 +17,9 @@ import math
 import numpy as np
 import pytest
 
+from gausscone import stability
 from gausscone.cones import Halfspace
-from gausscone.errors import ContractError, NotHomogeneousError
+from gausscone.errors import ContractError, NotHomogeneousError, ParameterError
 from gausscone.fields import (
     exp_axis,
     gaussian,
@@ -29,7 +33,6 @@ from gausscone.measures import make_measure, nu_integral
 from gausscone.stability import (
     FAMILY_AFFINE_GAUSSIAN,
     FAMILY_GAUSSIAN,
-    _brent,
     _objective,
     brute_force_lambda_scan,
     check_hup_stability,
@@ -63,7 +66,7 @@ class TestDistance:
         res = distance_to_family(mu_abs, hermite_witness(1, 2),
                                  FAMILY_AFFINE_GAUSSIAN)
         assert res.distance <= 1e-7
-        assert res.lam == pytest.approx(1.0, rel=1e-5)
+        assert res.lam == pytest.approx(1.0, rel=1e-7)
         np.testing.assert_allclose(res.d, [0.0, 1.0], atol=1e-6)
 
     def test_tilde_never_exceeds_d(self, mu_abs):
@@ -149,38 +152,48 @@ class TestObjective:
                                        atol=1e-13 * np.max(np.abs(ref_coef)))
 
 
-class TestBrent:
-    def test_smooth_non_quadratic(self):
-        # e^t - 2t is smallest at log 2
-        def fn(t):
-            return math.exp(t) - 2.0 * t
+MEMBER_WEIGHTS = [(Monomial((1.0, 0.0)), 2), (Monomial((1.5, 0.0, 0.0)), 3),
+                  (Radial(1.5), 1)]
 
-        x, fx, evals = _brent(fn, -1.0, 2.0, fn(2.0), 3.0)
-        assert x == pytest.approx(math.log(2.0), abs=1e-7)
-        assert fx == fn(x)
-        # golden section makes 53 evaluations on this bracket
-        assert evals <= 30
 
-    @pytest.mark.parametrize("slope, start", [(1.0, 0.5), (-1.0, 0.5),
-                                              (-1.0, 1.0), (1.0, 0.0)])
-    def test_minimum_at_bracket_end(self, slope, start):
-        x, fx, _ = _brent(lambda t: slope * t, 0.0, start, slope * start, 1.0)
-        end = 0.0 if slope > 0 else 1.0
-        assert abs(x - end) <= 3e-10
-        assert fx == slope * x
+class TestSearch:
+    # 0.01 and 100 are the ends of the log(lambda) bracket
+    @pytest.mark.parametrize("lam", [0.01, 0.05, 1.3, 20.0, 100.0])
+    @pytest.mark.parametrize("spec, dim", MEMBER_WEIGHTS)
+    def test_member_lambda_recovered(self, spec, dim, lam):
+        mu = make_measure(make_weight(spec, dim))
+        res = distance_to_family(mu, gaussian(1.7, lam, dim))
+        assert not res.degenerate
+        assert res.lam == pytest.approx(lam, rel=1e-7)
+        assert res.distance <= 1e-7
 
-    def test_flat_function(self):
+    @pytest.mark.parametrize("family", [FAMILY_GAUSSIAN, FAMILY_AFFINE_GAUSSIAN])
+    def test_calls_and_reported_minimum(self, mu_abs, monkeypatch, family):
+        # the pre-scan and at most 10 zoom rounds, each one batched call;
+        # the distance is the lowest value any call evaluated
         calls = []
+        objective = stability._objective
 
-        def fn(t):
-            calls.append(t)
-            return 2.5
+        def counted(*args):
+            out = objective(*args)
+            calls.append(out[0])
+            return out
 
-        x, fx, evals = _brent(fn, -1.0, 0.0, 2.5, 1.0)
-        assert -1.0 <= x <= 1.0
-        assert fx == 2.5
-        assert evals == len(calls) <= 100
-        assert all(-1.0 <= t <= 1.0 for t in calls)
+        monkeypatch.setattr(stability, "_objective", counted)
+        for seed in range(8):
+            calls.clear()
+            res = distance_to_family(mu_abs, poly_gauss(seed, 2), family)
+            assert 2 <= len(calls) <= 11
+            assert res.iterations == (len(calls) - 1) * len(calls[-1])
+            assert res.distance == math.sqrt(np.min(np.concatenate(calls)))
+
+    @pytest.mark.parametrize("points", [0, 1, 2])
+    def test_prescan_needs_three_points(self, mu_abs, points):
+        with pytest.raises(ParameterError, match=f"prescan_points = {points}"):
+            distance_to_family(mu_abs, gaussian(2.0, 2.0, 2),
+                               prescan_points=points)
+        res = distance_to_family(mu_abs, gaussian(2.0, 2.0, 2), prescan_points=3)
+        assert res.lam == pytest.approx(2.0, rel=1e-7)
 
 
 class TestHupStability:
