@@ -24,8 +24,9 @@ rate >= 0 (the constants and affine fields at rate 0, the Gaussians, the
 Hermite witness and the seeded polynomial fields), and is built from that
 structure alone: one jet, the decay rate and the parity tags all come from
 its `PolyGauss`, which it carries as `poly_gauss` and from which the
-HUP-stability distances take every integral.  Scalings and dilations carry
-the structure, other combinators drop it.
+HUP-stability distances take every integral and integration by parts its
+Laplacian.  Scalings and dilations carry the structure, other combinators
+drop it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,59 @@ class PolyGauss:
         expo = self.poly.expo
         coeffs = amp * s ** expo.sum(axis=1) * self.poly.coeffs
         return PolyGauss(PolyND(expo, coeffs), self.rate * s * s)
+
+    # p and its derivatives come axis-first from one table, one row per
+    # derivative; with e the bump, w = c x, c = 2 rate, grad(p e) =
+    # e grad p - w p e, and with s = e grad p - w p e / 2,
+    # hess(p e) = e hess p - (w s^T + s w^T) - c p e I
+    def _bump(self, x: np.ndarray) -> np.ndarray:
+        # einsum forms |x|^2 without the (N, n) temporary of x ** 2
+        return np.exp(-self.rate * np.einsum("ij,ij->i", x, x))
+
+    def _first(self, x: np.ndarray, d: np.ndarray):
+        """The bump e, p e, w and the (n, N) rows of grad(p e) at the points
+        from the rows d of p and grad p there."""
+        e = self._bump(x)
+        w = 2.0 * self.rate * x.T
+        return e, d[0] * e, w, (d[1:1 + self.poly.dim] - w * d[0]) * e
+
+    def jet(self, x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """The field's jet of `order` at the (N, n) points."""
+        dim = self.poly.dim
+        d = self.poly.derivatives(x, order)
+        if order == 0:
+            return (d[0] * self._bump(x),)
+        e, pe, w, grad = self._first(x, d)
+        if order == 1:
+            return pe, grad.T
+        s = d[1:1 + dim] * e - 0.5 * w * pe
+        h = d[1 + dim:].reshape(dim, dim, -1)
+        h *= e
+        # one axis pair at a time, so no (n, n, N) temporary is formed
+        c = 2.0 * self.rate
+        for a in range(dim):
+            h[a, a] -= 2.0 * w[a] * s[a]
+            h[a, a] -= c * pe
+            for b in range(a):
+                v = w[a] * s[b] + s[a] * w[b]
+                h[a, b] -= v
+                h[b, a] -= v
+        return pe, grad.T, h.transpose(2, 0, 1)
+
+    def grad_laplacian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (N, n) gradient, as `jet(x, 1)` gives it, and the (N,)
+        Laplacian of the field at the (N, n) points, from one table without
+        the Hessian:
+
+            Lap(p e) = e (Lap p - 4 rate x.grad p
+                          + (4 rate^2 |x|^2 - 2 n rate) p)."""
+        dim, r = self.poly.dim, self.rate
+        d = self.poly.derivatives(x, 1, laplacian=True)
+        e, _, w, grad = self._first(x, d)
+        # w = 2 rate x, so 2 w.grad p = 4 rate x.grad p, w.w = 4 rate^2 |x|^2
+        wd = np.einsum("ij,ij->j", w, d[1:1 + dim])
+        ww = np.einsum("ij,ij->j", w, w)
+        return grad.T, (d[-1] - 2.0 * wd + (ww - 2.0 * dim * r) * d[0]) * e
 
 
 @dataclass(frozen=True)
@@ -105,39 +159,11 @@ def _structured(name: str, pg: PolyGauss) -> ScalarField:
     is even (odd) on the axes where every nonzero term has an even (odd)
     exponent; the zero polynomial is even on every axis."""
     poly, rate = pg.poly, pg.rate
-    dim, c = poly.dim, 2.0 * rate
+    dim = poly.dim
     odd_expo = poly.expo[poly.coeffs != 0] % 2 == 1
     even = frozenset(a for a in range(dim) if not odd_expo[:, a].any())
     odd = frozenset(a for a in range(dim) if len(odd_expo) and odd_expo[:, a].all())
-
-    # p and its derivatives come axis-first from one table, one row per
-    # derivative; with e the bump, w = c x and s = e grad p - w p e / 2,
-    # hess(p e) = e hess p - (w s^T + s w^T) - c p e I
-    def jet(x, order):
-        # einsum forms |x|^2 without the (N, n) temporary of x ** 2
-        e = np.exp(-rate * np.einsum("ij,ij->i", x, x))
-        d = poly.derivatives(x, order)
-        pe = d[0] * e
-        if order == 0:
-            return (pe,)
-        w = c * x.T
-        grad = ((d[1:1 + dim] - w * d[0]) * e).T
-        if order == 1:
-            return pe, grad
-        s = d[1:1 + dim] * e - 0.5 * w * pe
-        h = d[1 + dim:].reshape(dim, dim, -1)
-        h *= e
-        # one axis pair at a time, so no (n, n, N) temporary is formed
-        for a in range(dim):
-            h[a, a] -= 2.0 * w[a] * s[a]
-            h[a, a] -= c * pe
-            for b in range(a):
-                v = w[a] * s[b] + s[a] * w[b]
-                h[a, b] -= v
-                h[b, a] -= v
-        return pe, grad, h.transpose(2, 0, 1)
-
-    return ScalarField(name=name, dim=dim, jet=jet, decay=Decay(rate),
+    return ScalarField(name=name, dim=dim, jet=pg.jet, decay=Decay(rate),
                        even_axes=even, odd_axes=odd, poly_gauss=pg)
 
 

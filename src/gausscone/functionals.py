@@ -4,8 +4,9 @@ uncertainty scale lambda* and the Heisenberg deficit delta_w.
 
 Each mu-functional has one formula, a private function of the field's values
 or gradients at the measure's nodes that integrates through
-`measures.integrate`.  The public functions evaluate the field and call it;
-the checkers of `inequalities` call it on the measure's jet of the field
+`measures.integrate`, forming its integrand one block of nodes at a time.
+The public functions evaluate the field and call it; the checkers of
+`inequalities` call it on the measure's jet of the field
 (`Measure.node_jet`).  Stacked integrands are built axis-first, component
 rows of a C-contiguous buffer passed as its `.T` view, as the nodes are.
 
@@ -38,7 +39,7 @@ _NEG_TOL = 1e-12
 
 def _lq_norm(measure: Measure, vals: np.ndarray, q: float) -> float:
     """(int |f|^q dmu)^(1/q) from the values of f at the nodes."""
-    return integrate(measure, np.abs(vals) ** q) ** (1.0 / q)
+    return integrate(measure, lambda x, v: np.abs(v) ** q, vals) ** (1.0 / q)
 
 
 def _mean_variance(measure: Measure, vals: np.ndarray) -> tuple[float, float]:
@@ -48,20 +49,33 @@ def _mean_variance(measure: Measure, vals: np.ndarray) -> tuple[float, float]:
     # size, and a constant has variance exactly 0 even though the weights
     # sum to 1 only up to round-off
     shift = vals[np.argmax(measure.rule.weights)]
-    dev = vals - shift
-    m1, m2 = integrate(measure, np.stack([dev, dev ** 2]).T)
+
+    def moments(x, v):
+        dev = v - shift
+        return np.stack([dev, dev ** 2]).T
+
+    m1, m2 = integrate(measure, moments, vals)
     return float(shift + m1), max(float(m2 - m1 ** 2), 0.0)
 
 
-def _entropy(measure: Measure, vals: np.ndarray) -> tuple[float, float]:
-    """(Ent(g), int g dmu) from the values of g >= 0 at the nodes, with
-    0 log 0 := 0."""
-    if np.any(vals < -_NEG_TOL * (1.0 + np.max(np.abs(vals)))):
+def _entropy(measure: Measure, g, *arrays) -> tuple[float, float]:
+    """(Ent(g), int g dmu) for g >= 0, with 0 log 0 := 0: g(x, *rows) gives
+    the values of g on a block of nodes x and the block's rows of the
+    node-aligned arrays, as `integrate` calls it."""
+    low, high = [0.0], [0.0]  # the least value of g and the largest |g|
+
+    def terms(x, *rows):
+        vals = g(x, *rows)
+        low.append(float(np.min(vals)))
+        high.append(float(np.max(np.abs(vals))))
+        vals = np.maximum(vals, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            glogg = np.where(vals > 0.0, vals * np.log(vals), 0.0)
+        return np.stack([vals, glogg]).T
+
+    total, glogg_total = integrate(measure, terms, *arrays)
+    if min(low) < -_NEG_TOL * (1.0 + max(high)):
         raise DomainError("entropy integrand is negative")
-    vals = np.maximum(vals, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        glogg = np.where(vals > 0.0, vals * np.log(vals), 0.0)
-    total, glogg_total = integrate(measure, np.stack([vals, glogg]).T)
     if total <= 0.0:
         raise DegenerateInputError("entropy of the zero field")
     return float(glogg_total - total * math.log(total)), float(total)
@@ -69,7 +83,8 @@ def _entropy(measure: Measure, vals: np.ndarray) -> tuple[float, float]:
 
 def _energy(measure: Measure, grad: np.ndarray, q: float) -> float:
     """int |grad f|^q dmu from the (N, n) gradients at the nodes."""
-    return integrate(measure, np.sum(grad ** 2, axis=1) ** (0.5 * q))
+    return integrate(measure, lambda x, d: np.sum(d ** 2, axis=1) ** (0.5 * q),
+                     grad)
 
 
 def lq_norm(measure: Measure, f: ScalarField, q: float) -> float:
@@ -88,7 +103,7 @@ def entropy(measure: Measure, g: ScalarField) -> float:
 
     g must be the nonnegative integrand itself (pass squared(f) for Ent(f^2)).
     """
-    return _entropy(measure, g.value(measure.nodes))[0]
+    return _entropy(measure, g.value)[0]
 
 
 def dirichlet_energy(measure: Measure, f: ScalarField, q: float = 2.0) -> float:

@@ -12,7 +12,9 @@ Neumann boundary residual that gates fields into orthant-cone checks.
 
 Third derivatives never appear analytically: the Bochner identity residual
 uses a centered finite difference of L_w applied to Gamma(f,f), which is the
-only place they would be needed.
+only place they would be needed.  Integration by parts needs only the
+Laplacian of f, which a structured field gives from its `PolyGauss` without
+the Hessian.
 """
 
 from __future__ import annotations
@@ -158,14 +160,17 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
     rate = f.decay.rate + g.decay.rate + damp
 
     def integrand(pts):
-        # f's jet is taken before anything else is held and only its
-        # gradient and Laplacian are kept, g's jet only once L_w f is formed,
-        # and both sides fill the rows of one axis-first array, so on a large
-        # Monte Carlo rule the peak memory is that of f's jet
+        # a structured f gives its Laplacian from its PolyGauss, other
+        # fields the trace of their Hessian; only f's gradient and Laplacian
+        # are kept, g's jet is taken only once L_w f is formed, and both
+        # sides fill the rows of one axis-first array
         sides = np.empty((2, len(pts)))
-        grad, hess = f.jet(pts, 2)[1:]
-        lap = np.trace(hess, axis1=1, axis2=2)
-        del hess
+        if f.poly_gauss is not None:
+            grad, lap = f.poly_gauss.grad_laplacian(pts)
+        else:
+            grad, hess = f.jet(pts, 2)[1:]
+            lap = np.trace(hess, axis1=1, axis2=2)
+            del hess
         sides[0] = generator(weight, pts, grad, lap, lam)
         del lap
         g_value, g_grad = g.jet(pts, 1)

@@ -47,7 +47,6 @@ from .functionals import (
     hup_deficit,
 )
 from .measures import (
-    NODE_BLOCK,
     Measure,
     integrate,
     nu_integral,
@@ -174,7 +173,6 @@ def check_poincare(measure: Measure, f: ScalarField, q: float = 2.0,
         raise ParameterError(f"unknown Poincare level {level!r}")
     elif q != 2.0:
         raise ParameterError("stability levels are stated at q = 2 only")
-    pts = measure.nodes
     vals, grad = measure.node_jet(f)
     mean, var = _mean_variance(measure, vals)
     energy = _energy(measure, grad, q)
@@ -185,32 +183,33 @@ def check_poincare(measure: Measure, f: ScalarField, q: float = 2.0,
                       diagnostics={"variance": var, "energy_q": energy})
     rhs = energy - c * var
     # v = int (f - mean) x dmu and the barycenter mx = int x dmu, each
-    # component summed over one contiguous row of the axis-first nodes
-    v = integrate(measure, ((vals - mean) * pts.T).T)
-    mx = integrate(measure, pts)
+    # component summed over one contiguous row of a block's axis-first nodes
+    v = integrate(measure, lambda x, fv: ((fv - mean) * x.T).T, vals)
+    mx = integrate(measure, lambda x: x)
     if level == "gradient_stability":
         # lhs = (1/2) int |grad f - c v|^2 dmu, the squares added one axis at
         # a time in the order np.sum(..., axis=1) adds them
-        sq = np.zeros(len(vals))
-        for g, cv in zip(grad.T, c * v):
-            d = g - cv
-            d *= d
-            sq += d
-        lhs = 0.5 * integrate(measure, sq)
+        def grad_gap(x, d):
+            sq = np.zeros(len(d))
+            for g, cv in zip(d.T, c * v):
+                g = g - cv
+                g *= g
+                sq += g
+            return sq
+
+        lhs = 0.5 * integrate(measure, grad_gap, grad)
         return _check("poincare_gradient_stability", None, 2.0, lhs, rhs, c,
                       diagnostics={"projection_vector": v.tolist(),
                                    "variance": var, "energy": energy})
-    # lhs = (c/2) int pi^2 dmu with pi = f - mean - c (x - mx).v, formed
-    # NODE_BLOCK nodes at a time (a node's dot product reads its own row
-    # only, as on the whole array); expanding (x - mx).v with
-    # v = vf - mean mx, vf = int f x dmu, gives the terms reported below,
-    # which sum to pi
-    pi = np.empty(len(vals))
-    for k in range(0, len(pi), NODE_BLOCK):
-        block = slice(k, k + NODE_BLOCK)
-        pi[block] = vals[block] - mean - c * ((pts[block] - mx) @ v)
-    pi *= pi
-    lhs = 0.5 * c * integrate(measure, pi)
+    # lhs = (c/2) int pi^2 dmu with pi = f - mean - c (x - mx).v, formed on
+    # each block of nodes; expanding (x - mx).v with v = vf - mean mx,
+    # vf = int f x dmu, gives the terms reported below, which sum to pi
+    def l2_gap(x, fv):
+        pi = fv - mean - c * ((x - mx) @ v)
+        pi *= pi
+        return pi
+
+    lhs = 0.5 * c * integrate(measure, l2_gap, vals)
     vf = v + mean * mx
     return _check("poincare_l2_stability", None, 2.0, lhs, rhs, c,
                   diagnostics={
@@ -223,20 +222,28 @@ def check_poincare(measure: Measure, f: ScalarField, q: float = 2.0,
                       "variance": var, "energy": energy})
 
 
-def _least_squares_affine_gap(measure: Measure, centered: np.ndarray) -> float:
+def _least_squares_affine_gap(measure: Measure, vals: np.ndarray,
+                              mean: float) -> float:
     """inf over (c, d) of int |f - (c + d.x)|^2 dmu, exact via least squares
-    in the basis 1, x_1..x_n, from the values of f minus its mean at the
-    nodes (the infimum is the same for f)."""
-    basis = np.vstack([np.ones(len(centered)), measure.nodes.T])
-    gram = integrate(measure, (basis[:, None] * basis[None]).transpose(2, 0, 1))
-    b = integrate(measure, (basis * centered).T)
+    in the basis 1, x_1..x_n, from the values of f at the nodes minus its
+    mean (the infimum is the same for f)."""
+    def basis(x):
+        return np.vstack([np.ones(len(x)), x.T])
+
+    def gram_terms(x):
+        b = basis(x)
+        return (b[:, None] * b[None]).transpose(2, 0, 1)
+
+    gram = integrate(measure, gram_terms)
+    b = integrate(measure, lambda x, v: (basis(x) * (v - mean)).T, vals)
     try:
         coef = np.linalg.solve(gram, b)
     except np.linalg.LinAlgError:
         raise DegenerateInputError(
-            f"singular affine Gram matrix on a {len(centered)}-node rule"
+            f"singular affine Gram matrix on a {len(vals)}-node rule"
         ) from None
-    return max(integrate(measure, centered ** 2) - float(b @ coef), 0.0)
+    return max(integrate(measure, lambda x, v: (v - mean) ** 2, vals)
+               - float(b @ coef), 0.0)
 
 
 def check_scale_poincare(measure: Measure, f: ScalarField, lam: float,
@@ -257,7 +264,7 @@ def check_scale_poincare(measure: Measure, f: ScalarField, lam: float,
         lhs = c / (lam * lam) * var
         return _check("scale_poincare", None, 2.0, lhs, energy, c / lam ** 2,
                       diagnostics={"lambda": lam, "variance": var})
-    affine_gap = _least_squares_affine_gap(measure, vals - mean)
+    affine_gap = _least_squares_affine_gap(measure, vals, mean)
     lhs = c * var + 0.5 * c * affine_gap
     rhs = lam * lam * energy
     return _check("scale_poincare_improved", None, 2.0, lhs, rhs, c,
@@ -280,7 +287,7 @@ def check_lsi(measure: Measure, f: ScalarField, q: float = 2.0) -> InequalityChe
         raise ParameterError("the LSI family is stated for q >= 2")
     kw = measure.weight.kw
     vals, grad = measure.node_jet(f)
-    ent_q, iq = _entropy(measure, np.abs(vals) ** q)
+    ent_q, iq = _entropy(measure, lambda x, v: np.abs(v) ** q, vals)
     energy = _energy(measure, grad, q)
     lhs_gen = (2.0 / q ** 2) * iq ** (2.0 / q - 1.0) * ent_q
     rhs_gen = energy ** (2.0 / q) / (1.0 + kw)

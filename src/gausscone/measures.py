@@ -44,20 +44,28 @@ runs along the nodes.  Every (N, ...) array built at the nodes (field jets,
 weight derivatives, the checkers' stacked integrands) follows the same rule,
 so moving its node axis last is a contiguous copy; any layout is accepted.
 
-Passes over a rule's nodes run NODE_BLOCK nodes at a time: the one
-weighted sum behind `integrate`, `integrate_with_error` and `nu_integral`
-calls a callable integrand on one block at a time, and `Measure.node_jet`
-fills a field's order-1 jet block by block.  The finiteness check, the
-weights and the sums run once over all N nodes, so an integral is the
-whole-array one bit for bit whenever the integrand's value at a node does
-not depend on the batch around it.  (A dense polynomial field contracts its
-monomial table with BLAS, whose rounding at a node can move by an ulp or a
-few with the batch size and the thread count.  The CLI runs BLAS on one
-thread, so there only the batch size can move a jet's last ulp.)  A pass
-holds its buffer and one block's temporaries, not a multiple of the rule.
-`Measure.moments` keeps its own MOMENT_CHUNK: its monomial table has up to
-924 rows (6-D at degree 6), so one chunk of NODE_BLOCK nodes would double
-from 30 to 60 MB.
+Passes over a rule's nodes run NODE_BLOCK nodes at a time, so a pass holds
+the rule, one field jet and one block's temporaries.  `integrate`,
+`integrate_with_error` and `nu_integral` share one weighted sum: it calls a
+callable integrand on one block of nodes (and the block's rows of any
+node-aligned arrays it is given, such as a field's jet), checks the block
+finite, weights it and sums it, and adds the block sums in block order.  A
+sum is therefore block sums added in order: a rule of one block (every
+product rule of at most NODE_BLOCK nodes) sums as one whole-array sum did;
+on more blocks the result depends on NODE_BLOCK, a fixed constant, and stays
+byte-identical across reruns.  The standard error merges per-block
+(sum q^2, q^2-weighted mean, centred sum of squares) triples.  On a
+homogeneous weight `nu_integral` takes each block of the cached lambda = 1
+rule to the matched scale as build_rule would (nodes times lambda, weights
+times lambda^(n+alpha)), so no rescaled rule is built.  The Monte Carlo rule
+is drawn and folded block by block into its final arrays, and
+`Measure.node_jet` fills a field's order-1 jet block by block after dropping
+the previous field's.  (A dense polynomial field contracts its monomial
+table with BLAS, whose rounding at a node can move by an ulp or a few with
+the batch size and the thread count.  The CLI runs BLAS on one thread, so
+there only the batch size can move a jet's last ulp.)  `Measure.moments`
+keeps its own MOMENT_CHUNK: its monomial table has up to 924 rows (6-D at
+degree 6), so one chunk of NODE_BLOCK nodes would double from 30 to 60 MB.
 """
 
 from __future__ import annotations
@@ -85,9 +93,10 @@ from .weights import Block, Weight
 
 DEFAULT_ORDER = 32
 MAX_TENSOR_NODES = 4_000_000
-# nodes per block of a pass over a rule's nodes (the integrand calls of
-# the weighted sum, the field jets of node_jet): a block's temporaries stay in
-# cache and their memory does not grow with the rule
+# nodes per block of a pass over a rule's nodes (the weighted sum, the Monte
+# Carlo draw, the field jets of node_jet): a block's temporaries stay in
+# cache and their memory does not grow with the rule; a multi-block sum
+# depends on this value
 NODE_BLOCK = 2 ** 13
 # nodes per block of the monomial table of Measure.moments, whose rows
 # (up to 924 in 6-D at degree 6) make a block far wider than a NODE_BLOCK one
@@ -240,24 +249,33 @@ def _fold_to_cone(cone: Cone, z: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _mc_rule(weight: Weight, lam: float, samples: int, seed: int) -> QuadratureRule:
+    """The importance-sampling rule of `samples` Philox draws, drawn and
+    folded NODE_BLOCK rows at a time into the final axis-first nodes and
+    weights: the stream's blocks are its one whole draw row for row, and
+    every step after the draw acts on one node, so the rule is the one a
+    single draw gives bit for bit."""
     dim = weight.dim
     alpha = weight.degree if weight.degree is not None else 0.0
     sigma = lam * math.sqrt((dim + alpha) / dim) * 1.1
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # the (samples, dim) draws of the stream, stored axis-first
-    z = np.asfortranarray(sigma * rng.standard_normal((samples, dim)))
-    x, mult = _fold_to_cone(weight.cone, z)
-    r2 = np.sum(x ** 2, axis=1)
-    log_prop = (-0.5 * r2 / sigma ** 2
-                - dim * math.log(sigma * math.sqrt(2.0 * math.pi))
-                + math.log(mult))
-    log_target = weight.spec.log_w(x) - 0.5 * r2 / lam ** 2
-    log_ratio = log_target - log_prop
-    good = np.isfinite(log_ratio)  # zero-set hits carry zero weight
+    x = np.empty((dim, samples)).T
     w = np.zeros(samples)
-    w[good] = np.exp(log_ratio[good]) / samples
-    inside = weight.cone.is_interior(x, tol=1e-300)
-    w[~inside] = 0.0
+    for k in range(0, samples, NODE_BLOCK):
+        block = slice(k, min(k + NODE_BLOCK, samples))
+        # the block's (rows, dim) draws of the stream, stored axis-first
+        z = np.asfortranarray(
+            sigma * rng.standard_normal((block.stop - k, dim)))
+        xb, mult = _fold_to_cone(weight.cone, z)
+        x[block] = xb
+        r2 = np.sum(xb ** 2, axis=1)
+        log_prop = (-0.5 * r2 / sigma ** 2
+                    - dim * math.log(sigma * math.sqrt(2.0 * math.pi))
+                    + math.log(mult))
+        log_ratio = weight.spec.log_w(xb) - 0.5 * r2 / lam ** 2 - log_prop
+        good = np.isfinite(log_ratio)  # zero-set hits carry zero weight
+        wb = w[block]
+        wb[good] = np.exp(log_ratio[good]) / samples
+        wb[~weight.cone.is_interior(xb, tol=1e-300)] = 0.0
     return QuadratureRule(x, w, "monte_carlo", lam, float(np.sum(w)),
                           mc=McInfo(seed=seed, samples=samples, proposal_sigma=sigma))
 
@@ -368,6 +386,7 @@ class Measure:
         field's jet is kept, keyed by the field object itself, so memory
         stays bounded by one field's jet."""
         if not self._jet or self._jet[0] is not f:
+            self._jet.clear()  # the last field's jet goes before the next is made
             size, dim = self.nodes.shape
             vals = np.empty(size)
             grad = np.empty((dim, size)).T
@@ -420,60 +439,106 @@ def partition_function(measure: Measure) -> float:
     return measure.rule_at(1.0).mass
 
 
-def _weighted_sum(rule: QuadratureRule, f, rate: float = 0.0,
-                  scale: float = 1.0) -> tuple[float | np.ndarray, np.ndarray]:
-    """(scale * sum_i q_i g(x_i), the (..., N) terms q_i g(x_i)) on the rule,
-    g = f e^(rate |x|^2): f is a callable, called on the axis-first nodes
-    NODE_BLOCK at a time, or the (N, ...) array of its values, one block;
-    (N,) values give a float.  The blocks fill one buffer, node axis last
-    and contiguous, checked finite and summed pairwise once over all N
-    nodes, so each component sums exactly as that integrand alone would."""
+def _node_blocks(rule: QuadratureRule, f, arrays: tuple = (), rate: float = 0.0,
+                 lam: float = 1.0, factor: float = 1.0):
+    """Yield (g, q) for each NODE_BLOCK block of the rule's nodes, in order:
+    the (..., b) values g = f e^(rate |x|^2), node axis last, contiguous and
+    checked finite, and the block's (b,) weights.  f is a callable, called
+    as f(x, *blocks) on the axis-first nodes x of the block and the block's
+    rows of the node-aligned `arrays`, or the (N, ...) array of its values.
+    lam != 1 takes each block of a homogeneous weight's rule to scale lam as
+    build_rule does: nodes times lam, weights times factor = lam^(n+alpha)."""
     size = len(rule.weights)
-    step = NODE_BLOCK if callable(f) else size
-    terms = None
-    for k in range(0, size, step):
-        pts = rule.nodes[k:k + step]
-        vals = np.asarray(f(pts) if callable(f) else f, dtype=float)
-        tail = None if terms is None else terms.shape[:-1]
+    if not callable(f):
+        f = np.asarray(f, dtype=float)
+        arrays = (f,)
+        if f.ndim == 0 or len(f) != size:
+            raise ContractError(
+                f"integrand must give one value per node, shape ({size}, ...) "
+                f"at {size} nodes; got shape {f.shape}")
+    for a in arrays:
+        if len(a) != size:
+            raise ContractError(
+                f"node-aligned array has {len(a)} rows for {size} nodes")
+    tail = None
+    for k in range(0, size, NODE_BLOCK):
+        block = slice(k, k + NODE_BLOCK)
+        pts, q = rule.nodes[block], rule.weights[block]
+        if lam != 1.0:
+            pts, q = pts * lam, q * factor
+        rows = [a[block] for a in arrays]
+        vals = np.asarray(f(pts, *rows) if callable(f) else rows[0], dtype=float)
         if vals.ndim == 0 or len(vals) != len(pts) or tail not in (
                 None, vals.shape[1:]):
             want = f"({len(pts)}, ...)" if tail is None else str((len(pts), *tail))
             raise ContractError(
                 f"integrand must give one value per node, shape {want} at "
                 f"{len(pts)} nodes; got shape {vals.shape}")
-        if terms is None:
-            # taken after the first block's values, so a one-block rule
-            # holds no more at once than a whole-array sum
-            terms = np.empty((*vals.shape[1:], size))
-        block = terms[..., k:k + len(pts)]
-        block[...] = np.moveaxis(vals, 0, -1)
-        if rate:
-            block *= np.exp(rate * np.sum(pts ** 2, axis=1))
-    if not np.all(np.isfinite(terms)):
-        raise EvaluationError("integrand is not finite at a quadrature node")
-    terms *= rule.weights
-    total = np.sum(terms, axis=-1) * scale
-    return (float(total) if total.ndim == 0 else total), terms
+        tail = vals.shape[1:]
+        g = np.moveaxis(vals, 0, -1)
+        g = (np.multiply(g, np.exp(rate * np.sum(pts ** 2, axis=1)), order="C")
+             if rate else np.ascontiguousarray(g))
+        if not np.all(np.isfinite(g)):
+            raise EvaluationError("integrand is not finite at a quadrature node")
+        yield g, q
 
 
-def integrate(measure: Measure, f) -> float | np.ndarray:
+def _weighted_sum(rule: QuadratureRule, f, arrays: tuple = (), rate: float = 0.0,
+                  scale: float = 1.0, lam: float = 1.0, factor: float = 1.0,
+                  spread: bool = False):
+    """(scale * sum_i q_i g_i, spread) over the `_node_blocks` of the rule:
+    each block is weighted and summed as np.sum(g * q, axis=-1), the block
+    sums added in block order, so no (..., N) buffer is held and a one-block
+    rule sums as one whole-array sum.  (N,) values give a float.  With
+    `spread`, also the (sum q^2, q^2-weighted mean of g, sum q^2 (g - mean)^2)
+    of each component, the per-block triples merged as in Chan, Golub and
+    LeVeque (1983); None otherwise."""
+    total = moments = None
+    for g, q in _node_blocks(rule, f, arrays, rate, lam, factor):
+        part = np.sum(g * q, axis=-1)
+        total = part if total is None else total + part
+        if spread:
+            q2 = q * q
+            w = float(np.sum(q2))
+            if w == 0.0:
+                continue
+            mean = np.sum(g * q2, axis=-1) / w
+            dev = g - np.expand_dims(mean, -1)
+            block = (w, mean, np.sum(dev * dev * q2, axis=-1))
+            moments = block if moments is None else _merge(moments, block)
+    total = total * scale
+    return (float(total) if total.ndim == 0 else total), moments
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The (weight, mean, centred sum of squares) of two merged parts."""
+    (wa, ma, ca), (wb, mb, cb) = a, b
+    w = wa + wb
+    d = mb - ma
+    return w, ma + d * (wb / w), ca + cb + d * d * (wa * wb / w)
+
+
+def integrate(measure: Measure, f, *arrays) -> float | np.ndarray:
     """Integral of f against mu: f is a callable on (N, n) nodes or the
-    array of its values at the nodes.  (N,) values give a float; (N, ...)
-    values give the (...) array of the integrals of their components."""
-    return _weighted_sum(measure.rule, f, scale=measure.normalization)[0]
+    array of its values at the nodes; with node-aligned `arrays` (a jet at
+    the nodes, say), f(x, *rows) is called on each block of nodes and the
+    block's rows.  (N,) values give a float; (N, ...) values give the (...)
+    array of the integrals of their components."""
+    return _weighted_sum(measure.rule, f, arrays, scale=measure.normalization)[0]
 
 
-def integrate_with_error(measure: Measure, f
+def integrate_with_error(measure: Measure, f, *arrays
                          ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """The integral of `integrate` plus the standard-error estimate of each
     component (Monte Carlo rules; zero for deterministic rules)."""
-    est, terms = _weighted_sum(measure.rule, f, scale=measure.normalization)
     if measure.rule.kind != "monte_carlo":
+        est = integrate(measure, f, *arrays)
         return est, (0.0 if np.ndim(est) == 0 else np.zeros_like(est))
-    # the terms are q_i f_i, so q_i (f_i - est) = terms - q_i est
-    dev = terms - measure.rule.weights * np.expand_dims(est, -1)
-    se = np.sqrt(np.sum(dev ** 2, axis=-1)) * measure.normalization
-    return est, (float(se) if se.ndim == 0 else se)
+    est, (w, mean, centred) = _weighted_sum(
+        measure.rule, f, arrays, scale=measure.normalization, spread=True)
+    # sum_i q_i^2 (f_i - est)^2, split at the q^2-weighted mean of f
+    se = np.sqrt(centred + w * (mean - est) ** 2) * measure.normalization
+    return est, (float(se) if np.ndim(se) == 0 else se)
 
 
 @dataclass(frozen=True)
@@ -483,7 +548,7 @@ class SpecialMoments:
 
 
 def special_moments(measure: Measure) -> SpecialMoments:
-    axis = tuple(float(m) for m in integrate(measure, measure.nodes ** 2))
+    axis = tuple(float(m) for m in integrate(measure, lambda x: x ** 2))
     return SpecialMoments(second_moment=float(sum(axis)), axis_moments=axis)
 
 
@@ -499,11 +564,17 @@ def nu_integral(measure: Measure, integrand: Callable[[np.ndarray], np.ndarray],
 
     An integrand returning (N, ...) at the N nodes it is called on gives
     the (...) array of the integrals of its components; (N,) gives a float.
-    It is called NODE_BLOCK nodes at a time (see `_weighted_sum`)."""
+    It is called NODE_BLOCK nodes at a time (see `_weighted_sum`).  On a
+    homogeneous weight each block of the cached lambda = 1 rule is taken to
+    the matched scale as it is summed, so no rescaled rule is built."""
     if not rate > 0:
         raise DecayContractError("nu-integration needs a positive Gaussian rate")
-    return _weighted_sum(measure.rule_at(1.0 / math.sqrt(2.0 * rate)),
-                         integrand, rate)[0]
+    lam = 1.0 / math.sqrt(2.0 * rate)
+    weight = measure.weight
+    if weight.degree is None:
+        return _weighted_sum(measure.rule_at(lam), integrand, rate=rate)[0]
+    return _weighted_sum(measure.rule_at(1.0), integrand, rate=rate, lam=lam,
+                         factor=lam ** (weight.dim + weight.degree))[0]
 
 
 def nu_monomials(measure: Measure, left: np.ndarray, right: np.ndarray,

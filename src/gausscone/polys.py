@@ -16,8 +16,10 @@ the table of its degree (closed under differentiation), stacked into one
 matrix of shape (1 + n + n^2, T).  A call fills the table once and
 multiplies it by the rows of p, of the gradient and of the Hessian, one
 product per order, so a lower order's rows equal a higher order's bit for
-bit.  A field that needs p with its gradient, or with its gradient and
-Hessian, takes them all from one `derivatives` call.
+bit.  The row of the Laplacian, the sum of the diagonal Hessian rows, can
+follow any order's rows.  A field that needs p with its gradient, or with
+its gradient and Hessian or Laplacian, takes them all from one
+`derivatives` call.
 """
 
 from __future__ import annotations
@@ -108,22 +110,31 @@ class PolyND:
         keep = factor != 0  # a zero factor marks a vanishing derivative
         np.add.at(self._rows, (row[keep], monomial_index(terms[keep], self._degree)),
                   factor[keep] * np.tile(self.coeffs, len(self._rows))[keep])
+        # Lap p: the trace of the Hessian rows, one more row on the same table
+        self._laplacian = self._rows[1 + n::n + 1].sum(axis=0, keepdims=True)
 
     def _table(self, points: np.ndarray) -> np.ndarray:
         """Monomial values on the full table, shape (T, N)."""
         return monomial_table(points, self._degree)
 
-    def derivatives(self, points: np.ndarray, order: int) -> np.ndarray:
+    def derivatives(self, points: np.ndarray, order: int,
+                    laplacian: bool = False) -> np.ndarray:
         """Rows p, then d_a p (order >= 1), then d_a d_b p at row
         1 + n + a n + b (order 2), evaluated at the (N, n) points: shape
-        (1, N), (1 + n, N) or (1 + n + n^2, N)."""
+        (1, N), (1 + n, N) or (1 + n + n^2, N); with `laplacian`, one more
+        row, Lap p, last."""
         n = self.dim
+        parts = [self._rows[:1], self._rows[1:1 + n], self._rows[1 + n:]][:order + 1]
+        if laplacian:
+            parts.append(self._laplacian)
         table = self._table(points)
-        out = np.empty(((1, 1 + n, 1 + n + n * n)[order], table.shape[1]))
+        out = np.empty((sum(len(rows) for rows in parts), table.shape[1]))
         # one product per order, so a lower order's rows are a prefix of a
         # higher order's bit for bit
-        for rows in (slice(0, 1), slice(1, 1 + n), slice(1 + n, None))[:order + 1]:
-            np.matmul(self._rows[rows], table, out=out[rows])
+        start = 0
+        for rows in parts:
+            np.matmul(rows, table, out=out[start:start + len(rows)])
+            start += len(rows)
         return out
 
     def value(self, points: np.ndarray) -> np.ndarray:

@@ -17,9 +17,15 @@ per-axis formulas of a monomial weight prod |x_i|^a_i, axis by axis with
 the zero exponents skipped; the Dunkl product of the coordinate roots must
 reproduce them bit for bit.
 
-`nu_fold` is the rate-matched fold of `measures.nu_integral` on the whole
-node array at once, in the same floating-point operations as its node
-blocks, so the two must agree bit for bit.
+`nu_fold` is the rate-matched fold of `measures.nu_integral` with the
+integrand called once on the whole node array, weighted in the same
+floating-point operations as its node blocks and summed in the documented
+order, block sums of NODE_BLOCK nodes added in order, so the two must agree
+bit for bit; with `block=None` it is the one whole-array sum.
+
+`mc_rule` is the Monte Carlo rule of `measures` from one draw of the whole
+(samples, n) Philox stream, folded and weighted on the whole array at once;
+the rule `measures` draws and folds block by block must equal it bit for bit.
 """
 
 import math
@@ -28,6 +34,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
+from gausscone.measures import NODE_BLOCK, McInfo, QuadratureRule, _fold_to_cone
 from gausscone.quad1d import fullline_rule, halfline_rule
 
 
@@ -101,15 +108,46 @@ def polar_rule(alpha: float, lam: float, order: int
     return nodes, weights
 
 
-def nu_fold(rule, integrand, rate: float) -> np.ndarray:
+def nu_fold(rule, integrand, rate: float, block: int | None = NODE_BLOCK
+            ) -> np.ndarray:
     """sum_i q_i integrand(x_i) e^(rate |x_i|^2) over the rule (x_i, q_i),
     with the integrand called once on all N nodes: the (...) array of the
-    integrals of an (N, ...) integrand."""
+    integrals of an (N, ...) integrand, summed over `block` nodes at a time
+    with the block sums added in order (block=None: one whole-array sum)."""
     vals = np.asarray(integrand(rule.nodes), dtype=float)
     gauss = np.exp(rate * np.sum(rule.nodes ** 2, axis=1))
     folded = np.multiply(np.moveaxis(vals, 0, -1), gauss, order="C")
     folded *= rule.weights
-    return np.sum(folded, axis=-1)
+    size = folded.shape[-1]
+    block = size if block is None else block
+    total = np.sum(folded[..., :block], axis=-1)
+    for k in range(block, size, block):
+        total = total + np.sum(folded[..., k:k + block], axis=-1)
+    return total
+
+
+def mc_rule(weight, lam: float, samples: int, seed: int) -> QuadratureRule:
+    """The Monte Carlo rule of `measures` from one (samples, n) draw."""
+    dim = weight.dim
+    alpha = weight.degree if weight.degree is not None else 0.0
+    sigma = lam * math.sqrt((dim + alpha) / dim) * 1.1
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    # the (samples, dim) draws of the stream, stored axis-first
+    z = np.asfortranarray(sigma * rng.standard_normal((samples, dim)))
+    x, mult = _fold_to_cone(weight.cone, z)
+    r2 = np.sum(x ** 2, axis=1)
+    log_prop = (-0.5 * r2 / sigma ** 2
+                - dim * math.log(sigma * math.sqrt(2.0 * math.pi))
+                + math.log(mult))
+    log_target = weight.spec.log_w(x) - 0.5 * r2 / lam ** 2
+    log_ratio = log_target - log_prop
+    good = np.isfinite(log_ratio)  # zero-set hits carry zero weight
+    w = np.zeros(samples)
+    w[good] = np.exp(log_ratio[good]) / samples
+    inside = weight.cone.is_interior(x, tol=1e-300)
+    w[~inside] = 0.0
+    return QuadratureRule(x, w, "monte_carlo", lam, float(np.sum(w)),
+                          mc=McInfo(seed=seed, samples=samples, proposal_sigma=sigma))
 
 
 def monomial_log_w(exps, pts: np.ndarray) -> np.ndarray:

@@ -81,6 +81,28 @@ def test_structure_matches_jet(base, keeper):
                                atol=1e-14 * np.max(np.abs(value)))
 
 
+@pytest.mark.parametrize("keeper", list(STRUCTURE_KEEPERS))
+@pytest.mark.parametrize("base", STRUCTURED + [constant(2.0, 2),
+                                               affine([1.0, -2.0, 0.5], 0.3)],
+                         ids=lambda f: f"{f.name}-{f.dim}d")
+def test_laplacian_is_hessian_trace(base, keeper):
+    # integration by parts takes the Laplacian of a structured field from its
+    # PolyGauss, without the Hessian; on the full space and the half axes
+    f = STRUCTURE_KEEPERS[keeper](base)
+    x = np.random.default_rng(13).normal(scale=1.5, size=(200, f.dim))
+    for pts in (x, np.abs(x)):
+        grad, lap = f.poly_gauss.grad_laplacian(pts)
+        _, want_grad, hess = f.jet(pts, 2)
+        want = np.trace(hess, axis1=1, axis2=2)
+        np.testing.assert_allclose(lap, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+        np.testing.assert_allclose(grad, want_grad, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want_grad)))
+        if keeper == "plain":
+            # the field's own jet is the structure's, so its gradient is too
+            assert np.array_equal(grad, want_grad)
+
+
 @pytest.mark.parametrize("f", [
     shifted(poly_gauss(0, 2), 0.0),
     shifted(gaussian(1.0, 1.0, 2), 0.5),

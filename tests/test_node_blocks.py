@@ -1,12 +1,16 @@
 """Passes over a rule's nodes run NODE_BLOCK nodes at a time.
 
 `integrate`, `integrate_with_error` and `nu_integral` call a callable
-integrand on one node block at a time and sum once over all nodes, and
-`Measure.node_jet` fills a field's order-1 jet block by block, so each must
-equal its whole-array form bit for bit: on a Monte Carlo rule whose last
-block is ragged and on a tensor rule smaller than one block.  Their memory
-must not grow with the rule beyond the rule and the folded buffer, and a
-mis-shaped integrand is a ContractError.
+integrand on one node block at a time, weight and sum each block, and add
+the block sums in block order; `Measure.node_jet` fills a field's order-1
+jet block by block, and the Monte Carlo rule is drawn and folded block by
+block.  A sum therefore equals the blocked fold of the oracle bit for bit
+(the one whole-array sum on a rule of one block, and within round-off of it
+on more), and the rule equals the one a single draw gives.  This holds on a
+Monte Carlo rule whose last block is ragged and on a tensor rule smaller
+than one block.  A pass holds the rule, one field jet and one block, so its
+memory grows with the rule by no more than those, and a mis-shaped
+integrand is a ContractError.
 """
 
 import math
@@ -15,12 +19,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gausscone.cones import Halfspace
+from gausscone.cones import FullSpace, Halfspace, Orthant
 from gausscone.errors import ContractError
 from gausscone.fields import exp_axis, gaussian, hermite_witness, poly_gauss, product
 from gausscone.gamma import integration_by_parts_residual
+from gausscone.inequalities import check_beckner, check_lsi, check_poincare
 from gausscone.measures import (
     NODE_BLOCK,
+    _mc_rule,
     integrate,
     integrate_with_error,
     make_measure,
@@ -28,15 +34,15 @@ from gausscone.measures import (
 )
 from gausscone.weights import DunklProduct, Monomial, make_weight
 
-from oracles import nu_fold
+from oracles import mc_rule, nu_fold
 
 RAGGED = 3 * NODE_BLOCK + 17
 RATE = 0.8
 
 
-def _dunkl_weight():
+def _dunkl_weight(certify=False):
     return make_weight(DunklProduct(((0.6, 0.8),), (0.5,)), 2,
-                       cone=Halfspace(2, (0.6, 0.8)), certify=False)
+                       cone=Halfspace(2, (0.6, 0.8)), certify=certify)
 
 
 @pytest.fixture(scope="module", params=["monte_carlo", "tensor"])
@@ -63,12 +69,47 @@ def _vector(x):
 
 
 @pytest.mark.parametrize("integrand", [_scalar, _vector], ids=["scalar", "vector"])
-def test_nu_integral_equals_whole_array_fold(measure, integrand):
+def test_nu_integral_equals_blocked_fold(measure, integrand):
     rule = measure.rule_at(1.0 / math.sqrt(2.0 * RATE))
     expected = nu_fold(rule, integrand, RATE)
     got = nu_integral(measure, integrand, RATE)
     assert np.shape(got) == expected.shape
     assert np.array_equal(got, expected)
+    # block sums added in order stay within round-off of one whole-array sum
+    whole = nu_fold(rule, integrand, RATE, block=None)
+    np.testing.assert_allclose(got, whole, rtol=1e-14, atol=0)
+    if len(rule.weights) <= NODE_BLOCK:
+        assert np.array_equal(got, whole)
+
+
+@pytest.mark.parametrize("cone", [Halfspace(2, (0.6, 0.8)), Orthant(2, (0, 1)),
+                                  FullSpace(2)],
+                         ids=["half_plane", "orthant", "full_space"])
+def test_mc_rule_drawn_in_blocks_is_one_draw(cone):
+    # the Philox stream drawn NODE_BLOCK rows at a time is its one whole draw
+    # row for row, and every step after the draw acts on one node
+    weight = make_weight(DunklProduct(((0.6, 0.8),), (0.5,)), 2, cone=cone,
+                         certify=False)
+    for lam in (1.0, 0.7):
+        got, ref = _mc_rule(weight, lam, RAGGED, 9), mc_rule(weight, lam, RAGGED, 9)
+        assert np.array_equal(got.nodes, ref.nodes)
+        assert got.nodes.T.flags.c_contiguous
+        assert np.array_equal(got.weights, ref.weights)
+        assert got.mass == ref.mass
+        assert got.mc == ref.mc
+
+
+def test_standard_error_merges_block_spreads():
+    # the per-block (sum q^2, q^2-weighted mean, centred sum of squares)
+    # triples merge to the two-pass sum of q_i^2 (f_i - est)^2
+    mu = make_measure(_dunkl_weight(), 1.0, mc_samples=RAGGED, seed=5)
+    q = mu.rule.weights
+    for integrand in (_scalar, _vector):
+        vals = np.moveaxis(integrand(mu.nodes), 0, -1)
+        est, se = integrate_with_error(mu, integrand)
+        dev = vals - np.expand_dims(est, -1)
+        two_pass = np.sqrt(np.sum(q * q * dev * dev, axis=-1)) * mu.normalization
+        np.testing.assert_allclose(se, two_pass, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("integrand", [_scalar, _vector], ids=["scalar", "vector"])
@@ -199,10 +240,41 @@ def _ibp_peak(samples: int) -> int:
 
 
 def test_integration_by_parts_memory_is_bounded():
-    # doubling N may add only the folded (2, N) buffer and the rate-matched
-    # rule held during the pass (its (N, 2) nodes and (N,) weights), 40 bytes
-    # a node, plus a fixed slack; whole-array jets would add several times that
+    # the nu-pass scales each block of the cached lambda = 1 rule and sums it
+    # as it goes, so doubling N may add at most 8 bytes a node plus a fixed
+    # slack; a rescaled rule or a folded buffer would add 24 or more
     small, large = 2 ** 16, 2 ** 17
     growth = _ibp_peak(large) - _ibp_peak(small)
-    allowed = (2 + 3) * 8 * (large - small) + 2 ** 18
+    allowed = 8 * (large - small) + 2 ** 18
+    assert growth <= allowed, (growth, allowed)
+
+
+def _checks_peak(samples: int) -> int:
+    weight = _dunkl_weight(certify=True)
+    f = poly_gauss(3, 2)
+
+    def checks(seed):
+        mu = make_measure(weight, 1.0, mc_samples=samples, seed=seed)
+        for p in (1.0, 1.5):
+            check_beckner(mu, f, p, 2.0)
+        for level in ("basic", "gradient_stability", "l2_stability"):
+            check_poincare(mu, f, 2.0, level)
+        check_lsi(mu, f, 2.0)
+
+    checks(3)  # warm every lazy table
+    tracemalloc.start()
+    try:
+        checks(4)  # a new seed, so the rule is built inside the trace
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_checks_memory_is_bounded():
+    # the rule (nodes and weights, 24 bytes a node in 2-D) and one field's
+    # order-1 jet (values and gradients, 24 more) are all that may grow
+    # with N; every integrand is formed one block at a time
+    small, large = 2 ** 16, 2 ** 17
+    growth = _checks_peak(large) - _checks_peak(small)
+    allowed = (24 + 24) * (large - small) + 2 ** 18
     assert growth <= allowed, (growth, allowed)
