@@ -11,8 +11,9 @@ Galerkin spectral solver realizing the generator and its semigroup.
 
 Importing the package loads no submodule and so no numpy: each public name
 below is imported from its submodule on first access (PEP 562).  That lets
-the command line (`gausscone.cli`) fix the BLAS thread count before numpy
-loads, while a library caller keeps whatever thread settings it has.
+the command line, run as a program (`gausscone.program`, `python -m
+gausscone.cli`), fix the BLAS thread count before numpy loads, while a
+library caller keeps whatever thread settings it has.
 """
 
 from importlib import import_module

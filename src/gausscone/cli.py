@@ -8,21 +8,25 @@
 
 Exit codes: 0 success, 1 suite failure, 2 invalid config, 3 unwritable output.
 
-The process runs BLAS and OpenMP on one thread, whatever the caller's
-environment says: the thread count moves the last digits of `matmul`,
-`tensordot` and `eigh`, and a report must not depend on it.  The variables
-are set before the package imports below first load numpy (the package
-`__init__` loads nothing), so the setting holds for the whole run.
+Run as a program (`python -m gausscone.cli`, or the `gausscone` script,
+whose entry module `gausscone.program` does the same), the process runs BLAS
+and OpenMP on one thread, whatever the caller's environment says: the
+thread count moves the last digits of `matmul`, `tensordot` and `eigh`, and
+a report must not depend on it.  The variables are set before the package
+imports below first load numpy (the package `__init__` loads nothing), so
+the setting holds for the whole run.  Importing this module sets nothing,
+so a caller that runs `main` in its own process keeps its thread settings.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+if __name__ == "__main__":
+    from .program import pin_one_thread
+
+    pin_one_thread()
 
 from .config import parse_config  # noqa: E402
 from .errors import ConfigError, ToolkitError  # noqa: E402

@@ -104,20 +104,21 @@ class PolyGauss:
                 h[b, a] -= v
         return pe, grad.T, h.transpose(2, 0, 1)
 
-    def grad_laplacian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (N, n) gradient, as `jet(x, 1)` gives it, and the (N,)
-        Laplacian of the field at the (N, n) points, from one table without
-        the Hessian:
+    def value_grad_laplacian(self, x: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (N,) values and (N, n) gradients, as `jet(x, 1)` gives them,
+        and the (N,) Laplacian of the field at the (N, n) points, from one
+        table without the Hessian:
 
             Lap(p e) = e (Lap p - 4 rate x.grad p
                           + (4 rate^2 |x|^2 - 2 n rate) p)."""
         dim, r = self.poly.dim, self.rate
         d = self.poly.derivatives(x, 1, laplacian=True)
-        e, _, w, grad = self._first(x, d)
+        e, pe, w, grad = self._first(x, d)
         # w = 2 rate x, so 2 w.grad p = 4 rate x.grad p, w.w = 4 rate^2 |x|^2
         wd = np.einsum("ij,ij->j", w, d[1:1 + dim])
         ww = np.einsum("ij,ij->j", w, w)
-        return grad.T, (d[-1] - 2.0 * wd + (ww - 2.0 * dim * r) * d[0]) * e
+        return pe, grad.T, (d[-1] - 2.0 * wd + (ww - 2.0 * dim * r) * d[0]) * e
 
 
 @dataclass(frozen=True)

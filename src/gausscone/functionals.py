@@ -130,22 +130,27 @@ class NuMoments(NamedTuple):
     energy: float       # int |grad f|^2 w dx
     moment: float       # int f^2 |x|^2 w dx
     cross: float        # int f x.grad f w dx
-    sq_log_sq: float    # int f^2 log f^2 w dx, with 0 log 0 := 0
+    # int f^2 log f^2 w dx, with 0 log 0 := 0; None unless asked for
+    sq_log_sq: float | None = None
 
 
-def _nu_moments(measure: Measure, f: ScalarField) -> NuMoments:
-    """All NuMoments of f from one rate-matched pass and one jet of f at the
-    nodes."""
+def _nu_moments(measure: Measure, f: ScalarField,
+                entropy: bool = False) -> NuMoments:
+    """The NuMoments of f from one rate-matched pass and one jet of f at the
+    nodes; f^2 log f^2 is formed and integrated only with `entropy` (the
+    Euclidean-LSI checks), not on the HUP passes.  Each integrand row is
+    summed on its own, so the other moments do not depend on it."""
     rate = _gauss_rate(f)
 
     def integrand(pts):
         vals, grad = f.jet(pts, 1)
         sq = vals ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sq_log_sq = np.where(sq > 0, sq * np.log(sq), 0.0)
-        return np.stack([sq, np.sum(grad ** 2, axis=1),
-                         sq * np.sum(pts ** 2, axis=1),
-                         vals * np.sum(pts * grad, axis=1), sq_log_sq]).T
+        rows = [sq, np.sum(grad ** 2, axis=1), sq * np.sum(pts ** 2, axis=1),
+                vals * np.sum(pts * grad, axis=1)]
+        if entropy:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows.append(np.where(sq > 0, sq * np.log(sq), 0.0))
+        return np.stack(rows).T
 
     return NuMoments(*(float(v) for v in nu_integral(measure, integrand, 2.0 * rate)))
 

@@ -15,6 +15,13 @@ uses a centered finite difference of L_w applied to Gamma(f,f), which is the
 only place they would be needed.  Integration by parts needs only the
 Laplacian of f, which a structured field gives from its `PolyGauss` without
 the Hessian.
+
+`generator` trusts its points: it takes grad(log w) from the weight's spec,
+because rule nodes are interior to the cone and off the zero set by
+construction.  The entry points that take a caller's points
+(`apply_generator`, `gamma2`, the stencil of `bochner_residual`) check them
+with `Weight.check_regular` first, as `Weight.grad_log` and
+`Weight.hess_log` do.
 """
 
 from __future__ import annotations
@@ -37,15 +44,19 @@ def generator(weight: Weight, pts: np.ndarray, grad: np.ndarray,
 
     grad is (N, n) for one function, with lap (N,), or (N, n, m) for m
     functions at once, with lap (N, m).  The only implementation of L_w.
+    The points are not checked: they must lie inside the cone and off the
+    zero set of w, as rule nodes do.
     """
     drift = np.einsum("Ni,Ni...->N...", pts, grad)
-    tilt = np.einsum("Ni,Ni...->N...", weight.grad_log(pts), grad)
+    tilt = np.einsum("Ni,Ni...->N...", weight.spec.grad_log(pts), grad)
     return lap - drift / (lam * lam) + tilt
 
 
 def apply_generator(weight: Weight, f: ScalarField, x) -> float | np.ndarray:
-    """L_w f at x (singularity errors from grad(log w) propagate)."""
+    """L_w f at x; a point outside the cone or on the zero set of w raises
+    DomainError or SingularityError (`Weight.check_regular`)."""
     pts, single = _as_points(x, weight.dim)
+    weight.check_regular(pts)
     _, grad, hess = f.jet(pts, 2)
     out = generator(weight, pts, grad, np.trace(hess, axis1=1, axis2=2))
     return float(out[0]) if single else out
@@ -103,6 +114,7 @@ def bochner_residual(weight: Weight, f: ScalarField, x,
     # L_w f at every node and Gamma_2(f) at x
     eye = h * np.eye(dim)
     pts = x + np.vstack([np.zeros(dim), eye, -eye])
+    weight.check_regular(pts)
     _, grad, hess = f.jet(pts, 2)
     gam = np.sum(grad ** 2, axis=1)
     lf = generator(weight, pts, grad, np.trace(hess, axis1=1, axis2=2))
@@ -160,20 +172,22 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
     rate = f.decay.rate + g.decay.rate + damp
 
     def integrand(pts):
-        # a structured f gives its Laplacian from its PolyGauss, other
-        # fields the trace of their Hessian; only f's gradient and Laplacian
-        # are kept, g's jet is taken only once L_w f is formed, and both
-        # sides fill the rows of one axis-first array
+        # a structured f gives its value, gradient and Laplacian from one
+        # PolyGauss call, other fields from their jet with the trace of the
+        # Hessian; g's jet is taken only once L_w f is formed, unless g is f,
+        # whose value and gradient are the ones g's order-1 jet would give,
+        # and both sides fill the rows of one axis-first array
         sides = np.empty((2, len(pts)))
         if f.poly_gauss is not None:
-            grad, lap = f.poly_gauss.grad_laplacian(pts)
+            value, grad, lap = f.poly_gauss.value_grad_laplacian(pts)
         else:
-            grad, hess = f.jet(pts, 2)[1:]
+            value, grad, hess = f.jet(pts, 2)
             lap = np.trace(hess, axis1=1, axis2=2)
             del hess
         sides[0] = generator(weight, pts, grad, lap, lam)
         del lap
-        g_value, g_grad = g.jet(pts, 1)
+        g_value, g_grad = (value, grad) if g is f else g.jet(pts, 1)
+        del value
         sides[0] *= g_value
         sides[1] = -np.sum(grad * g_grad, axis=1)
         sides *= np.exp(-damp * np.sum(pts ** 2, axis=1))

@@ -16,7 +16,11 @@ field's jet, so the Beckner pairs, the three Poincare levels and the LSI on
 one field share one jet per measure.  Every integral comes from that jet
 through the formulas of `functionals`, so a checker's norms, variance,
 entropy and energy are the ones `lq_norm`, `variance`, `entropy` and
-`dirichlet_energy` return.
+`dirichlet_energy` return.  The measure keeps the integrals taken from the
+jet with it (`Measure.field_integral`), and its barycenter, so the two
+Beckner pairs take ||f||_1, ||f||_1.5, ||f||_2 and the energy once, and the
+three Poincare levels the mean and variance, the energy and the projection
+vector v once.
 
 Every checker takes the run's `Measure` first, including the ones stated
 under nu = w dx (Euclidean LSI, HUP) and the scale-dependent Poincare check
@@ -139,6 +143,18 @@ def _check(theorem, p, q, lhs, rhs, constant, informational=False,
         informational=informational, diagnostics=diagnostics or {})
 
 
+def _field_lq_norm(measure: Measure, f: ScalarField, q: float) -> float:
+    """||f||_q under mu, taken once per field and measure."""
+    return measure.field_integral(
+        f, ("lq_norm", q), lambda vals, _: _lq_norm(measure, vals, q))
+
+
+def _field_energy(measure: Measure, f: ScalarField, q: float) -> float:
+    """int |grad f|^q dmu, taken once per field and measure."""
+    return measure.field_integral(
+        f, ("energy", q), lambda _, grad: _energy(measure, grad, q))
+
+
 # ---------------------------------------------------------------------------
 # Beckner family
 # ---------------------------------------------------------------------------
@@ -149,11 +165,10 @@ def check_beckner(measure: Measure, f: ScalarField, p: float,
     if not (1.0 <= p < q):
         raise ParameterError("need 1 <= p < q")
     kw = measure.weight.kw
-    vals, grad = measure.node_jet(f)
-    nq = _lq_norm(measure, vals, q)
-    np_ = _lq_norm(measure, vals, p)
+    nq = _field_lq_norm(measure, f, q)
+    np_ = _field_lq_norm(measure, f, p)
     lhs = (nq ** 2 - np_ ** 2) / (q - p)
-    energy = _energy(measure, grad, q)
+    energy = _field_energy(measure, f, q)
     rhs = energy ** (2.0 / q) / (1.0 + kw)
     return _check("beckner", p, q, lhs, rhs, 1.0 / (1.0 + kw),
                   informational=q < 2.0,
@@ -173,19 +188,21 @@ def check_poincare(measure: Measure, f: ScalarField, q: float = 2.0,
         raise ParameterError(f"unknown Poincare level {level!r}")
     elif q != 2.0:
         raise ParameterError("stability levels are stated at q = 2 only")
-    vals, grad = measure.node_jet(f)
-    mean, var = _mean_variance(measure, vals)
-    energy = _energy(measure, grad, q)
+    mean, var = measure.field_integral(
+        f, ("mean_variance",), lambda vals, _: _mean_variance(measure, vals))
+    energy = _field_energy(measure, f, q)
     if level == "basic":
         rhs = energy ** (2.0 / q) / c
         return _check("poincare", None, q, var, rhs, 1.0 / c,
                       informational=q < 2.0,
                       diagnostics={"variance": var, "energy_q": energy})
     rhs = energy - c * var
-    # v = int (f - mean) x dmu and the barycenter mx = int x dmu, each
-    # component summed over one contiguous row of a block's axis-first nodes
-    v = integrate(measure, lambda x, fv: ((fv - mean) * x.T).T, vals)
-    mx = integrate(measure, lambda x: x)
+    # v = int (f - mean) x dmu, each component summed over one contiguous
+    # row of a block's axis-first nodes, and the barycenter mx = int x dmu
+    v = measure.field_integral(f, ("projection",), lambda vals, _: integrate(
+        measure, lambda x, fv: ((fv - mean) * x.T).T, vals))
+    mx = measure.barycenter()
+    vals, grad = measure.node_jet(f)
     if level == "gradient_stability":
         # lhs = (1/2) int |grad f - c v|^2 dmu, the squares added one axis at
         # a time in the order np.sum(..., axis=1) adds them
@@ -286,9 +303,9 @@ def check_lsi(measure: Measure, f: ScalarField, q: float = 2.0) -> InequalityChe
     if q < 2.0:
         raise ParameterError("the LSI family is stated for q >= 2")
     kw = measure.weight.kw
-    vals, grad = measure.node_jet(f)
+    vals, _ = measure.node_jet(f)
     ent_q, iq = _entropy(measure, lambda x, v: np.abs(v) ** q, vals)
-    energy = _energy(measure, grad, q)
+    energy = _field_energy(measure, f, q)
     lhs_gen = (2.0 / q ** 2) * iq ** (2.0 / q - 1.0) * ent_q
     rhs_gen = energy ** (2.0 / q) / (1.0 + kw)
     if q == 2.0:
@@ -323,7 +340,7 @@ def check_euclidean_lsi(measure: Measure, f: ScalarField) -> InequalityCheck:
     if not f.decay.is_gaussian:
         raise ContractError("field needs a Gaussian decay envelope")
     c_lsih, c_w, n_alpha = _c_lsih(measure)
-    m = _nu_moments(measure, f)
+    m = _nu_moments(measure, f, entropy=True)
     b, a = m.norm_sq, m.energy
     if b <= 0:
         raise DegenerateInputError("zero field")
@@ -369,7 +386,7 @@ def check_lsi_equivalence(measure: Measure, big_f: ScalarField) -> dict:
         measure, mu_integrand, 2.0 * big_f.decay.rate + 0.5))
     ent_mu = vlogv_mu - mass_mu * math.log(mass_mu)
 
-    m = _nu_moments(measure, f)
+    m = _nu_moments(measure, f, entropy=True)
     b, a, d = m.norm_sq, m.energy, m.moment
     if b <= 0:
         raise DegenerateInputError("zero field")

@@ -60,7 +60,8 @@ rule to the matched scale as build_rule would (nodes times lambda, weights
 times lambda^(n+alpha)), so no rescaled rule is built.  The Monte Carlo rule
 is drawn and folded block by block into its final arrays, and
 `Measure.node_jet` fills a field's order-1 jet block by block after dropping
-the previous field's.  (A dense polynomial field contracts its monomial
+the previous field's jet and the integrals kept with it
+(`Measure.field_integral`).  (A dense polynomial field contracts its monomial
 table with BLAS, whose rounding at a node can move by an ulp or a few with
 the batch size and the thread count.  The CLI runs BLAS on one thread, so
 there only the batch size can move a jet's last ulp.)  `Measure.moments`
@@ -355,8 +356,11 @@ class Measure:
 
     order, mc_samples and seed are the rule settings exactly as make_measure
     received them; every other rule of the run is built from them.  Like
-    the moment table, the measure keeps one order-1 field jet at its nodes:
-    the last field's, so the checks on one field share it."""
+    the moment table, the measure keeps its barycenter int x dmu and one
+    order-1 field jet at its nodes: the last field's, together with the
+    integrals the checks have taken from it (scalars and n-vectors, keyed
+    by what they are), so the checks on one field share the jet and take
+    each integral once."""
 
     weight: Weight
     scale: float
@@ -366,6 +370,7 @@ class Measure:
     mc_samples: int | None
     seed: int
     _moments: list = field(default_factory=list, init=False, compare=False)
+    _barycenter: list = field(default_factory=list, init=False, compare=False)
     _jet: list = field(default_factory=list, init=False, compare=False)
 
     @property
@@ -386,7 +391,8 @@ class Measure:
         field's jet is kept, keyed by the field object itself, so memory
         stays bounded by one field's jet."""
         if not self._jet or self._jet[0] is not f:
-            self._jet.clear()  # the last field's jet goes before the next is made
+            # the last field's jet and integrals go before the next is made
+            self._jet.clear()
             size, dim = self.nodes.shape
             vals = np.empty(size)
             grad = np.empty((dim, size)).T
@@ -395,8 +401,30 @@ class Measure:
                 vals[block], grad[block] = f.jet(self.nodes[block], 1)
             for arr in (vals, grad):
                 arr.setflags(write=False)
-            self._jet[:] = [f, (vals, grad)]
+            self._jet[:] = [f, (vals, grad), {}]
         return self._jet[1]
+
+    def field_integral(self, f, key: tuple, make: Callable):
+        """make(vals, grad) on the `node_jet` of f, kept with the jet under
+        `key` until the next field's jet is taken: a check asks for an
+        integral by what it is (say ("energy", q)), and every check on the
+        same field after it reads the kept value (an array read-only)."""
+        vals, grad = self.node_jet(f)
+        kept = self._jet[2]
+        if key not in kept:
+            value = make(vals, grad)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            kept[key] = value
+        return kept[key]
+
+    def barycenter(self) -> np.ndarray:
+        """int x dmu, the (n,) barycenter, read-only; cached."""
+        if not self._barycenter:
+            mx = integrate(self, lambda x: x)
+            mx.setflags(write=False)
+            self._barycenter.append(mx)
+        return self._barycenter[0]
 
     def rule_at(self, lam: float) -> QuadratureRule:
         """The rule of this measure's settings for w exp(-|x|^2/(2 lam^2)) dx."""
@@ -475,10 +503,13 @@ def _node_blocks(rule: QuadratureRule, f, arrays: tuple = (), rate: float = 0.0,
                 f"integrand must give one value per node, shape {want} at "
                 f"{len(pts)} nodes; got shape {vals.shape}")
         tail = vals.shape[1:]
-        g = np.moveaxis(vals, 0, -1)
-        g = (np.multiply(g, np.exp(rate * np.sum(pts ** 2, axis=1)), order="C")
+        # the ndarray forms of moveaxis, np.sum and np.all: the same
+        # operations without the Python wrappers paid once per block
+        g = vals.T if vals.ndim <= 2 else np.moveaxis(vals, 0, -1)
+        g = (np.multiply(g, np.exp(rate * np.add.reduce(pts ** 2, axis=1)),
+                         order="C")
              if rate else np.ascontiguousarray(g))
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise EvaluationError("integrand is not finite at a quadrature node")
         yield g, q
 
@@ -487,15 +518,16 @@ def _weighted_sum(rule: QuadratureRule, f, arrays: tuple = (), rate: float = 0.0
                   scale: float = 1.0, lam: float = 1.0, factor: float = 1.0,
                   spread: bool = False):
     """(scale * sum_i q_i g_i, spread) over the `_node_blocks` of the rule:
-    each block is weighted and summed as np.sum(g * q, axis=-1), the block
-    sums added in block order, so no (..., N) buffer is held and a one-block
-    rule sums as one whole-array sum.  (N,) values give a float.  With
+    each block is weighted and summed as np.add.reduce(g * q, axis=-1) (the
+    reduction np.sum runs, without its wrapper), the block sums added in
+    block order, so no (..., N) buffer is held and a one-block rule sums as
+    one whole-array sum.  (N,) values give a float.  With
     `spread`, also the (sum q^2, q^2-weighted mean of g, sum q^2 (g - mean)^2)
     of each component, the per-block triples merged as in Chan, Golub and
     LeVeque (1983); None otherwise."""
     total = moments = None
     for g, q in _node_blocks(rule, f, arrays, rate, lam, factor):
-        part = np.sum(g * q, axis=-1)
+        part = np.add.reduce(g * q, axis=-1)
         total = part if total is None else total + part
         if spread:
             q2 = q * q

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,11 +136,17 @@ def record(theorem: str, passed, informational: bool = False, **data) -> dict:
             "informational": informational, **data}
 
 
+def _fields_of(obj) -> dict:
+    """A dataclass's fields by name, in declared order, read as they are:
+    no deep copy, since `report` copies every record as it serializes it."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def record_of(check: InequalityCheck, field_name: str | None = None,
               scale: float = TOLERANCE_SCALE, equality: bool = False) -> dict:
     """The record of a per-field check, judged by `verdict` at the scale."""
     passed, tol = verdict(check, scale, equality)
-    data = asdict(check)
+    data = _fields_of(check)
     if field_name is not None:
         data["field"] = field_name
     return record(data.pop("theorem"), passed, data.pop("informational"),
@@ -210,7 +216,7 @@ def suite_beckner(ctx: RunContext) -> list[dict]:
         ratio = sweep.extrapolated_ratio
         out.append(record(
             "beckner_sharpness", abs(ratio - 1.0) <= limit("beckner_sharpness"),
-            extrapolated_ratio=ratio, rows=[asdict(r) for r in sweep.rows]))
+            extrapolated_ratio=ratio, rows=[_fields_of(r) for r in sweep.rows]))
     return out
 
 
@@ -229,7 +235,7 @@ def suite_poincare(ctx: RunContext) -> list[dict]:
         worst = max(abs(r.deficit) for r in sweep.rows)
         out.append(record("poincare_extremal", worst <= limit("poincare_extremal"),
                           max_abs_deficit=worst,
-                          rows=[asdict(r) for r in sweep.rows]))
+                          rows=[_fields_of(r) for r in sweep.rows]))
     return out
 
 
@@ -256,7 +262,7 @@ def suite_lsi(ctx: RunContext) -> list[dict]:
         worst = max(abs(r.deficit) / (1.0 + abs(r.rhs)) for r in sweep.rows)
         out.append(record("lsi_extremal", worst <= limit("lsi_extremal"),
                           max_relative_deficit=worst,
-                          rows=[asdict(r) for r in sweep.rows]))
+                          rows=[_fields_of(r) for r in sweep.rows]))
     return out
 
 

@@ -456,7 +456,11 @@ class Weight:
 
     __call__ = eval
 
-    def _check_regular(self, pts: np.ndarray):
+    def check_regular(self, pts: np.ndarray):
+        """Refuse (N, n) points where log w has no derivative: outside the
+        closed cone (DomainError), on the zero set of w or on a singular
+        hyperplane (SingularityError).  The derivatives of log w at points a
+        caller gives are checked; rule nodes are interior by construction."""
         ok = self.cone.contains(pts)
         if not np.all(ok):
             raise DomainError("point outside the cone closure")
@@ -470,13 +474,13 @@ class Weight:
 
     def grad_log(self, x) -> np.ndarray:
         pts, single = _as_points(x, self.dim)
-        self._check_regular(pts)
+        self.check_regular(pts)
         out = self.spec.grad_log(pts)
         return out[0] if single else out
 
     def hess_log(self, x) -> np.ndarray:
         pts, single = _as_points(x, self.dim)
-        self._check_regular(pts)
+        self.check_regular(pts)
         out = self.spec.hess_log(pts)
         return out[0] if single else out
 
@@ -510,7 +514,7 @@ class Weight:
         if self.degree is None:
             raise NotHomogeneousError("weight is not homogeneous")
         pts, single = _as_points(x, self.dim)
-        self._check_regular(pts)
+        self.check_regular(pts)
         w = np.exp(self.spec.log_w(pts))
         dot = np.sum(pts * self.spec.grad_log(pts), axis=1)
         res = w * (dot - self.degree)

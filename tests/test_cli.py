@@ -365,18 +365,27 @@ def test_report_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     reports = []
-    for threads in (None, "1", "2"):
+    # the console script's entry module pins the same threads as
+    # `python -m gausscone.cli`
+    script = [sys.executable, "-c",
+              "import sys; from gausscone.program import main; "
+              "sys.exit(main(sys.argv[1:]))"]
+    for threads, program in ((None, "module"), ("1", "module"),
+                             ("2", "module"), ("2", "script")):
         env = _env_without_thread_settings()
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
-        out = tmp_path / f"report-{threads}.json"
-        proc = subprocess.run([sys.executable, "-m", "gausscone.cli", "verify",
-                               "--config", str(path), "--out", str(out)],
+        out = tmp_path / f"report-{threads}-{program}.json"
+        argv = ([sys.executable, "-m", "gausscone.cli"] if program == "module"
+                else script)
+        proc = subprocess.run([*argv, "verify", "--config", str(path),
+                               "--out", str(out)],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         reports.append(out.read_bytes())
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
+    assert reports[3] == reports[0]
 
 
 # the package's public names, by the submodule that defines each
@@ -416,6 +425,17 @@ def test_package_import_loads_nothing_and_sets_no_thread_count():
                          text=True, check=True,
                          env=_env_without_thread_settings())
     assert out.stdout.split("\n")[:2] == ["False 0.1.0", "True []"]
+
+
+def test_importing_the_cli_sets_no_thread_count():
+    # only running the CLI as a program pins one thread; a process that
+    # imports it (to call `main`, say) keeps its own settings
+    code = ("import os, gausscone.cli\n"
+            f"print(sorted(v for v in os.environ if v in {THREAD_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=_env_without_thread_settings())
+    assert out.stdout.strip() == "[]"
 
 
 def test_public_names_are_their_submodules_objects():

@@ -91,15 +91,19 @@ def test_laplacian_is_hessian_trace(base, keeper):
     f = STRUCTURE_KEEPERS[keeper](base)
     x = np.random.default_rng(13).normal(scale=1.5, size=(200, f.dim))
     for pts in (x, np.abs(x)):
-        grad, lap = f.poly_gauss.grad_laplacian(pts)
-        _, want_grad, hess = f.jet(pts, 2)
+        value, grad, lap = f.poly_gauss.value_grad_laplacian(pts)
+        want_value, want_grad, hess = f.jet(pts, 2)
         want = np.trace(hess, axis1=1, axis2=2)
         np.testing.assert_allclose(lap, want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
         np.testing.assert_allclose(grad, want_grad, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want_grad)))
+        np.testing.assert_allclose(value, want_value, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want_value)))
         if keeper == "plain":
-            # the field's own jet is the structure's, so its gradient is too
+            # the field's own jet is the structure's, so its value and
+            # gradient are too
+            assert np.array_equal(value, want_value)
             assert np.array_equal(grad, want_grad)
 
 

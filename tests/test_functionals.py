@@ -12,6 +12,7 @@ Frozen derived values and their oracles:
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from gausscone.errors import (
@@ -32,6 +33,7 @@ from gausscone.fields import (
     squared,
 )
 from gausscone.functionals import (
+    _nu_moments,
     dirichlet_energy,
     entropy,
     hup_deficit,
@@ -222,3 +224,28 @@ class TestHupDeficit:
             assert chk.deficit >= -rec["tolerance"]
             assert rec["pass"] is False
         assert record_of(check_hup(mu_partial, f), f.name, 10.0)["pass"] is True
+
+
+class TestNuMoments:
+    @pytest.mark.parametrize("mc_samples", [None, 20_000], ids=["tensor", "mc"])
+    def test_entropy_row_only_when_asked(self, w_partial, mc_samples):
+        # the HUP passes form no f^2 log f^2; every row of the stacked sum
+        # is summed on its own, so the other moments keep their bits
+        mu = make_measure(w_partial, 1.0, order=24, mc_samples=mc_samples,
+                          seed=1)
+        for f in (poly_gauss(3, 2, even_axes=frozenset({0})),
+                  gaussian(1.3, 1.2, 2)):
+            plain = _nu_moments(mu, f)
+            full = _nu_moments(mu, f, entropy=True)
+            assert plain.sq_log_sq is None and full.sq_log_sq is not None
+            assert plain == full._replace(sq_log_sq=None)
+
+    def test_hup_takes_no_logarithm(self, mu_partial, monkeypatch):
+        logs = []
+        log = np.log
+        monkeypatch.setattr(np, "log", lambda x, *a, **k: logs.append(1)
+                            or log(x, *a, **k))
+        f = poly_gauss(3, 2, even_axes=frozenset({0}))
+        hup_deficit(mu_partial, f)
+        optimal_scale(mu_partial, f)
+        assert logs == []

@@ -5,11 +5,14 @@ finite differences of w-weighted divergence form; Gamma_2 closed forms for
 |x|^2/2 and affine fields are computed by hand.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gausscone import weights
 from gausscone.cones import FullSpace, Orthant
-from gausscone.errors import NoBoundaryError
+from gausscone.errors import DomainError, NoBoundaryError, SingularityError
 from gausscone.fields import (
     ScalarField,
     affine,
@@ -31,8 +34,8 @@ from gausscone.gamma import (
     is_neumann_admissible,
     neumann_residual,
 )
-from gausscone.measures import make_measure
-from gausscone.weights import GaussianTilt, Monomial, make_weight
+from gausscone.measures import NODE_BLOCK, make_measure
+from gausscone.weights import DunklProduct, GaussianTilt, Monomial, make_weight
 
 
 def _norm_sq_field(dim):
@@ -104,6 +107,54 @@ class TestGenerator:
         for k in range(len(fields)):
             single = generator(w_partial, pts, grad[:, :, k], lap[:, k], lam=1.3)
             np.testing.assert_allclose(batch[:, k], single, rtol=1e-14)
+
+
+def _dunkl_half_plane():
+    return make_weight(DunklProduct(((0.6, 0.8),), (0.5,)), 2)
+
+
+# points a caller gives: outside the half-plane <(0.6, 0.8), x> > 0, and on
+# its boundary line, where w vanishes (the origin, where <beta, x> is 0
+# exactly)
+BAD_POINTS = [([-0.6, -0.8], DomainError), ([0.0, 0.0], SingularityError)]
+
+
+class TestCallerPoints:
+    """L_w trusts rule nodes, but every entry point that takes a caller's
+    points still refuses those where log w has no derivative."""
+
+    @pytest.mark.parametrize("x, error", BAD_POINTS, ids=["outside", "zero-set"])
+    def test_entry_points_refuse(self, x, error):
+        w = _dunkl_half_plane()
+        f = gaussian(1.0, 1.2, 2)
+        for call in (lambda: w.grad_log(x), lambda: w.hess_log(x),
+                     lambda: apply_generator(w, f, x),
+                     lambda: apply_generator(w, f, np.array([[1.0, 1.0], x])),
+                     lambda: gamma2(w, f, x)):
+            with pytest.raises(error):
+                call()
+        # the stencil around a point on the boundary leaves the cone
+        with pytest.raises((DomainError, SingularityError)):
+            bochner_residual(w, f, x, h=1e-2)
+
+    def test_stencil_leaving_the_cone_is_refused(self):
+        # the center is inside, the stencil x - h e_1 is not
+        w = make_weight(Monomial((1.5, 0.0)), 2)
+        with pytest.raises(DomainError):
+            bochner_residual(w, gaussian(1.0, 1.2, 2), [0.005, 0.3], h=1e-2)
+
+    def test_rule_nodes_are_not_rechecked(self, monkeypatch):
+        calls = []
+        check = weights.Weight.check_regular
+        monkeypatch.setattr(weights.Weight, "check_regular",
+                            lambda self, pts: calls.append(len(pts))
+                            or check(self, pts))
+        mu = make_measure(_dunkl_half_plane(), 1.0, mc_samples=4096, seed=0)
+        f = poly_gauss(1, 2)
+        integration_by_parts_residual(mu, f, gaussian(1.0, 1.2, 2))
+        assert calls == []
+        apply_generator(mu.weight, f, mu.nodes[:5])
+        assert calls == [5]
 
 
 class TestCarreDuChamp:
@@ -222,6 +273,29 @@ class TestIntegrationByParts:
             for i, f in enumerate(fields):
                 for g in fields[i:]:
                     assert integration_by_parts_residual(mu, f, g) < 1e-7
+
+    @pytest.mark.parametrize("base", [poly_gauss(0, 2), exp_axis(0.5, 1, 2)],
+                             ids=["structured", "exp_axis"])
+    @pytest.mark.parametrize("mc_samples", [None, 20_000], ids=["tensor", "mc"])
+    def test_self_pair_reuses_the_jet(self, w_partial, base, mc_samples):
+        # g is f reuses f's value and gradient; a copy of f (not the same
+        # object) takes its own order-1 jet, and both give the same bits
+        mu = make_measure(w_partial, 1.0, order=12, mc_samples=mc_samples,
+                          seed=2)
+        orders = []
+
+        def jet(x, order):
+            orders.append(order)
+            return base.jet(x, order)
+
+        f = dataclasses.replace(base, jet=jet)
+        copy = dataclasses.replace(f)
+        assert copy is not f
+        assert (integration_by_parts_residual(mu, f, f)
+                == integration_by_parts_residual(mu, f, copy))
+        # only the copy's pass takes an order-1 jet
+        blocks = -(-len(mu.nodes) // NODE_BLOCK)
+        assert orders.count(1) == blocks
 
     def test_one_nu_integral_call(self, mu_partial, nu_calls):
         f = poly_gauss(0, 2, even_axes=frozenset({0}))

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gausscone import measures
 from gausscone.cones import Cone, Halfspace, Orthant
 from gausscone.errors import EvaluationError, UnsupportedRuleError
 from gausscone.fields import constant, exp_axis, gaussian, poly_gauss
@@ -241,6 +242,85 @@ class TestNodeJet:
             vals[0] = 0.0
         with pytest.raises(ValueError):
             grad[0, 1] = 0.0
+
+
+POINCARE_LEVELS = ("basic", "gradient_stability", "l2_stability")
+BECKNER_PAIRS = ((1.0, 2.0), (1.5, 2.0))
+
+
+@pytest.fixture(scope="module")
+def dunkl_mc():
+    """The single-root Dunkl weight on its half-plane, 20 000 MC samples
+    (three node blocks)."""
+    w = make_weight(DunklProduct(((0.6, 0.8),), (0.5,)), 2)
+    return lambda: make_measure(w, 1.0, mc_samples=20_000, seed=0)
+
+
+@pytest.fixture
+def weighted_sums(monkeypatch):
+    """The list of measures._weighted_sum calls made while the test runs."""
+    original = measures._weighted_sum
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "_weighted_sum", counting)
+    return calls
+
+
+class TestFieldIntegrals:
+    """The measure keeps the integrals the checks take from the last field's
+    jet, and its barycenter, so each is taken once."""
+
+    def test_each_integral_is_one_pass(self, dunkl_mc, weighted_sums):
+        mu = dunkl_mc()
+        mu.barycenter()
+        del weighted_sums[:]
+        f = poly_gauss(4, 2)
+        poincare = [check_poincare(mu, f, 2.0, level)
+                    for level in POINCARE_LEVELS]
+        # mean and variance, energy, v, and one gap per stability level
+        assert len(weighted_sums) == 5
+        g = gaussian(1.3, 1.2, 2)
+        beckner = [check_beckner(mu, g, p, q) for p, q in BECKNER_PAIRS]
+        # ||g||_2, ||g||_1, the energy and ||g||_1.5
+        assert len(weighted_sums) == 5 + 4
+        # the records equal those of measures that keep nothing yet
+        for level, chk in zip(POINCARE_LEVELS, poincare):
+            assert chk == check_poincare(dunkl_mc(), f, 2.0, level)
+        for (p, q), chk in zip(BECKNER_PAIRS, beckner):
+            assert chk == check_beckner(dunkl_mc(), g, p, q)
+
+    def test_barycenter_is_taken_once(self, dunkl_mc, weighted_sums):
+        mu = dunkl_mc()
+        mx = mu.barycenter()
+        assert mu.barycenter() is mx and len(weighted_sums) == 1
+        np.testing.assert_array_equal(mx, integrate(mu, lambda x: x))
+        with pytest.raises(ValueError):
+            mx[0] = 0.0
+
+    def test_next_field_drops_the_integrals(self, dunkl_mc, weighted_sums):
+        mu = dunkl_mc()
+        f, g = poly_gauss(4, 2), gaussian(1.3, 1.2, 2)
+        first = check_beckner(mu, f, 1.0, 2.0)
+        mu.node_jet(g)
+        assert mu._jet[0] is g and mu._jet[2] == {}
+        del weighted_sums[:]
+        assert check_beckner(mu, f, 1.0, 2.0) == first
+        assert len(weighted_sums) == 3
+
+    def test_kept_integrals_are_small(self, dunkl_mc):
+        # scalars, pairs and n-vectors, never an array at the nodes
+        mu = dunkl_mc()
+        f = poly_gauss(4, 2)
+        for level in POINCARE_LEVELS:
+            check_poincare(mu, f, 2.0, level)
+        for p, q in BECKNER_PAIRS:
+            check_beckner(mu, f, p, q)
+        check_lsi(mu, f, 2.0)
+        assert all(np.size(v) <= mu.dim for v in mu._jet[2].values())
 
 
 class TestCones:
