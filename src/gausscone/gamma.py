@@ -170,13 +170,18 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
     lam = measure.scale
     damp = 0.5 / (lam * lam)
     rate = f.decay.rate + g.decay.rate + damp
+    # when g is f, f's value and gradient stand in for g's order-1 jet where
+    # they are its bits: a jet's lower order is a prefix of its higher one,
+    # and a PolyGauss call gives its jet's value and gradient, which are f's
+    # only when f's jet is its PolyGauss's (a rescaled field's jet rounds
+    # apart from its rescaled PolyGauss)
+    reuse = g is f and (f.poly_gauss is None or f.jet == f.poly_gauss.jet)
 
     def integrand(pts):
         # a structured f gives its value, gradient and Laplacian from one
         # PolyGauss call, other fields from their jet with the trace of the
-        # Hessian; g's jet is taken only once L_w f is formed, unless g is f,
-        # whose value and gradient are the ones g's order-1 jet would give,
-        # and both sides fill the rows of one axis-first array
+        # Hessian; g's jet is taken only once L_w f is formed, and both
+        # sides fill the rows of one axis-first array
         sides = np.empty((2, len(pts)))
         if f.poly_gauss is not None:
             value, grad, lap = f.poly_gauss.value_grad_laplacian(pts)
@@ -186,7 +191,7 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
             del hess
         sides[0] = generator(weight, pts, grad, lap, lam)
         del lap
-        g_value, g_grad = (value, grad) if g is f else g.jet(pts, 1)
+        g_value, g_grad = (value, grad) if reuse else g.jet(pts, 1)
         del value
         sides[0] *= g_value
         sides[1] = -np.sum(grad * g_grad, axis=1)

@@ -505,7 +505,7 @@ def _node_blocks(rule: QuadratureRule, f, arrays: tuple = (), rate: float = 0.0,
         tail = vals.shape[1:]
         # the ndarray forms of moveaxis, np.sum and np.all: the same
         # operations without the Python wrappers paid once per block
-        g = vals.T if vals.ndim <= 2 else np.moveaxis(vals, 0, -1)
+        g = vals.transpose((*range(1, vals.ndim), 0))
         g = (np.multiply(g, np.exp(rate * np.add.reduce(pts ** 2, axis=1)),
                          order="C")
              if rate else np.ascontiguousarray(g))

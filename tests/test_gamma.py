@@ -21,6 +21,7 @@ from gausscone.fields import (
     gaussian,
     hermite_witness,
     poly_gauss,
+    scaled,
     squared,
 )
 from gausscone.gamma import (
@@ -35,6 +36,7 @@ from gausscone.gamma import (
     neumann_residual,
 )
 from gausscone.measures import NODE_BLOCK, make_measure
+from gausscone.polys import PolyND
 from gausscone.weights import DunklProduct, GaussianTilt, Monomial, make_weight
 
 
@@ -274,28 +276,48 @@ class TestIntegrationByParts:
                 for g in fields[i:]:
                     assert integration_by_parts_residual(mu, f, g) < 1e-7
 
-    @pytest.mark.parametrize("base", [poly_gauss(0, 2), exp_axis(0.5, 1, 2)],
-                             ids=["structured", "exp_axis"])
+    @pytest.mark.parametrize("case", ["structured", "rescaled", "exp_axis"])
     @pytest.mark.parametrize("mc_samples", [None, 20_000], ids=["tensor", "mc"])
-    def test_self_pair_reuses_the_jet(self, w_partial, base, mc_samples):
-        # g is f reuses f's value and gradient; a copy of f (not the same
-        # object) takes its own order-1 jet, and both give the same bits
+    def test_self_pair_reuses_the_jet(self, w_partial, case, mc_samples,
+                                      monkeypatch):
+        # g is f reuses f's value and gradient where they are f's order-1
+        # jet bit for bit: a plain structured field's (its jet is its
+        # PolyGauss's) and exp_axis's (a jet's lower order is a prefix of its
+        # higher one); a rescaled field's jet rounds apart from its rescaled
+        # PolyGauss, so its self-pair takes g's jet.  A copy of f (not the
+        # same object) always takes its own, and both give the same bits
         mu = make_measure(w_partial, 1.0, order=12, mc_samples=mc_samples,
                           seed=2)
-        orders = []
+        blocks = -(-len(mu.nodes) // NODE_BLOCK)
+        # order-1 jets taken: a PolyGauss jet's plain table of the
+        # polynomial (its Laplacian call asks for one more row), or an
+        # order-1 call of exp_axis's jet
+        order_one = []
+        derivatives = PolyND.derivatives
+
+        def counted(poly, points, order, laplacian=False):
+            if order == 1 and not laplacian:
+                order_one.append(order)
+            return derivatives(poly, points, order, laplacian)
+
+        monkeypatch.setattr(PolyND, "derivatives", counted)
+        base = exp_axis(0.5, 1, 2)
 
         def jet(x, order):
-            orders.append(order)
+            if order == 1:
+                order_one.append(order)
             return base.jet(x, order)
 
-        f = dataclasses.replace(base, jet=jet)
+        f = {"structured": poly_gauss(0, 2),
+             "rescaled": scaled(poly_gauss(0, 2), 2.0),
+             "exp_axis": dataclasses.replace(base, jet=jet)}[case]
         copy = dataclasses.replace(f)
         assert copy is not f
-        assert (integration_by_parts_residual(mu, f, f)
-                == integration_by_parts_residual(mu, f, copy))
-        # only the copy's pass takes an order-1 jet
-        blocks = -(-len(mu.nodes) // NODE_BLOCK)
-        assert orders.count(1) == blocks
+        self_pair = integration_by_parts_residual(mu, f, f)
+        taken = len(order_one)
+        assert self_pair == integration_by_parts_residual(mu, f, copy)
+        assert taken == (blocks if case == "rescaled" else 0)
+        assert len(order_one) - taken == blocks
 
     def test_one_nu_integral_call(self, mu_partial, nu_calls):
         f = poly_gauss(0, 2, even_axes=frozenset({0}))
