@@ -17,15 +17,17 @@ one field share one jet per measure.  Every integral comes from that jet
 through the formulas of `functionals`, so a checker's norms, variance,
 entropy and energy are the ones `lq_norm`, `variance`, `entropy` and
 `dirichlet_energy` return.  The measure keeps the integrals taken from the
-jet with it (`Measure.field_integral`), and its barycenter, so the two
-Beckner pairs take ||f||_1, ||f||_1.5, ||f||_2 and the energy once, and the
-three Poincare levels the mean and variance, the energy and the projection
-vector v once.
+jet with it (`Measure.field_integral`), and its barycenter and covariance,
+so the two Beckner pairs take ||f||_1, ||f||_1.5, ||f||_2 and the energy
+once, and the Poincare levels the mean and variance, the energy and the
+projection vector v once.
 
 Every checker takes the run's `Measure` first, including the ones stated
-under nu = w dx (Euclidean LSI, HUP) and the scale-dependent Poincare check
-under mu_{w,lambda} at another scale: their rules come from the measure's
-settings, so a run integrates on one rule family.
+under nu = w dx (Euclidean LSI, HUP), whose rules come from the measure's
+settings.  The scale-dependent Poincare check needs no other rule: for w
+homogeneous, mu_{w,lambda} is the image of mu_{w,sigma} under y -> s y,
+s = lambda/sigma, so it integrates g(y) = f(s y) on the measure itself, and
+its affine gap is Var(g) - v.Cov(x)^{-1} v.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ import numpy as np
 from .errors import (
     ContractError,
     DegenerateInputError,
+    NotHomogeneousError,
     ParameterError,
 )
-from .fields import ScalarField, gaussian, mass_dilated, one_plus, product
+from .fields import ScalarField, _rescaled, gaussian, mass_dilated, one_plus, product
 from .functionals import (
     _energy,
     _entropy,
@@ -155,6 +158,14 @@ def _field_energy(measure: Measure, f: ScalarField, q: float) -> float:
         f, ("energy", q), lambda _, grad: _energy(measure, grad, q))
 
 
+def _field_projection(measure: Measure, f: ScalarField, mean: float) -> np.ndarray:
+    """The Poincare projection v = int (f - mean) x dmu, taken once per field
+    and measure, each component summed over one contiguous row of a block's
+    axis-first nodes."""
+    return measure.field_integral(f, ("projection",), lambda vals, _: integrate(
+        measure, lambda x, fv: ((fv - mean) * x.T).T, vals))
+
+
 # ---------------------------------------------------------------------------
 # Beckner family
 # ---------------------------------------------------------------------------
@@ -197,10 +208,7 @@ def check_poincare(measure: Measure, f: ScalarField, q: float = 2.0,
                       informational=q < 2.0,
                       diagnostics={"variance": var, "energy_q": energy})
     rhs = energy - c * var
-    # v = int (f - mean) x dmu, each component summed over one contiguous
-    # row of a block's axis-first nodes, and the barycenter mx = int x dmu
-    v = measure.field_integral(f, ("projection",), lambda vals, _: integrate(
-        measure, lambda x, fv: ((fv - mean) * x.T).T, vals))
+    v = _field_projection(measure, f, mean)
     mx = measure.barycenter()
     vals, grad = measure.node_jet(f)
     if level == "gradient_stability":
@@ -239,51 +247,40 @@ def check_poincare(measure: Measure, f: ScalarField, q: float = 2.0,
                       "variance": var, "energy": energy})
 
 
-def _least_squares_affine_gap(measure: Measure, vals: np.ndarray,
-                              mean: float) -> float:
-    """inf over (c, d) of int |f - (c + d.x)|^2 dmu, exact via least squares
-    in the basis 1, x_1..x_n, from the values of f at the nodes minus its
-    mean (the infimum is the same for f)."""
-    def basis(x):
-        return np.vstack([np.ones(len(x)), x.T])
-
-    def gram_terms(x):
-        b = basis(x)
-        return (b[:, None] * b[None]).transpose(2, 0, 1)
-
-    gram = integrate(measure, gram_terms)
-    b = integrate(measure, lambda x, v: (basis(x) * (v - mean)).T, vals)
-    try:
-        coef = np.linalg.solve(gram, b)
-    except np.linalg.LinAlgError:
-        raise DegenerateInputError(
-            f"singular affine Gram matrix on a {len(vals)}-node rule"
-        ) from None
-    return max(integrate(measure, lambda x, v: (v - mean) ** 2, vals)
-               - float(b @ coef), 0.0)
-
-
 def check_scale_poincare(measure: Measure, f: ScalarField, lam: float,
                          level: str = "basic") -> InequalityCheck:
-    """Scale-dependent Poincare inequality under mu_{w,lambda}, on a rule of
-    the measure's settings at scale lam; the improved level adds the affine
-    least-squares correction term."""
+    """Scale-dependent Poincare inequality under mu_{w,lambda}, w homogeneous,
+    on the run's measure mu_{w,sigma}, whose image under y -> s y is
+    mu_{w,lambda} (s = lambda/sigma).  With g(y) = f(s y), the basic level is
+    c Var(g)/lambda^2 <= E(g)/s^2 and the improved level c Var(g) + (c/2) gap
+    <= sigma^2 E(g), gap = inf_{a,b} int |f - a - b.x|^2 dmu_{w,lambda} =
+    Var(g) - v.Cov(x)^{-1} v, v = int (g - mean) x dmu, Cov(x) its covariance."""
     if lam <= 0:
         raise ParameterError("lambda must be positive")
     if level not in ("basic", "improved"):
         raise ParameterError(f"unknown scale level {level!r}")
+    if not measure.weight.is_homogeneous:
+        raise NotHomogeneousError("the scale dilation needs a homogeneous weight")
     c = 1.0 + measure.weight.kw
-    measure = measure.at_scale(lam)
-    vals, grad = measure.node_jet(f)
-    energy = _energy(measure, grad, 2.0)
-    mean, var = _mean_variance(measure, vals)
+    s = lam / measure.scale
+    g = f if s == 1.0 else _rescaled(f, f"dilated({f.name},{s})", s, 1.0)
+    mean, var = measure.field_integral(
+        g, ("mean_variance",), lambda vals, _: _mean_variance(measure, vals))
+    energy = _field_energy(measure, g, 2.0)
     if level == "basic":
         lhs = c / (lam * lam) * var
-        return _check("scale_poincare", None, 2.0, lhs, energy, c / lam ** 2,
-                      diagnostics={"lambda": lam, "variance": var})
-    affine_gap = _least_squares_affine_gap(measure, vals, mean)
+        return _check("scale_poincare", None, 2.0, lhs, energy / s ** 2,
+                      c / lam ** 2, diagnostics={"lambda": lam, "variance": var})
+    v = _field_projection(measure, g, mean)
+    try:
+        coef = np.linalg.solve(measure.covariance(), v)
+    except np.linalg.LinAlgError:
+        raise DegenerateInputError(
+            f"singular affine Gram matrix on a {len(measure.nodes)}-node rule"
+        ) from None
+    affine_gap = max(var - float(v @ coef), 0.0)
     lhs = c * var + 0.5 * c * affine_gap
-    rhs = lam * lam * energy
+    rhs = measure.scale ** 2 * energy
     return _check("scale_poincare_improved", None, 2.0, lhs, rhs, c,
                   diagnostics={"lambda": lam, "variance": var,
                                "affine_gap": affine_gap})

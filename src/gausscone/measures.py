@@ -356,11 +356,11 @@ class Measure:
 
     order, mc_samples and seed are the rule settings exactly as make_measure
     received them; every other rule of the run is built from them.  Like
-    the moment table, the measure keeps its barycenter int x dmu and one
-    order-1 field jet at its nodes: the last field's, together with the
-    integrals the checks have taken from it (scalars and n-vectors, keyed
-    by what they are), so the checks on one field share the jet and take
-    each integral once."""
+    the moment table, the measure keeps its barycenter int x dmu, its
+    covariance Cov(x) beside it, and one order-1 field jet at its nodes:
+    the last field's, together with the integrals the checks have taken
+    from it (scalars and n-vectors, keyed by what they are), so the checks
+    on one field share the jet and take each integral once."""
 
     weight: Weight
     scale: float
@@ -370,7 +370,7 @@ class Measure:
     mc_samples: int | None
     seed: int
     _moments: list = field(default_factory=list, init=False, compare=False)
-    _barycenter: list = field(default_factory=list, init=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, compare=False)
     _jet: list = field(default_factory=list, init=False, compare=False)
 
     @property
@@ -410,31 +410,23 @@ class Measure:
         integral by what it is (say ("energy", q)), and every check on the
         same field after it reads the kept value (an array read-only)."""
         vals, grad = self.node_jet(f)
-        kept = self._jet[2]
-        if key not in kept:
-            value = make(vals, grad)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            kept[key] = value
-        return kept[key]
+        return _keep(self._jet[2], key, lambda: make(vals, grad))
 
     def barycenter(self) -> np.ndarray:
         """int x dmu, the (n,) barycenter, read-only; cached."""
-        if not self._barycenter:
-            mx = integrate(self, lambda x: x)
-            mx.setflags(write=False)
-            self._barycenter.append(mx)
-        return self._barycenter[0]
+        return _keep(self._kept, "barycenter", lambda: integrate(self, lambda x: x))
+
+    def covariance(self) -> np.ndarray:
+        """Cov(x) = int (x - m)(x - m)^T dmu, m the barycenter, the (n, n)
+        matrix, read-only; cached beside the barycenter."""
+        mx = self.barycenter()
+        return _keep(self._kept, "covariance", lambda: integrate(
+            self, lambda x: (x - mx)[:, :, None] * (x - mx)[:, None]))
 
     def rule_at(self, lam: float) -> QuadratureRule:
         """The rule of this measure's settings for w exp(-|x|^2/(2 lam^2)) dx."""
         return build_rule(self.weight, lam, order=self.order,
                           mc_samples=self.mc_samples, seed=self.seed)
-
-    def at_scale(self, lam: float) -> Measure:
-        """mu_{w,lam} on a rule of the same settings."""
-        return make_measure(self.weight, lam, self.order, self.mc_samples,
-                            self.seed)
 
     def moments(self, degree: int) -> np.ndarray:
         """M_g = sum_i q_i t_i^g on the lambda = 1 rule (t_i, q_i) of this
@@ -449,6 +441,16 @@ class Measure:
                 table += monomial_table(rule.nodes[chunk], degree) @ rule.weights[chunk]
             self._moments[:] = [table]
         return self._moments[0][:size]
+
+
+def _keep(store: dict, key, make: Callable):
+    """store[key], made by make() when first asked for; an array read-only."""
+    if key not in store:
+        value = make()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        store[key] = value
+    return store[key]
 
 
 def make_measure(weight: Weight, scale: float = 1.0,

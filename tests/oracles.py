@@ -26,6 +26,12 @@ bit for bit; with `block=None` it is the one whole-array sum.
 `mc_rule` is the Monte Carlo rule of `measures` from one draw of the whole
 (samples, n) Philox stream, folded and weighted on the whole array at once;
 the rule `measures` draws and folds block by block must equal it bit for bit.
+
+`scale_poincare` is the scale-dependent Poincare check computed the direct
+way, on the scale-lambda measure itself: the variance and energy of f on
+its whole node array, and the affine gap as the mean square residual of
+the least-squares fit of f in the basis (1, x_1, ..., x_n), from the
+normal equations of that basis's Gram matrix.
 """
 
 import math
@@ -177,3 +183,24 @@ def monomial_hess_log(exps, pts: np.ndarray) -> np.ndarray:
         if a > 0:
             out[i, i] = -a / pts[:, i] ** 2
     return out.transpose(2, 0, 1)
+
+
+def scale_poincare(measure_at_lam, f, c: float, level: str) -> dict:
+    """lhs, rhs, variance and affine gap of the scale-dependent Poincare
+    check at lambda = measure_at_lam.scale, with c = 1 + K_w, from sums over
+    the whole node array of the scale-lambda measure."""
+    lam = measure_at_lam.scale
+    x = measure_at_lam.nodes
+    q = measure_at_lam.rule.weights * measure_at_lam.normalization
+    vals, grad = f.jet(x, 1)
+    mean = q @ vals
+    var = q @ (vals - mean) ** 2
+    energy = q @ np.sum(grad ** 2, axis=1)
+    basis = np.vstack([np.ones(len(x)), x.T])
+    coef = np.linalg.solve((basis * q) @ basis.T, (basis * q) @ vals)
+    gap = q @ (vals - coef @ basis) ** 2
+    if level == "basic":
+        return {"lhs": c * var / lam ** 2, "rhs": energy, "variance": var,
+                "affine_gap": None}
+    return {"lhs": c * var + 0.5 * c * gap, "rhs": lam ** 2 * energy,
+            "variance": var, "affine_gap": gap}

@@ -228,7 +228,7 @@ class TestNodeJet:
         base = poly_gauss(4, 2, even_axes=frozenset({0}))
         f, calls = _counting(base)
         check_poincare(mu, f)
-        other = mu.at_scale(1.5)
+        other = make_measure(w_partial, 1.5, order=12)
         check_poincare(other, f)
         assert calls == [1, 1]
         np.testing.assert_array_equal(other.node_jet(f)[0],
@@ -310,6 +310,25 @@ class TestFieldIntegrals:
         del weighted_sums[:]
         assert check_beckner(mu, f, 1.0, 2.0) == first
         assert len(weighted_sums) == 3
+
+    @pytest.mark.parametrize("level", ["basic", "improved"])
+    def test_scale_poincare_at_the_measure_scale_shares(self, dunkl_mc,
+                                                        weighted_sums, level):
+        # at lambda = sigma the dilated field is f itself, so the check reads
+        # the jet and the integrals the Poincare levels took; the improved
+        # level adds the measure's one covariance pass, the first time only
+        mu = dunkl_mc()
+        f, calls = _counting(poly_gauss(4, 2))
+        check_poincare(mu, f, 2.0, "l2_stability")
+        jet_blocks = len(calls)  # one jet, filled one node block at a time
+        del weighted_sums[:]
+        first = check_scale_poincare(mu, f, mu.scale, level)
+        assert len(calls) == jet_blocks
+        assert len(weighted_sums) == (1 if level == "improved" else 0)
+        for other in ("basic", "improved", "basic", "improved"):
+            check_scale_poincare(mu, f, mu.scale, other)
+        assert len(calls) == jet_blocks and len(weighted_sums) == 1
+        assert first == check_scale_poincare(dunkl_mc(), f, mu.scale, level)
 
     def test_kept_integrals_are_small(self, dunkl_mc):
         # scalars, pairs and n-vectors, never an array at the nodes

@@ -23,7 +23,12 @@ from gausscone.cones import FullSpace, Halfspace, Orthant
 from gausscone.errors import ContractError
 from gausscone.fields import exp_axis, gaussian, hermite_witness, poly_gauss, product
 from gausscone.gamma import integration_by_parts_residual
-from gausscone.inequalities import check_beckner, check_lsi, check_poincare
+from gausscone.inequalities import (
+    check_beckner,
+    check_lsi,
+    check_poincare,
+    check_scale_poincare,
+)
 from gausscone.measures import (
     NODE_BLOCK,
     _mc_rule,
@@ -277,4 +282,27 @@ def test_mc_checks_memory_is_bounded():
     small, large = 2 ** 16, 2 ** 17
     growth = _checks_peak(large) - _checks_peak(small)
     allowed = (24 + 24) * (large - small) + 2 ** 18
+    assert growth <= allowed, (growth, allowed)
+
+
+def _scale_poincare_peak(samples: int) -> int:
+    mu = make_measure(_dunkl_weight(certify=True), 1.0, mc_samples=samples,
+                      seed=2)
+    f = poly_gauss(3, 2)
+    check_scale_poincare(mu, f, 1.3, "improved")  # warm every lazy table
+    tracemalloc.start()
+    try:
+        check_scale_poincare(mu, f, 1.3, "improved")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scale_poincare_memory_is_bounded():
+    # the dilated field's order-1 jet on the run's own rule (values and
+    # gradients, 24 bytes a node in 2-D) is all that may grow with N; a
+    # rescaled copy of the rule would add 24 more
+    small, large = 2 ** 16, 2 ** 17
+    growth = _scale_poincare_peak(large) - _scale_poincare_peak(small)
+    allowed = 24 * (large - small) + 2 ** 18
     assert growth <= allowed, (growth, allowed)
