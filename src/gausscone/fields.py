@@ -24,9 +24,9 @@ rate >= 0 (the constants and affine fields at rate 0, the Gaussians, the
 Hermite witness and the seeded polynomial fields), and is built from that
 structure alone: one jet, the decay rate and the parity tags all come from
 its `PolyGauss`, which it carries as `poly_gauss` and from which the
-HUP-stability distances take every integral and integration by parts its
-Laplacian.  Scalings and dilations carry the structure, other combinators
-drop it.
+HUP-stability distances take every integral and integration by parts the
+slow parts of its jet (`slow_jet`).  Scalings and dilations carry the
+structure, other combinators drop it.
 """
 
 from __future__ import annotations
@@ -68,26 +68,27 @@ class PolyGauss:
 
     # p and its derivatives come axis-first from one table, one row per
     # derivative; with e the bump, w = c x, c = 2 rate, grad(p e) =
-    # e grad p - w p e, and with s = e grad p - w p e / 2,
+    # e (grad p - w p), and with s = e grad p - w p e / 2,
     # hess(p e) = e hess p - (w s^T + s w^T) - c p e I
     def _bump(self, x: np.ndarray) -> np.ndarray:
         # einsum forms |x|^2 without the (N, n) temporary of x ** 2
         return np.exp(-self.rate * np.einsum("ij,ij->i", x, x))
 
-    def _first(self, x: np.ndarray, d: np.ndarray):
-        """The bump e, p e, w and the (n, N) rows of grad(p e) at the points
-        from the rows d of p and grad p there."""
-        e = self._bump(x)
+    def _slow_grad(self, x: np.ndarray, d: np.ndarray):
+        """w and the (n, N) rows grad(p e) / e = grad p - w p, from rows d."""
         w = 2.0 * self.rate * x.T
-        return e, d[0] * e, w, (d[1:1 + self.poly.dim] - w * d[0]) * e
+        return w, d[1:1 + self.poly.dim] - w * d[0]
 
     def jet(self, x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         """The field's jet of `order` at the (N, n) points."""
         dim = self.poly.dim
         d = self.poly.derivatives(x, order)
+        e = self._bump(x)
+        pe = d[0] * e
         if order == 0:
-            return (d[0] * self._bump(x),)
-        e, pe, w, grad = self._first(x, d)
+            return (pe,)
+        w, grad = self._slow_grad(x, d)
+        grad *= e
         if order == 1:
             return pe, grad.T
         s = d[1:1 + dim] * e - 0.5 * w * pe
@@ -106,19 +107,17 @@ class PolyGauss:
 
     def value_grad_laplacian(self, x: np.ndarray
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (N,) values and (N, n) gradients, as `jet(x, 1)` gives them,
-        and the (N,) Laplacian of the field at the (N, n) points, from one
-        table without the Hessian:
-
-            Lap(p e) = e (Lap p - 4 rate x.grad p
-                          + (4 rate^2 |x|^2 - 2 n rate) p)."""
+        """The field's value, gradient and Laplacian over the bump at the
+        (N, n) points, from one table without the Hessian: the (N,) p, the
+        (N, n) grad p - 2 rate x p and the (N,)
+        Lap p - 4 rate x.grad p + (4 rate^2 |x|^2 - 2 n rate) p."""
         dim, r = self.poly.dim, self.rate
         d = self.poly.derivatives(x, 1, laplacian=True)
-        e, pe, w, grad = self._first(x, d)
+        w, grad = self._slow_grad(x, d)
         # w = 2 rate x, so 2 w.grad p = 4 rate x.grad p, w.w = 4 rate^2 |x|^2
         wd = np.einsum("ij,ij->j", w, d[1:1 + dim])
         ww = np.einsum("ij,ij->j", w, w)
-        return pe, grad.T, (d[-1] - 2.0 * wd + (ww - 2.0 * dim * r) * d[0]) * e
+        return d[0], grad.T, d[-1] - 2.0 * wd + (ww - 2.0 * dim * r) * d[0]
 
 
 @dataclass(frozen=True)
@@ -149,6 +148,25 @@ class ScalarField:
 def _batch(pts) -> np.ndarray:
     arr = np.asarray(pts, dtype=float)
     return arr[None, :] if arr.ndim == 1 else arr
+
+
+def slow_jet(f: ScalarField, x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+    """f's value, gradient and (order 2) Laplacian at the (N, n) points over
+    its envelope exp(-r |x|^2), r = f.decay.rate, order 1 a prefix of order 2
+    bit for bit: from its PolyGauss, else its jet times exp(r |x|^2)."""
+    pg = f.poly_gauss
+    if pg is not None:
+        if order == 2:
+            return pg.value_grad_laplacian(x)
+        d = pg.poly.derivatives(x, 1)
+        return d[0], pg._slow_grad(x, d)[1].T
+    out = f.jet(x, order)
+    if order == 2:
+        out = (*out[:2], np.trace(out[2], axis1=1, axis2=2))
+    if f.decay.rate:
+        e = np.exp(f.decay.rate * np.einsum("ij,ij->i", x, x))
+        out = tuple((part.T * e).T for part in out)
+    return out
 
 
 # ---------------------------------------------------------------------------

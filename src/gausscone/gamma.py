@@ -12,9 +12,9 @@ Neumann boundary residual that gates fields into orthant-cone checks.
 
 Third derivatives never appear analytically: the Bochner identity residual
 uses a centered finite difference of L_w applied to Gamma(f,f), which is the
-only place they would be needed.  Integration by parts needs only the
-Laplacian of f, which a structured field gives from its `PolyGauss` without
-the Hessian.
+only place they would be needed.  Integration by parts needs only f's
+`fields.slow_jet` (a structured field's without the Hessian), on which the
+linear `generator` gives L_w f over f's envelope: no Gaussian is formed.
 
 `generator` trusts its points: it takes grad(log w) from the weight's spec,
 because rule nodes are interior to the cone and off the zero set by
@@ -30,8 +30,8 @@ import numpy as np
 
 from .cones import Cone, _as_points
 from .errors import NoBoundaryError
-from .fields import ScalarField
-from .measures import Measure, nu_integral
+from .fields import ScalarField, slow_jet
+from .measures import Measure, _rate_matched_sum
 from .weights import Weight
 
 
@@ -161,42 +161,24 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
                                   g: ScalarField) -> float:
     """Relative residual of int (L_w f) g dmu = -int Gamma(f,g) dmu.
 
-    Both sides evaluate in one nu-pass on the rule of the measure's settings
-    whose Gaussian factor matches the combined decay of the pair plus the
+    Both sides are one sum on the rule of the measure's settings whose
+    Gaussian factor matches the combined decay of the pair plus the
     measure's own Gaussian, so pairs of fast-decaying fields are integrated
     at full precision instead of riding the tail of the lambda = 1 rule.
+    The rule carries that factor, so the sum takes f's and g's slow parts.
     """
-    weight = measure.weight
     lam = measure.scale
-    damp = 0.5 / (lam * lam)
-    rate = f.decay.rate + g.decay.rate + damp
-    # when g is f, f's value and gradient stand in for g's order-1 jet where
-    # they are its bits: a jet's lower order is a prefix of its higher one,
-    # and a PolyGauss call gives its jet's value and gradient, which are f's
-    # only when f's jet is its PolyGauss's (a rescaled field's jet rounds
-    # apart from its rescaled PolyGauss)
-    reuse = g is f and (f.poly_gauss is None or f.jet == f.poly_gauss.jet)
+    rate = f.decay.rate + g.decay.rate + 0.5 / (lam * lam)
 
-    def integrand(pts):
-        # a structured f gives its value, gradient and Laplacian from one
-        # PolyGauss call, other fields from their jet with the trace of the
-        # Hessian; g's jet is taken only once L_w f is formed, and both
-        # sides fill the rows of one axis-first array
+    def slow(pts):
+        # both sides fill the rows of one axis-first array
         sides = np.empty((2, len(pts)))
-        if f.poly_gauss is not None:
-            value, grad, lap = f.poly_gauss.value_grad_laplacian(pts)
-        else:
-            value, grad, hess = f.jet(pts, 2)
-            lap = np.trace(hess, axis1=1, axis2=2)
-            del hess
-        sides[0] = generator(weight, pts, grad, lap, lam)
-        del lap
-        g_value, g_grad = (value, grad) if reuse else g.jet(pts, 1)
-        del value
+        value, grad, lap = slow_jet(f, pts, 2)
+        sides[0] = generator(measure.weight, pts, grad, lap, lam)
+        g_value, g_grad = (value, grad) if g is f else slow_jet(g, pts, 1)
         sides[0] *= g_value
         sides[1] = -np.sum(grad * g_grad, axis=1)
-        sides *= np.exp(-damp * np.sum(pts ** 2, axis=1))
         return sides.T
 
-    lhs, rhs = (float(v) for v in nu_integral(measure, integrand, rate))
+    lhs, rhs = (float(v) for v in _rate_matched_sum(measure, slow, rate))
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))

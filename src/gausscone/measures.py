@@ -33,9 +33,10 @@ of Gaussian-decay fields against nu = w dx go through
 `nu_integral(measure, ...)`, on the rule of the measure's settings whose
 Gaussian factor matches the integrand's envelope rate exactly (the
 measure's own scale plays no part), so polynomial-times-Gaussian integrands
-are integrated exactly.  For a homogeneous weight `nu_monomials` gives the
-integrals of monomials times a Gaussian of any rate from one cached table
-of the lambda = 1 rule's moments, `Measure.moments`.
+are integrated exactly; as integration by parts does, it sums the slow
+factor, integrand times exp(rate |x|^2).  For a homogeneous weight
+`nu_monomials` gives the integrals of monomials times a Gaussian of any rate
+from one cached table of the lambda = 1 rule's moments, `Measure.moments`.
 
 Point batches are stored axis-first: a rule's (N, n) `nodes` is the `.T`
 view of a C-contiguous (n, N) buffer, so each coordinate is one contiguous
@@ -55,18 +56,19 @@ product rule of at most NODE_BLOCK nodes) sums as one whole-array sum did;
 on more blocks the result depends on NODE_BLOCK, a fixed constant, and stays
 byte-identical across reruns.  The standard error merges per-block
 (sum q^2, q^2-weighted mean, centred sum of squares) triples.  On a
-homogeneous weight `nu_integral` takes each block of the cached lambda = 1
-rule to the matched scale as build_rule would (nodes times lambda, weights
-times lambda^(n+alpha)), so no rescaled rule is built.  The Monte Carlo rule
-is drawn and folded block by block into its final arrays, and
-`Measure.node_jet` fills a field's order-1 jet block by block after dropping
-the previous field's jet and the integrals kept with it
-(`Measure.field_integral`).  (A dense polynomial field contracts its monomial
-table with BLAS, whose rounding at a node can move by an ulp or a few with
-the batch size and the thread count.  The CLI runs BLAS on one thread, so
-there only the batch size can move a jet's last ulp.)  `Measure.moments`
-keeps its own MOMENT_CHUNK: its monomial table has up to 924 rows (6-D at
-degree 6), so one chunk of NODE_BLOCK nodes would double from 30 to 60 MB.
+homogeneous weight the rate-matched sum takes each block of the cached
+lambda = 1 rule to the matched scale as build_rule would (nodes times
+lambda, weights times lambda^(n+alpha)), so no rescaled rule is built.  The
+Monte Carlo rule is drawn and folded block by block into its final arrays,
+and `Measure.node_jet` fills a field's order-1 jet block by block after
+dropping the previous field's jet and the integrals kept with it
+(`Measure.field_integral`).  (A polynomial of two or more terms contracts
+its monomial table with BLAS, whose rounding at a node can move by an ulp or
+a few with the batch size and the thread count.  The CLI runs BLAS on one
+thread, so there only the batch size can move a jet's last ulp.)
+`Measure.moments` keeps its own MOMENT_CHUNK: its monomial table has up to
+924 rows (6-D at degree 6), so one chunk of NODE_BLOCK nodes would double
+from 30 to 60 MB.
 """
 
 from __future__ import annotations
@@ -469,12 +471,12 @@ def partition_function(measure: Measure) -> float:
     return measure.rule_at(1.0).mass
 
 
-def _node_blocks(rule: QuadratureRule, f, arrays: tuple = (), rate: float = 0.0,
-                 lam: float = 1.0, factor: float = 1.0):
+def _node_blocks(rule: QuadratureRule, f, arrays: tuple = (), lam: float = 1.0,
+                 factor: float = 1.0):
     """Yield (g, q) for each NODE_BLOCK block of the rule's nodes, in order:
-    the (..., b) values g = f e^(rate |x|^2), node axis last, contiguous and
-    checked finite, and the block's (b,) weights.  f is a callable, called
-    as f(x, *blocks) on the axis-first nodes x of the block and the block's
+    the (..., b) values g of f, node axis last, contiguous and checked
+    finite, and the block's (b,) weights.  f is a callable, called as
+    f(x, *blocks) on the axis-first nodes x of the block and the block's
     rows of the node-aligned `arrays`, or the (N, ...) array of its values.
     lam != 1 takes each block of a homogeneous weight's rule to scale lam as
     build_rule does: nodes times lam, weights times factor = lam^(n+alpha)."""
@@ -505,18 +507,15 @@ def _node_blocks(rule: QuadratureRule, f, arrays: tuple = (), rate: float = 0.0,
                 f"integrand must give one value per node, shape {want} at "
                 f"{len(pts)} nodes; got shape {vals.shape}")
         tail = vals.shape[1:]
-        # the ndarray forms of moveaxis, np.sum and np.all: the same
-        # operations without the Python wrappers paid once per block
-        g = vals.transpose((*range(1, vals.ndim), 0))
-        g = (np.multiply(g, np.exp(rate * np.add.reduce(pts ** 2, axis=1)),
-                         order="C")
-             if rate else np.ascontiguousarray(g))
+        # the ndarray forms of moveaxis and np.all: the same operations
+        # without the Python wrappers paid once per block
+        g = np.ascontiguousarray(vals.transpose((*range(1, vals.ndim), 0)))
         if not np.isfinite(g).all():
             raise EvaluationError("integrand is not finite at a quadrature node")
         yield g, q
 
 
-def _weighted_sum(rule: QuadratureRule, f, arrays: tuple = (), rate: float = 0.0,
+def _weighted_sum(rule: QuadratureRule, f, arrays: tuple = (),
                   scale: float = 1.0, lam: float = 1.0, factor: float = 1.0,
                   spread: bool = False):
     """(scale * sum_i q_i g_i, spread) over the `_node_blocks` of the rule:
@@ -528,7 +527,7 @@ def _weighted_sum(rule: QuadratureRule, f, arrays: tuple = (), rate: float = 0.0
     of each component, the per-block triples merged as in Chan, Golub and
     LeVeque (1983); None otherwise."""
     total = moments = None
-    for g, q in _node_blocks(rule, f, arrays, rate, lam, factor):
+    for g, q in _node_blocks(rule, f, arrays, lam, factor):
         part = np.add.reduce(g * q, axis=-1)
         total = part if total is None else total + part
         if spread:
@@ -590,6 +589,21 @@ def special_moments(measure: Measure) -> SpecialMoments:
 # rate-matched unnormalized integrals
 # ---------------------------------------------------------------------------
 
+def _rate_matched_sum(measure: Measure, slow: Callable[[np.ndarray], np.ndarray],
+                      rate: float) -> float | np.ndarray:
+    """int slow(x) exp(-rate |x|^2) w(x) dx as sum_i q_i slow(x_i) on the rule
+    of the measure's settings for w exp(-rate |x|^2) dx; on a homogeneous
+    weight, the cached lambda = 1 rule taken to that scale block by block."""
+    if not rate > 0:
+        raise DecayContractError("nu-integration needs a positive Gaussian rate")
+    lam = 1.0 / math.sqrt(2.0 * rate)
+    weight = measure.weight
+    if weight.degree is None:
+        return _weighted_sum(measure.rule_at(lam), slow)[0]
+    return _weighted_sum(measure.rule_at(1.0), slow, lam=lam,
+                         factor=lam ** (weight.dim + weight.degree))[0]
+
+
 def nu_integral(measure: Measure, integrand: Callable[[np.ndarray], np.ndarray],
                 rate: float) -> float | np.ndarray:
     """Integral of integrand(x) w(x) dx for integrands ~ (slow factor) *
@@ -598,17 +612,14 @@ def nu_integral(measure: Measure, integrand: Callable[[np.ndarray], np.ndarray],
 
     An integrand returning (N, ...) at the N nodes it is called on gives
     the (...) array of the integrals of its components; (N,) gives a float.
-    It is called NODE_BLOCK nodes at a time (see `_weighted_sum`).  On a
-    homogeneous weight each block of the cached lambda = 1 rule is taken to
-    the matched scale as it is summed, so no rescaled rule is built."""
-    if not rate > 0:
-        raise DecayContractError("nu-integration needs a positive Gaussian rate")
-    lam = 1.0 / math.sqrt(2.0 * rate)
-    weight = measure.weight
-    if weight.degree is None:
-        return _weighted_sum(measure.rule_at(lam), integrand, rate=rate)[0]
-    return _weighted_sum(measure.rule_at(1.0), integrand, rate=rate, lam=lam,
-                         factor=lam ** (weight.dim + weight.degree))[0]
+    It is called NODE_BLOCK nodes at a time (see `_weighted_sum`)."""
+    def slow(pts):
+        vals = np.asarray(integrand(pts), dtype=float)
+        if vals.ndim and len(vals) == len(pts):  # else refused by the sum
+            vals = (vals.T * np.exp(rate * np.add.reduce(pts ** 2, axis=1))).T
+        return vals
+
+    return _rate_matched_sum(measure, slow, rate)
 
 
 def nu_monomials(measure: Measure, left: np.ndarray, right: np.ndarray,

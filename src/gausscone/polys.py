@@ -130,10 +130,12 @@ class PolyND:
         table = self._table(points)
         out = np.empty((sum(len(rows) for rows in parts), table.shape[1]))
         # one product per order, so a lower order's rows are a prefix of a
-        # higher order's bit for bit
+        # higher order's bit for bit; a one-row table's is matmul's, +0 too
+        product = ((lambda a, b, out: np.add(a * b, 0.0, out=out))
+                   if len(table) == 1 else np.matmul)
         start = 0
         for rows in parts:
-            np.matmul(rows, table, out=out[start:start + len(rows)])
+            product(rows, table, out=out[start:start + len(rows)])
             start += len(rows)
         return out
 

@@ -206,7 +206,9 @@ class DunklProduct(_Spec):
 
     def grad_log(self, pts: np.ndarray) -> np.ndarray:
         betas = self.zero_set(pts.shape[1])
-        return (betas.T @ (self._exps() / self._dots(pts))).T
+        ratio = self._exps() / self._dots(pts)
+        # one root: matmul's bits without BLAS, + 0.0 giving its +0 for -0
+        return (betas.T * ratio + 0.0 if len(betas) == 1 else betas.T @ ratio).T
 
     def hess_log(self, pts: np.ndarray) -> np.ndarray:
         betas = self.zero_set(pts.shape[1])

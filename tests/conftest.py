@@ -54,11 +54,10 @@ def rng():
     return np.random.default_rng(1234)
 
 
-@pytest.fixture
-def nu_calls(monkeypatch):
-    """List of the measures.nu_integral calls made while the test runs: every
+def _count_calls(monkeypatch, attr: str) -> list:
+    """List of the calls of measures.<attr> made while the test runs: every
     gausscone module attribute bound to it points at a counting wrapper."""
-    original = measures.nu_integral
+    original = getattr(measures, attr)
     calls = []
 
     def counting(*args, **kwargs):
@@ -67,6 +66,16 @@ def nu_calls(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if (name.startswith("gausscone")
-                and getattr(module, "nu_integral", None) is original):
-            monkeypatch.setattr(module, "nu_integral", counting)
+                and getattr(module, attr, None) is original):
+            monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def nu_calls(monkeypatch):
+    return _count_calls(monkeypatch, "nu_integral")
+
+
+@pytest.fixture
+def rate_matched_sums(monkeypatch):
+    return _count_calls(monkeypatch, "_rate_matched_sum")

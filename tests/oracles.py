@@ -32,6 +32,12 @@ way, on the scale-lambda measure itself: the variance and energy of f on
 its whole node array, and the affine gap as the mean square residual of
 the least-squares fit of f in the basis (1, x_1, ..., x_n), from the
 normal equations of that basis's Gram matrix.
+
+`integration_by_parts_sides` is the two sides of int (L_w f) g dmu =
+-int Gamma(f, g) dmu with the full integrands: the jets of f and g,
+Gaussians and all, with L_w f written out from the weight's spec and the
+Hessian's trace, times the measure's own Gaussian, through
+`measures.nu_integral` at the pair's combined decay rate.
 """
 
 import math
@@ -40,7 +46,13 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from gausscone.measures import NODE_BLOCK, McInfo, QuadratureRule, _fold_to_cone
+from gausscone.measures import (
+    NODE_BLOCK,
+    McInfo,
+    QuadratureRule,
+    _fold_to_cone,
+    nu_integral,
+)
 from gausscone.quad1d import fullline_rule, halfline_rule
 
 
@@ -204,3 +216,27 @@ def scale_poincare(measure_at_lam, f, c: float, level: str) -> dict:
                 "affine_gap": None}
     return {"lhs": c * var + 0.5 * c * gap, "rhs": lam ** 2 * energy,
             "variance": var, "affine_gap": gap}
+
+
+def integration_by_parts_sides(measure, f, g) -> tuple[np.ndarray, np.ndarray]:
+    """The sides (int (L_w f) g w e^(-|x|^2/(2 lambda^2)) dx,
+    -int grad f . grad g w e^(-|x|^2/(2 lambda^2)) dx), lambda the
+    measure's scale, from the full integrands on the rate-matched rule, and
+    the same sums of the integrands' absolute values, the scale of their
+    round-off."""
+    lam = measure.scale
+    damp = 0.5 / (lam * lam)
+    spec = measure.weight.spec
+
+    def integrand(pts):
+        value, grad, hess = f.jet(pts, 2)
+        g_value, g_grad = g.jet(pts, 1)
+        lf = (np.trace(hess, axis1=1, axis2=2)
+              - np.sum(pts * grad, axis=1) / (lam * lam)
+              + np.sum(spec.grad_log(pts) * grad, axis=1))
+        gauss = np.exp(-damp * np.sum(pts ** 2, axis=1))
+        sides = np.stack([lf * g_value, -np.sum(grad * g_grad, axis=1)]) * gauss
+        return np.vstack([sides, np.abs(sides)]).T
+
+    sums = nu_integral(measure, integrand, f.decay.rate + g.decay.rate + damp)
+    return sums[:2], sums[2:]

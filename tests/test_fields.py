@@ -18,6 +18,7 @@ from gausscone.fields import (
     product,
     scaled,
     shifted,
+    slow_jet,
     squared,
 )
 
@@ -86,12 +87,16 @@ def test_structure_matches_jet(base, keeper):
                                                affine([1.0, -2.0, 0.5], 0.3)],
                          ids=lambda f: f"{f.name}-{f.dim}d")
 def test_laplacian_is_hessian_trace(base, keeper):
-    # integration by parts takes the Laplacian of a structured field from its
-    # PolyGauss, without the Hessian; on the full space and the half axes
+    # integration by parts takes the slow parts of a structured field's
+    # order-2 jet, its value, gradient and Laplacian over the bump, from its
+    # PolyGauss without the Hessian; times the bump they are its jet, the
+    # Hessian by its trace, on the full space and the half axes
     f = STRUCTURE_KEEPERS[keeper](base)
     x = np.random.default_rng(13).normal(scale=1.5, size=(200, f.dim))
     for pts in (x, np.abs(x)):
-        value, grad, lap = f.poly_gauss.value_grad_laplacian(pts)
+        slow = f.poly_gauss.value_grad_laplacian(pts)
+        bump = np.exp(-f.poly_gauss.rate * np.sum(pts ** 2, axis=1))
+        value, grad, lap = ((part.T * bump).T for part in slow)
         want_value, want_grad, hess = f.jet(pts, 2)
         want = np.trace(hess, axis1=1, axis2=2)
         np.testing.assert_allclose(lap, want, rtol=0,
@@ -100,11 +105,32 @@ def test_laplacian_is_hessian_trace(base, keeper):
                                    atol=1e-13 * np.max(np.abs(want_grad)))
         np.testing.assert_allclose(value, want_value, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want_value)))
-        if keeper == "plain":
-            # the field's own jet is the structure's, so its value and
-            # gradient are too
-            assert np.array_equal(value, want_value)
-            assert np.array_equal(grad, want_grad)
+        # slow_jet gives these parts, and its order 1 is their prefix
+        for order in (1, 2):
+            parts = slow_jet(f, pts, order)
+            assert len(parts) == order + 1
+            for got, expect in zip(parts, slow):
+                assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("f", [exp_axis(0.5, 1, 2), squared(hermite_witness(0, 2)),
+                               product(gaussian(1.0, 1.0, 2), poly_gauss(1, 2))],
+                         ids=lambda f: f.name)
+def test_slow_jet_of_an_unstructured_field(f):
+    # a field without a PolyGauss gives its jet times exp(r |x|^2), the
+    # Hessian by its trace, with no multiply at r = 0
+    pts = np.random.default_rng(17).normal(scale=1.5, size=(200, f.dim))
+    value, grad, hess = f.jet(pts, 2)
+    want = (value, grad, np.trace(hess, axis1=1, axis2=2))
+    slow = slow_jet(f, pts, 2)
+    envelope = np.exp(-f.decay.rate * np.sum(pts ** 2, axis=1))
+    for got, expect in zip(slow, want):
+        if f.decay.rate == 0:
+            assert got.tobytes() == np.ascontiguousarray(expect).tobytes()
+        np.testing.assert_allclose((got.T * envelope).T, expect, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(expect)))
+    for got, expect in zip(slow_jet(f, pts, 1), slow):
+        assert got.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("f", [

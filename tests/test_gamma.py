@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gausscone import weights
+from gausscone import gamma, weights
 from gausscone.cones import FullSpace, Orthant
 from gausscone.errors import DomainError, NoBoundaryError, SingularityError
 from gausscone.fields import (
@@ -19,7 +19,9 @@ from gausscone.fields import (
     constant,
     exp_axis,
     gaussian,
+    gaussian_quarter,
     hermite_witness,
+    mass_dilated,
     poly_gauss,
     scaled,
     squared,
@@ -37,7 +39,9 @@ from gausscone.gamma import (
 )
 from gausscone.measures import NODE_BLOCK, make_measure
 from gausscone.polys import PolyND
-from gausscone.weights import DunklProduct, GaussianTilt, Monomial, make_weight
+from gausscone.weights import DunklProduct, GaussianTilt, Monomial, Radial, make_weight
+
+from oracles import integration_by_parts_sides
 
 
 def _norm_sq_field(dim):
@@ -280,18 +284,17 @@ class TestIntegrationByParts:
     @pytest.mark.parametrize("mc_samples", [None, 20_000], ids=["tensor", "mc"])
     def test_self_pair_reuses_the_jet(self, w_partial, case, mc_samples,
                                       monkeypatch):
-        # g is f reuses f's value and gradient where they are f's order-1
-        # jet bit for bit: a plain structured field's (its jet is its
-        # PolyGauss's) and exp_axis's (a jet's lower order is a prefix of its
-        # higher one); a rescaled field's jet rounds apart from its rescaled
-        # PolyGauss, so its self-pair takes g's jet.  A copy of f (not the
-        # same object) always takes its own, and both give the same bits
+        # g is f reuses f's slow value and gradient for every field: the
+        # order-1 slow parts are those of order 2 bit for bit, a structured
+        # field's (plain or rescaled) from its PolyGauss and exp_axis's from
+        # its jet.  A copy of f (not the same object) takes its own, and
+        # both give the same bits
         mu = make_measure(w_partial, 1.0, order=12, mc_samples=mc_samples,
                           seed=2)
         blocks = -(-len(mu.nodes) // NODE_BLOCK)
-        # order-1 jets taken: a PolyGauss jet's plain table of the
-        # polynomial (its Laplacian call asks for one more row), or an
-        # order-1 call of exp_axis's jet
+        # order-1 jets taken: a PolyGauss's plain table of the polynomial
+        # (its order-2 slow parts ask for one more row), or an order-1 call
+        # of exp_axis's jet
         order_one = []
         derivatives = PolyND.derivatives
 
@@ -314,15 +317,59 @@ class TestIntegrationByParts:
         copy = dataclasses.replace(f)
         assert copy is not f
         self_pair = integration_by_parts_residual(mu, f, f)
-        taken = len(order_one)
+        assert not order_one
         assert self_pair == integration_by_parts_residual(mu, f, copy)
-        assert taken == (blocks if case == "rescaled" else 0)
-        assert len(order_one) - taken == blocks
+        assert len(order_one) == blocks
 
-    def test_one_nu_integral_call(self, mu_partial, nu_calls):
+    def test_one_rate_matched_sum(self, mu_partial, nu_calls,
+                                  rate_matched_sums):
+        # both sides are one sum of their slow factors, with no nu_integral
         f = poly_gauss(0, 2, even_axes=frozenset({0}))
         integration_by_parts_residual(mu_partial, f, gaussian(1.0, 1.2, 2))
-        assert len(nu_calls) == 1
+        assert len(rate_matched_sums) == 1
+        assert not nu_calls
+
+    @pytest.mark.parametrize("case", [
+        ("monomial", 1.0, None), ("monomial", 1.3, None),
+        ("monomial", 1.0, 3 * 1024 + 5), ("radial", 1.0, None),
+        ("tilt", 1.0, None), ("tilt", 0.8, 3 * 1024 + 5),
+    ], ids=["tensor", "tensor-lam1.3", "monte_carlo", "polar", "tilt-tensor",
+            "tilt-monte_carlo-lam0.8"])
+    def test_sides_match_full_integrand_oracle(self, case, monkeypatch):
+        # each side of the slow-factor sum equals the full integrands summed
+        # through nu_integral to 1e-13 of the sum of their absolute values,
+        # for every pair of library fields and structure keepers
+        kind, lam, mc_samples = case
+        spec, cone = {"monomial": (Monomial((1.5, 0.0)), None),
+                      "radial": (Radial(1.0), None),
+                      "tilt": (GaussianTilt(0.5), Orthant(2, (0,)))}[kind]
+        mu = make_measure(make_weight(spec, 2, cone=cone, certify=False), lam,
+                          order=10, mc_samples=mc_samples, seed=3)
+        expected_kind = {"monomial": "tensor_generalized_hermite",
+                         "radial": "polar", "tilt": "tensor_generalized_hermite"}
+        assert mu.rule.kind == ("monte_carlo" if mc_samples else expected_kind[kind])
+        sides = []
+        original = gamma._rate_matched_sum
+
+        def recording(*args):
+            sides.append(original(*args))
+            return sides[-1]
+
+        monkeypatch.setattr(gamma, "_rate_matched_sum", recording)
+        base = [constant(2.0, 2), affine([0.7, -1.0], 0.3), exp_axis(0.5, 1, 2),
+                hermite_witness(0, 2), gaussian(1.3, 1.2, 2),
+                gaussian_quarter(0.8, 2), poly_gauss(0, 2),
+                squared(hermite_witness(1, 2))]
+        library = [keep(f) for f in base for keep in (
+            lambda f: f, lambda f: scaled(f, -2.5),
+            lambda f: mass_dilated(f, 0.6, f.dim + 1.5))]
+        for i, f in enumerate(library):
+            for g in library[i:]:
+                integration_by_parts_residual(mu, f, g)
+                want, size = integration_by_parts_sides(mu, f, g)
+                np.testing.assert_allclose(sides[-1], want, rtol=0,
+                                           atol=1e-13 * np.max(size),
+                                           err_msg=f"{f.name}, {g.name}")
 
     def test_mean_of_generator_vanishes(self, mu_partial):
         # g = 1 case: int L_w f dmu = 0 for Neumann-compatible f

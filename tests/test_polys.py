@@ -16,9 +16,9 @@ from gausscone.inequalities import (
     check_poincare,
     check_scale_poincare,
 )
-from gausscone.measures import make_measure
+from gausscone.measures import NODE_BLOCK, make_measure
 from gausscone.polys import PolyND, exponent_table
-from gausscone.weights import Monomial, make_weight
+from gausscone.weights import DunklProduct, Monomial, make_weight
 
 from fdcheck import fd_gradient_error, fd_hessian_error
 
@@ -201,3 +201,71 @@ def test_one_table_per_consumer(consumer, table_builds):
     call, tables = CONSUMERS[consumer]
     call(weight, measure, f, g)
     assert len(table_builds) == tables
+
+
+# one-term contractions: a one-row table (a constant) and a one-root Dunkl
+# grad_log form a broadcast product plus 0.0 in place of np.matmul
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _with_specials(rng, arr, share=0.2):
+    mask = rng.random(arr.shape) < share
+    arr[mask] = rng.choice(SPECIAL, mask.sum())
+    return arr
+
+
+def _assert_same_bits(got, want):
+    # bit for bit, signed zeros included; a nan matches a nan
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.ascontiguousarray(got[~nan]).tobytes() == want[~nan].tobytes()
+
+
+def _blocked(call, pts):
+    return [call(pts[k:k + NODE_BLOCK]) for k in range(0, len(pts), NODE_BLOCK)]
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_one_row_table_is_matmul_bit_for_bit(trial):
+    rng = np.random.default_rng(trial)
+    dim = 1 + trial % 3
+    poly = PolyND(np.zeros((1, dim), dtype=np.int64), [1.0])
+    # rows of every sign, zero and non-finite value on the one-row table; a
+    # -0 row is -0 in a plain product and +0 in matmul
+    poly._rows[:] = _with_specials(rng, rng.normal(size=poly._rows.shape), 0.4)
+    poly._rows[-1] = -0.0
+    poly._laplacian[:] = _with_specials(rng, rng.normal(size=(1, 1)), 0.4)
+    pts = _with_specials(rng, rng.normal(size=(2 * NODE_BLOCK + 5, dim)))
+    table = polys.monomial_table(pts, 0)
+    with np.errstate(invalid="ignore"):
+        want = np.vstack([np.matmul(rows, table) for rows in (
+            poly._rows[:1], poly._rows[1:1 + dim], poly._rows[1 + dim:],
+            poly._laplacian)])
+        got = poly.derivatives(pts, 2, laplacian=True)
+        blocks = np.hstack(_blocked(
+            lambda x: poly.derivatives(x, 2, laplacian=True), pts))
+    _assert_same_bits(got, want)
+    _assert_same_bits(blocks, want)
+
+
+@pytest.mark.parametrize("spec", [Monomial((2.0,)), Monomial((1.5, 0.0, 0.0)),
+                                  DunklProduct(((0.6, 0.8),), (0.5,))],
+                         ids=["monomial-1d", "monomial-3d", "dunkl-2d"])
+@pytest.mark.parametrize("trial", range(5))
+def test_one_root_grad_log_is_matmul_bit_for_bit(spec, trial):
+    rng = np.random.default_rng(100 + trial)
+    betas = spec.zero_set(len(spec.roots[0]))
+    assert len(betas) == 1
+    pts = _with_specials(rng, rng.normal(size=(2 * NODE_BLOCK + 5, betas.shape[1])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.asarray(spec.exponents)[:, None] / (betas @ pts.T)
+        want = np.ascontiguousarray(np.matmul(betas.T, ratio).T)
+        got = spec.grad_log(pts)
+        blocks = np.vstack(_blocked(spec.grad_log, pts))
+        plain = betas.T * ratio
+    # a plain product has -0 where matmul has +0
+    assert np.any(np.signbit(plain) & (plain == 0))
+    _assert_same_bits(got, want)
+    _assert_same_bits(blocks, want)
