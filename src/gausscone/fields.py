@@ -23,9 +23,9 @@ Every library field but `exp_axis` is exactly poly(x) exp(-rate |x|^2) with
 rate >= 0 (the constants and affine fields at rate 0, the Gaussians, the
 Hermite witness and the seeded polynomial fields), and is built from that
 structure alone: one jet, the decay rate and the parity tags all come from
-its `PolyGauss`, which it carries as `poly_gauss` and from which the
-HUP-stability distances take every integral and integration by parts the
-slow parts of its jet (`slow_jet`).  Scalings and dilations carry the
+its `PolyGauss`, which it carries as `poly_gauss`: the HUP-stability
+distances take every integral from it, and every other integral against w dx
+the slow parts of its jet (`slow_jet`).  Scalings and dilations carry the
 structure, other combinators drop it.
 """
 

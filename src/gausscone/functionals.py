@@ -11,9 +11,11 @@ The public functions evaluate the field and call it; the checkers of
 rows of a C-contiguous buffer passed as its `.T` view, as the nodes are.
 
 The weighted-Lebesgue (nu = w dx) functionals take the run's measure for its
-weight and rule settings, are restricted to fields with Gaussian decay
-envelopes and evaluate on rate-matched rules of those settings, so
-polynomial-times-Gaussian inputs are integrated exactly.
+weight and rule settings and are restricted to fields with Gaussian decay
+envelopes.  They hand `measures.nu_integral` the slow factors of their
+integrands, formed from the field's `fields.slow_jet`, and it sums them on
+the rate-matched rule of those settings: polynomial-times-Gaussian fields
+are integrated exactly, and no Gaussian is formed at a node.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     NotHomogeneousError,
     ParameterError,
 )
-from .fields import ScalarField
+from .fields import ScalarField, slow_jet
 from .measures import Measure, integrate, nu_integral
 
 _NEG_TOL = 1e-12
@@ -117,12 +119,6 @@ def dirichlet_energy(measure: Measure, f: ScalarField, q: float = 2.0) -> float:
 # weighted-Lebesgue building blocks (homogeneous HUP functionals)
 # ---------------------------------------------------------------------------
 
-def _gauss_rate(f: ScalarField) -> float:
-    if not f.decay.is_gaussian:
-        raise ContractError(f"field {f.name} needs a Gaussian decay envelope")
-    return f.decay.rate
-
-
 class NuMoments(NamedTuple):
     """Integrals of one Gaussian-decay field against w dx."""
 
@@ -134,25 +130,35 @@ class NuMoments(NamedTuple):
     sq_log_sq: float | None = None
 
 
+def _moment_rows(f: ScalarField, pts: np.ndarray, entropy: bool) -> np.ndarray:
+    """The (N, 4) slow factors over exp(-2r |x|^2), r = f.decay.rate, of f^2,
+    |grad f|^2, f^2 |x|^2 and f x.grad f at the points: p^2, |G|^2,
+    |x|^2 p^2 and p x.G, with p and G = grad p - 2r x p from
+    `fields.slow_jet` (f = p exp(-r |x|^2)).  With `entropy` a fifth column
+    holds that of f^2 log f^2, p^2 (log p^2 - 2r |x|^2), 0 where p = 0."""
+    vals, grad = slow_jet(f, pts, 1)
+    sq = vals ** 2
+    r2 = np.sum(pts ** 2, axis=1)
+    rows = [sq, np.sum(grad ** 2, axis=1), sq * r2,
+            vals * np.sum(pts * grad, axis=1)]
+    if entropy:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows.append(np.where(
+                sq > 0, sq * (np.log(sq) - 2.0 * f.decay.rate * r2), 0.0))
+    return np.stack(rows).T
+
+
 def _nu_moments(measure: Measure, f: ScalarField,
                 entropy: bool = False) -> NuMoments:
-    """The NuMoments of f from one rate-matched pass and one jet of f at the
-    nodes; f^2 log f^2 is formed and integrated only with `entropy` (the
-    Euclidean-LSI checks), not on the HUP passes.  Each integrand row is
-    summed on its own, so the other moments do not depend on it."""
-    rate = _gauss_rate(f)
-
-    def integrand(pts):
-        vals, grad = f.jet(pts, 1)
-        sq = vals ** 2
-        rows = [sq, np.sum(grad ** 2, axis=1), sq * np.sum(pts ** 2, axis=1),
-                vals * np.sum(pts * grad, axis=1)]
-        if entropy:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rows.append(np.where(sq > 0, sq * np.log(sq), 0.0))
-        return np.stack(rows).T
-
-    return NuMoments(*(float(v) for v in nu_integral(measure, integrand, 2.0 * rate)))
+    """The NuMoments of f from one rate-matched sum of its `_moment_rows`;
+    f^2 log f^2 is formed and integrated only with `entropy` (the
+    Euclidean-LSI checks), not on the HUP passes.  Each row is summed on its
+    own, so the other moments do not depend on it."""
+    if not f.decay.is_gaussian:
+        raise ContractError(f"field {f.name} needs a Gaussian decay envelope")
+    sums = nu_integral(measure, lambda pts: _moment_rows(f, pts, entropy),
+                       2.0 * f.decay.rate)
+    return NuMoments(*(float(v) for v in sums))
 
 
 def optimal_scale(measure: Measure, f: ScalarField) -> float:

@@ -12,9 +12,10 @@ Neumann boundary residual that gates fields into orthant-cone checks.
 
 Third derivatives never appear analytically: the Bochner identity residual
 uses a centered finite difference of L_w applied to Gamma(f,f), which is the
-only place they would be needed.  Integration by parts needs only f's
-`fields.slow_jet` (a structured field's without the Hessian), on which the
-linear `generator` gives L_w f over f's envelope: no Gaussian is formed.
+only place they would be needed.  Integration by parts is one
+`measures.nu_integral` of slow factors, as every integral against w dx is:
+the linear `generator` on f's `fields.slow_jet` (a structured field's
+without the Hessian) gives L_w f over f's envelope, so no Gaussian is formed.
 
 `generator` trusts its points: it takes grad(log w) from the weight's spec,
 because rule nodes are interior to the cone and off the zero set by
@@ -31,7 +32,7 @@ import numpy as np
 from .cones import Cone, _as_points
 from .errors import NoBoundaryError
 from .fields import ScalarField, slow_jet
-from .measures import Measure, _rate_matched_sum
+from .measures import Measure, nu_integral
 from .weights import Weight
 
 
@@ -180,5 +181,5 @@ def integration_by_parts_residual(measure: Measure, f: ScalarField,
         sides[1] = -np.sum(grad * g_grad, axis=1)
         return sides.T
 
-    lhs, rhs = (float(v) for v in _rate_matched_sum(measure, slow, rate))
+    lhs, rhs = (float(v) for v in nu_integral(measure, slow, rate))
     return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))

@@ -28,15 +28,16 @@ A `Measure` holds the weight together with the rule settings it was made
 with (the order, or the Monte Carlo sample count and seed), and every rule
 of a run comes from those settings: `Measure.rule_at` is the rule of the
 same family at any scale.  A rule stores its weights once; 1/Z is applied
-after a sum.  Every integral against mu goes through `integrate`; integrals
-of Gaussian-decay fields against nu = w dx go through
-`nu_integral(measure, ...)`, on the rule of the measure's settings whose
-Gaussian factor matches the integrand's envelope rate exactly (the
-measure's own scale plays no part), so polynomial-times-Gaussian integrands
-are integrated exactly; as integration by parts does, it sums the slow
-factor, integrand times exp(rate |x|^2).  For a homogeneous weight
-`nu_monomials` gives the integrals of monomials times a Gaussian of any rate
-from one cached table of the lambda = 1 rule's moments, `Measure.moments`.
+after a sum.  There are three kinds of integral, each with one entry point.
+Every integral against mu goes through `integrate`.  Every integral against
+nu = w dx of an integrand slow(x) exp(-rate |x|^2) goes through
+`nu_integral(measure, slow, rate)`: it takes the slow factor, never the
+Gaussian, and sums it on the rule of the measure's settings whose Gaussian
+factor is exp(-rate |x|^2) (the measure's own scale plays no part), so a
+polynomial slow factor is integrated exactly and no Gaussian is formed at a
+node.  For a homogeneous weight `nu_monomials` gives the integrals of
+monomials times a Gaussian of any rate from one cached table of the
+lambda = 1 rule's moments, `Measure.moments`.
 
 Point batches are stored axis-first: a rule's (N, n) `nodes` is the `.T`
 view of a C-contiguous (n, N) buffer, so each coordinate is one contiguous
@@ -48,21 +49,21 @@ so moving its node axis last is a contiguous copy; any layout is accepted.
 Passes over a rule's nodes run NODE_BLOCK nodes at a time, so a pass holds
 the rule, one field jet and one block's temporaries.  `integrate`,
 `integrate_with_error` and `nu_integral` share one weighted sum: it calls a
-callable integrand on one block of nodes (and the block's rows of any
-node-aligned arrays it is given, such as a field's jet), checks the block
-finite, weights it and sums it, and adds the block sums in block order.  A
-sum is therefore block sums added in order: a rule of one block (every
-product rule of at most NODE_BLOCK nodes) sums as one whole-array sum did;
-on more blocks the result depends on NODE_BLOCK, a fixed constant, and stays
-byte-identical across reruns.  The standard error merges per-block
-(sum q^2, q^2-weighted mean, centred sum of squares) triples.  On a
-homogeneous weight the rate-matched sum takes each block of the cached
-lambda = 1 rule to the matched scale as build_rule would (nodes times
-lambda, weights times lambda^(n+alpha)), so no rescaled rule is built.  The
-Monte Carlo rule is drawn and folded block by block into its final arrays,
-and `Measure.node_jet` fills a field's order-1 jet block by block after
-dropping the previous field's jet and the integrals kept with it
-(`Measure.field_integral`).  (A polynomial of two or more terms contracts
+callable integrand (for `nu_integral`, the slow factor) on one block of
+nodes (and the block's rows of any node-aligned arrays it is given, such as
+a field's jet), checks the block finite, weights it and sums it, and adds
+the block sums in block order.  A sum is therefore block sums added in
+order: a rule of one block (every product rule of at most NODE_BLOCK nodes)
+sums as one whole-array sum did; on more blocks the result depends on
+NODE_BLOCK, a fixed constant, and stays byte-identical across reruns.  The
+standard error merges per-block (sum q^2, q^2-weighted mean, centred sum of
+squares) triples.  On a homogeneous weight `nu_integral` takes each block
+of the cached lambda = 1 rule to the matched scale as build_rule would
+(nodes times lambda, weights times lambda^(n+alpha)), so no rescaled rule is
+built.  The Monte Carlo rule is drawn and folded block by block into its
+final arrays, and `Measure.node_jet` fills a field's order-1 jet block by
+block after dropping the previous field's jet and the integrals kept with
+it (`Measure.field_integral`).  (A polynomial of two or more terms contracts
 its monomial table with BLAS, whose rounding at a node can move by an ulp or
 a few with the batch size and the thread count.  The CLI runs BLAS on one
 thread, so there only the batch size can move a jet's last ulp.)
@@ -589,11 +590,17 @@ def special_moments(measure: Measure) -> SpecialMoments:
 # rate-matched unnormalized integrals
 # ---------------------------------------------------------------------------
 
-def _rate_matched_sum(measure: Measure, slow: Callable[[np.ndarray], np.ndarray],
-                      rate: float) -> float | np.ndarray:
-    """int slow(x) exp(-rate |x|^2) w(x) dx as sum_i q_i slow(x_i) on the rule
-    of the measure's settings for w exp(-rate |x|^2) dx; on a homogeneous
-    weight, the cached lambda = 1 rule taken to that scale block by block."""
+def nu_integral(measure: Measure, slow: Callable[[np.ndarray], np.ndarray],
+                rate: float) -> float | np.ndarray:
+    """int slow(x) exp(-rate |x|^2) w(x) dx from the slow factor alone, as
+    sum_i q_i slow(x_i) on the rule of the measure's settings for
+    w exp(-rate |x|^2) dx; the measure's own scale plays no part.  On a
+    homogeneous weight the rule is the cached lambda = 1 rule taken to that
+    scale block by block.
+
+    A slow factor returning (N, ...) at the N nodes it is called on gives
+    the (...) array of the integrals of its components; (N,) gives a float.
+    It is called NODE_BLOCK nodes at a time (see `_weighted_sum`)."""
     if not rate > 0:
         raise DecayContractError("nu-integration needs a positive Gaussian rate")
     lam = 1.0 / math.sqrt(2.0 * rate)
@@ -602,24 +609,6 @@ def _rate_matched_sum(measure: Measure, slow: Callable[[np.ndarray], np.ndarray]
         return _weighted_sum(measure.rule_at(lam), slow)[0]
     return _weighted_sum(measure.rule_at(1.0), slow, lam=lam,
                          factor=lam ** (weight.dim + weight.degree))[0]
-
-
-def nu_integral(measure: Measure, integrand: Callable[[np.ndarray], np.ndarray],
-                rate: float) -> float | np.ndarray:
-    """Integral of integrand(x) w(x) dx for integrands ~ (slow factor) *
-    exp(-rate |x|^2), on the rule of the measure's settings whose Gaussian
-    factor matches the rate exactly; the measure's own scale plays no part.
-
-    An integrand returning (N, ...) at the N nodes it is called on gives
-    the (...) array of the integrals of its components; (N,) gives a float.
-    It is called NODE_BLOCK nodes at a time (see `_weighted_sum`)."""
-    def slow(pts):
-        vals = np.asarray(integrand(pts), dtype=float)
-        if vals.ndim and len(vals) == len(pts):  # else refused by the sum
-            vals = (vals.T * np.exp(rate * np.add.reduce(pts ** 2, axis=1))).T
-        return vals
-
-    return _rate_matched_sum(measure, slow, rate)
 
 
 def nu_monomials(measure: Measure, left: np.ndarray, right: np.ndarray,

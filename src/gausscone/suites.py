@@ -3,6 +3,7 @@ field library and returns JSON-ready records.
 
 A record always carries "theorem", "pass" and "informational"; informational
 records (skipped contracts, out-of-range parameter notes) never fail a suite.
+A per-field family that judges no field fails, with one record saying so.
 Record lists are deterministic: fields in declared order, sub-checks in fixed
 order, seeded randomness only.
 """
@@ -161,15 +162,25 @@ def _mu_admissible(ctx: RunContext, f: ScalarField) -> bool:
     return is_neumann_admissible(f, ctx.weight.cone, limit("neumann_admission"))
 
 
+def _none_judged(theorem: str, **data) -> dict:
+    """The failing record of a per-field family that judged no field."""
+    return record(theorem, False, **data,
+                  note="failed: no field passes the Neumann gate, none judged")
+
+
 def _gated(ctx: RunContext, theorem: str, out: list[dict]):
     """The fields that pass the Neumann gate; each one that fails it leaves
-    an informational record in `out` instead."""
+    an informational record in `out`, and a `_none_judged` one if all do."""
+    judged = False
     for f in ctx.fields:
         if _mu_admissible(ctx, f):
+            judged = True
             yield f
         else:
             out.append(_info(theorem, "skipped: field violates the Neumann gate",
                              field=f.name))
+    if not judged:
+        out.append(_none_judged(theorem))
 
 
 # what a suite needs of its measure; without it, the suite skips with a note
@@ -457,17 +468,16 @@ def suite_gamma_calculus(ctx: RunContext) -> list[dict]:
     ok = all(low <= r <= high for r in ratios) and len(ratios) >= limit(
         "bochner_convergence_min_ratios")
     out.append(record("bochner_convergence", ok, ratios=ratios))
-    # integration by parts on Neumann-compatible pairs
-    pairs = []
+    # integration by parts on every pair of Neumann-compatible fields
     admissible = [f for f in ctx.fields if _mu_admissible(ctx, f)]
-    for i in range(len(admissible)):
-        for j in range(i, len(admissible)):
-            pairs.append((admissible[i], admissible[j]))
     worst = 0.0
-    for f, g in pairs[:12]:
-        worst = max(worst, integration_by_parts_residual(ctx.measure, f, g))
+    for i, f in enumerate(admissible):
+        for g in admissible[i:]:
+            worst = max(worst, integration_by_parts_residual(ctx.measure, f, g))
+    pairs = len(admissible) * (len(admissible) + 1) // 2
     out.append(record("integration_by_parts", worst <= limit("integration_by_parts"),
-                      max_relative_residual=worst, pairs=len(pairs[:12])))
+                      max_relative_residual=worst, pairs=pairs)
+               if pairs else _none_judged("integration_by_parts", pairs=0))
     if w.cone.has_boundary:
         recs = []
         for f in ctx.fields:

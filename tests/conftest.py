@@ -74,8 +74,3 @@ def _count_calls(monkeypatch, attr: str) -> list:
 @pytest.fixture
 def nu_calls(monkeypatch):
     return _count_calls(monkeypatch, "nu_integral")
-
-
-@pytest.fixture
-def rate_matched_sums(monkeypatch):
-    return _count_calls(monkeypatch, "_rate_matched_sum")

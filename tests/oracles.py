@@ -17,11 +17,14 @@ per-axis formulas of a monomial weight prod |x_i|^a_i, axis by axis with
 the zero exponents skipped; the Dunkl product of the coordinate roots must
 reproduce them bit for bit.
 
-`nu_fold` is the rate-matched fold of `measures.nu_integral` with the
-integrand called once on the whole node array, weighted in the same
-floating-point operations as its node blocks and summed in the documented
-order, block sums of NODE_BLOCK nodes added in order, so the two must agree
-bit for bit; with `block=None` it is the one whole-array sum.
+`nu_fold` sums a full integrand against w dx on a rate-matched rule the
+long way: the integrand, Gaussian and all, is called once on the whole node
+array and multiplied by exp(rate |x|^2) there, so it shares no slow factor
+with `measures.nu_integral`.  It weights and sums in the same floating-point
+operations as the node blocks of `nu_integral`, block sums of NODE_BLOCK
+nodes added in order, so at rate 0 (nothing to fold: the integrand is the
+slow factor) the two agree bit for bit; with `block=None` it is the one
+whole-array sum.
 
 `mc_rule` is the Monte Carlo rule of `measures` from one draw of the whole
 (samples, n) Philox stream, folded and weighted on the whole array at once;
@@ -36,8 +39,8 @@ normal equations of that basis's Gram matrix.
 `integration_by_parts_sides` is the two sides of int (L_w f) g dmu =
 -int Gamma(f, g) dmu with the full integrands: the jets of f and g,
 Gaussians and all, with L_w f written out from the weight's spec and the
-Hessian's trace, times the measure's own Gaussian, through
-`measures.nu_integral` at the pair's combined decay rate.
+Hessian's trace, times the measure's own Gaussian, through `nu_fold` on the
+rule of the pair's combined decay rate.
 """
 
 import math
@@ -51,7 +54,6 @@ from gausscone.measures import (
     McInfo,
     QuadratureRule,
     _fold_to_cone,
-    nu_integral,
 )
 from gausscone.quad1d import fullline_rule, halfline_rule
 
@@ -238,5 +240,6 @@ def integration_by_parts_sides(measure, f, g) -> tuple[np.ndarray, np.ndarray]:
         sides = np.stack([lf * g_value, -np.sum(grad * g_grad, axis=1)]) * gauss
         return np.vstack([sides, np.abs(sides)]).T
 
-    sums = nu_integral(measure, integrand, f.decay.rate + g.decay.rate + damp)
+    rate = f.decay.rate + g.decay.rate + damp
+    sums = nu_fold(measure.rule_at(1.0 / math.sqrt(2.0 * rate)), integrand, rate)
     return sums[:2], sums[2:]

@@ -22,13 +22,16 @@ from gausscone.errors import (
     ParameterError,
 )
 from gausscone.fields import (
+    PolyGauss,
     affine,
     constant,
     exp_axis,
     gaussian,
+    gaussian_quarter,
     hermite_witness,
     mass_dilated,
     poly_gauss,
+    product,
     scaled,
     squared,
 )
@@ -41,10 +44,12 @@ from gausscone.functionals import (
     optimal_scale,
     variance,
 )
-from gausscone.inequalities import TOLERANCE_SCALE, check_hup
+from gausscone.inequalities import TOLERANCE_SCALE, check_hup, limit
 from gausscone.measures import make_measure
 from gausscone.suites import record_of
 from gausscone.weights import Monomial, Radial, make_weight
+
+from oracles import nu_fold
 
 ENT_HALF = 0.8243606353500641
 ENERGY_HALF = 0.41218031767503205
@@ -150,14 +155,28 @@ class TestOptimalScale:
             optimal_scale(mu_partial, scaled(gaussian(1.0, 1.0, 2), 0.0))
 
 
-def _gradient_off_by_one_percent(f):
-    def bad_jet(x, order):
-        value, *derivs = f.jet(x, order)
-        if derivs:
-            derivs[0] = 1.01 * derivs[0]
-        return (value, *derivs)
+def _gradient_off_by_one_percent(f, path, patch):
+    """f with its gradient 1% too large where `_nu_moments` reads it, which
+    is `fields.slow_jet`: on the "jet_only" path a copy of f without its
+    PolyGauss, whose slow jet is its jet over the envelope; on the
+    "structured" path f itself, with PolyGauss._slow_grad patched (`patch`
+    a monkeypatch) to scale the slow gradient of every structured field."""
+    if path == "jet_only":
+        def bad_jet(x, order):
+            value, *derivs = f.jet(x, order)
+            if derivs:
+                derivs[0] = 1.01 * derivs[0]
+            return (value, *derivs)
 
-    return dataclasses.replace(f, jet=bad_jet)
+        return dataclasses.replace(f, jet=bad_jet, poly_gauss=None)
+    slow_grad = PolyGauss._slow_grad
+
+    def bad_slow_grad(self, x, d):
+        w, grad = slow_grad(self, x, d)
+        return w, 1.01 * grad
+
+    patch.setattr(PolyGauss, "_slow_grad", bad_slow_grad)
+    return f
 
 
 class TestHupDeficit:
@@ -203,26 +222,35 @@ class TestHupDeficit:
         hup_deficit(mu_partial, poly_gauss(3, 2, even_axes=frozenset({0})))
         assert len(nu_calls) == 1
 
-    def test_identity_detects_wrong_gradient(self, mu_partial):
+    def test_identity_detects_wrong_gradient(self, mu_partial, monkeypatch):
         # the residual checks int f x.grad f w = -(n+alpha)/2 int f^2 w, so a
-        # gradient off by 1% must fail the gate that suite_hup applies
+        # gradient off by 1% where the moments read it must fail the gate
+        # of hup_identity that suite_hup applies, on either slow-jet path
         f = poly_gauss(3, 2, even_axes=frozenset({0}))
-        bad = _gradient_off_by_one_percent(f)
-        good, res = hup_deficit(mu_partial, f), hup_deficit(mu_partial, bad)
+        good = hup_deficit(mu_partial, f)
         assert good.identity_residual <= 1e-8 * (1.0 + abs(good.delta))
-        assert res.identity_residual > 1e-8 * (1.0 + abs(res.delta))
-        assert not check_hup(mu_partial, bad).passed
+        for path in ("jet_only", "structured"):
+            with monkeypatch.context() as patch:
+                bad = _gradient_off_by_one_percent(f, path, patch)
+                res = hup_deficit(mu_partial, bad)
+                assert res.identity_residual / (1.0 + abs(res.delta)) \
+                    > limit("hup_identity"), path
+                assert not check_hup(mu_partial, bad).passed, path
 
-    def test_run_tolerance_keeps_identity_verdict(self, mu_partial):
+    def test_run_tolerance_keeps_identity_verdict(self, mu_partial,
+                                                  monkeypatch):
         # suite_hup re-judges the deficit at the run tolerance; a failed
         # identity must fail the record at every tolerance, however loose
         f = poly_gauss(3, 2, even_axes=frozenset({0}))
-        chk = check_hup(mu_partial, _gradient_off_by_one_percent(f))
-        assert not chk.diagnostics["identity_ok"]
-        for tol_scale in (TOLERANCE_SCALE, 1e-2, 10.0):
-            rec = record_of(chk, f.name, tol_scale)
-            assert chk.deficit >= -rec["tolerance"]
-            assert rec["pass"] is False
+        for path in ("jet_only", "structured"):
+            with monkeypatch.context() as patch:
+                chk = check_hup(mu_partial,
+                                _gradient_off_by_one_percent(f, path, patch))
+            assert not chk.diagnostics["identity_ok"], path
+            for tol_scale in (TOLERANCE_SCALE, 1e-2, 10.0):
+                rec = record_of(chk, f.name, tol_scale)
+                assert chk.deficit >= -rec["tolerance"]
+                assert rec["pass"] is False
         assert record_of(check_hup(mu_partial, f), f.name, 10.0)["pass"] is True
 
 
@@ -249,3 +277,41 @@ class TestNuMoments:
         hup_deficit(mu_partial, f)
         optimal_scale(mu_partial, f)
         assert logs == []
+
+    @pytest.mark.parametrize("spec, mc_samples, kind", [
+        (Monomial((1.5, 0.0)), None, "tensor_generalized_hermite"),
+        (Radial(1.0), None, "polar"),
+        (Monomial((1.5, 0.0)), 3 * 1024 + 5, "monte_carlo"),
+    ], ids=["tensor", "polar", "monte_carlo"])
+    def test_moments_match_full_integrand_oracle(self, spec, mc_samples, kind):
+        # every moment of the slow-factor sum equals its full integrand,
+        # Gaussian and all, folded by oracles.nu_fold, to 1e-13 of the sum
+        # of its absolute values; the fields are the library fields with a
+        # Gaussian envelope (nu-moments refuse the others) with their
+        # structure keepers, and a product, which has no PolyGauss
+        mu = make_measure(make_weight(spec, 2, certify=False), 1.0, order=10,
+                          mc_samples=mc_samples, seed=3)
+        assert mu.rule.kind == kind
+        base = [hermite_witness(0, 2), gaussian(1.3, 1.2, 2),
+                gaussian_quarter(0.8, 2), poly_gauss(0, 2)]
+        library = [keep(f) for f in base for keep in (
+            lambda f: f, lambda f: scaled(f, -2.5),
+            lambda f: mass_dilated(f, 0.6, f.dim + 1.5))]
+        library.append(product(exp_axis(0.5, 1, 2), gaussian(1.3, 1.2, 2)))
+        assert library[-1].poly_gauss is None
+
+        for f in library:
+            def integrand(pts):
+                vals, grad = f.jet(pts, 1)
+                sq = vals ** 2
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    sq_log_sq = np.where(sq > 0, sq * np.log(sq), 0.0)
+                rows = np.stack([sq, np.sum(grad ** 2, axis=1),
+                                 sq * np.sum(pts ** 2, axis=1),
+                                 vals * np.sum(pts * grad, axis=1), sq_log_sq])
+                return np.vstack([rows, np.abs(rows)]).T
+
+            rate = 2.0 * f.decay.rate
+            sums = nu_fold(mu.rule_at(1.0 / np.sqrt(2.0 * rate)), integrand, rate)
+            got = np.array(_nu_moments(mu, f, entropy=True))
+            assert np.all(np.abs(got - sums[:5]) <= 1e-13 * sums[5:]), f.name

@@ -1,15 +1,18 @@
 """The gate table: every limit that decides a report record's `pass` lives in
 `inequalities.GATES`, at its pinned value, and the suites read it there."""
 
+import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gausscone import inequalities
+from gausscone import cli, inequalities
 from gausscone.config import parse_config
 from gausscone.inequalities import GATES, Gate
 from gausscone.report import run
+from gausscone.weights import DunklProduct
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -122,3 +125,54 @@ def test_equality_verdict_is_two_sided(scale):
     assert not inequalities.verdict(check(3.0 * scale), scale, equality=True)[0]
     assert not inequalities.verdict(check(-3.0 * scale), scale)[0]
     assert inequalities.verdict(check(0.0), scale, equality=True)[0]
+
+
+def test_integration_by_parts_sees_the_weight_term(monkeypatch):
+    # every admissible pair is judged, among them pairs whose f varies along
+    # the weighted axis, so dropping grad(log w) from L_w fails the record
+    config = dict(json.loads((CONFIGS / "paper_replication.json").read_text()),
+                  suites=["gamma_calculus"])
+
+    def ibp(records):
+        return next(r for r in records if r["theorem"] == "integration_by_parts")
+
+    before = ibp(_records(config))
+    assert before["pass"] and before["pairs"] == 36
+    monkeypatch.setattr(DunklProduct, "grad_log",
+                        lambda self, pts: np.zeros_like(pts))
+    after = ibp(_records(config))
+    assert after["pairs"] == 36
+    assert not after["pass"]
+    assert after["max_relative_residual"] > 0.1
+
+
+# 2-D half-plane configs whose fields are all odd or of no parity in x_1, so
+# none passes the Neumann gate
+ODD_FIELDS = [{"kind": "affine", "a": [1.0, 0.0], "b": 0.3},
+              {"kind": "affine", "a": [1.0, 1.0], "b": 0.0},
+              {"kind": "exp_axis", "b": 0.5, "axis": 0},
+              {"kind": "exp_axis", "b": -0.7, "axis": 0},
+              {"kind": "hermite_witness", "axis": 0},
+              {"kind": "poly_gauss", "seed": 3},
+              {"kind": "poly_gauss", "seed": 4}]
+GATED_FAMILIES = ["beckner", "poincare", "scale_poincare", "lsi",
+                  "integration_by_parts"]
+
+
+@pytest.mark.parametrize("exponents", [[1.5, 0.0], [0.0, 0.0]],
+                         ids=["monomial", "flat"])
+def test_a_family_that_judges_no_field_fails(tmp_path, exponents):
+    config = {"dim": 2, "weight": {"kind": "monomial", "exponents": exponents},
+              "cone": {"kind": "orthant", "axes": [0]},
+              "quadrature": {"order": 32}, "fields": ODD_FIELDS,
+              "suites": ["beckner", "poincare", "scale_poincare", "lsi",
+                         "gamma_calculus"]}
+    path, out = tmp_path / "odd.json", tmp_path / "report.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 1
+    records = [c for s in json.loads(out.read_text())["suites"]
+               for c in s["checks"]]
+    failed = [r for r in records if not r["pass"]]
+    assert [r["theorem"] for r in failed] == GATED_FAMILIES
+    assert all("none judged" in r["note"] for r in failed)
+    assert failed[-1]["pairs"] == 0

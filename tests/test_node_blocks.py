@@ -1,14 +1,14 @@
 """Passes over a rule's nodes run NODE_BLOCK nodes at a time.
 
 `integrate`, `integrate_with_error` and `nu_integral` call a callable
-integrand on one node block at a time, weight and sum each block, and add
-the block sums in block order; `Measure.node_jet` fills a field's order-1
-jet block by block, and the Monte Carlo rule is drawn and folded block by
-block.  A sum therefore equals the blocked fold of the oracle bit for bit
-(the one whole-array sum on a rule of one block, and within round-off of it
-on more), and the rule equals the one a single draw gives.  This holds on a
-Monte Carlo rule whose last block is ragged and on a tensor rule smaller
-than one block.  A pass holds the rule, one field jet and one block, so its
+integrand (for `nu_integral`, a slow factor) on one node block at a time,
+weight and sum each block, and add the block sums in block order;
+`Measure.node_jet` fills a field's order-1 jet block by block, and the
+Monte Carlo rule is drawn and folded block by block.  A sum therefore
+equals the blocked fold of the oracle bit for bit (the one whole-array sum
+on a rule of one block, and within round-off of it on more), and the rule
+equals the one a single draw gives.  This holds on a Monte Carlo rule whose
+last block is ragged and on a tensor rule smaller than one block.  A pass holds the rule, one field jet and one block, so its
 memory grows with the rule by no more than those, and a mis-shaped
 integrand is a ContractError.
 """
@@ -61,30 +61,47 @@ def measure(request):
     return mu
 
 
-def _scalar(x):
-    r2 = np.sum(x ** 2, axis=1)
-    return (1.0 + x[:, 0] ** 2 - x[:, 0] * x[:, 1]) * np.exp(-RATE * r2)
+def _scalar_slow(x):
+    return 1.0 + x[:, 0] ** 2 - x[:, 0] * x[:, 1]
 
 
-def _vector(x):
+def _vector_slow(x):
     # (N, 2, 2), built axis-first like the checkers' integrands
     r2 = np.sum(x ** 2, axis=1)
     rows = np.stack([np.ones(len(x)), x[:, 0] ** 2, 1.0 + x[:, 1] ** 2, r2 ** 2])
-    return (rows * np.exp(-RATE * r2)).T.reshape(len(x), 2, 2)
+    return rows.T.reshape(len(x), 2, 2)
 
 
-@pytest.mark.parametrize("integrand", [_scalar, _vector], ids=["scalar", "vector"])
-def test_nu_integral_equals_blocked_fold(measure, integrand):
+def _gaussian_times(slow):
+    """The full integrand slow(x) e^{-RATE |x|^2}."""
+    def full(x):
+        vals = slow(x)
+        return (vals.T * np.exp(-RATE * np.sum(x ** 2, axis=1))).T
+    return full
+
+
+_scalar, _vector = _gaussian_times(_scalar_slow), _gaussian_times(_vector_slow)
+
+
+@pytest.mark.parametrize("slow", [_scalar_slow, _vector_slow],
+                         ids=["scalar", "vector"])
+def test_nu_integral_equals_blocked_fold(measure, slow):
+    # on a homogeneous weight the sum runs on the lambda = 1 rule taken to
+    # the matched scale block by block; it equals the same sum on
+    # rule_at(lambda) bit for bit (nu_fold at rate 0 folds no Gaussian)
     rule = measure.rule_at(1.0 / math.sqrt(2.0 * RATE))
-    expected = nu_fold(rule, integrand, RATE)
-    got = nu_integral(measure, integrand, RATE)
+    expected = nu_fold(rule, slow, 0.0)
+    got = nu_integral(measure, slow, RATE)
     assert np.shape(got) == expected.shape
     assert np.array_equal(got, expected)
     # block sums added in order stay within round-off of one whole-array sum
-    whole = nu_fold(rule, integrand, RATE, block=None)
+    whole = nu_fold(rule, slow, 0.0, block=None)
     np.testing.assert_allclose(got, whole, rtol=1e-14, atol=0)
     if len(rule.weights) <= NODE_BLOCK:
         assert np.array_equal(got, whole)
+    # and within round-off of the full integrand, Gaussian folded back out
+    np.testing.assert_allclose(got, nu_fold(rule, _gaussian_times(slow), RATE),
+                               rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("cone", [Halfspace(2, (0.6, 0.8)), Orthant(2, (0, 1)),
@@ -156,7 +173,7 @@ def test_integrand_sees_axis_first_blocks_in_order(measure):
         # every coordinate is one contiguous row of the block
         assert x.strides[0] == x.itemsize
         seen.append(x.copy())
-        return _scalar(x)
+        return _scalar_slow(x)
 
     nu_integral(measure, counting, RATE)
     sizes = [len(x) for x in seen]

@@ -301,19 +301,15 @@ class TestIntegrate:
         expected = float(np.sum(q * t ** 12))
         assert abs(expected - 2.0 * gamma_moment(0.0, 12)) > 0.1 * expected
         mu = make_measure(w_one_1d, 2.0, order=4)
-        val = nu_integral(mu, lambda x: x[:, 0] ** 12 * np.exp(-0.5 * x[:, 0] ** 2),
-                          0.5)
+        val = nu_integral(mu, lambda x: x[:, 0] ** 12, 0.5)
         assert val == pytest.approx(expected, rel=1e-12)
         # on a Monte Carlo measure that rule is the lambda = 1 draw of the
         # measure's own sample count and seed, and another seed differs
         w = make_weight(DunklProduct(((0.6, 0.8),), (0.5,)), 2,
                         cone=Halfspace(2, (0.6, 0.8)), certify=False)
 
-        def integrand(x):
-            return x[:, 0] ** 2 * np.exp(-0.5 * np.sum(x ** 2, axis=1))
-
         mu = make_measure(w, 1.5, mc_samples=2 ** 10, seed=3)
-        vals = [nu_integral(mu, integrand, 0.5)]
+        vals = [nu_integral(mu, lambda x: x[:, 0] ** 2, 0.5)]
         for seed in (3, 4):
             rule = _mc_rule(w, 1.0, 2 ** 10, seed)
             vals.append(float(np.sum(rule.weights * rule.nodes[:, 0] ** 2)))
@@ -321,8 +317,8 @@ class TestIntegrate:
         assert vals[0] != pytest.approx(vals[2], rel=1e-6)
 
     def test_nu_integral_matches_closed_form(self, mu_one_2d):
-        # int e^{-|x|^2} dx over R^2 = pi
-        val = nu_integral(mu_one_2d, lambda x: np.exp(-np.sum(x ** 2, axis=1)), 1.0)
+        # int e^{-|x|^2} dx over R^2 = pi: the slow factor is 1
+        val = nu_integral(mu_one_2d, lambda x: np.ones(len(x)), 1.0)
         assert val == pytest.approx(np.pi, rel=1e-12)
 
     @pytest.mark.parametrize("spec, cone, mc_samples, kind", [
@@ -339,9 +335,9 @@ class TestIntegrate:
                           mc_samples=mc_samples).kind == kind
 
         def components(x):
+            # the slow factors of p(x) e^{-rate |x|^2}
             r2 = np.sum(x ** 2, axis=1)
-            polys = [np.ones(len(x)), x[:, 0] ** 2, 1.0 + x[:, 1] ** 2, r2 ** 2]
-            return [p * np.exp(-rate * r2) for p in polys]
+            return [np.ones(len(x)), x[:, 0] ** 2, 1.0 + x[:, 1] ** 2, r2 ** 2]
 
         mu = make_measure(w, mc_samples=mc_samples)
         vec = nu_integral(mu, lambda x: np.stack(components(x), axis=1)

@@ -27,6 +27,7 @@ from gausscone.fields import (
     mass_dilated,
     poly_gauss,
     product,
+    slow_jet,
 )
 from gausscone.functionals import _nu_moments
 from gausscone.measures import make_measure, nu_integral
@@ -102,15 +103,16 @@ class TestDistance:
 
 def _per_lambda_objective(measure, f, lam, affine, norm_sq):
     """The objective at one lambda with b and the Gram matrix each from their
-    own nu_integral call on its rate-matched rule."""
+    own nu_integral call of their slow factors on its rate-matched rule: the
+    basis is its polynomials times e^{-|x|^2/(2 lambda^2)}, and f its slow
+    value times e^{-rate_f |x|^2}."""
     rate_g = 0.5 / (lam * lam)
 
     def basis(pts):
         ones = np.ones((len(pts), 1))
-        poly = np.hstack([ones, pts]) if affine else ones
-        return poly * np.exp(-rate_g * np.sum(pts ** 2, axis=1))[:, None]
+        return np.hstack([ones, pts]) if affine else ones
 
-    b = nu_integral(measure, lambda x: f.value(x)[:, None] * basis(x),
+    b = nu_integral(measure, lambda x: slow_jet(f, x, 1)[0][:, None] * basis(x),
                     f.decay.rate + rate_g)
     gram = nu_integral(measure, lambda x: basis(x)[:, :, None] * basis(x)[:, None, :],
                        2.0 * rate_g)
@@ -232,7 +234,7 @@ class TestHupStability:
         # deficit forces a small distance relative to the field norm
         f = gaussian(1.4, 0.9, 2)
         rep = check_hup_stability(mu_abs, f)
-        norm = math.sqrt(nu_integral(mu_abs, lambda x: f.value(x) ** 2,
+        norm = math.sqrt(nu_integral(mu_abs, lambda x: slow_jet(f, x, 1)[0] ** 2,
                                      2.0 * f.decay.rate))
         assert rep.delta <= 1e-8
         assert math.sqrt(rep.distance_sq) <= 1e-3 * norm
